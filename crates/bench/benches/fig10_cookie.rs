@@ -4,14 +4,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use plaintext_recovery::charset::Charset;
-use rc4_attacks::experiments::fig10::{run, Fig10Config};
+use rc4_attacks::{
+    experiments::fig10::{run, Fig10Config},
+    ExperimentContext,
+};
 
 fn bench_fig10_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig10_cookie_recovery");
     group.sample_size(10);
     group.bench_function("quick_sweep", |b| {
         let config = Fig10Config::quick();
-        b.iter(|| run(std::hint::black_box(&config)).unwrap());
+        b.iter(|| run(std::hint::black_box(&config), &ExperimentContext::new()).unwrap());
     });
     group.finish();
 }
@@ -35,7 +38,7 @@ fn bench_charset_ablation(c: &mut Criterion) {
             ..Fig10Config::quick()
         };
         group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
-            b.iter(|| run(std::hint::black_box(config)).unwrap());
+            b.iter(|| run(std::hint::black_box(config), &ExperimentContext::new()).unwrap());
         });
     }
     group.finish();

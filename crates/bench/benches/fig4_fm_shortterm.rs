@@ -2,8 +2,12 @@
 //! independence tests over the initial keystream bytes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rc4_attacks::experiments::biases::{fig4_fm_shortterm, BiasScale};
-use rc4_stats::{pairs::PairDataset, worker::generate, GenerationConfig};
+use rc4_attacks::{
+    experiments::biases::{fig4_fm_shortterm, BiasScale},
+    ExperimentContext,
+};
+use rc4_exec::Executor;
+use rc4_stats::{generate_storable_with_exec, pairs::PairDataset, GenerationConfig};
 use stat_tests::mtest::m_test_independence;
 
 fn bench_pair_dataset_generation(c: &mut Criterion) {
@@ -14,7 +18,8 @@ fn bench_pair_dataset_generation(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(keys), &keys, |b, &keys| {
             b.iter(|| {
                 let mut ds = PairDataset::consecutive(16).unwrap();
-                generate(&mut ds, &GenerationConfig::with_keys(keys).seed(4)).unwrap();
+                let config = GenerationConfig::with_keys(keys).seed(4);
+                generate_storable_with_exec(&mut ds, &config, &Executor::serial()).unwrap();
                 ds
             });
         });
@@ -26,7 +31,8 @@ fn bench_independence_test(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_m_test");
     group.sample_size(10);
     let mut ds = PairDataset::consecutive(2).unwrap();
-    generate(&mut ds, &GenerationConfig::with_keys(1 << 14).seed(4)).unwrap();
+    let config = GenerationConfig::with_keys(1 << 14).seed(4);
+    generate_storable_with_exec(&mut ds, &config, &Executor::serial()).unwrap();
     group.bench_function("m_test_256x256", |b| {
         b.iter(|| m_test_independence(std::hint::black_box(ds.joint_counts(0)), 256, 256).unwrap());
     });
@@ -41,7 +47,8 @@ fn bench_fig4_report(c: &mut Criterion) {
         ..BiasScale::quick()
     };
     group.bench_function("tiny_scale", |b| {
-        b.iter(|| fig4_fm_shortterm(std::hint::black_box(&scale), &[1, 17]).unwrap());
+        let ctx = ExperimentContext::new();
+        b.iter(|| fig4_fm_shortterm(std::hint::black_box(&scale), &[1, 17], &ctx).unwrap());
     });
     group.finish();
 }

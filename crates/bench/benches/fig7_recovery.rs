@@ -2,7 +2,10 @@
 //! combined) in sampled mode, plus the ABSAB-relation sweep ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rc4_attacks::experiments::fig7::{run, Fig7Config};
+use rc4_attacks::{
+    experiments::fig7::{run, Fig7Config},
+    ExperimentContext,
+};
 
 fn bench_fig7_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_recovery");
@@ -14,7 +17,7 @@ fn bench_fig7_point(c: &mut Criterion) {
             absab_relations: 16,
             ..Fig7Config::quick()
         };
-        b.iter(|| run(std::hint::black_box(&config)).unwrap());
+        b.iter(|| run(std::hint::black_box(&config), &ExperimentContext::new()).unwrap());
     });
     group.finish();
 }
@@ -35,7 +38,7 @@ fn bench_absab_relation_sweep(c: &mut Criterion) {
             BenchmarkId::from_parameter(relations),
             &config,
             |b, config| {
-                b.iter(|| run(std::hint::black_box(config)).unwrap());
+                b.iter(|| run(std::hint::black_box(config), &ExperimentContext::new()).unwrap());
             },
         );
     }

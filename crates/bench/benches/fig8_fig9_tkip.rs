@@ -3,7 +3,10 @@
 //! trailer onto more strongly biased keystream positions).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rc4_attacks::experiments::fig8::{run, Fig8Config, TkipTrafficModel};
+use rc4_attacks::{
+    experiments::fig8::{run, Fig8Config, TkipTrafficModel},
+    ExperimentContext,
+};
 
 fn bench_fig8_point(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8_tkip_recovery");
@@ -16,7 +19,7 @@ fn bench_fig8_point(c: &mut Criterion) {
             model: TkipTrafficModel::Synthetic { relative_bias: 0.8 },
             ..Fig8Config::quick()
         };
-        b.iter(|| run(std::hint::black_box(&config)).unwrap());
+        b.iter(|| run(std::hint::black_box(&config), &ExperimentContext::new()).unwrap());
     });
     group.finish();
 }
@@ -40,7 +43,7 @@ fn bench_payload_choice_ablation(c: &mut Criterion) {
             BenchmarkId::from_parameter(payload_len),
             &config,
             |b, config| {
-                b.iter(|| run(std::hint::black_box(config)).unwrap());
+                b.iter(|| run(std::hint::black_box(config), &ExperimentContext::new()).unwrap());
             },
         );
     }

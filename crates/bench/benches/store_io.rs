@@ -9,7 +9,10 @@
 use std::path::PathBuf;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rc4_stats::{pairs::PairDataset, worker::generate, GenerationConfig, StorableDataset};
+use rc4_exec::Executor;
+use rc4_stats::{
+    generate_storable_with_exec, pairs::PairDataset, GenerationConfig, StorableDataset,
+};
 use rc4_store::{merge_shards, read_shard, write_shard, ShardHeader};
 
 fn scratch() -> PathBuf {
@@ -22,7 +25,7 @@ fn scratch() -> PathBuf {
 fn sample() -> (ShardHeader, PairDataset, u64) {
     let config = GenerationConfig::with_keys(2_000).seed(0xBE7C);
     let mut ds = PairDataset::consecutive(16).unwrap();
-    generate(&mut ds, &config).unwrap();
+    generate_storable_with_exec(&mut ds, &config, &Executor::serial()).unwrap();
     let mut header = ShardHeader::new(
         "pairs",
         config,

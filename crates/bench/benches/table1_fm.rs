@@ -5,8 +5,11 @@
 //! the per-key cost of the long-term dataset collection that dominates it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rc4_attacks::experiments::biases::{table1_fm_longterm, BiasScale};
-use rc4_stats::{longterm::LongTermDataset, KeystreamCollector};
+use rc4_attacks::{
+    experiments::biases::{table1_fm_longterm, BiasScale},
+    ExperimentContext,
+};
+use rc4_stats::{longterm::LongTermDataset, StorableDataset};
 
 fn bench_longterm_collection(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1_longterm_collection");
@@ -16,7 +19,7 @@ fn bench_longterm_collection(c: &mut Criterion) {
         let ks = rc4::keystream(b"table1 bench key", 1023 + block).unwrap();
         group.throughput(Throughput::Bytes(block as u64));
         group.bench_with_input(BenchmarkId::from_parameter(block), &block, |b, _| {
-            b.iter(|| ds.record_keystream(std::hint::black_box(&ks)));
+            b.iter(|| ds.record_stream(0, std::hint::black_box(&ks)));
         });
     }
     group.finish();
@@ -33,7 +36,8 @@ fn bench_table1_quick(c: &mut Criterion) {
         seed: 1,
     };
     group.bench_function("tiny_scale", |b| {
-        b.iter(|| table1_fm_longterm(std::hint::black_box(&scale)).unwrap());
+        let ctx = ExperimentContext::new();
+        b.iter(|| table1_fm_longterm(std::hint::black_box(&scale), &ctx).unwrap());
     });
     group.finish();
 }

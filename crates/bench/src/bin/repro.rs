@@ -1927,8 +1927,11 @@ mod bench_cli {
     };
     use rc4_accel::{AutoBatch, KeystreamBatch};
     use rc4_attacks::experiments::fig8::{run as fig8_run, Fig8Config, TkipTrafficModel};
+    use rc4_attacks::ExperimentContext;
+    use rc4_exec::Executor;
     use rc4_stats::{
-        single::SingleByteDataset, streaming::StreamingCounts, worker, GenerationConfig,
+        generate_storable_with_exec, single::SingleByteDataset, streaming::StreamingCounts,
+        GenerationConfig,
     };
     use rc4_store::codec::{DeltaVarintDecoder, DeltaVarintEncoder};
 
@@ -1959,7 +1962,7 @@ mod bench_cli {
          Runs the quick perf smoke suite (fixed seeds) and prints one entry per\n\
          bench: ns per iteration plus throughput where meaningful. --engine\n\
          forces the batch engine tier (same choices as the RC4_ACCEL_FORCE\n\
-         environment variable: auto, avx512, avx2, neon, portable); the\n\
+         environment variable: auto, avx512, avx2, portable); the\n\
          resolved engine is reported in the summary and the JSON. With\n\
          --compare, entries also present in BENCH_FILE are checked and the run\n\
          fails (exit 1) if any is more than PCT percent slower (default 25).\n\
@@ -2127,7 +2130,6 @@ mod bench_cli {
             let bench_name: &'static str = match name {
                 "avx512" => "rc4_batch_rekey/256x68/avx512",
                 "avx2" => "rc4_batch_rekey/256x68/avx2",
-                "neon" => "rc4_batch_rekey/256x68/neon",
                 _ => "rc4_batch_rekey/256x68/portable",
             };
             results.push(Measurement {
@@ -2144,13 +2146,18 @@ mod bench_cli {
             });
         }
 
-        // End-to-end dataset generation through the worker pool.
+        // End-to-end dataset generation through the key-space walker.
         let config = GenerationConfig::with_keys(1 << 15).seed(0xBE_EF);
         results.push(Measurement {
             name: "dataset_generate/single_32768x64",
             ns_per_iter: time_min(|| {
                 let mut ds = SingleByteDataset::new(64);
-                worker::generate(std::hint::black_box(&mut ds), &config).expect("valid config");
+                generate_storable_with_exec(
+                    std::hint::black_box(&mut ds),
+                    &config,
+                    &Executor::serial(),
+                )
+                .expect("valid config");
             }),
             bytes_per_iter: Some((1u64 << 15) * 64),
         });
@@ -2167,7 +2174,11 @@ mod bench_cli {
         results.push(Measurement {
             name: "fig8_tkip_recovery/quick_sweep",
             ns_per_iter: time_min(|| {
-                fig8_run(std::hint::black_box(&fig8_config)).expect("fig8 quick config runs");
+                fig8_run(
+                    std::hint::black_box(&fig8_config),
+                    &ExperimentContext::new(),
+                )
+                .expect("fig8 quick config runs");
             }),
             bytes_per_iter: None,
         });

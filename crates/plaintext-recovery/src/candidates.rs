@@ -12,8 +12,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use rc4_exec::Executor;
-
 use crate::{charset::Charset, likelihood::SingleLikelihoods, RecoveryError};
 
 /// A ranked plaintext candidate.
@@ -89,28 +87,6 @@ pub fn generate_candidates(
     n: usize,
     charset: &Charset,
 ) -> Result<Vec<Candidate>, RecoveryError> {
-    generate_candidates_with_exec(likelihoods, n, charset, &Executor::serial())
-}
-
-/// [`generate_candidates`] on an explicit executor.
-///
-/// The cursor-heap frontier walk is inherently sequential (each emitted
-/// candidate updates the heap the next one pops from) and stays on the
-/// calling thread; the backpointer reconstruction of the final candidate
-/// strings — `O(L · N)` work, the dominant cost at the TKIP attack's large
-/// `N` — is fanned out over rank chunks. Ranks are reconstructed
-/// independently, so the output is identical for any worker count.
-///
-/// # Errors
-///
-/// Everything [`generate_candidates`] returns, plus
-/// [`RecoveryError::Cancelled`] when the executor's flag is raised.
-pub fn generate_candidates_with_exec(
-    likelihoods: &[SingleLikelihoods],
-    n: usize,
-    charset: &Charset,
-    exec: &Executor<'_>,
-) -> Result<Vec<Candidate>, RecoveryError> {
     if likelihoods.is_empty() {
         return Err(RecoveryError::InvalidInput(
             "at least one position is required".into(),
@@ -127,9 +103,6 @@ pub fn generate_candidates_with_exec(
     let mut prev_scores: Vec<f64> = vec![0.0];
 
     for lik in likelihoods {
-        if exec.is_cancelled() {
-            return Err(RecoveryError::Cancelled);
-        }
         // Per-alphabet-value cursor into the previous frontier.
         let mut cursor = vec![0usize; alphabet.len()];
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(alphabet.len());
@@ -161,48 +134,34 @@ pub fn generate_candidates_with_exec(
         prev_scores = new_scores;
     }
 
-    // Reconstruct the candidate strings by walking the backpointers. Each
-    // rank walks independently, so ranks are reconstructed in parallel
-    // chunks and concatenated in rank order. Within a chunk, the walk is
-    // level-synchronous over blocks of ranks: one rank's walk is a serial
-    // pointer chase (`r -> steps[pos][r].0`), but a block of 64 ranks
+    // Reconstruct the candidate strings by walking the backpointers. One
+    // rank's walk is a serial pointer chase (`r -> steps[pos][r].0`), so the
+    // walk is level-synchronous over blocks of ranks: a block of 64 ranks
     // advanced one position level at a time gives the core 64 independent
     // chase chains to overlap and touches each level's step table with
-    // spatial locality instead of re-streaming it per rank. The per-rank
-    // data read is unchanged, so the output is identical to the rank-at-a-
-    // time walk for any worker count.
+    // spatial locality instead of re-streaming it per rank.
     const BLOCK: usize = 64;
-    let ranks = prev_scores.len();
-    let chunk = exec.chunk_len_for(ranks);
-    let rank_chunks: Vec<usize> = (0..ranks).step_by(chunk).collect();
-    let chunks: Vec<Vec<Candidate>> = exec
-        .map(rank_chunks, |_, first| {
-            let count = chunk.min(ranks - first);
-            let mut out: Vec<Candidate> = prev_scores[first..first + count]
-                .iter()
-                .map(|&score| Candidate {
-                    plaintext: vec![0u8; likelihoods.len()],
-                    log_likelihood: score,
-                })
-                .collect();
-            let mut cur = [0usize; BLOCK];
-            for block_start in (0..count).step_by(BLOCK) {
-                let b = BLOCK.min(count - block_start);
-                for (slot, c) in cur[..b].iter_mut().enumerate() {
-                    *c = first + block_start + slot;
-                }
-                for (pos, step) in steps.iter().enumerate().rev() {
-                    for (slot, c) in cur[..b].iter_mut().enumerate() {
-                        let (prev_rank, vi) = step[*c];
-                        out[block_start + slot].plaintext[pos] = alphabet[vi as usize];
-                        *c = prev_rank as usize;
-                    }
-                }
-            }
-            Ok::<_, RecoveryError>(out)
+    let mut out: Vec<Candidate> = prev_scores
+        .iter()
+        .map(|&score| Candidate {
+            plaintext: vec![0u8; likelihoods.len()],
+            log_likelihood: score,
         })
-        .map_err(RecoveryError::from)?;
-    Ok(chunks.into_iter().flatten().collect())
+        .collect();
+    let mut cur = [0usize; BLOCK];
+    for (block_start, block) in (0..out.len()).step_by(BLOCK).zip(out.chunks_mut(BLOCK)) {
+        for (slot, c) in cur[..block.len()].iter_mut().enumerate() {
+            *c = block_start + slot;
+        }
+        for (pos, step) in steps.iter().enumerate().rev() {
+            for (cand, c) in block.iter_mut().zip(cur.iter_mut()) {
+                let (prev_rank, vi) = step[*c];
+                cand.plaintext[pos] = alphabet[vi as usize];
+                *c = prev_rank as usize;
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Convenience wrapper returning only the single most likely plaintext.
@@ -316,43 +275,6 @@ mod tests {
         assert!(generate_candidates(&[], 10, &Charset::full()).is_err());
         let liks = vec![lik_from(&[(0, 1.0)])];
         assert!(generate_candidates(&liks, 0, &Charset::full()).is_err());
-    }
-
-    #[test]
-    fn exec_generation_is_identical_for_any_worker_count() {
-        use rc4_exec::Executor;
-        let liks: Vec<SingleLikelihoods> = (0..9)
-            .map(|p| {
-                lik_from(&[
-                    ((p * 13 % 256) as u8, 2.5),
-                    ((p * 29 % 256) as u8, 2.0),
-                    ((p * 31 % 256) as u8, 1.5),
-                ])
-            })
-            .collect();
-        let reference = generate_candidates(&liks, 500, &Charset::full()).unwrap();
-        for workers in [2usize, 4] {
-            let got = generate_candidates_with_exec(
-                &liks,
-                500,
-                &Charset::full(),
-                &Executor::new(workers),
-            )
-            .unwrap();
-            assert_eq!(got, reference, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn cancelled_executor_aborts_generation() {
-        use std::sync::atomic::AtomicBool;
-        let cancel = AtomicBool::new(true);
-        let exec = rc4_exec::Executor::new(2).with_cancel(Some(&cancel));
-        let liks = vec![lik_from(&[(0, 1.0)])];
-        assert_eq!(
-            generate_candidates_with_exec(&liks, 4, &Charset::full(), &exec).unwrap_err(),
-            crate::RecoveryError::Cancelled
-        );
     }
 
     #[test]

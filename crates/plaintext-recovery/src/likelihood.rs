@@ -18,8 +18,6 @@
 //! Likelihoods from different bias families are combined by adding their logs
 //! (Eq. 25).
 
-use rc4_exec::Executor;
-
 use crate::RecoveryError;
 
 /// Log-likelihoods of each of the 256 plaintext values for one byte position.
@@ -43,23 +41,6 @@ impl SingleLikelihoods {
         ciphertext_counts: &[u64],
         keystream_probs: &[f64],
     ) -> Result<Self, RecoveryError> {
-        Self::from_counts_with_exec(ciphertext_counts, keystream_probs, &Executor::serial())
-    }
-
-    /// [`SingleLikelihoods::from_counts`] on an explicit executor. The 256
-    /// candidates form a single blocked row (too small to shard), so the
-    /// executor only contributes cancellation; the result is bit-identical
-    /// for any worker count (including the serial wrapper).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`SingleLikelihoods::from_counts`] returns, plus
-    /// [`RecoveryError::Cancelled`] when the executor's flag is raised.
-    pub fn from_counts_with_exec(
-        ciphertext_counts: &[u64],
-        keystream_probs: &[f64],
-        exec: &Executor<'_>,
-    ) -> Result<Self, RecoveryError> {
         if ciphertext_counts.len() != 256 || keystream_probs.len() != 256 {
             return Err(RecoveryError::InvalidInput(
                 "single-byte likelihood needs 256 counts and 256 probabilities".into(),
@@ -70,22 +51,16 @@ impl SingleLikelihoods {
             .map(|&p| p.max(1e-300).ln())
             .collect();
         let mut log = vec![0.0f64; 256];
-        // One 256-slot row: the work is blocked per observed ciphertext value
+        // The work is blocked per observed ciphertext value
         // (`log[mu] += N[c] * ln p[c ^ mu]` for all mu at once), which is the
         // SIMD-friendly `xor_mul_add_256` shape. Iterating `c` in ascending
         // order as the outer loop gives every slot the exact accumulation
-        // sequence of the old per-candidate inner loop, so results are
-        // bit-identical to the historical scalar path and independent of the
-        // worker count.
-        exec.chunked(&mut log, 256, |_, _, chunk| {
-            for (c, &n) in ciphertext_counts.iter().enumerate() {
-                if n > 0 {
-                    rc4_accel::score::xor_mul_add_256(chunk, &log_p, c as u8, n as f64);
-                }
+        // sequence of a per-candidate inner loop.
+        for (c, &n) in ciphertext_counts.iter().enumerate() {
+            if n > 0 {
+                rc4_accel::score::xor_mul_add_256(&mut log, &log_p, c as u8, n as f64);
             }
-            Ok::<_, RecoveryError>(())
-        })
-        .map_err(RecoveryError::from)?;
+        }
         Ok(Self { log })
     }
 
@@ -171,24 +146,6 @@ impl PairLikelihoods {
         pair_counts: &[u64],
         keystream_probs: &[f64],
     ) -> Result<Self, RecoveryError> {
-        Self::from_counts_dense_with_exec(pair_counts, keystream_probs, &Executor::serial())
-    }
-
-    /// [`PairLikelihoods::from_counts_dense`] on an explicit executor: the
-    /// 65536 candidate pairs are scored in parallel chunks. Every candidate's
-    /// accumulation runs over the same non-zero-count list in the same order
-    /// whatever the chunking, so the result is bit-identical for any worker
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`PairLikelihoods::from_counts_dense`] returns, plus
-    /// [`RecoveryError::Cancelled`] when the executor's flag is raised.
-    pub fn from_counts_dense_with_exec(
-        pair_counts: &[u64],
-        keystream_probs: &[f64],
-        exec: &Executor<'_>,
-    ) -> Result<Self, RecoveryError> {
         if pair_counts.len() != 65536 || keystream_probs.len() != 65536 {
             return Err(RecoveryError::InvalidInput(
                 "pair likelihood needs 65536 counts and probabilities".into(),
@@ -207,27 +164,17 @@ impl PairLikelihoods {
             .map(|(idx, &n)| (idx >> 8, idx & 0xff, n as f64))
             .collect();
         let mut log = vec![0.0f64; 65536];
-        // Chunks are whole mu1 rows; within a row, each non-zero count cell
-        // contributes `n * ln p[(c1^mu1), (c2^mu2)]` to all 256 mu2 slots at
-        // once — a blocked `xor_mul_add_256` over the `c1^mu1` row of the
-        // log-probability table. The cell list order is the per-slot
-        // accumulation order of the old per-candidate loop, so results stay
-        // bit-identical for any worker count.
-        exec.chunked(
-            &mut log,
-            exec.chunk_len_for(256) * 256,
-            |_, start, chunk| {
-                for (row_off, row) in chunk.chunks_mut(256).enumerate() {
-                    let mu1 = (start >> 8) + row_off;
-                    for &(c1, c2, n) in &nonzero {
-                        let log_p_row = &log_p[(c1 ^ mu1) << 8..][..256];
-                        rc4_accel::score::xor_mul_add_256(row, log_p_row, c2 as u8, n);
-                    }
-                }
-                Ok::<_, RecoveryError>(())
-            },
-        )
-        .map_err(RecoveryError::from)?;
+        // Per mu1 row, each non-zero count cell contributes
+        // `n * ln p[(c1^mu1), (c2^mu2)]` to all 256 mu2 slots at once — a
+        // blocked `xor_mul_add_256` over the `c1^mu1` row of the
+        // log-probability table. The cell list order is every slot's
+        // accumulation order.
+        for (mu1, row) in log.chunks_mut(256).enumerate() {
+            for &(c1, c2, n) in &nonzero {
+                let log_p_row = &log_p[(c1 ^ mu1) << 8..][..256];
+                rc4_accel::score::xor_mul_add_256(row, log_p_row, c2 as u8, n);
+            }
+        }
         Ok(Self { log })
     }
 
@@ -249,31 +196,6 @@ impl PairLikelihoods {
         biased_cells: &[(u8, u8, f64)],
         uniform: f64,
         total_ciphertexts: u64,
-    ) -> Result<Self, RecoveryError> {
-        Self::from_counts_sparse_with_exec(
-            pair_counts,
-            biased_cells,
-            uniform,
-            total_ciphertexts,
-            &Executor::serial(),
-        )
-    }
-
-    /// [`PairLikelihoods::from_counts_sparse`] on an explicit executor: the
-    /// 65536 candidate pairs are scored in parallel chunks. Every candidate
-    /// accumulates its biased-cell terms in the cell-list order whatever the
-    /// chunking, so the result is bit-identical for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`PairLikelihoods::from_counts_sparse`] returns, plus
-    /// [`RecoveryError::Cancelled`] when the executor's flag is raised.
-    pub fn from_counts_sparse_with_exec(
-        pair_counts: &[u64],
-        biased_cells: &[(u8, u8, f64)],
-        uniform: f64,
-        total_ciphertexts: u64,
-        exec: &Executor<'_>,
     ) -> Result<Self, RecoveryError> {
         if pair_counts.len() != 65536 {
             return Err(RecoveryError::InvalidInput(
@@ -302,27 +224,16 @@ impl PairLikelihoods {
         // counts below 2^53.
         let counts_f64 = crate::counts::widen_counts(pair_counts);
         let mut log = vec![base; 65536];
-        // Chunks are whole mu1 rows; per row, each biased cell adds
-        // `N[c1^mu1, k2^mu2] * (ln p - ln u)` to all 256 mu2 slots at once —
-        // a blocked `xor_mul_add_256` over the widened `c1^mu1` counts row.
-        // The cell-list order fixes every slot's accumulation sequence
-        // whatever the chunking, so the result is bit-identical for any
-        // worker count.
-        exec.chunked(
-            &mut log,
-            exec.chunk_len_for(256) * 256,
-            |_, start, chunk| {
-                for (row_off, row) in chunk.chunks_mut(256).enumerate() {
-                    let mu1 = (start >> 8) + row_off;
-                    for &(k1, k2, delta) in &cells {
-                        let counts_row = &counts_f64[(k1 ^ mu1) << 8..][..256];
-                        rc4_accel::score::xor_mul_add_256(row, counts_row, k2 as u8, delta);
-                    }
-                }
-                Ok::<_, RecoveryError>(())
-            },
-        )
-        .map_err(RecoveryError::from)?;
+        // Per mu1 row, each biased cell adds `N[c1^mu1, k2^mu2] * (ln p - ln u)`
+        // to all 256 mu2 slots at once — a blocked `xor_mul_add_256` over the
+        // widened `c1^mu1` counts row. The cell-list order is every slot's
+        // accumulation order.
+        for (mu1, row) in log.chunks_mut(256).enumerate() {
+            for &(k1, k2, delta) in &cells {
+                let counts_row = &counts_f64[(k1 ^ mu1) << 8..][..256];
+                rc4_accel::score::xor_mul_add_256(row, counts_row, k2 as u8, delta);
+            }
+        }
         Ok(Self { log })
     }
 
@@ -593,56 +504,6 @@ mod tests {
         let pair = PairLikelihoods::from_log_values(log).unwrap();
         let marg = pair.max_marginal_first();
         assert_eq!(marg.best(), 0x41);
-    }
-
-    #[test]
-    fn exec_variants_are_bit_identical_for_any_worker_count() {
-        use rc4_exec::Executor;
-        let (probs, cells) = biased_pair();
-        let mu = (0x5A, 0xC3);
-        let counts = simulate_pair_counts(&probs, mu, 30_000);
-        let total: u64 = counts.iter().sum();
-        let sparse_ref =
-            PairLikelihoods::from_counts_sparse(&counts, &cells, 1.0 / 65536.0, total).unwrap();
-        let dense_ref = PairLikelihoods::from_counts_dense(&counts, &probs).unwrap();
-        let single_counts: Vec<u64> = (0..256).map(|c| (c as u64 * 37) % 1000).collect();
-        let single_probs = biased_single(9, 0.7);
-        let single_ref = SingleLikelihoods::from_counts(&single_counts, &single_probs).unwrap();
-        for workers in [2usize, 4, 7] {
-            let exec = Executor::new(workers);
-            let sparse = PairLikelihoods::from_counts_sparse_with_exec(
-                &counts,
-                &cells,
-                1.0 / 65536.0,
-                total,
-                &exec,
-            )
-            .unwrap();
-            assert_eq!(sparse, sparse_ref, "sparse, workers = {workers}");
-            let dense =
-                PairLikelihoods::from_counts_dense_with_exec(&counts, &probs, &exec).unwrap();
-            assert_eq!(dense, dense_ref, "dense, workers = {workers}");
-            let single =
-                SingleLikelihoods::from_counts_with_exec(&single_counts, &single_probs, &exec)
-                    .unwrap();
-            assert_eq!(single, single_ref, "single, workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn cancelled_executor_aborts_likelihood_scoring() {
-        use std::sync::atomic::AtomicBool;
-        let cancel = AtomicBool::new(true);
-        let exec = rc4_exec::Executor::new(2).with_cancel(Some(&cancel));
-        let counts = vec![1u64; 65536];
-        let r = PairLikelihoods::from_counts_sparse_with_exec(
-            &counts,
-            &[(0, 0, 2.0 / 65536.0)],
-            1.0 / 65536.0,
-            65536,
-            &exec,
-        );
-        assert_eq!(r.unwrap_err(), crate::RecoveryError::Cancelled);
     }
 
     #[test]

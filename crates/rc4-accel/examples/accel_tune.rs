@@ -1,6 +1,6 @@
 //! Quick timing for the accelerated engines: `cargo run --release -p
 //! rc4-accel --example accel_tune`. Sweeps every engine available on this
-//! host (avx512 / avx2 / neon / portable) plus the scalar baseline, in the
+//! host (avx512 / avx2 / portable) plus the scalar baseline, in the
 //! two regimes that matter: long streams (PRGA-bound) and rekey-per-68-bytes
 //! (KSA-bound, per-TSC-shaped). Also times the f64 scoring kernel used by
 //! the recovery hot path.

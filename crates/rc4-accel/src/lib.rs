@@ -7,20 +7,20 @@
 //! interleaved as `u32` cells, one *row* of all lanes is exactly one vector
 //! register, and the data-dependent accesses become gathers (and scatters
 //! where the ISA has them) — a handful of instructions stepping N keystreams
-//! at once. Three hardware tiers implement that idea:
+//! at once. Two hardware tiers implement that idea:
 //!
 //! | engine | ISA | lanes | data-dependent accesses |
 //! |---|---|---|---|
 //! | [`Avx512Batch`] | x86-64 AVX-512F | 16 | `vpgatherdd` + `vpscatterdd` |
 //! | [`Avx2Batch`] | x86-64 AVX2 | 8 | `vpgatherdd` + scalar stores |
-//! | `NeonBatch` (aarch64 builds) | NEON | 4 | scalar, vector index math |
 //!
 //! Everything here implements the same [`KeystreamBatch`] trait as the
 //! portable module and is bit-identical to the scalar [`rc4::Prga`] per lane
 //! (property-tested against it, and cross-checked engine-vs-engine by the
 //! differential suite in `tests/differential.rs`). [`AutoBatch`] picks the
-//! fastest engine the running CPU supports — preferring avx512 → avx2 → neon
-//! → portable — so consumers just write:
+//! fastest engine the running CPU supports — preferring avx512 → avx2 →
+//! portable, which also covers every non-x86 target — so consumers just
+//! write:
 //!
 //! ```
 //! use rc4_accel::{AutoBatch, KeystreamBatch};
@@ -66,16 +66,12 @@ use rc4::KeyError;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 pub mod score;
 
 #[cfg(target_arch = "x86_64")]
 pub use avx2::Avx2Batch;
 #[cfg(target_arch = "x86_64")]
 pub use avx512::Avx512Batch;
-#[cfg(target_arch = "aarch64")]
-pub use neon::NeonBatch;
 
 /// Environment variable consulted by [`AutoBatch::new`] to force an engine.
 pub const FORCE_ENV: &str = "RC4_ACCEL_FORCE";
@@ -93,8 +89,6 @@ pub enum Engine {
     Avx512,
     /// 8-lane AVX2 gather engine (x86-64).
     Avx2,
-    /// 4-lane NEON engine (aarch64).
-    Neon,
     /// The portable lane-interleaved engine (any CPU).
     Portable,
 }
@@ -102,7 +96,7 @@ pub enum Engine {
 impl Engine {
     /// Every engine name accepted by [`Engine::parse`] / `RC4_ACCEL_FORCE`,
     /// in dispatch-preference order.
-    pub const CHOICES: [&'static str; 5] = ["auto", "avx512", "avx2", "neon", "portable"];
+    pub const CHOICES: [&'static str; 4] = ["auto", "avx512", "avx2", "portable"];
 
     /// The engine's stable name (matches [`KeystreamBatch::name`] of the
     /// engine it selects, except `Auto`).
@@ -111,7 +105,6 @@ impl Engine {
             Engine::Auto => "auto",
             Engine::Avx512 => "avx512",
             Engine::Avx2 => "avx2",
-            Engine::Neon => "neon",
             Engine::Portable => "portable",
         }
     }
@@ -122,7 +115,6 @@ impl Engine {
             "auto" => Some(Engine::Auto),
             "avx512" => Some(Engine::Avx512),
             "avx2" => Some(Engine::Avx2),
-            "neon" => Some(Engine::Neon),
             "portable" => Some(Engine::Portable),
             _ => None,
         }
@@ -164,19 +156,13 @@ pub fn available_engines() -> Vec<&'static str> {
             names.push("avx2");
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            names.push("neon");
-        }
-    }
     names.push("portable");
     names
 }
 
 /// The best batch engine the running CPU supports, behind one type.
 ///
-/// Dispatch prefers avx512 → avx2 → neon → portable; the variant is chosen
+/// Dispatch prefers avx512 → avx2 → portable; the variant is chosen
 /// once at construction — the hot loops contain no feature checks. The
 /// `RC4_ACCEL_FORCE` environment variable overrides the choice (see the
 /// crate docs).
@@ -188,9 +174,6 @@ pub enum AutoBatch {
     /// AVX2 gather engine (8 lanes).
     #[cfg(target_arch = "x86_64")]
     Avx2(Avx2Batch),
-    /// NEON engine (4 lanes).
-    #[cfg(target_arch = "aarch64")]
-    Neon(NeonBatch),
     /// Portable lane-interleaved engine (boxed: the inline state tables
     /// would otherwise dominate the enum's size).
     Portable(Box<DefaultBatch>),
@@ -236,10 +219,6 @@ impl AutoBatch {
                 if let Some(engine) = Avx2Batch::new() {
                     return Ok(AutoBatch::Avx2(engine));
                 }
-                #[cfg(target_arch = "aarch64")]
-                if let Some(engine) = NeonBatch::new() {
-                    return Ok(AutoBatch::Neon(engine));
-                }
                 Ok(AutoBatch::Portable(Box::new(DefaultBatch::new())))
             }
             Engine::Avx512 => {
@@ -255,13 +234,6 @@ impl AutoBatch {
                     return Ok(AutoBatch::Avx2(engine));
                 }
                 Err(unavailable("avx2"))
-            }
-            Engine::Neon => {
-                #[cfg(target_arch = "aarch64")]
-                if let Some(engine) = NeonBatch::new() {
-                    return Ok(AutoBatch::Neon(engine));
-                }
-                Err(unavailable("neon"))
             }
             Engine::Portable => Ok(AutoBatch::Portable(Box::new(DefaultBatch::new()))),
         }
@@ -286,8 +258,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.lanes(),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.lanes(),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.lanes(),
             AutoBatch::Portable(e) => e.lanes(),
         }
     }
@@ -298,8 +268,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.scheduled(),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.scheduled(),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.scheduled(),
             AutoBatch::Portable(e) => e.scheduled(),
         }
     }
@@ -310,8 +278,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.name(),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.name(),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.name(),
             AutoBatch::Portable(e) => e.name(),
         }
     }
@@ -322,8 +288,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.schedule(keys, key_len),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.schedule(keys, key_len),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.schedule(keys, key_len),
             AutoBatch::Portable(e) => e.schedule(keys, key_len),
         }
     }
@@ -334,8 +298,6 @@ impl KeystreamBatch for AutoBatch {
             AutoBatch::Avx512(e) => e.fill(out, len),
             #[cfg(target_arch = "x86_64")]
             AutoBatch::Avx2(e) => e.fill(out, len),
-            #[cfg(target_arch = "aarch64")]
-            AutoBatch::Neon(e) => e.fill(out, len),
             AutoBatch::Portable(e) => e.fill(out, len),
         }
     }
@@ -367,7 +329,7 @@ mod tests {
     #[test]
     fn auto_batch_reports_an_engine() {
         let engine = AutoBatch::new();
-        assert!(["avx512", "avx2", "neon", "portable"].contains(&engine.engine_name()));
+        assert!(["avx512", "avx2", "portable"].contains(&engine.engine_name()));
         assert!(engine.lanes() >= 1);
     }
 
@@ -400,9 +362,9 @@ mod tests {
 
     #[test]
     fn unavailable_engine_is_a_listed_error() {
-        // At most one of avx512/neon can exist per build; whichever the
-        // host lacks must produce the diagnostic with the available list.
-        for kind in [Engine::Avx512, Engine::Avx2, Engine::Neon] {
+        // Whichever SIMD tier the host lacks must produce the diagnostic
+        // with the available list.
+        for kind in [Engine::Avx512, Engine::Avx2] {
             if available_engines().contains(&kind.name()) {
                 continue;
             }

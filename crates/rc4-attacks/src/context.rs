@@ -8,8 +8,9 @@
 //!   `--seed` override reaches all of them deterministically,
 //! * use [`ExperimentContext::workers`] for dataset-generation parallelism,
 //! * call [`ExperimentContext::checkpoint`] inside their hot loops (per trial
-//!   or per sweep point) and pass [`ExperimentContext::cancel_flag`] into the
-//!   `rc4-stats` worker pool so a raised flag aborts within milliseconds, and
+//!   or per sweep point) and run parallel work on
+//!   [`ExperimentContext::executor`], which carries the cancellation flag, so
+//!   a raised flag aborts within milliseconds, and
 //! * report coarse progress through [`ExperimentContext::emit`].
 //!
 //! The default context (seed mix `0`, one worker, no sink, never cancelled)
@@ -19,7 +20,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use rc4_stats::{GenerationConfig, StorableDataset};
+use rc4_stats::{generate_storable_with_exec, GenerationConfig, StorableDataset};
 use rc4_store::{DatasetCache, SingleFlight};
 
 use crate::ExperimentError;
@@ -148,8 +149,8 @@ impl EventSink for MemorySink {
 /// Shared, clonable handle to an experiment run's cancellation flag.
 ///
 /// Raise it from any thread (a signal handler, a UI, a timeout) and every
-/// cooperative loop in the run — the `rc4-stats` worker pool and the
-/// fig7/fig8/fig10 trial loops — stops at its next checkpoint.
+/// cooperative loop in the run — dataset generation and the fig7/fig8/fig10
+/// trial loops — stops at its next checkpoint.
 #[derive(Debug, Clone, Default)]
 pub struct CancelHandle {
     flag: Arc<AtomicBool>,
@@ -171,8 +172,8 @@ impl CancelHandle {
         self.flag.load(Ordering::Relaxed)
     }
 
-    /// The underlying atomic, for APIs (like
-    /// `rc4_stats::worker::generate_with_cancel`) that poll a raw flag.
+    /// The underlying atomic, for APIs (like [`rc4_exec::Executor::with_cancel`])
+    /// that poll a raw flag.
     pub fn as_atomic(&self) -> &AtomicBool {
         &self.flag
     }
@@ -345,7 +346,7 @@ impl ExperimentContext {
         self.cancel.clone()
     }
 
-    /// The raw cancellation flag, for `rc4_stats::worker::generate_with_cancel`.
+    /// The raw cancellation flag, for [`rc4_exec::Executor::with_cancel`].
     pub fn cancel_flag(&self) -> &AtomicBool {
         self.cancel.as_atomic()
     }
@@ -402,11 +403,12 @@ impl ExperimentContext {
     /// Load-or-generate for keystream datasets: the shared cache protocol of
     /// every dataset-backed experiment.
     ///
-    /// With no cache attached this simply runs `fill` on `empty` — exactly
-    /// the historical behaviour, bit for bit. With a cache attached, a
-    /// complete dataset matching `(kind, shape of empty, config)` is loaded
-    /// and returned *without any generation work*; on a miss, `fill`
-    /// generates into `empty` and the result is persisted for the next run.
+    /// With no cache attached this generates `config`'s key space into
+    /// `empty` with [`rc4_stats::generate_storable_with_exec`] on
+    /// [`ExperimentContext::executor`]. With a cache attached, a complete
+    /// dataset matching `(kind, shape of empty, config)` is loaded and
+    /// returned *without any generation work*; on a miss, the dataset is
+    /// generated as above and persisted for the next run.
     /// Because cache entries are validated against the full configuration and
     /// the store reproduces generation exactly (see `rc4-store`), cached and
     /// fresh runs produce identical experiment output.
@@ -420,19 +422,15 @@ impl ExperimentContext {
     ///
     /// # Errors
     ///
-    /// Propagates `fill`'s error, and cache I/O / corruption errors as
+    /// Propagates generation errors ([`ExperimentError::Cancelled`] when the
+    /// context is cancelled), and cache I/O / corruption errors as
     /// [`ExperimentError::Component`] (a damaged matching cache entry is
     /// reported, never silently regenerated).
-    pub fn load_or_generate<D, F>(
+    pub fn load_or_generate<D: StorableDataset>(
         &self,
         mut empty: D,
         config: &GenerationConfig,
-        fill: F,
-    ) -> Result<D, ExperimentError>
-    where
-        D: StorableDataset,
-        F: FnOnce(&mut D) -> Result<(), ExperimentError>,
-    {
+    ) -> Result<D, ExperimentError> {
         let _span = rc4_obs::Span::enter_with(
             "store.load_or_generate",
             rc4_obs::kv! {
@@ -441,7 +439,7 @@ impl ExperimentContext {
             },
         );
         let Some(cache) = self.cache.as_deref() else {
-            fill(&mut empty)?;
+            generate_storable_with_exec(&mut empty, config, &self.executor())?;
             return Ok(empty);
         };
         let shape = empty.shape_params();
@@ -463,7 +461,7 @@ impl ExperimentContext {
             kind: D::kind(),
             outcome: "miss",
         });
-        fill(&mut empty)?;
+        generate_storable_with_exec(&mut empty, config, &self.executor())?;
         cache.store(&empty, config)?;
         self.emit(ProgressEvent::DatasetCache {
             kind: D::kind(),
@@ -508,17 +506,14 @@ mod tests {
 
     #[test]
     fn load_or_generate_without_cache_matches_direct_generation() {
-        use rc4_stats::{single::SingleByteDataset, worker::generate, GenerationConfig};
-        let ctx = ExperimentContext::new();
+        use rc4_stats::{single::SingleByteDataset, GenerationConfig};
+        let ctx = ExperimentContext::new().with_workers(2);
         let config = GenerationConfig::with_keys(300).seed(3);
         let via_ctx = ctx
-            .load_or_generate(SingleByteDataset::new(4), &config, |ds| {
-                generate(ds, &config)?;
-                Ok(())
-            })
+            .load_or_generate(SingleByteDataset::new(4), &config)
             .unwrap();
         let mut direct = SingleByteDataset::new(4);
-        generate(&mut direct, &config).unwrap();
+        generate_storable_with_exec(&mut direct, &config, &rc4_exec::Executor::serial()).unwrap();
         for r in 1..=4 {
             assert_eq!(via_ctx.counts_at(r), direct.counts_at(r));
         }
@@ -526,7 +521,7 @@ mod tests {
 
     #[test]
     fn load_or_generate_misses_then_hits_and_reports_events() {
-        use rc4_stats::{single::SingleByteDataset, worker::generate, GenerationConfig};
+        use rc4_stats::{single::SingleByteDataset, GenerationConfig};
         let dir =
             std::env::temp_dir().join(format!("rc4-attacks-ctx-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -537,16 +532,16 @@ mod tests {
             .unwrap();
         let config = GenerationConfig::with_keys(200).seed(7);
         let fresh = ctx
-            .load_or_generate(SingleByteDataset::new(3), &config, |ds| {
-                generate(ds, &config)?;
-                Ok(())
-            })
+            .load_or_generate(SingleByteDataset::new(3), &config)
             .unwrap();
-        // Second call must not invoke the generator at all.
+        // Second call must not generate at all: a cancelled context would
+        // fail any generation, but a hit never starts one.
+        let handle = CancelHandle::new();
+        handle.cancel();
         let cached = ctx
-            .load_or_generate(SingleByteDataset::new(3), &config, |_| {
-                panic!("cache hit must skip generation")
-            })
+            .clone()
+            .with_cancel(handle)
+            .load_or_generate(SingleByteDataset::new(3), &config)
             .unwrap();
         for r in 1..=3 {
             assert_eq!(cached.counts_at(r), fresh.counts_at(r));
@@ -564,8 +559,7 @@ mod tests {
 
     #[test]
     fn concurrent_load_or_generate_same_key_generates_exactly_once() {
-        use rc4_stats::{single::SingleByteDataset, worker::generate, GenerationConfig};
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use rc4_stats::{single::SingleByteDataset, GenerationConfig};
 
         let dir = std::env::temp_dir().join(format!(
             "rc4-attacks-singleflight-cache-{}",
@@ -574,7 +568,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Arc::new(DatasetCache::open(&dir).unwrap());
         let flights = Arc::new(SingleFlight::new());
-        let generations = Arc::new(AtomicUsize::new(0));
+        let sink = Arc::new(MemorySink::new());
         let config = GenerationConfig::with_keys(400).seed(11);
 
         // All threads race load_or_generate on the SAME (kind, shape, config)
@@ -584,17 +578,14 @@ mod tests {
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 let flights = Arc::clone(&flights);
-                let generations = Arc::clone(&generations);
+                let sink = Arc::clone(&sink);
                 std::thread::spawn(move || {
                     let ctx = ExperimentContext::new()
                         .with_cache(cache)
-                        .with_flights(flights);
-                    ctx.load_or_generate(SingleByteDataset::new(4), &config, |ds| {
-                        generations.fetch_add(1, Ordering::SeqCst);
-                        generate(ds, &config)?;
-                        Ok(())
-                    })
-                    .unwrap()
+                        .with_flights(flights)
+                        .with_sink(sink);
+                    ctx.load_or_generate(SingleByteDataset::new(4), &config)
+                        .unwrap()
                 })
             })
             .collect();
@@ -603,9 +594,13 @@ mod tests {
             .map(|h| h.join().expect("racing thread panicked"))
             .collect();
 
+        let generations = sink
+            .events()
+            .iter()
+            .filter(|e| e.starts_with("dataset cache stored"))
+            .count();
         assert_eq!(
-            generations.load(Ordering::SeqCst),
-            1,
+            generations, 1,
             "single-flight must collapse concurrent misses into one generation"
         );
         // Every caller sees byte-identical counts.

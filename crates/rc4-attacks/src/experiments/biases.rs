@@ -16,8 +16,8 @@ use rc4_biases::{
     UNIFORM_PAIR, UNIFORM_SINGLE,
 };
 use rc4_stats::{
-    longterm::LongTermDataset, pairs::PairDataset, single::SingleByteDataset,
-    worker::generate_with_exec, GenerationConfig, KeystreamCollector,
+    longterm::LongTermDataset, pairs::PairDataset, single::SingleByteDataset, GenerationConfig,
+    StorableDataset,
 };
 use serde::{Deserialize, Serialize};
 use stat_tests::{
@@ -177,7 +177,7 @@ impl BiasExperiment {
             "table1",
             "Generalized Fluhrer-McGrew digraph biases in the long-term keystream",
             &[],
-            |s, _, ctx| table1_fm_longterm_ctx(s, ctx),
+            |s, _, ctx| table1_fm_longterm(s, ctx),
         )
     }
 
@@ -189,7 +189,7 @@ impl BiasExperiment {
             &[1, 2, 5, 17, 32, 64, 96, 130, 192, 257, 288],
             |s, p, ctx| {
                 let positions: Vec<usize> = p.iter().map(|&v| v as usize).collect();
-                fig4_fm_shortterm_ctx(s, &positions, ctx)
+                fig4_fm_shortterm(s, &positions, ctx)
             },
         )
     }
@@ -200,7 +200,7 @@ impl BiasExperiment {
             "table2",
             "New biases between (non-)consecutive initial keystream bytes",
             &[],
-            |s, _, ctx| table2_new_biases_ctx(s, ctx),
+            |s, _, ctx| table2_new_biases(s, ctx),
         )
     }
 
@@ -210,7 +210,7 @@ impl BiasExperiment {
             "eq345",
             "Equality biases among the first four keystream bytes (Eq. 3-5)",
             &[],
-            |s, _, ctx| eq345_equalities_ctx(s, ctx),
+            |s, _, ctx| eq345_equalities(s, ctx),
         )
     }
 
@@ -231,7 +231,7 @@ impl BiasExperiment {
                         })
                     })
                     .collect::<Result<_, _>>()?;
-                fig5_z1z2_ctx(s, &positions, ctx)
+                fig5_z1z2(s, &positions, ctx)
             },
         )
     }
@@ -242,7 +242,7 @@ impl BiasExperiment {
             "fig6",
             "Single-byte biases beyond position 256 (key-length harmonics)",
             &[],
-            |s, _, ctx| fig6_single_byte_ctx(s, ctx),
+            |s, _, ctx| fig6_single_byte(s, ctx),
         )
     }
 
@@ -252,7 +252,7 @@ impl BiasExperiment {
             "longterm",
             "Long-term biases at 256-aligned positions (Sect. 3.4)",
             &[],
-            |s, _, ctx| longterm_aligned_ctx(s, ctx),
+            |s, _, ctx| longterm_aligned(s, ctx),
         )
     }
 
@@ -262,7 +262,7 @@ impl BiasExperiment {
             "headline",
             "Headline short-term biases re-detected by the hypothesis tests",
             &[],
-            |s, _, ctx| headline_detection_ctx(s, ctx),
+            |s, _, ctx| headline_detection(s, ctx),
         )
     }
 }
@@ -308,11 +308,7 @@ impl Experiment for BiasExperiment {
 /// # Errors
 ///
 /// Propagates dataset-generation and test errors.
-pub fn table1_fm_longterm(scale: &BiasScale) -> Result<ExperimentReport, ExperimentError> {
-    table1_fm_longterm_ctx(scale, &ExperimentContext::default())
-}
-
-fn table1_fm_longterm_ctx(
+pub fn table1_fm_longterm(
     scale: &BiasScale,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
@@ -322,14 +318,7 @@ fn table1_fm_longterm_ctx(
         seed: scale.seed,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(
-        LongTermDataset::paper_shape(scale.longterm_block)?,
-        &config,
-        |ds| {
-            generate_with_exec(ds, &config, &ctx.executor())?;
-            Ok(())
-        },
-    )?;
+    let ds = ctx.load_or_generate(LongTermDataset::paper_shape(scale.longterm_block)?, &config)?;
 
     let mut report = ExperimentReport::new(
         "table1",
@@ -394,13 +383,6 @@ fn table1_fm_longterm_ctx(
 pub fn fig4_fm_shortterm(
     scale: &BiasScale,
     positions: &[usize],
-) -> Result<ExperimentReport, ExperimentError> {
-    fig4_fm_shortterm_ctx(scale, positions, &ExperimentContext::default())
-}
-
-fn fig4_fm_shortterm_ctx(
-    scale: &BiasScale,
-    positions: &[usize],
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
     let max_pos = positions.iter().copied().max().unwrap_or(1).max(2);
@@ -410,10 +392,7 @@ fn fig4_fm_shortterm_ctx(
         seed: scale.seed ^ 4,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(PairDataset::consecutive(max_pos)?, &config, |ds| {
-        generate_with_exec(ds, &config, &ctx.executor())?;
-        Ok(())
-    })?;
+    let ds = ctx.load_or_generate(PairDataset::consecutive(max_pos)?, &config)?;
 
     let mut report = ExperimentReport::new(
         "fig4",
@@ -457,11 +436,7 @@ fn fig4_fm_shortterm_ctx(
 /// # Errors
 ///
 /// Propagates dataset-generation errors.
-pub fn table2_new_biases(scale: &BiasScale) -> Result<ExperimentReport, ExperimentError> {
-    table2_new_biases_ctx(scale, &ExperimentContext::default())
-}
-
-fn table2_new_biases_ctx(
+pub fn table2_new_biases(
     scale: &BiasScale,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
@@ -471,10 +446,7 @@ fn table2_new_biases_ctx(
         seed: scale.seed ^ 2,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(PairDataset::consecutive(112)?, &config, |ds| {
-        generate_with_exec(ds, &config, &ctx.executor())?;
-        Ok(())
-    })?;
+    let ds = ctx.load_or_generate(PairDataset::consecutive(112)?, &config)?;
 
     let mut report = ExperimentReport::new(
         "table2",
@@ -493,7 +465,7 @@ fn table2_new_biases_ctx(
             .pair_index(row.pos_a as usize, row.pos_b as usize)
             .expect("consecutive dataset covers positions up to 112");
         let measured = ds.joint_probability(idx, row.val_a, row.val_b);
-        let n = ds.keystreams();
+        let n = ds.recorded_keystreams();
         let count = ds.count(idx, row.val_a, row.val_b);
         let test = proportion_test(count, n, UNIFORM_PAIR)?;
         report.push_row(&[
@@ -525,11 +497,7 @@ fn table2_new_biases_ctx(
 /// # Errors
 ///
 /// Propagates dataset-generation errors.
-pub fn eq345_equalities(scale: &BiasScale) -> Result<ExperimentReport, ExperimentError> {
-    eq345_equalities_ctx(scale, &ExperimentContext::default())
-}
-
-fn eq345_equalities_ctx(
+pub fn eq345_equalities(
     scale: &BiasScale,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
@@ -546,10 +514,6 @@ fn eq345_equalities_ctx(
             rc4_stats::pairs::PositionPair { a: 2, b: 4 },
         ])?,
         &config,
-        |ds| {
-            generate_with_exec(ds, &config, &ctx.executor())?;
-            Ok(())
-        },
     )?;
 
     let mut report = ExperimentReport::new(
@@ -567,7 +531,7 @@ fn eq345_equalities_ctx(
         for x in 0..=255u8 {
             count += ds.count(idx, x, x);
         }
-        let measured = count as f64 / ds.keystreams() as f64;
+        let measured = count as f64 / ds.recorded_keystreams() as f64;
         let sign = if measured >= UNIFORM_SINGLE {
             "positive"
         } else {
@@ -592,13 +556,6 @@ fn eq345_equalities_ctx(
 pub fn fig5_z1z2(
     scale: &BiasScale,
     positions: &[u16],
-) -> Result<ExperimentReport, ExperimentError> {
-    fig5_z1z2_ctx(scale, positions, &ExperimentContext::default())
-}
-
-fn fig5_z1z2_ctx(
-    scale: &BiasScale,
-    positions: &[u16],
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
     let max_pos = positions.iter().copied().max().unwrap_or(16).max(3) as usize;
@@ -621,10 +578,7 @@ fn fig5_z1z2_ctx(
         seed: scale.seed ^ 5,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(PairDataset::new(pairs)?, &config, |ds| {
-        generate_with_exec(ds, &config, &ctx.executor())?;
-        Ok(())
-    })?;
+    let ds = ctx.load_or_generate(PairDataset::new(pairs)?, &config)?;
 
     let mut report = ExperimentReport::new(
         "fig5",
@@ -668,11 +622,7 @@ fn fig5_z1z2_ctx(
 /// # Errors
 ///
 /// Propagates dataset-generation errors.
-pub fn fig6_single_byte(scale: &BiasScale) -> Result<ExperimentReport, ExperimentError> {
-    fig6_single_byte_ctx(scale, &ExperimentContext::default())
-}
-
-fn fig6_single_byte_ctx(
+pub fn fig6_single_byte(
     scale: &BiasScale,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
@@ -682,10 +632,7 @@ fn fig6_single_byte_ctx(
         seed: scale.seed ^ 6,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(SingleByteDataset::new(384), &config, |ds| {
-        generate_with_exec(ds, &config, &ctx.executor())?;
-        Ok(())
-    })?;
+    let ds = ctx.load_or_generate(SingleByteDataset::new(384), &config)?;
 
     let mut report = ExperimentReport::new(
         "fig6",
@@ -739,11 +686,7 @@ fn fig6_single_byte_ctx(
 /// # Errors
 ///
 /// Propagates dataset-generation errors.
-pub fn longterm_aligned(scale: &BiasScale) -> Result<ExperimentReport, ExperimentError> {
-    longterm_aligned_ctx(scale, &ExperimentContext::default())
-}
-
-fn longterm_aligned_ctx(
+pub fn longterm_aligned(
     scale: &BiasScale,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
@@ -753,14 +696,7 @@ fn longterm_aligned_ctx(
         seed: scale.seed ^ 8,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(
-        LongTermDataset::new(255, scale.longterm_block)?,
-        &config,
-        |ds| {
-            generate_with_exec(ds, &config, &ctx.executor())?;
-            Ok(())
-        },
-    )?;
+    let ds = ctx.load_or_generate(LongTermDataset::new(255, scale.longterm_block)?, &config)?;
 
     let mut report = ExperimentReport::new(
         "longterm",
@@ -789,11 +725,7 @@ fn longterm_aligned_ctx(
 /// # Errors
 ///
 /// Propagates dataset-generation errors.
-pub fn headline_detection(scale: &BiasScale) -> Result<ExperimentReport, ExperimentError> {
-    headline_detection_ctx(scale, &ExperimentContext::default())
-}
-
-fn headline_detection_ctx(
+pub fn headline_detection(
     scale: &BiasScale,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
@@ -803,24 +735,21 @@ fn headline_detection_ctx(
         seed: scale.seed ^ 99,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(SingleByteDataset::new(16), &config, |ds| {
-        generate_with_exec(ds, &config, &ctx.executor())?;
-        Ok(())
-    })?;
+    let ds = ctx.load_or_generate(SingleByteDataset::new(16), &config)?;
     let mut report = ExperimentReport::new(
         "headline",
         "Headline short-term biases re-detected by the hypothesis tests",
         &["bias", "measured prob", "detected"],
     );
     // Mantin-Shamir Z2 = 0.
-    let z2_test = proportion_test(ds.count(2, 0), ds.keystreams(), UNIFORM_SINGLE)?;
+    let z2_test = proportion_test(ds.count(2, 0), ds.recorded_keystreams(), UNIFORM_SINGLE)?;
     report.push_row(&[
         "Pr[Z2 = 0] ~ 2^-7".to_string(),
         format_pow2(ds.probability(2, 0)),
         format_percent(if z2_test.test.rejects() { 1.0 } else { 0.0 }),
     ]);
     // Key-length bias Z16 = 240.
-    let z16_test = proportion_test(ds.count(16, 240), ds.keystreams(), UNIFORM_SINGLE)?;
+    let z16_test = proportion_test(ds.count(16, 240), ds.recorded_keystreams(), UNIFORM_SINGLE)?;
     report.push_row(&[
         "Pr[Z16 = 240] > 2^-8".to_string(),
         format_pow2(ds.probability(16, 240)),
@@ -857,7 +786,7 @@ mod tests {
 
     #[test]
     fn table1_report_shape() {
-        let r = table1_fm_longterm(&tiny()).unwrap();
+        let r = table1_fm_longterm(&tiny(), &ExperimentContext::default()).unwrap();
         assert_eq!(r.id, "table1");
         assert_eq!(r.rows.len(), 12);
         assert!(r.render().contains("(0,0)"));
@@ -865,26 +794,26 @@ mod tests {
 
     #[test]
     fn fig4_report_runs_at_tiny_scale() {
-        let r = fig4_fm_shortterm(&tiny(), &[4, 17]).unwrap();
+        let r = fig4_fm_shortterm(&tiny(), &[4, 17], &ExperimentContext::default()).unwrap();
         assert!(!r.rows.is_empty());
         assert!(r.columns.contains(&"|q| measured".to_string()));
     }
 
     #[test]
     fn table2_and_eq345_reports() {
-        let r = table2_new_biases(&tiny()).unwrap();
+        let r = table2_new_biases(&tiny(), &ExperimentContext::default()).unwrap();
         assert_eq!(r.rows.len(), 7 + 16);
-        let e = eq345_equalities(&tiny()).unwrap();
+        let e = eq345_equalities(&tiny(), &ExperimentContext::default()).unwrap();
         assert_eq!(e.rows.len(), 3);
     }
 
     #[test]
     fn fig5_fig6_longterm_reports() {
-        let r = fig5_z1z2(&tiny(), &[4, 16]).unwrap();
+        let r = fig5_z1z2(&tiny(), &[4, 16], &ExperimentContext::default()).unwrap();
         assert!(!r.rows.is_empty());
-        let f6 = fig6_single_byte(&tiny()).unwrap();
+        let f6 = fig6_single_byte(&tiny(), &ExperimentContext::default()).unwrap();
         assert!(f6.rows.len() >= 9);
-        let lt = longterm_aligned(&tiny()).unwrap();
+        let lt = longterm_aligned(&tiny(), &ExperimentContext::default()).unwrap();
         assert_eq!(lt.rows.len(), 2);
     }
 
@@ -904,7 +833,7 @@ mod tests {
         }))
         .unwrap();
         let via_trait = exp.run(&ExperimentContext::default()).unwrap();
-        let direct = headline_detection(&tiny()).unwrap();
+        let direct = headline_detection(&tiny(), &ExperimentContext::default()).unwrap();
         assert_eq!(via_trait, direct);
 
         // Config roundtrip through JSON is lossless.
@@ -946,16 +875,16 @@ mod tests {
     fn cached_bias_run_is_byte_identical_and_skips_generation() {
         let dir = std::env::temp_dir().join(format!("biases-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let fresh = headline_detection(&tiny()).unwrap();
+        let fresh = headline_detection(&tiny(), &ExperimentContext::default()).unwrap();
         let ctx = ExperimentContext::default().with_cache_dir(&dir).unwrap();
-        let miss = headline_detection_ctx(&tiny(), &ctx).unwrap();
-        let hit = headline_detection_ctx(&tiny(), &ctx).unwrap();
+        let miss = headline_detection(&tiny(), &ctx).unwrap();
+        let hit = headline_detection(&tiny(), &ctx).unwrap();
         assert_eq!(miss, fresh);
         assert_eq!(hit, fresh);
         // eq345 uses a different seed tweak and shape: a separate cache entry,
         // no false sharing.
-        let eq_fresh = eq345_equalities(&tiny()).unwrap();
-        let eq_cached = eq345_equalities_ctx(&tiny(), &ctx).unwrap();
+        let eq_fresh = eq345_equalities(&tiny(), &ExperimentContext::default()).unwrap();
+        let eq_cached = eq345_equalities(&tiny(), &ctx).unwrap();
         assert_eq!(eq_cached, eq_fresh);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -971,7 +900,7 @@ mod tests {
             keys: 1 << 17,
             ..tiny()
         };
-        let r = headline_detection(&scale).unwrap();
+        let r = headline_detection(&scale, &ExperimentContext::default()).unwrap();
         assert_eq!(r.rows.len(), 3);
         assert_eq!(
             r.rows[0].cells[2],

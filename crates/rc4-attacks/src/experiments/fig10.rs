@@ -14,27 +14,23 @@
 //! number of ABSAB relations are configurable so laptop runs finish in
 //! minutes; the paper-scale values are documented in the report notes.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use plaintext_recovery::{
-    charset::Charset,
-    likelihood::PairLikelihoods,
-    viterbi::{list_viterbi, ViterbiConfig},
-};
-use rc4_biases::{absab::alpha, distributions::PairDistribution, fm, UNIFORM_PAIR};
+use plaintext_recovery::charset::Charset;
 use rc4_stats::{
     pairs::{PairDataset, PositionPair},
-    worker::generate_with_exec,
     GenerationConfig,
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
-    experiments::{CountSource, Scale, DATASET_STREAMS},
+    context::ExperimentContext,
+    experiments::{
+        trial::{fm_pair_table, CookieShape, CookieTrial},
+        CountSource, Scale, DATASET_STREAMS,
+    },
     report::{format_percent, ExperimentReport},
-    sampling::{sample_counts_normal, stream_seed},
+    sampling::stream_seed,
     ExperimentError,
 };
 
@@ -143,97 +139,16 @@ pub struct Fig10Point {
     pub median_position: Option<usize>,
 }
 
-/// Samples the combined FM + ABSAB pair likelihood for one transition whose
-/// true plaintext pair is `truth`.
-fn sample_transition_likelihood(
-    truth: (u8, u8),
-    position: u64,
-    n: u64,
-    absab_relations: usize,
-    key_pair_probs: &[f64],
-    rng: &mut StdRng,
-) -> Result<PairLikelihoods, ExperimentError> {
-    // Fluhrer-McGrew part: the ground-truth ciphertext-pair distribution is
-    // the (analytic or measured) keystream-pair distribution XORed with the
-    // true plaintext pair.
-    let mut ct_probs = vec![0.0f64; 65536];
-    for k1 in 0..256usize {
-        for k2 in 0..256usize {
-            let c1 = k1 ^ truth.0 as usize;
-            let c2 = k2 ^ truth.1 as usize;
-            ct_probs[(c1 << 8) | c2] = key_pair_probs[(k1 << 8) | k2];
-        }
-    }
-    let counts = sample_counts_normal(&ct_probs, n, rng);
-    let total: u64 = counts.iter().sum();
-    let cells: Vec<(u8, u8, f64)> = fm::fm_biases_at(position)
-        .into_iter()
-        .map(|b| (b.first, b.second, b.probability))
-        .collect();
-    let mut combined = PairLikelihoods::from_counts_sparse(&counts, &cells, UNIFORM_PAIR, total)?;
-
-    // ABSAB part: accumulate weighted votes per candidate pair directly. For each
-    // relation, the count of every differential value is approximately normal;
-    // only the true differential has an elevated mean. Summing relation-wise
-    // weighted counts gives the combined ABSAB log-likelihood (up to a constant).
-    let mut votes = vec![0.0f64; 65536];
-    for rel in 0..absab_relations {
-        let gap = rel % 128;
-        let a = alpha(gap);
-        let weight = a.ln() - ((1.0 - a) / 65535.0).ln();
-        let known = ((rel as u8).wrapping_mul(31), (rel as u8).wrapping_add(7));
-        let true_diff_idx = ((truth.0 ^ known.0) as usize) << 8 | (truth.1 ^ known.1) as usize;
-        // Sample only the aggregate behaviour: every cell gets ~Normal(n*u, ...),
-        // the true cell gets the alpha mean. Drawing 65536 normals per relation per
-        // transition is the dominant cost; sample the true cell exactly and treat
-        // the rest through a single common noise draw per cell batch, which keeps
-        // the ranking statistics (difference between the true cell and the others)
-        // faithful while staying fast.
-        let u = (1.0 - a) / 65535.0;
-        let n_f = n as f64;
-        let mean_other = n_f * u;
-        let sd_other = (n_f * u * (1.0 - u)).sqrt();
-        let mean_true = n_f * a;
-        let sd_true = (n_f * a * (1.0 - a)).sqrt();
-        for d0 in 0..256usize {
-            for d1 in 0..256usize {
-                let idx = (d0 << 8) | d1;
-                let (mean, sd) = if idx == true_diff_idx {
-                    (mean_true, sd_true)
-                } else {
-                    (mean_other, sd_other)
-                };
-                let draw = mean + sd * crate::sampling::sample_standard_normal(rng);
-                // XOR the known plaintext in so the vote lands on the candidate
-                // plaintext pair this differential corresponds to.
-                let mu = ((d0 ^ known.0 as usize) << 8) | (d1 ^ known.1 as usize);
-                votes[mu] += weight * draw.max(0.0);
-            }
-        }
-    }
-    let absab = PairLikelihoods::from_log_values(votes)?;
-    combined.combine(&absab);
-    Ok(combined)
-}
-
-/// Runs the Fig. 10 simulation.
+/// Runs the Fig. 10 simulation. The context seed is mixed into
+/// `config.seed`, progress is reported per trial, and cancellation is
+/// honoured between trials.
 ///
 /// # Errors
 ///
-/// Returns [`ExperimentError::InvalidConfig`] for degenerate sweeps and
+/// Returns [`ExperimentError::InvalidConfig`] for degenerate sweeps,
+/// [`ExperimentError::Cancelled`] when the context is cancelled, and
 /// propagates component errors.
-pub fn run(config: &Fig10Config) -> Result<(Vec<Fig10Point>, ExperimentReport), ExperimentError> {
-    run_with_context(config, &ExperimentContext::default())
-}
-
-/// [`run`] under an explicit [`ExperimentContext`]: the context seed is mixed
-/// into `config.seed`, progress is reported per sweep point, and cancellation
-/// is honoured between trials.
-///
-/// # Errors
-///
-/// Everything [`run`] returns, plus [`ExperimentError::Cancelled`].
-pub fn run_with_context(
+pub fn run(
     config: &Fig10Config,
     ctx: &ExperimentContext,
 ) -> Result<(Vec<Fig10Point>, ExperimentReport), ExperimentError> {
@@ -244,7 +159,6 @@ pub fn run_with_context(
     }
 
     let base_seed = ctx.mix_seed(config.seed);
-    let alphabet = config.charset.values().to_vec();
 
     // One ground-truth keystream-pair distribution per cookie transition
     // (positions cookie_position .. cookie_position + cookie_len), computed
@@ -252,16 +166,7 @@ pub fn run_with_context(
     // a single pair dataset covering every transition (cache-served).
     let transition_probs: Vec<Vec<f64>> = match config.source {
         CountSource::Analytic => (0..=config.cookie_len)
-            .map(|t| {
-                let fm_dist = PairDistribution::fluhrer_mcgrew(config.cookie_position + t as u64);
-                let mut probs = vec![0.0f64; 65536];
-                for k1 in 0..256usize {
-                    for k2 in 0..256usize {
-                        probs[(k1 << 8) | k2] = fm_dist.prob(k1 as u8, k2 as u8);
-                    }
-                }
-                probs
-            })
+            .map(|t| fm_pair_table(config.cookie_position + t as u64))
             .collect(),
         CountSource::Empirical { keys } => {
             let pairs: Vec<PositionPair> = (0..=config.cookie_len)
@@ -278,10 +183,7 @@ pub fn run_with_context(
                 seed: ctx.mix_seed(config.seed) ^ 0x7E10,
                 key_len: 16,
             };
-            let ds = ctx.load_or_generate(PairDataset::new(pairs)?, &gen_config, |ds| {
-                generate_with_exec(ds, &gen_config, &ctx.executor())?;
-                Ok(())
-            })?;
+            let ds = ctx.load_or_generate(PairDataset::new(pairs)?, &gen_config)?;
             (0..=config.cookie_len)
                 .map(|t| ds.joint_distribution(t))
                 .collect()
@@ -292,6 +194,13 @@ pub fn run_with_context(
     // seeded from its own RNG stream, fanned out across the executor. The
     // per-trial outcome is the true cookie's candidate-list position, if it
     // made the list at all.
+    let shape = CookieShape {
+        cookie_len: config.cookie_len,
+        charset: &config.charset,
+        candidates: config.candidates,
+        absab_relations: config.absab_relations,
+        cookie_position: config.cookie_position,
+    };
     let trials = config.trials;
     let mut grid = Vec::with_capacity(config.request_counts.len() * trials);
     for point in 0..config.request_counts.len() {
@@ -307,39 +216,12 @@ pub fn run_with_context(
             let mut rng =
                 StdRng::seed_from_u64(stream_seed(base_seed, &[point as u64, trial as u64]));
             ctx.checkpoint()?;
-            // Random cookie over the alphabet, flanked by known boundary bytes.
-            let cookie: Vec<u8> = (0..config.cookie_len)
-                .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
-                .collect();
-            let before = b'=';
-            let after = b';';
-            let full: Vec<u8> = std::iter::once(before)
-                .chain(cookie.iter().copied())
-                .chain(std::iter::once(after))
-                .collect();
-
-            let mut likelihoods = Vec::with_capacity(config.cookie_len + 1);
-            for t in 0..=config.cookie_len {
-                let truth = (full[t], full[t + 1]);
-                let position = config.cookie_position + t as u64;
-                likelihoods.push(sample_transition_likelihood(
-                    truth,
-                    position,
-                    n,
-                    config.absab_relations,
-                    &transition_probs[t],
-                    &mut rng,
-                )?);
-            }
-
-            let viterbi = ViterbiConfig {
-                first_known: before,
-                last_known: after,
-                candidates: config.candidates,
-                charset: config.charset.clone(),
-            };
-            let candidates = list_viterbi(&likelihoods, &viterbi)?;
-            let position = candidates.iter().position(|c| c.plaintext == cookie);
+            let mut sim = CookieTrial::new(&shape, &transition_probs, &mut rng)?;
+            sim.ingest(n, &mut rng)?;
+            let position = sim
+                .candidates()?
+                .iter()
+                .position(|c| c.plaintext == sim.cookie());
             reporter.tick(1);
             Ok::<_, ExperimentError>(position)
         })
@@ -415,63 +297,19 @@ pub fn run_with_context(
     Ok((points, report))
 }
 
-/// [`Experiment`] carrier for the Fig. 10 HTTPS cookie brute-force sweep.
-pub struct Fig10Experiment {
-    config: Fig10Config,
-}
-
-impl Fig10Experiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig10Config::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for Fig10Experiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for Fig10Experiment {
-    fn name(&self) -> &'static str {
-        "fig10"
-    }
-
-    fn summary(&self) -> &'static str {
-        "HTTPS cookie brute-force success rate, sampled mode (Sect. 6)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig10Config::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "fig10",
-        });
-        let (_points, report) = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "fig10",
-        });
-        Ok(report)
-    }
-}
+experiment_carrier!(
+    /// [`crate::Experiment`] carrier for the Fig. 10 HTTPS cookie brute-force sweep.
+    Fig10Experiment,
+    Fig10Config,
+    "fig10",
+    "HTTPS cookie brute-force success rate, sampled mode (Sect. 6)",
+    |config, ctx| run(config, ctx).map(|(_, report)| report)
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{config_to_value, Experiment};
 
     #[test]
     fn validation() {
@@ -479,7 +317,7 @@ mod tests {
             request_counts: vec![],
             ..Fig10Config::quick()
         };
-        assert!(run(&bad).is_err());
+        assert!(run(&bad, &ExperimentContext::default()).is_err());
     }
 
     #[test]
@@ -504,7 +342,7 @@ mod tests {
         let mut exp = Fig10Experiment::new();
         exp.set_config_value(&config_to_value(&config)).unwrap();
         let via_trait = exp.run(&ExperimentContext::default()).unwrap();
-        let (_, direct) = run(&config).unwrap();
+        let (_, direct) = run(&config, &ExperimentContext::default()).unwrap();
         assert_eq!(via_trait, direct);
 
         let handle = crate::context::CancelHandle::new();
@@ -536,7 +374,7 @@ mod tests {
             source: CountSource::Empirical { keys: 1 << 12 },
             ..Fig10Config::quick()
         };
-        let (_, fresh) = run(&config).unwrap();
+        let (_, fresh) = run(&config, &ExperimentContext::default()).unwrap();
         assert!(fresh
             .notes
             .iter()
@@ -545,8 +383,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fig10-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ctx = ExperimentContext::default().with_cache_dir(&dir).unwrap();
-        let (_, miss) = run_with_context(&config, &ctx).unwrap();
-        let (_, hit) = run_with_context(&config, &ctx).unwrap();
+        let (_, miss) = run(&config, &ctx).unwrap();
+        let (_, hit) = run(&config, &ctx).unwrap();
         assert_eq!(miss, fresh);
         assert_eq!(hit, fresh);
         let _ = std::fs::remove_dir_all(&dir);
@@ -563,7 +401,7 @@ mod tests {
             charset: Charset::hex_lower(),
             ..Fig10Config::quick()
         };
-        let (points, report) = run(&config).unwrap();
+        let (points, report) = run(&config, &ExperimentContext::default()).unwrap();
         assert_eq!(points.len(), 1);
         let p = points[0];
         assert!(p.success_list >= p.success_top1);

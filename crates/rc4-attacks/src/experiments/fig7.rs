@@ -11,23 +11,22 @@
 //! with the crossover to near-certain recovery moving left as biases are
 //! added — is what the experiment checks.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use plaintext_recovery::{absab::combine_pair_likelihoods, likelihood::PairLikelihoods};
-use rc4_biases::{absab::alpha, distributions::PairDistribution, UNIFORM_PAIR};
 use rc4_stats::{
     pairs::{PairDataset, PositionPair},
-    worker::generate_with_exec,
     GenerationConfig,
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
-    experiments::{CountSource, Scale, DATASET_STREAMS},
+    context::ExperimentContext,
+    experiments::{
+        trial::{fm_cells, fm_pair_table, PairTrial},
+        CountSource, Scale, DATASET_STREAMS,
+    },
     report::{format_percent, ExperimentReport},
-    sampling::{sample_counts_normal, stream_seed},
+    sampling::stream_seed,
     ExperimentError,
 };
 
@@ -142,102 +141,17 @@ impl Fig7Config {
     }
 }
 
-/// Runs one simulated recovery of a plaintext pair and reports success.
-fn simulate_trial(
-    strategy: RecoveryStrategy,
-    n: u64,
-    config: &Fig7Config,
-    key_pair_probs: &[f64],
-    fm_cells: &[(u8, u8, f64)],
-    rng: &mut StdRng,
-) -> Result<bool, ExperimentError> {
-    let truth: (u8, u8) = (rng.gen(), rng.gen());
-
-    let fm_likelihood = |rng: &mut StdRng| -> Result<PairLikelihoods, ExperimentError> {
-        // Ciphertext pair counts: keystream distribution XORed with the plaintext.
-        let mut ct_probs = vec![0.0f64; 65536];
-        for k1 in 0..256usize {
-            for k2 in 0..256usize {
-                let c1 = k1 ^ truth.0 as usize;
-                let c2 = k2 ^ truth.1 as usize;
-                ct_probs[(c1 << 8) | c2] = key_pair_probs[(k1 << 8) | k2];
-            }
-        }
-        let counts = sample_counts_normal(&ct_probs, n, rng);
-        let total: u64 = counts.iter().sum();
-        Ok(PairLikelihoods::from_counts_sparse(
-            &counts,
-            fm_cells,
-            UNIFORM_PAIR,
-            total,
-        )?)
-    };
-
-    let absab_likelihood =
-        |gap: usize, rng: &mut StdRng| -> Result<PairLikelihoods, ExperimentError> {
-            // Known plaintext pair for this relation (arbitrary but known).
-            let known = ((gap as u8).wrapping_mul(17), (gap as u8).wrapping_add(91));
-            let a = alpha(gap);
-            // Differential distribution: the true differential with prob alpha,
-            // everything else uniform.
-            let true_diff = (truth.0 ^ known.0, truth.1 ^ known.1);
-            let mut probs = vec![(1.0 - a) / 65535.0; 65536];
-            probs[(true_diff.0 as usize) << 8 | true_diff.1 as usize] = a;
-            let counts = sample_counts_normal(&probs, n, rng);
-            let total: u64 = counts.iter().sum();
-            // Same scoring as `plaintext_recovery::absab::absab_pair_likelihoods`, but
-            // operating directly on the sampled differential-count table (that function
-            // takes a streaming `DifferentialCounts` collector, which would require
-            // materializing `n` ciphertexts).
-            let ln_alpha = a.ln();
-            let ln_rest = ((1.0 - a) / 65535.0).ln();
-            let mut log = vec![0.0f64; 65536];
-            for mu1 in 0..256usize {
-                let d0 = mu1 ^ known.0 as usize;
-                for mu2 in 0..256usize {
-                    let d1 = mu2 ^ known.1 as usize;
-                    let hits = counts[(d0 << 8) | d1] as f64;
-                    log[(mu1 << 8) | mu2] = (total as f64 - hits) * ln_rest + hits * ln_alpha;
-                }
-            }
-            Ok(PairLikelihoods::from_log_values(log)?)
-        };
-
-    let combined = match strategy {
-        RecoveryStrategy::AbsabOnly => absab_likelihood(0, rng)?,
-        RecoveryStrategy::FmOnly => fm_likelihood(rng)?,
-        RecoveryStrategy::Combined => {
-            let mut parts = vec![fm_likelihood(rng)?];
-            for rel in 0..config.absab_relations {
-                // Gaps cycle 0..=127 on both sides, mirroring the paper's setup.
-                let gap = rel % 128;
-                parts.push(absab_likelihood(gap, rng)?);
-            }
-            combine_pair_likelihoods(&parts)?
-        }
-    };
-    Ok(combined.best() == truth)
-}
-
 /// Runs the Fig. 7 experiment and reports the success rate per strategy and
-/// ciphertext count.
+/// ciphertext count. The context seed is mixed into `config.seed`, progress
+/// is reported per trial, and the cancellation flag is honoured between
+/// trials.
 ///
 /// # Errors
 ///
-/// Returns [`ExperimentError::InvalidConfig`] for empty sweeps and propagates
-/// component errors.
-pub fn run(config: &Fig7Config) -> Result<ExperimentReport, ExperimentError> {
-    run_with_context(config, &ExperimentContext::default())
-}
-
-/// [`run`] under an explicit [`ExperimentContext`]: the context seed is mixed
-/// into `config.seed`, progress is reported per sweep point, and the
-/// cancellation flag is honoured between trials.
-///
-/// # Errors
-///
-/// Everything [`run`] returns, plus [`ExperimentError::Cancelled`].
-pub fn run_with_context(
+/// Returns [`ExperimentError::InvalidConfig`] for empty sweeps,
+/// [`ExperimentError::Cancelled`] when the context is cancelled, and
+/// propagates component errors.
+pub fn run(
     config: &Fig7Config,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
@@ -249,16 +163,7 @@ pub fn run_with_context(
     // Ground-truth keystream-pair distribution for the target position:
     // analytic FM model, or measured from real keystreams (cache-served).
     let key_pair_probs: Vec<f64> = match config.source {
-        CountSource::Analytic => {
-            let fm_dist = PairDistribution::fluhrer_mcgrew(config.position);
-            let mut probs = vec![0.0f64; 65536];
-            for k1 in 0..256usize {
-                for k2 in 0..256usize {
-                    probs[(k1 << 8) | k2] = fm_dist.prob(k1 as u8, k2 as u8);
-                }
-            }
-            probs
-        }
+        CountSource::Analytic => fm_pair_table(config.position),
         CountSource::Empirical { keys } => {
             let position = config.position as usize;
             // Fixed stream count (dataset identity), threads from the
@@ -275,18 +180,11 @@ pub fn run_with_context(
                     b: position + 1,
                 }])?,
                 &gen_config,
-                |ds| {
-                    generate_with_exec(ds, &gen_config, &ctx.executor())?;
-                    Ok(())
-                },
             )?;
             ds.joint_distribution(0)
         }
     };
-    let fm_cells: Vec<(u8, u8, f64)> = rc4_biases::fm::fm_biases_at(config.position)
-        .into_iter()
-        .map(|b| (b.first, b.second, b.probability))
-        .collect();
+    let fm_cells = fm_cells(config.position);
 
     let mut report = ExperimentReport::new(
         "fig7",
@@ -335,14 +233,18 @@ pub fn run_with_context(
                 base_seed,
                 &[point as u64, strategy as u64, trial as u64],
             ));
-            let success = simulate_trial(
-                STRATEGIES[strategy],
-                config.ciphertext_counts[point],
-                config,
-                &key_pair_probs,
-                &fm_cells,
-                &mut rng,
-            )?;
+            // Single ABSAB uses the gap-0 relation; the combined strategy
+            // cycles gaps 0..=127, mirroring the paper's setup.
+            let fm = Some(key_pair_probs.as_slice());
+            let (fm, relations) = match STRATEGIES[strategy] {
+                RecoveryStrategy::AbsabOnly => (None, 1),
+                RecoveryStrategy::FmOnly => (fm, 0),
+                RecoveryStrategy::Combined => (fm, config.absab_relations),
+            };
+            let gaps = (0..relations).map(|rel| rel % 128);
+            let mut sim = PairTrial::new(fm, &fm_cells, gaps, &mut rng)?;
+            sim.ingest(config.ciphertext_counts[point], &mut rng)?;
+            let success = sim.score()?.best() == sim.truth();
             reporter.tick(1);
             Ok::<_, ExperimentError>(success)
         })
@@ -367,55 +269,14 @@ pub fn run_with_context(
     Ok(report)
 }
 
-/// [`Experiment`] carrier for the Fig. 7 two-byte recovery simulation.
-pub struct Fig7Experiment {
-    config: Fig7Config,
-}
-
-impl Fig7Experiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig7Config::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for Fig7Experiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for Fig7Experiment {
-    fn name(&self) -> &'static str {
-        "fig7"
-    }
-
-    fn summary(&self) -> &'static str {
-        "Success rate of decrypting two bytes: ABSAB vs FM vs combined (Sect. 4.3)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig7Config::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started { experiment: "fig7" });
-        let report = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished { experiment: "fig7" });
-        Ok(report)
-    }
-}
+experiment_carrier!(
+    /// [`crate::Experiment`] carrier for the Fig. 7 two-byte recovery simulation.
+    Fig7Experiment,
+    Fig7Config,
+    "fig7",
+    "Success rate of decrypting two bytes: ABSAB vs FM vs combined (Sect. 4.3)",
+    run
+);
 
 /// Extracts the success rates from a Fig. 7 report row for programmatic checks.
 pub fn parse_rates(report: &ExperimentReport, row: usize) -> (f64, f64, f64) {
@@ -427,6 +288,7 @@ pub fn parse_rates(report: &ExperimentReport, row: usize) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{config_to_value, Experiment};
 
     #[test]
     fn validation() {
@@ -434,7 +296,7 @@ mod tests {
             ciphertext_counts: vec![],
             ..Fig7Config::quick()
         };
-        assert!(run(&empty).is_err());
+        assert!(run(&empty, &ExperimentContext::default()).is_err());
     }
 
     #[test]
@@ -448,7 +310,7 @@ mod tests {
             absab_relations: 16,
             ..Fig7Config::quick()
         };
-        let report = run(&config).unwrap();
+        let report = run(&config, &ExperimentContext::default()).unwrap();
         let (absab, fm, combined) = parse_rates(&report, 0);
         assert!(combined >= fm, "combined {combined} < fm {fm}");
         assert!(combined >= absab, "combined {combined} < absab {absab}");
@@ -467,7 +329,7 @@ mod tests {
         };
         exp.set_config_value(&config_to_value(&config)).unwrap();
         let via_trait = exp.run(&ExperimentContext::default()).unwrap();
-        let direct = run(&config).unwrap();
+        let direct = run(&config, &ExperimentContext::default()).unwrap();
         assert_eq!(via_trait, direct);
         // Config JSON roundtrip is lossless.
         let json = serde_json::to_string(&config).unwrap();
@@ -498,7 +360,7 @@ mod tests {
             source: CountSource::Empirical { keys: 1 << 13 },
             ..Fig7Config::quick()
         };
-        let fresh = run(&config).unwrap();
+        let fresh = run(&config, &ExperimentContext::default()).unwrap();
         assert!(fresh
             .notes
             .iter()
@@ -509,8 +371,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fig7-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ctx = ExperimentContext::default().with_cache_dir(&dir).unwrap();
-        let miss = run_with_context(&config, &ctx).unwrap();
-        let hit = run_with_context(&config, &ctx).unwrap();
+        let miss = run(&config, &ctx).unwrap();
+        let hit = run(&config, &ctx).unwrap();
         assert_eq!(miss, fresh);
         assert_eq!(hit, fresh);
         let _ = std::fs::remove_dir_all(&dir);
@@ -524,7 +386,7 @@ mod tests {
             absab_relations: 8,
             ..Fig7Config::quick()
         };
-        let report = run(&config).unwrap();
+        let report = run(&config, &ExperimentContext::default()).unwrap();
         let (absab, _fm, _combined) = parse_rates(&report, 0);
         // With only 2^24 ciphertexts a single ABSAB relation almost never recovers
         // the pair (the paper's curve is ~0% until 2^31).

@@ -34,8 +34,7 @@ use wpa_tkip::{
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
+    context::ExperimentContext,
     experiments::{Scale, DATASET_STREAMS},
     report::{format_percent, ExperimentReport},
     sampling::{sample_index, stream_seed},
@@ -165,24 +164,16 @@ pub struct Fig8Point {
 }
 
 /// Runs the Fig. 8 / Fig. 9 simulation and returns both the per-point data and
-/// a rendered report.
+/// a rendered report. The context seed is mixed into `config.seed`, progress
+/// is reported per sweep point, and cancellation is honoured between trials
+/// and capture batches.
 ///
 /// # Errors
 ///
-/// Returns [`ExperimentError::InvalidConfig`] on an empty sweep and propagates
-/// component errors.
-pub fn run(config: &Fig8Config) -> Result<(Vec<Fig8Point>, ExperimentReport), ExperimentError> {
-    run_with_context(config, &ExperimentContext::default())
-}
-
-/// [`run`] under an explicit [`ExperimentContext`]: the context seed is mixed
-/// into `config.seed`, progress is reported per sweep point, and cancellation
-/// is honoured between trials and capture batches.
-///
-/// # Errors
-///
-/// Everything [`run`] returns, plus [`ExperimentError::Cancelled`].
-pub fn run_with_context(
+/// Returns [`ExperimentError::InvalidConfig`] on an empty sweep,
+/// [`ExperimentError::Cancelled`] when the context is cancelled, and
+/// propagates component errors.
+pub fn run(
     config: &Fig8Config,
     ctx: &ExperimentContext,
 ) -> Result<(Vec<Fig8Point>, ExperimentReport), ExperimentError> {
@@ -215,10 +206,6 @@ pub fn run_with_context(
                     positions,
                 )?,
                 &gen_config,
-                |ds| {
-                    ds.generate_into_with_exec(&gen_config, &ctx.executor())?;
-                    Ok(())
-                },
             )?;
             let mut probs = Vec::with_capacity(256 * wpa_tkip::mpdu::TRAILER_LEN * 256);
             for class in 0..256 {
@@ -384,61 +371,21 @@ pub fn run_with_context(
     Ok((points, report))
 }
 
-/// [`Experiment`] carrier for the Fig. 8 / Fig. 9 TKIP MIC-key recovery
-/// simulation (the report covers both figures, so the registry also exposes
-/// this experiment under the `fig9` alias).
-pub struct Fig8Experiment {
-    config: Fig8Config,
-}
-
-impl Fig8Experiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig8Config::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for Fig8Experiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for Fig8Experiment {
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-
-    fn summary(&self) -> &'static str {
-        "TKIP MIC-key recovery success rate and candidate position (Fig. 8/9)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig8Config::for_scale(scale);
-    }
-
-    fn config_value(&self) -> Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started { experiment: "fig8" });
-        let (_points, report) = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished { experiment: "fig8" });
-        Ok(report)
-    }
-}
+experiment_carrier!(
+    /// [`crate::Experiment`] carrier for the Fig. 8 / Fig. 9 TKIP MIC-key recovery
+    /// simulation (the report covers both figures, so the registry also exposes
+    /// this experiment under the `fig9` alias).
+    Fig8Experiment,
+    Fig8Config,
+    "fig8",
+    "TKIP MIC-key recovery success rate and candidate position (Fig. 8/9)",
+    |config, ctx| run(config, ctx).map(|(_, report)| report)
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{config_to_value, Experiment};
 
     #[test]
     fn validation() {
@@ -446,7 +393,7 @@ mod tests {
             capture_counts: vec![],
             ..Fig8Config::quick()
         };
-        assert!(run(&bad).is_err());
+        assert!(run(&bad, &ExperimentContext::default()).is_err());
     }
 
     #[test]
@@ -481,7 +428,7 @@ mod tests {
         let mut exp = Fig8Experiment::new();
         exp.set_config_value(&config_to_value(&config)).unwrap();
         let via_trait = exp.run(&ExperimentContext::default()).unwrap();
-        let (_, direct) = run(&config).unwrap();
+        let (_, direct) = run(&config, &ExperimentContext::default()).unwrap();
         assert_eq!(via_trait, direct);
 
         let handle = crate::context::CancelHandle::new();
@@ -499,14 +446,14 @@ mod tests {
             model: TkipTrafficModel::Empirical { keys: 2_000 },
             ..Fig8Config::quick()
         };
-        let (fresh_points, fresh) = run(&config).unwrap();
+        let (fresh_points, fresh) = run(&config, &ExperimentContext::default()).unwrap();
         assert_eq!(fresh_points.len(), 1);
 
         let dir = std::env::temp_dir().join(format!("fig8-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ctx = ExperimentContext::default().with_cache_dir(&dir).unwrap();
-        let (_, miss) = run_with_context(&config, &ctx).unwrap();
-        let (_, hit) = run_with_context(&config, &ctx).unwrap();
+        let (_, miss) = run(&config, &ctx).unwrap();
+        let (_, hit) = run(&config, &ctx).unwrap();
         assert_eq!(miss, fresh, "cache-miss run must match the uncached run");
         assert_eq!(hit, fresh, "cache-hit run must match the uncached run");
         // Exactly one per-TSC dataset landed in the cache.
@@ -529,7 +476,7 @@ mod tests {
             payload_len: 55,
             seed: 42,
         };
-        let (points, report) = run(&config).unwrap();
+        let (points, report) = run(&config, &ExperimentContext::default()).unwrap();
         assert_eq!(points.len(), 2);
         // More captures must not reduce the success rate (monotone in expectation;
         // with few trials allow equality).

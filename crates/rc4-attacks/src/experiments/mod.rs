@@ -13,13 +13,82 @@
 //!   `tls-cookie` with sequential early stopping (`--until-confident`):
 //!   ciphertexts stream in batch by batch, count tables update in place and
 //!   the attack stops once the top candidate's likelihood margin clears a
-//!   confidence threshold.
+//!   confidence threshold. The fixed-grid and streaming drivers of an attack
+//!   share one trial model, so a fixed-grid trial at `n` ciphertexts is the
+//!   streaming trial after a single batch of `n`.
 //!
 //! All drivers are deterministic for a fixed configuration (seeds included in
-//! the configs) and return [`crate::report::ExperimentReport`]s. Every driver
-//! is also exposed as a [`crate::Experiment`] through
-//! [`crate::Registry::with_defaults`], which is built from
-//! [`default_experiments`].
+//! the configs) and return [`crate::report::ExperimentReport`]s. Each
+//! experiment has exactly one entry point taking its configuration and an
+//! [`crate::ExperimentContext`] (the eight bias drivers take a
+//! [`biases::BiasScale`] instead of a config), and is also exposed as a
+//! [`crate::Experiment`] through [`crate::Registry::with_defaults`], which is
+//! built from [`default_experiments`].
+
+/// Declares the [`crate::Experiment`] carrier of a config-driven experiment:
+/// a struct holding its config (starting at the `Laptop` preset), `new` and
+/// `Default`, and an `Experiment` impl whose `run` calls `$run(&config, ctx)`
+/// between the `Started` and `Finished` progress events.
+macro_rules! experiment_carrier {
+    ($(#[$doc:meta])* $carrier:ident, $config:ty, $name:literal, $summary:literal, $run:expr) => {
+        $(#[$doc])*
+        pub struct $carrier {
+            config: $config,
+        }
+
+        impl $carrier {
+            /// Creates the experiment with the `Laptop`-scale preset.
+            pub fn new() -> Self {
+                Self {
+                    config: <$config>::for_scale($crate::experiments::Scale::Laptop),
+                }
+            }
+        }
+
+        impl Default for $carrier {
+            fn default() -> Self {
+                Self::new()
+            }
+        }
+
+        impl $crate::Experiment for $carrier {
+            fn name(&self) -> &'static str {
+                $name
+            }
+
+            fn summary(&self) -> &'static str {
+                $summary
+            }
+
+            fn apply_scale(&mut self, scale: $crate::experiments::Scale) {
+                self.config = <$config>::for_scale(scale);
+            }
+
+            fn config_value(&self) -> serde::Value {
+                $crate::experiment::config_to_value(&self.config)
+            }
+
+            fn set_config_value(
+                &mut self,
+                value: &serde::Value,
+            ) -> Result<(), $crate::ExperimentError> {
+                self.config = $crate::experiment::config_from_value($name, value)?;
+                Ok(())
+            }
+
+            fn run(
+                &self,
+                ctx: &$crate::ExperimentContext,
+            ) -> Result<$crate::ExperimentReport, $crate::ExperimentError> {
+                use $crate::context::ProgressEvent;
+                ctx.emit(ProgressEvent::Started { experiment: $name });
+                let report = ($run)(&self.config, ctx)?;
+                ctx.emit(ProgressEvent::Finished { experiment: $name });
+                Ok(report)
+            }
+        }
+    };
+}
 
 pub mod biases;
 pub mod fig10;
@@ -28,6 +97,7 @@ pub mod fig8;
 pub mod streaming;
 pub mod tkip_attack;
 pub mod tls_cookie;
+mod trial;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 

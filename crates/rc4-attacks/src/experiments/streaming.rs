@@ -28,17 +28,10 @@
 //! full report is byte-identical for any `--workers` count, extending the
 //! PR-5 determinism contract to streaming mode.
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use plaintext_recovery::{
-    charset::Charset,
-    likelihood::PairLikelihoods,
-    streaming::SequentialTest,
-    viterbi::{list_viterbi, ViterbiConfig},
-};
-use rc4_biases::{absab::alpha, distributions::PairDistribution, fm, UNIFORM_PAIR};
-use rc4_stats::streaming::{StreamingCounts, StreamingVotes};
+use plaintext_recovery::{charset::Charset, streaming::SequentialTest};
 use tls_rc4::{
     attack::{
         brute_force_cookie, candidate_margin, cookie_candidates_with_exec, CookieAttackConfig,
@@ -50,11 +43,13 @@ use tls_rc4::{
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
-    experiments::Scale,
+    context::ExperimentContext,
+    experiments::{
+        trial::{fm_cells, fm_pair_table, CookieShape, CookieTrial, PairTrial},
+        Scale,
+    },
     report::ExperimentReport,
-    sampling::{sample_counts_normal, sample_standard_normal, stream_seed},
+    sampling::stream_seed,
     ExperimentError,
 };
 
@@ -228,16 +223,6 @@ impl Fig7StreamConfig {
     }
 }
 
-/// One ABSAB relation's streaming state: the differential-count distribution
-/// for this trial's truth, the log weights, and the in-place accumulator.
-struct RelationStream {
-    known: (usize, usize),
-    probs: Vec<f64>,
-    ln_alpha: f64,
-    ln_rest: f64,
-    acc: StreamingCounts,
-}
-
 /// Runs one streaming fig7 session: ingest batches, re-score the accumulated
 /// tables, stop at the first confident batch or at the cap.
 fn fig7_stream_trial(
@@ -247,39 +232,9 @@ fn fig7_stream_trial(
     rng: &mut StdRng,
     ctx: &ExperimentContext,
 ) -> Result<StreamOutcome, ExperimentError> {
-    let truth: (u8, u8) = (rng.gen(), rng.gen());
-
-    // Ciphertext-pair distribution: the keystream distribution XORed with
-    // the (unknown to the attacker) plaintext pair.
-    let mut ct_probs = vec![0.0f64; 65536];
-    for k1 in 0..256usize {
-        for k2 in 0..256usize {
-            let c1 = k1 ^ truth.0 as usize;
-            let c2 = k2 ^ truth.1 as usize;
-            ct_probs[(c1 << 8) | c2] = key_pair_probs[(k1 << 8) | k2];
-        }
-    }
-    let mut fm_acc = StreamingCounts::new(65536).map_err(ExperimentError::from)?;
-
-    // Per-relation differential distributions, as in fig7's combined
-    // strategy (gaps cycle 0..=127, known pairs arbitrary but known).
-    let mut relations = Vec::with_capacity(config.absab_relations);
-    for rel in 0..config.absab_relations {
-        let gap = rel % 128;
-        let known = ((gap as u8).wrapping_mul(17), (gap as u8).wrapping_add(91));
-        let a = alpha(gap);
-        let true_diff = (truth.0 ^ known.0, truth.1 ^ known.1);
-        let mut probs = vec![(1.0 - a) / 65535.0; 65536];
-        probs[(true_diff.0 as usize) << 8 | true_diff.1 as usize] = a;
-        relations.push(RelationStream {
-            known: (known.0 as usize, known.1 as usize),
-            probs,
-            ln_alpha: a.ln(),
-            ln_rest: ((1.0 - a) / 65535.0).ln(),
-            acc: StreamingCounts::new(65536).map_err(ExperimentError::from)?,
-        });
-    }
-
+    // FM combined with the ABSAB relations, as in fig7's combined strategy.
+    let gaps = (0..config.absab_relations).map(|rel| rel % 128);
+    let mut sim = PairTrial::new(Some(key_pair_probs), fm_cells, gaps, rng)?;
     let mut test = config.stop.test()?;
     let mut consumed = 0u64;
     let mut margin = 0.0f64;
@@ -288,44 +243,12 @@ fn fig7_stream_trial(
         // A trial spans many ingest batches; poll cancellation per batch so a
         // raised flag interrupts the stream promptly, not at the next trial.
         ctx.checkpoint()?;
-        // Ingest one batch of simulated ciphertext copies into the
-        // accumulated count tables (in place — nothing is re-materialized).
         let batch = (config.stop.cap - consumed).min(config.stop.batch);
-        fm_acc
-            .absorb(&sample_counts_normal(&ct_probs, batch, rng))
-            .map_err(ExperimentError::from)?;
-        for rel in &mut relations {
-            rel.acc
-                .absorb(&sample_counts_normal(&rel.probs, batch, rng))
-                .map_err(ExperimentError::from)?;
-        }
+        sim.ingest(batch, rng)?;
         consumed += batch;
-
-        // Re-score the ACCUMULATED tables. Log-likelihoods are linear in
-        // counts, so this is exactly the score of all ciphertexts seen so
-        // far, at the cost of scoring a single batch.
-        let fm = PairLikelihoods::from_counts_sparse(
-            fm_acc.counts(),
-            fm_cells,
-            UNIFORM_PAIR,
-            fm_acc.total(),
-        )?;
-        let mut log = fm.as_slice().to_vec();
-        for rel in &relations {
-            let total = rel.acc.total() as f64;
-            let counts = rel.acc.counts();
-            for (mu1, row) in log.chunks_mut(256).enumerate() {
-                let d0 = mu1 ^ rel.known.0;
-                let counts_row = &counts[(d0 << 8)..(d0 << 8) + 256];
-                for (mu2, slot) in row.iter_mut().enumerate() {
-                    let hits = counts_row[mu2 ^ rel.known.1] as f64;
-                    *slot += (total - hits) * rel.ln_rest + hits * rel.ln_alpha;
-                }
-            }
-        }
-        let combined = PairLikelihoods::from_log_values(log)?;
+        let combined = sim.score()?;
         margin = combined.margin();
-        correct = combined.best() == truth;
+        correct = combined.best() == sim.truth();
         if test.observe(consumed, margin).is_decided() {
             break;
         }
@@ -358,17 +281,8 @@ pub fn run_fig7_stream(
     }
     config.stop.test()?;
 
-    let fm_dist = PairDistribution::fluhrer_mcgrew(config.position);
-    let mut key_pair_probs = vec![0.0f64; 65536];
-    for k1 in 0..256usize {
-        for k2 in 0..256usize {
-            key_pair_probs[(k1 << 8) | k2] = fm_dist.prob(k1 as u8, k2 as u8);
-        }
-    }
-    let fm_cells: Vec<(u8, u8, f64)> = fm::fm_biases_at(config.position)
-        .into_iter()
-        .map(|b| (b.first, b.second, b.probability))
-        .collect();
+    let key_pair_probs = fm_pair_table(config.position);
+    let fm_cells = fm_cells(config.position);
 
     // Every trial is an independent streaming session on its own RNG stream,
     // fanned out across the executor: byte-identical for any worker count.
@@ -411,59 +325,14 @@ pub fn run_fig7_stream(
     Ok(report)
 }
 
-/// [`Experiment`] carrier for the streaming fig7 variant.
-pub struct Fig7StreamExperiment {
-    config: Fig7StreamConfig,
-}
-
-impl Fig7StreamExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig7StreamConfig::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for Fig7StreamExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for Fig7StreamExperiment {
-    fn name(&self) -> &'static str {
-        "fig7-stream"
-    }
-
-    fn summary(&self) -> &'static str {
-        "Streaming two-byte recovery with early stopping (fig7 --until-confident)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig7StreamConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "fig7-stream",
-        });
-        let report = run_fig7_stream(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "fig7-stream",
-        });
-        Ok(report)
-    }
-}
+experiment_carrier!(
+    /// [`crate::Experiment`] carrier for the streaming fig7 variant.
+    Fig7StreamExperiment,
+    Fig7StreamConfig,
+    "fig7-stream",
+    "Streaming two-byte recovery with early stopping (fig7 --until-confident)",
+    run_fig7_stream
+);
 
 // ---------------------------------------------------------------------------
 // fig10-stream
@@ -543,24 +412,6 @@ impl Fig10StreamConfig {
     }
 }
 
-/// Streaming state of one cookie transition: the trial's ground-truth
-/// ciphertext-pair distribution, the FM count accumulator, the ABSAB vote
-/// accumulator, and the relation metadata needed to draw each batch.
-struct TransitionStream {
-    ct_probs: Vec<f64>,
-    fm_cells: Vec<(u8, u8, f64)>,
-    fm_acc: StreamingCounts,
-    votes: StreamingVotes,
-    rels: Vec<TransitionRelation>,
-}
-
-struct TransitionRelation {
-    known: (u8, u8),
-    weight: f64,
-    true_diff_idx: usize,
-    alpha: f64,
-}
-
 /// Runs one streaming fig10 session.
 fn fig10_stream_trial(
     config: &Fig10StreamConfig,
@@ -568,122 +419,30 @@ fn fig10_stream_trial(
     rng: &mut StdRng,
     ctx: &ExperimentContext,
 ) -> Result<StreamOutcome, ExperimentError> {
-    let alphabet = config.charset.values().to_vec();
-    let cookie: Vec<u8> = (0..config.cookie_len)
-        .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
-        .collect();
-    let before = b'=';
-    let after = b';';
-    let full: Vec<u8> = std::iter::once(before)
-        .chain(cookie.iter().copied())
-        .chain(std::iter::once(after))
-        .collect();
-
-    let mut transitions = Vec::with_capacity(config.cookie_len + 1);
-    for t in 0..=config.cookie_len {
-        let truth = (full[t], full[t + 1]);
-        let mut ct_probs = vec![0.0f64; 65536];
-        for k1 in 0..256usize {
-            for k2 in 0..256usize {
-                let c1 = k1 ^ truth.0 as usize;
-                let c2 = k2 ^ truth.1 as usize;
-                ct_probs[(c1 << 8) | c2] = transition_probs[t][(k1 << 8) | k2];
-            }
-        }
-        let fm_cells: Vec<(u8, u8, f64)> = fm::fm_biases_at(config.cookie_position + t as u64)
-            .into_iter()
-            .map(|b| (b.first, b.second, b.probability))
-            .collect();
-        let mut rels = Vec::with_capacity(config.absab_relations);
-        for rel in 0..config.absab_relations {
-            let gap = rel % 128;
-            let a = alpha(gap);
-            let known = ((rel as u8).wrapping_mul(31), (rel as u8).wrapping_add(7));
-            rels.push(TransitionRelation {
-                known,
-                weight: a.ln() - ((1.0 - a) / 65535.0).ln(),
-                true_diff_idx: ((truth.0 ^ known.0) as usize) << 8 | (truth.1 ^ known.1) as usize,
-                alpha: a,
-            });
-        }
-        transitions.push(TransitionStream {
-            ct_probs,
-            fm_cells,
-            fm_acc: StreamingCounts::new(65536).map_err(ExperimentError::from)?,
-            votes: StreamingVotes::new(65536).map_err(ExperimentError::from)?,
-            rels,
-        });
-    }
-
-    let viterbi = ViterbiConfig {
-        first_known: before,
-        last_known: after,
+    let shape = CookieShape {
+        cookie_len: config.cookie_len,
+        charset: &config.charset,
         candidates: config.candidates,
-        charset: config.charset.clone(),
+        absab_relations: config.absab_relations,
+        cookie_position: config.cookie_position,
     };
+    let mut sim = CookieTrial::new(&shape, transition_probs, rng)?;
     let mut test = config.stop.test()?;
     let mut consumed = 0u64;
     let mut margin = 0.0f64;
     let mut correct = false;
-    let mut batch_votes = vec![0.0f64; 65536];
     while consumed < config.stop.cap {
         // Per-batch cancellation poll, as in fig7_stream_trial.
         ctx.checkpoint()?;
         let batch = (config.stop.cap - consumed).min(config.stop.batch);
-        let n_f = batch as f64;
-        for tr in &mut transitions {
-            // FM ingest: one batch of ciphertext-pair counts.
-            tr.fm_acc
-                .absorb(&sample_counts_normal(&tr.ct_probs, batch, rng))
-                .map_err(ExperimentError::from)?;
-            // ABSAB ingest: per-relation weighted differential votes for this
-            // batch, accumulated in place (votes are linear in counts, so the
-            // running table equals the votes of all requests seen so far).
-            batch_votes.iter_mut().for_each(|v| *v = 0.0);
-            for rel in &tr.rels {
-                let u = (1.0 - rel.alpha) / 65535.0;
-                let mean_other = n_f * u;
-                let sd_other = (n_f * u * (1.0 - u)).sqrt();
-                let mean_true = n_f * rel.alpha;
-                let sd_true = (n_f * rel.alpha * (1.0 - rel.alpha)).sqrt();
-                for d0 in 0..256usize {
-                    for d1 in 0..256usize {
-                        let idx = (d0 << 8) | d1;
-                        let (mean, sd) = if idx == rel.true_diff_idx {
-                            (mean_true, sd_true)
-                        } else {
-                            (mean_other, sd_other)
-                        };
-                        let draw = mean + sd * sample_standard_normal(rng);
-                        let mu = ((d0 ^ rel.known.0 as usize) << 8) | (d1 ^ rel.known.1 as usize);
-                        batch_votes[mu] += rel.weight * draw.max(0.0);
-                    }
-                }
-            }
-            tr.votes
-                .absorb(&batch_votes)
-                .map_err(ExperimentError::from)?;
-        }
+        sim.ingest(batch, rng)?;
         consumed += batch;
-
-        // Re-score: combined FM + ABSAB likelihood per transition from the
-        // accumulated tables, then a fresh list-Viterbi decode.
-        let mut likelihoods = Vec::with_capacity(transitions.len());
-        for tr in &transitions {
-            let mut combined = PairLikelihoods::from_counts_sparse(
-                tr.fm_acc.counts(),
-                &tr.fm_cells,
-                UNIFORM_PAIR,
-                tr.fm_acc.total(),
-            )?;
-            combined.combine(&PairLikelihoods::from_log_values(
-                tr.votes.votes().to_vec(),
-            )?);
-            likelihoods.push(combined);
-        }
-        let candidates = list_viterbi(&likelihoods, &viterbi)?;
+        // Re-score: a fresh list-Viterbi decode of the accumulated tables.
+        let candidates = sim.candidates()?;
         margin = candidate_margin(&candidates).unwrap_or(0.0);
-        correct = candidates.first().is_some_and(|c| c.plaintext == cookie);
+        correct = candidates
+            .first()
+            .is_some_and(|c| c.plaintext == sim.cookie());
         if test.observe(consumed, margin).is_decided() {
             break;
         }
@@ -717,16 +476,7 @@ pub fn run_fig10_stream(
     config.stop.test()?;
 
     let transition_probs: Vec<Vec<f64>> = (0..=config.cookie_len)
-        .map(|t| {
-            let fm_dist = PairDistribution::fluhrer_mcgrew(config.cookie_position + t as u64);
-            let mut probs = vec![0.0f64; 65536];
-            for k1 in 0..256usize {
-                for k2 in 0..256usize {
-                    probs[(k1 << 8) | k2] = fm_dist.prob(k1 as u8, k2 as u8);
-                }
-            }
-            probs
-        })
+        .map(|t| fm_pair_table(config.cookie_position + t as u64))
         .collect();
 
     let base_seed = ctx.mix_seed(config.seed);
@@ -771,59 +521,14 @@ pub fn run_fig10_stream(
     Ok(report)
 }
 
-/// [`Experiment`] carrier for the streaming fig10 variant.
-pub struct Fig10StreamExperiment {
-    config: Fig10StreamConfig,
-}
-
-impl Fig10StreamExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: Fig10StreamConfig::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for Fig10StreamExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for Fig10StreamExperiment {
-    fn name(&self) -> &'static str {
-        "fig10-stream"
-    }
-
-    fn summary(&self) -> &'static str {
-        "Streaming cookie recovery with early stopping (fig10 --until-confident)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = Fig10StreamConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "fig10-stream",
-        });
-        let report = run_fig10_stream(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "fig10-stream",
-        });
-        Ok(report)
-    }
-}
+experiment_carrier!(
+    /// [`crate::Experiment`] carrier for the streaming fig10 variant.
+    Fig10StreamExperiment,
+    Fig10StreamConfig,
+    "fig10-stream",
+    "Streaming cookie recovery with early stopping (fig10 --until-confident)",
+    run_fig10_stream
+);
 
 // ---------------------------------------------------------------------------
 // tls-cookie-stream
@@ -1029,63 +734,19 @@ pub fn run_tls_cookie_stream(
     Ok(report)
 }
 
-/// [`Experiment`] carrier for the streaming TLS cookie attack.
-pub struct TlsCookieStreamExperiment {
-    config: TlsCookieStreamConfig,
-}
-
-impl TlsCookieStreamExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: TlsCookieStreamConfig::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for TlsCookieStreamExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for TlsCookieStreamExperiment {
-    fn name(&self) -> &'static str {
-        "tls-cookie-stream"
-    }
-
-    fn summary(&self) -> &'static str {
-        "Streaming HTTPS cookie attack with early stopping (tls-cookie --until-confident)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = TlsCookieStreamConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "tls-cookie-stream",
-        });
-        let report = run_tls_cookie_stream(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "tls-cookie-stream",
-        });
-        Ok(report)
-    }
-}
+experiment_carrier!(
+    /// [`crate::Experiment`] carrier for the streaming TLS cookie attack.
+    TlsCookieStreamExperiment,
+    TlsCookieStreamConfig,
+    "tls-cookie-stream",
+    "Streaming HTTPS cookie attack with early stopping (tls-cookie --until-confident)",
+    run_tls_cookie_stream
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Experiment;
 
     fn small_fig7() -> Fig7StreamConfig {
         Fig7StreamConfig {
@@ -1200,7 +861,7 @@ mod tests {
         let fig7 = small_fig7();
         let mut rng = StdRng::seed_from_u64(1);
         let probs = vec![1.0 / 65536.0; 65536];
-        let cells = vec![(0u8, 0u8, UNIFORM_PAIR * 1.5)];
+        let cells = vec![(0u8, 0u8, rc4_biases::UNIFORM_PAIR * 1.5)];
         assert_eq!(
             fig7_stream_trial(&fig7, &probs, &cells, &mut rng, &ctx),
             Err(ExperimentError::Cancelled)

@@ -32,8 +32,7 @@ use wpa_tkip::{
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
+    context::ExperimentContext,
     experiments::Scale,
     report::{format_percent, ExperimentReport},
     sampling::{sample_index, stream_seed},
@@ -132,7 +131,7 @@ fn injected_msdu() -> Vec<u8> {
 /// Returns [`ExperimentError::InvalidConfig`] for degenerate configurations,
 /// [`ExperimentError::Cancelled`] when the context flag is raised, and
 /// propagates component errors.
-pub fn run_with_context(
+pub fn run(
     config: &TkipAttackConfig,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
@@ -313,63 +312,19 @@ pub fn run_with_context(
     Ok(report)
 }
 
-/// [`Experiment`] carrier for the end-to-end TKIP attack.
-pub struct TkipAttackExperiment {
-    config: TkipAttackConfig,
-}
-
-impl TkipAttackExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: TkipAttackConfig::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for TkipAttackExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for TkipAttackExperiment {
-    fn name(&self) -> &'static str {
-        "tkip-attack"
-    }
-
-    fn summary(&self) -> &'static str {
-        "End-to-end WPA-TKIP attack: inject, capture, recover the MIC key, forge (Sect. 5)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = TkipAttackConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "tkip-attack",
-        });
-        let report = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "tkip-attack",
-        });
-        Ok(report)
-    }
-}
+experiment_carrier!(
+    /// [`crate::Experiment`] carrier for the end-to-end TKIP attack.
+    TkipAttackExperiment,
+    TkipAttackConfig,
+    "tkip-attack",
+    "End-to-end WPA-TKIP attack: inject, capture, recover the MIC key, forge (Sect. 5)",
+    run
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Experiment;
 
     #[test]
     fn validation_and_config_roundtrip() {
@@ -377,7 +332,7 @@ mod tests {
             trials: 0,
             ..TkipAttackConfig::for_scale(Scale::Quick)
         };
-        assert!(run_with_context(&bad, &ExperimentContext::default()).is_err());
+        assert!(run(&bad, &ExperimentContext::default()).is_err());
 
         let config = TkipAttackConfig::for_scale(Scale::Quick);
         let json = serde_json::to_string(&config).unwrap();

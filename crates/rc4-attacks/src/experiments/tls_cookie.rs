@@ -34,11 +34,7 @@ use tls_rc4::{
 };
 
 use crate::{
-    context::{ExperimentContext, ProgressEvent},
-    experiment::{config_from_value, config_to_value, Experiment},
-    experiments::Scale,
-    report::ExperimentReport,
-    ExperimentError,
+    context::ExperimentContext, experiments::Scale, report::ExperimentReport, ExperimentError,
 };
 
 /// Configuration of the end-to-end HTTPS cookie attack experiment.
@@ -101,7 +97,7 @@ impl TlsCookieConfig {
 /// (empty cookie, cookie outside the charset, zero captures),
 /// [`ExperimentError::Cancelled`] when the context flag is raised, and
 /// propagates component errors.
-pub fn run_with_context(
+pub fn run(
     config: &TlsCookieConfig,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
@@ -238,63 +234,19 @@ pub fn run_with_context(
     Ok(report)
 }
 
-/// [`Experiment`] carrier for the end-to-end HTTPS cookie attack.
-pub struct TlsCookieExperiment {
-    config: TlsCookieConfig,
-}
-
-impl TlsCookieExperiment {
-    /// Creates the experiment with the `Laptop`-scale preset.
-    pub fn new() -> Self {
-        Self {
-            config: TlsCookieConfig::for_scale(Scale::Laptop),
-        }
-    }
-}
-
-impl Default for TlsCookieExperiment {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Experiment for TlsCookieExperiment {
-    fn name(&self) -> &'static str {
-        "tls-cookie"
-    }
-
-    fn summary(&self) -> &'static str {
-        "End-to-end HTTPS cookie attack over real TLS RC4-SHA1 traffic (Sect. 6)"
-    }
-
-    fn apply_scale(&mut self, scale: Scale) {
-        self.config = TlsCookieConfig::for_scale(scale);
-    }
-
-    fn config_value(&self) -> serde::Value {
-        config_to_value(&self.config)
-    }
-
-    fn set_config_value(&mut self, value: &serde::Value) -> Result<(), ExperimentError> {
-        self.config = config_from_value(self.name(), value)?;
-        Ok(())
-    }
-
-    fn run(&self, ctx: &ExperimentContext) -> Result<ExperimentReport, ExperimentError> {
-        ctx.emit(ProgressEvent::Started {
-            experiment: "tls-cookie",
-        });
-        let report = run_with_context(&self.config, ctx)?;
-        ctx.emit(ProgressEvent::Finished {
-            experiment: "tls-cookie",
-        });
-        Ok(report)
-    }
-}
+experiment_carrier!(
+    /// [`crate::Experiment`] carrier for the end-to-end HTTPS cookie attack.
+    TlsCookieExperiment,
+    TlsCookieConfig,
+    "tls-cookie",
+    "End-to-end HTTPS cookie attack over real TLS RC4-SHA1 traffic (Sect. 6)",
+    run
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{config_to_value, Experiment};
 
     #[test]
     fn validation_and_config_roundtrip() {
@@ -302,12 +254,12 @@ mod tests {
             cookie: String::new(),
             ..TlsCookieConfig::for_scale(Scale::Quick)
         };
-        assert!(run_with_context(&empty_cookie, &ExperimentContext::default()).is_err());
+        assert!(run(&empty_cookie, &ExperimentContext::default()).is_err());
         let outside_charset = TlsCookieConfig {
             cookie: "white space".into(),
             ..TlsCookieConfig::for_scale(Scale::Quick)
         };
-        assert!(run_with_context(&outside_charset, &ExperimentContext::default()).is_err());
+        assert!(run(&outside_charset, &ExperimentContext::default()).is_err());
 
         let config = TlsCookieConfig::for_scale(Scale::Quick);
         let json = serde_json::to_string(&config).unwrap();

@@ -206,6 +206,60 @@ mod tests {
         assert!((total as f64 - n as f64).abs() < 0.01 * n as f64);
     }
 
+    /// Draws `replicates` tables from each sampler (interleaved on one
+    /// seeded stream) and runs two chi-squared homogeneity tests between
+    /// them: one on the cell totals pooled over replicates (same cell
+    /// proportions), one on the per-replicate Pearson dispersion statistics
+    /// binned into five equiprobable χ²(k−1) bins (same spread). Only valid
+    /// where the exact sampler is exact (`n ≤ 4096`, Bernoulli-sum
+    /// binomials) and the normal approximation applies (every `n·p ≥ 30`).
+    fn assert_normal_matches_exact(probs: &[f64], n: u64, seed: u64) {
+        use stat_tests::{chisq::chi_squared_independence, special::chi2_cdf};
+        const REPLICATES: usize = 200;
+        const BINS: usize = 5;
+        assert!(n <= 4096 && probs.iter().all(|&p| n as f64 * p >= 30.0));
+        let cells = probs.len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut totals = vec![0u64; 2 * cells];
+        let mut spread = [0u64; 2 * BINS];
+        for _ in 0..REPLICATES {
+            let normal = sample_counts_normal(probs, n, &mut rng);
+            let exact = sample_counts_exact(probs, n, &mut rng);
+            for (row, counts) in [normal, exact].iter().enumerate() {
+                let mut pearson = 0.0;
+                for (cell, (&c, &p)) in counts.iter().zip(probs).enumerate() {
+                    totals[row * cells + cell] += c;
+                    let expected = n as f64 * p;
+                    pearson += (c as f64 - expected).powi(2) / expected;
+                }
+                let quantile = chi2_cdf(pearson, (cells - 1) as f64);
+                spread[row * BINS + ((quantile * BINS as f64) as usize).min(BINS - 1)] += 1;
+            }
+        }
+        let proportions = chi_squared_independence(&totals, 2, cells).unwrap();
+        assert!(
+            proportions.p_value > 1e-3,
+            "cell proportions differ: p = {}",
+            proportions.p_value
+        );
+        let dispersion = chi_squared_independence(&spread, 2, BINS).unwrap();
+        assert!(
+            dispersion.p_value > 1e-3,
+            "dispersion differs: p = {} ({spread:?})",
+            dispersion.p_value
+        );
+    }
+
+    #[test]
+    fn normal_sampler_matches_exact_multinomial_on_small_tables() {
+        // Uniform: 32 cells at n = 2048, n·p = 64.
+        assert_normal_matches_exact(&[1.0 / 32.0; 32], 2048, 7);
+        // ABSAB-shaped: one hot cell, the rest equal (n·p ≈ 48 for those).
+        let mut absab = vec![0.75 / 31.0; 32];
+        absab[5] = 0.25;
+        assert_normal_matches_exact(&absab, 2048, 8);
+    }
+
     #[test]
     fn zero_probability_cells_get_zero_counts() {
         let mut rng = StdRng::seed_from_u64(5);

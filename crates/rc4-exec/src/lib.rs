@@ -1,7 +1,7 @@
 //! The workspace's shared parallel execution layer.
 //!
 //! Before this crate existed, every parallel site hand-rolled its own
-//! threading: the `rc4-stats` worker pool, `rc4-store`'s round-based shard
+//! threading: the `rc4-stats` key-space walker, `rc4-store`'s round-based shard
 //! generation and the experiment hot loops each spawned scoped threads,
 //! polled their own cancellation flag and invented their own progress
 //! plumbing. This crate centralizes that into one substrate:

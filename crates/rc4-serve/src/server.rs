@@ -20,7 +20,7 @@
 //! visible to clients, so the on-disk account is never behind the wire one.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -580,6 +580,11 @@ fn execute_experiment(
     Ok(path.display().to_string())
 }
 
+/// Largest request frame the server reads, newline included. Real frames
+/// are a few hundred bytes; the cap bounds the memory a peer that never
+/// sends a newline can make a connection hold.
+const MAX_FRAME_BYTES: u64 = 1 << 20;
+
 /// One connection: serve request frames until EOF (or the shutdown frame).
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let Ok(peer_reader) = stream.try_clone() else {
@@ -587,13 +592,25 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let mut reader = BufReader::new(peer_reader);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut frame = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        frame.clear();
+        match (&mut reader)
+            .take(MAX_FRAME_BYTES)
+            .read_until(b'\n', &mut frame)
+        {
             Ok(0) | Err(_) => return,
             Ok(_) => {}
         }
+        if frame.len() as u64 == MAX_FRAME_BYTES && frame.last() != Some(&b'\n') {
+            rc4_obs::metrics::counter_add("serve.frames.oversized", 1);
+            let message = format!("request frame exceeds {MAX_FRAME_BYTES} bytes");
+            send(&mut writer, &error_response(&message));
+            return;
+        }
+        let Ok(line) = std::str::from_utf8(&frame) else {
+            return;
+        };
         if line.trim().is_empty() {
             continue;
         }

@@ -1,5 +1,5 @@
-//! Common dataset abstractions: the collector trait, generation configuration
-//! and error type shared by every dataset.
+//! Common dataset abstractions: the generation configuration and error type
+//! shared by every dataset.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +19,7 @@ pub enum DatasetError {
     /// names the path involved.
     Corrupt(String),
     /// Generation was cancelled through a cooperative cancellation flag before
-    /// it completed; any partially-filled collector must be discarded.
+    /// it completed; any partially-filled dataset must be discarded.
     Cancelled,
 }
 
@@ -120,8 +120,9 @@ impl GenerationConfig {
     /// Number of keys logical worker `w` contributes: an even split with the
     /// first `keys % workers` workers taking one extra key.
     ///
-    /// This is THE key-space partition rule — the in-memory worker pool, the
-    /// per-TSC generator and the on-disk store (`rc4-store`) all share it, so
+    /// This is THE key-space partition rule — the in-memory walker
+    /// ([`crate::generate_storable_with_exec`]) and the on-disk store
+    /// (`rc4-store`) both use it, so
     /// a shard merged from per-worker files is cell-for-cell identical to an
     /// uninterrupted in-memory run.
     pub fn keys_for_worker(&self, w: u64) -> u64 {
@@ -151,37 +152,6 @@ impl GenerationConfig {
         }
         Ok(())
     }
-}
-
-/// A dataset that accumulates statistics from individual keystreams.
-///
-/// Implementors are driven either single-threaded (call
-/// [`KeystreamCollector::record_keystream`] in a loop) or by the
-/// [`crate::worker`] pool, which clones an empty collector per worker and
-/// merges the results.
-pub trait KeystreamCollector: Send {
-    /// How many keystream bytes per key this collector needs to observe.
-    fn required_len(&self) -> usize;
-
-    /// Updates the statistics with one keystream (of at least `required_len` bytes).
-    fn record_keystream(&mut self, keystream: &[u8]);
-
-    /// Creates an empty collector with the same shape/configuration.
-    fn clone_empty(&self) -> Self
-    where
-        Self: Sized;
-
-    /// Merges the counts of `other` (a collector produced by `clone_empty`) into `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::ShapeMismatch`] if the two collectors are incompatible.
-    fn merge(&mut self, other: Self) -> Result<(), DatasetError>
-    where
-        Self: Sized;
-
-    /// Total number of keystreams recorded so far.
-    fn keystreams(&self) -> u64;
 }
 
 #[cfg(test)]

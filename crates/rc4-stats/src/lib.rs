@@ -17,15 +17,17 @@
 //! * [`tsc::PerTscDataset`] — keystream statistics conditioned on the public
 //!   TKIP sequence-counter bytes, the input to the Paterson-style per-TSC
 //!   plaintext likelihoods of Section 5.
-//! * [`worker`] — the generation pool standing in for the paper's
-//!   distributed setup, running on the shared execution layer (`rc4-exec`);
-//!   each logical stream derives its RC4 keys deterministically from a
-//!   per-stream seed ([`keygen`]), so runs are reproducible and cell-identical
-//!   for ANY thread budget. Inside a
-//!   worker the RC4 hot loop runs through the batched multi-key engine
-//!   (`rc4_accel::AutoBatch`, AVX-512 gather/scatter where the CPU has it),
-//!   stepping 8–16 keystreams per loop iteration while keeping every dataset
-//!   byte-identical to the scalar path.
+//! * [`storable`] — the [`StorableDataset`] trait every dataset implements
+//!   and its batched record loop, [`record_keys_batched`].
+//! * [`worker`] — [`generate_storable_with_exec`], the one in-memory
+//!   key-space walker standing in for the paper's distributed setup. It runs
+//!   on the shared execution layer (`rc4-exec`); each logical stream derives
+//!   its RC4 keys deterministically from a per-stream seed ([`keygen`]), so runs are
+//!   reproducible and cell-identical for ANY thread budget. The RC4 hot loop
+//!   runs through the batched multi-key engine (`rc4_accel::AutoBatch`,
+//!   AVX-512 gather/scatter where the CPU has it), stepping 8–16 keystreams
+//!   per loop iteration while keeping every dataset byte-identical to the
+//!   scalar path.
 //! * [`counters`] — the 16-bit batched counter layout the paper uses to reduce
 //!   cache misses, kept as a separately testable component so the
 //!   `counter_layout` bench can quantify the optimization.
@@ -52,11 +54,10 @@ pub mod streaming;
 pub mod tsc;
 pub mod worker;
 
-pub use dataset::{DatasetError, GenerationConfig, KeystreamCollector};
+pub use dataset::{DatasetError, GenerationConfig};
 pub use keygen::{splitmix64, KeyGenerator};
-pub use storable::{
-    generate_storable_with_exec, record_keys_batched, StorableDataset, PARALLEL_CLONE_MAX_CELLS,
-};
+pub use storable::{record_keys_batched, StorableDataset, PARALLEL_CLONE_MAX_CELLS};
+pub use worker::generate_storable_with_exec;
 
 /// Number of possible byte values; the alphabet size of every distribution here.
 pub const NUM_VALUES: usize = 256;

@@ -9,11 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    dataset::{DatasetError, KeystreamCollector},
-    storable::StorableDataset,
-    NUM_PAIRS, NUM_VALUES,
-};
+use crate::{dataset::DatasetError, storable::StorableDataset, NUM_PAIRS, NUM_VALUES};
 
 /// Long-term digraph statistics.
 ///
@@ -152,62 +148,6 @@ impl LongTermDataset {
     }
 }
 
-impl KeystreamCollector for LongTermDataset {
-    fn required_len(&self) -> usize {
-        self.drop + self.block_len
-    }
-
-    fn record_keystream(&mut self, keystream: &[u8]) {
-        debug_assert!(keystream.len() >= self.required_len());
-        let body = &keystream[self.drop..self.drop + self.block_len];
-        // The PRGA counter i equals the 1-based keystream position modulo 256.
-        // After dropping `drop` bytes, body[idx] is keystream position drop + idx + 1.
-        for idx in 0..body.len() - 1 {
-            let position = self.drop + idx + 1;
-            let i = (position % 256) as u8;
-            let x = body[idx] as usize;
-            let y = body[idx + 1] as usize;
-            self.digraph_counts[i as usize * NUM_PAIRS + x * NUM_VALUES + y] += 1;
-            self.digraphs += 1;
-
-            // 256-aligned pair (Z_{256w}, Z_{256w+2}): position is a multiple of 256
-            // and we need the byte two positions later.
-            if position % 256 == 0 && idx + 2 < body.len() {
-                let y2 = body[idx + 2] as usize;
-                self.aligned_counts[x * NUM_VALUES + y2] += 1;
-                self.aligned_samples += 1;
-            }
-        }
-        self.keystreams += 1;
-    }
-
-    fn clone_empty(&self) -> Self {
-        Self::new(self.drop, self.block_len).expect("shape already validated")
-    }
-
-    fn merge(&mut self, other: Self) -> Result<(), DatasetError> {
-        if other.drop != self.drop || other.block_len != self.block_len {
-            return Err(DatasetError::ShapeMismatch(
-                "long-term datasets have different drop/block configuration".into(),
-            ));
-        }
-        for (a, b) in self.digraph_counts.iter_mut().zip(other.digraph_counts) {
-            *a += b;
-        }
-        for (a, b) in self.aligned_counts.iter_mut().zip(other.aligned_counts) {
-            *a += b;
-        }
-        self.keystreams += other.keystreams;
-        self.digraphs += other.digraphs;
-        self.aligned_samples += other.aligned_samples;
-        Ok(())
-    }
-
-    fn keystreams(&self) -> u64 {
-        self.keystreams
-    }
-}
-
 impl StorableDataset for LongTermDataset {
     fn kind() -> &'static str {
         "longterm"
@@ -284,11 +224,45 @@ impl StorableDataset for LongTermDataset {
     }
 
     fn record_stream(&mut self, _meta: u64, ks: &[u8]) {
-        self.record_keystream(ks);
+        debug_assert!(ks.len() >= self.required_keystream_len());
+        let body = &ks[self.drop..self.drop + self.block_len];
+        // The PRGA counter i equals the 1-based keystream position modulo 256.
+        // After dropping `drop` bytes, body[idx] is keystream position drop + idx + 1.
+        for idx in 0..body.len() - 1 {
+            let position = self.drop + idx + 1;
+            let i = (position % 256) as u8;
+            let x = body[idx] as usize;
+            let y = body[idx + 1] as usize;
+            self.digraph_counts[i as usize * NUM_PAIRS + x * NUM_VALUES + y] += 1;
+            self.digraphs += 1;
+
+            // 256-aligned pair (Z_{256w}, Z_{256w+2}): position is a multiple of 256
+            // and we need the byte two positions later.
+            if position % 256 == 0 && idx + 2 < body.len() {
+                let y2 = body[idx + 2] as usize;
+                self.aligned_counts[x * NUM_VALUES + y2] += 1;
+                self.aligned_samples += 1;
+            }
+        }
+        self.keystreams += 1;
     }
 
     fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
-        self.merge(other)
+        if other.drop != self.drop || other.block_len != self.block_len {
+            return Err(DatasetError::ShapeMismatch(
+                "long-term datasets have different drop/block configuration".into(),
+            ));
+        }
+        for (a, b) in self.digraph_counts.iter_mut().zip(other.digraph_counts) {
+            *a += b;
+        }
+        for (a, b) in self.aligned_counts.iter_mut().zip(other.aligned_counts) {
+            *a += b;
+        }
+        self.keystreams += other.keystreams;
+        self.digraphs += other.digraphs;
+        self.aligned_samples += other.aligned_samples;
+        Ok(())
     }
 }
 
@@ -303,19 +277,19 @@ mod tests {
         let ds = LongTermDataset::paper_shape(512).unwrap();
         assert_eq!(ds.drop_len(), 1023);
         assert_eq!(ds.block_len(), 512);
-        assert_eq!(ds.required_len(), 1023 + 512);
+        assert_eq!(ds.required_keystream_len(), 1023 + 512);
     }
 
     #[test]
     fn digraph_counting_positions() {
         // drop = 0, block = 4: positions 1,2,3 form digraphs with i = 1,2,3.
         let mut ds = LongTermDataset::new(0, 4).unwrap();
-        ds.record_keystream(&[10, 20, 30, 40]);
+        ds.record_stream(0, &[10, 20, 30, 40]);
         assert_eq!(ds.digraph_count(1, 10, 20), 1);
         assert_eq!(ds.digraph_count(2, 20, 30), 1);
         assert_eq!(ds.digraph_count(3, 30, 40), 1);
         assert_eq!(ds.total_digraphs(), 3);
-        assert_eq!(ds.keystreams(), 1);
+        assert_eq!(ds.recorded_keystreams(), 1);
     }
 
     #[test]
@@ -327,7 +301,7 @@ mod tests {
         for (i, b) in ks[254..].iter_mut().enumerate() {
             *b = (i + 1) as u8;
         }
-        ds.record_keystream(&ks);
+        ds.record_stream(0, &ks);
         // Position 256 is body[1] (=2), position 258 is body[3] (=4).
         assert_eq!(ds.aligned_count(2, 4), 1);
         assert_eq!(ds.aligned_samples(), 1);
@@ -338,7 +312,7 @@ mod tests {
         let mut ds = LongTermDataset::new(0, 16).unwrap();
         for i in 0u32..50 {
             let ks = rc4::keystream(&i.to_le_bytes(), 16).unwrap();
-            ds.record_keystream(&ks);
+            ds.record_stream(0, &ks);
         }
         let n = ds.digraph_samples(3);
         assert_eq!(n, 50);
@@ -354,18 +328,18 @@ mod tests {
     #[test]
     fn merge_and_serialization() {
         let mut a = LongTermDataset::new(0, 4).unwrap();
-        let mut b = a.clone_empty();
-        a.record_keystream(&[1, 2, 3, 4]);
-        b.record_keystream(&[1, 2, 9, 9]);
-        a.merge(b).unwrap();
+        let mut b = LongTermDataset::new(0, 4).unwrap();
+        a.record_stream(0, &[1, 2, 3, 4]);
+        b.record_stream(0, &[1, 2, 9, 9]);
+        a.merge_same_shape(b).unwrap();
         assert_eq!(a.digraph_count(1, 1, 2), 2);
-        assert_eq!(a.keystreams(), 2);
+        assert_eq!(a.recorded_keystreams(), 2);
 
         let json = a.to_json().unwrap();
         let back = LongTermDataset::from_json(&json).unwrap();
         assert_eq!(back.digraph_count(1, 1, 2), 2);
 
         let mismatched = LongTermDataset::new(0, 8).unwrap();
-        assert!(a.merge(mismatched).is_err());
+        assert!(a.merge_same_shape(mismatched).is_err());
     }
 }

@@ -12,11 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    dataset::{DatasetError, KeystreamCollector},
-    storable::StorableDataset,
-    NUM_PAIRS, NUM_VALUES,
-};
+use crate::{dataset::DatasetError, storable::StorableDataset, NUM_PAIRS, NUM_VALUES};
 
 /// A pair of (1-based) keystream positions whose joint distribution is tracked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -220,48 +216,6 @@ impl PairDataset {
     }
 }
 
-impl KeystreamCollector for PairDataset {
-    fn required_len(&self) -> usize {
-        self.max_position
-    }
-
-    fn record_keystream(&mut self, keystream: &[u8]) {
-        debug_assert!(keystream.len() >= self.max_position);
-        for (idx, pair) in self.pairs.iter().enumerate() {
-            let x = keystream[pair.a - 1] as usize;
-            let y = keystream[pair.b - 1] as usize;
-            self.counts[idx * NUM_PAIRS + x * NUM_VALUES + y] += 1;
-        }
-        self.keystreams += 1;
-    }
-
-    fn clone_empty(&self) -> Self {
-        Self {
-            pairs: self.pairs.clone(),
-            max_position: self.max_position,
-            keystreams: 0,
-            counts: vec![0u64; self.counts.len()],
-        }
-    }
-
-    fn merge(&mut self, other: Self) -> Result<(), DatasetError> {
-        if other.pairs != self.pairs {
-            return Err(DatasetError::ShapeMismatch(
-                "pair datasets cover different position pairs".into(),
-            ));
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
-        }
-        self.keystreams += other.keystreams;
-        Ok(())
-    }
-
-    fn keystreams(&self) -> u64 {
-        self.keystreams
-    }
-}
-
 impl StorableDataset for PairDataset {
     fn kind() -> &'static str {
         "pairs"
@@ -334,11 +288,26 @@ impl StorableDataset for PairDataset {
     }
 
     fn record_stream(&mut self, _meta: u64, ks: &[u8]) {
-        self.record_keystream(ks);
+        debug_assert!(ks.len() >= self.max_position);
+        for (idx, pair) in self.pairs.iter().enumerate() {
+            let x = ks[pair.a - 1] as usize;
+            let y = ks[pair.b - 1] as usize;
+            self.counts[idx * NUM_PAIRS + x * NUM_VALUES + y] += 1;
+        }
+        self.keystreams += 1;
     }
 
     fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
-        self.merge(other)
+        if other.pairs != self.pairs {
+            return Err(DatasetError::ShapeMismatch(
+                "pair datasets cover different position pairs".into(),
+            ));
+        }
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b;
+        }
+        self.keystreams += other.keystreams;
+        Ok(())
     }
 }
 
@@ -353,7 +322,7 @@ mod tests {
         assert_eq!(ds.pairs()[0], PositionPair { a: 1, b: 2 });
         assert_eq!(ds.pairs()[7], PositionPair { a: 8, b: 9 });
         assert_eq!(ds.max_position(), 9);
-        assert_eq!(ds.required_len(), 9);
+        assert_eq!(ds.required_keystream_len(), 9);
     }
 
     #[test]
@@ -378,14 +347,14 @@ mod tests {
     #[test]
     fn recording_updates_joint_and_marginals() {
         let mut ds = PairDataset::consecutive(2).unwrap();
-        ds.record_keystream(&[10, 20, 30]);
-        ds.record_keystream(&[10, 21, 30]);
+        ds.record_stream(0, &[10, 20, 30]);
+        ds.record_stream(0, &[10, 21, 30]);
         let idx = ds.pair_index(1, 2).unwrap();
         assert_eq!(ds.count(idx, 10, 20), 1);
         assert_eq!(ds.count(idx, 10, 21), 1);
         assert_eq!(ds.marginal_first(idx)[10], 2);
         assert_eq!(ds.marginal_second(idx)[20], 1);
-        assert_eq!(ds.keystreams(), 2);
+        assert_eq!(ds.recorded_keystreams(), 2);
     }
 
     #[test]
@@ -393,7 +362,7 @@ mod tests {
         let mut ds = PairDataset::consecutive(1).unwrap();
         for i in 0u32..100 {
             let ks = rc4::keystream(&i.to_le_bytes(), 2).unwrap();
-            ds.record_keystream(&ks);
+            ds.record_stream(0, &ks);
         }
         let sum: f64 = ds.joint_distribution(0).iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -407,7 +376,7 @@ mod tests {
         for x in 0..2u8 {
             for y in 0..2u8 {
                 for _ in 0..25 {
-                    ds.record_keystream(&[x, y]);
+                    ds.record_stream(0, &[x, y]);
                 }
             }
         }
@@ -420,7 +389,7 @@ mod tests {
         let mut ds = PairDataset::consecutive(1).unwrap();
         // Z1 == Z2 always: strong positive dependence on the diagonal.
         for v in 0..=255u8 {
-            ds.record_keystream(&[v, v]);
+            ds.record_stream(0, &[v, v]);
         }
         let q = ds.relative_bias(0, 7, 7).unwrap();
         assert!(q > 100.0, "diagonal relative bias should be large, got {q}");
@@ -430,11 +399,11 @@ mod tests {
     #[test]
     fn merge_and_json_roundtrip() {
         let mut a = PairDataset::consecutive(2).unwrap();
-        let mut b = a.clone_empty();
-        a.record_keystream(&[1, 2, 3]);
-        b.record_keystream(&[1, 2, 4]);
-        a.merge(b).unwrap();
-        assert_eq!(a.keystreams(), 2);
+        let mut b = PairDataset::consecutive(2).unwrap();
+        a.record_stream(0, &[1, 2, 3]);
+        b.record_stream(0, &[1, 2, 4]);
+        a.merge_same_shape(b).unwrap();
+        assert_eq!(a.recorded_keystreams(), 2);
         assert_eq!(a.count(0, 1, 2), 2);
 
         let json = a.to_json().unwrap();
@@ -442,6 +411,6 @@ mod tests {
         assert_eq!(back.count(0, 1, 2), 2);
 
         let other = PairDataset::consecutive(3).unwrap();
-        assert!(a.merge(other).is_err());
+        assert!(a.merge_same_shape(other).is_err());
     }
 }

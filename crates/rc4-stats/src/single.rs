@@ -6,11 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    dataset::{DatasetError, KeystreamCollector},
-    storable::StorableDataset,
-    NUM_VALUES,
-};
+use crate::{dataset::DatasetError, storable::StorableDataset, NUM_VALUES};
 
 /// Counts of keystream byte values per position.
 ///
@@ -20,14 +16,14 @@ use crate::{
 /// # Examples
 ///
 /// ```
-/// use rc4_stats::{single::SingleByteDataset, KeystreamCollector};
+/// use rc4_stats::{single::SingleByteDataset, StorableDataset};
 ///
 /// let mut ds = SingleByteDataset::new(4);
-/// ds.record_keystream(&[0x10, 0x00, 0x37, 0x42]);
-/// ds.record_keystream(&[0x10, 0x99, 0x37, 0x43]);
+/// ds.record_stream(0, &[0x10, 0x00, 0x37, 0x42]);
+/// ds.record_stream(0, &[0x10, 0x99, 0x37, 0x43]);
 /// assert_eq!(ds.count(1, 0x10), 2);
 /// assert_eq!(ds.count(2, 0x00), 1);
-/// assert_eq!(ds.keystreams(), 2);
+/// assert_eq!(ds.recorded_keystreams(), 2);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SingleByteDataset {
@@ -117,42 +113,6 @@ impl SingleByteDataset {
     }
 }
 
-impl KeystreamCollector for SingleByteDataset {
-    fn required_len(&self) -> usize {
-        self.positions
-    }
-
-    fn record_keystream(&mut self, keystream: &[u8]) {
-        debug_assert!(keystream.len() >= self.positions);
-        for (idx, &z) in keystream.iter().take(self.positions).enumerate() {
-            self.counts[idx * NUM_VALUES + z as usize] += 1;
-        }
-        self.keystreams += 1;
-    }
-
-    fn clone_empty(&self) -> Self {
-        Self::new(self.positions)
-    }
-
-    fn merge(&mut self, other: Self) -> Result<(), DatasetError> {
-        if other.positions != self.positions {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "{} vs {} positions",
-                self.positions, other.positions
-            )));
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
-        }
-        self.keystreams += other.keystreams;
-        Ok(())
-    }
-
-    fn keystreams(&self) -> u64 {
-        self.keystreams
-    }
-}
-
 impl StorableDataset for SingleByteDataset {
     fn kind() -> &'static str {
         "single"
@@ -215,11 +175,25 @@ impl StorableDataset for SingleByteDataset {
     }
 
     fn record_stream(&mut self, _meta: u64, ks: &[u8]) {
-        self.record_keystream(ks);
+        debug_assert!(ks.len() >= self.positions);
+        for (idx, &z) in ks.iter().take(self.positions).enumerate() {
+            self.counts[idx * NUM_VALUES + z as usize] += 1;
+        }
+        self.keystreams += 1;
     }
 
     fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
-        self.merge(other)
+        if other.positions != self.positions {
+            return Err(DatasetError::ShapeMismatch(format!(
+                "{} vs {} positions",
+                self.positions, other.positions
+            )));
+        }
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b;
+        }
+        self.keystreams += other.keystreams;
+        Ok(())
     }
 }
 
@@ -231,11 +205,11 @@ mod tests {
     fn records_and_counts() {
         let mut ds = SingleByteDataset::new(8);
         let ks = rc4::keystream(b"0123456789abcdef", 8).unwrap();
-        ds.record_keystream(&ks);
+        ds.record_stream(0, &ks);
         for (i, &z) in ks.iter().enumerate() {
             assert_eq!(ds.count(i + 1, z), 1);
         }
-        assert_eq!(ds.keystreams(), 1);
+        assert_eq!(ds.recorded_keystreams(), 1);
         // All other values have count zero.
         assert_eq!(ds.counts_at(1).iter().sum::<u64>(), 1);
     }
@@ -246,7 +220,7 @@ mod tests {
         for i in 0u32..200 {
             let key = i.to_le_bytes();
             let ks = rc4::keystream(&key, 4).unwrap();
-            ds.record_keystream(&ks);
+            ds.record_stream(0, &ks);
         }
         for r in 1..=4 {
             let sum: f64 = ds.distribution(r).iter().sum();
@@ -257,11 +231,11 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let mut a = SingleByteDataset::new(4);
-        let mut b = a.clone_empty();
-        a.record_keystream(&[1, 2, 3, 4]);
-        b.record_keystream(&[1, 9, 9, 9]);
-        a.merge(b).unwrap();
-        assert_eq!(a.keystreams(), 2);
+        let mut b = SingleByteDataset::new(4);
+        a.record_stream(0, &[1, 2, 3, 4]);
+        b.record_stream(0, &[1, 9, 9, 9]);
+        a.merge_same_shape(b).unwrap();
+        assert_eq!(a.recorded_keystreams(), 2);
         assert_eq!(a.count(1, 1), 2);
         assert_eq!(a.count(2, 2), 1);
         assert_eq!(a.count(2, 9), 1);
@@ -271,17 +245,20 @@ mod tests {
     fn merge_rejects_shape_mismatch() {
         let mut a = SingleByteDataset::new(4);
         let b = SingleByteDataset::new(8);
-        assert!(matches!(a.merge(b), Err(DatasetError::ShapeMismatch(_))));
+        assert!(matches!(
+            a.merge_same_shape(b),
+            Err(DatasetError::ShapeMismatch(_))
+        ));
     }
 
     #[test]
     fn json_roundtrip() {
         let mut ds = SingleByteDataset::new(2);
-        ds.record_keystream(&[7, 8]);
+        ds.record_stream(0, &[7, 8]);
         let json = ds.to_json().unwrap();
         let back = SingleByteDataset::from_json(&json).unwrap();
         assert_eq!(back.count(1, 7), 1);
-        assert_eq!(back.keystreams(), 1);
+        assert_eq!(back.recorded_keystreams(), 1);
     }
 
     #[test]
@@ -309,7 +286,7 @@ mod tests {
         for _ in 0..50_000 {
             gen.fill_key(&mut key);
             let ks = rc4::keystream(&key, 2).unwrap();
-            ds.record_keystream(&ks);
+            ds.record_stream(0, &ks);
         }
         let p = ds.probability(2, 0);
         assert!(p > 1.6 / 256.0, "Pr[Z2=0] = {p}, expected ~2/256");

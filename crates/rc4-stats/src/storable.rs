@@ -34,12 +34,25 @@
 //! and all counter cells are additive, the resulting dataset is cell-for-cell
 //! identical to the scalar one-key-at-a-time walk — a property pinned by this
 //! module's tests and by `tests/proptest_datasets.rs`.
+//!
+//! The in-memory key-space walker built on it,
+//! [`generate_storable_with_exec`](crate::worker::generate_storable_with_exec),
+//! lives in [`crate::worker`]; the on-disk store (`rc4-store`) drives
+//! [`record_keys_batched`] through its own checkpointed round loop.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use rc4_accel::{AutoBatch, KeystreamBatch};
 
-use crate::{dataset::DatasetError, keygen::KeyGenerator, worker::CANCEL_POLL_INTERVAL};
+use crate::{
+    dataset::{DatasetError, GenerationConfig},
+    keygen::KeyGenerator,
+};
+
+/// How many keystreams a walk generates between cancellation-flag polls.
+/// Small enough to abort within milliseconds, large enough that the relaxed
+/// atomic load is invisible next to the RC4 work per key.
+pub const CANCEL_POLL_INTERVAL: u64 = 512;
 
 /// A dataset that can be persisted by the `rc4-store` shard format and
 /// (re)generated deterministically from per-worker key streams.
@@ -161,45 +174,28 @@ pub trait StorableDataset: Send + Sized {
 
     /// Kind-specific generation-config validation, called by drivers before
     /// any key is generated. The default accepts everything
-    /// [`crate::dataset::GenerationConfig::validate`] accepts; kinds with
+    /// [`GenerationConfig::validate`] accepts; kinds with
     /// extra requirements (per-TSC needs room for the 3-byte TKIP prefix)
     /// override this so misconfigurations fail typed instead of panicking in
     /// the record loop.
-    fn validate_config(
-        &self,
-        config: &crate::dataset::GenerationConfig,
-    ) -> Result<(), DatasetError> {
+    fn validate_config(&self, config: &GenerationConfig) -> Result<(), DatasetError> {
         config.validate()
     }
 }
 
-/// The two hooks the shared batched key walk needs from a consumer: draw one
-/// key (+ metadata) and count one finished keystream. Implemented by thin
-/// adapters over [`StorableDataset`] (here) and
-/// [`crate::dataset::KeystreamCollector`] (the worker pool), so both paths
-/// run the SAME batch-sizing and cancellation-poll loop — the invariants the
-/// determinism guarantees rest on live in exactly one place.
-pub(crate) trait BatchSink {
-    /// Keystream bytes needed per key.
-    fn needed(&self) -> usize;
-    /// Draws the next key into `key`, returning per-key metadata.
-    fn prepare(&mut self, gen: &mut KeyGenerator, key: &mut [u8]) -> u64;
-    /// Counts one keystream generated for a prepared key.
-    fn record(&mut self, meta: u64, ks: &[u8]);
-}
-
-/// Walks `count` keys of `gen`'s stream into `sink` through the batched
+/// Walks `count` keys of `gen`'s stream into `dataset` through the batched
 /// multi-key RC4 engine ([`AutoBatch`]), polling `cancel` every
 /// [`CANCEL_POLL_INTERVAL`] keys.
 ///
-/// Keys are drawn (and counted) in exactly the order a scalar
-/// one-key-at-a-time loop draws them; the engine only batches the
-/// independent KSA/PRGA work between draw and count. Returns the number of
-/// keys recorded — equal to `count` unless the cancellation flag was
-/// observed, in which case the sink holds exactly the first `done` keys'
-/// contributions and the generator sits after the `done`-th draw.
-pub(crate) fn walk_keys_batched<S: BatchSink>(
-    sink: &mut S,
+/// Keys are drawn (and counted) in exactly the order the scalar
+/// [`StorableDataset::record_next`] walk draws them; the engine only batches
+/// the independent KSA/PRGA work between draw and count, so the resulting
+/// cells are identical. Returns the number of keys recorded — equal to
+/// `count` unless the cancellation flag was observed, in which case the
+/// dataset holds exactly the first `done` keys' contributions and the
+/// generator sits after the `done`-th draw.
+pub fn record_keys_batched<D: StorableDataset>(
+    dataset: &mut D,
     gen: &mut KeyGenerator,
     key_len: usize,
     count: u64,
@@ -207,7 +203,7 @@ pub(crate) fn walk_keys_batched<S: BatchSink>(
 ) -> u64 {
     let mut engine = AutoBatch::new();
     let lanes = engine.lanes();
-    let needed = sink.needed();
+    let needed = dataset.required_keystream_len();
     let mut keys = vec![0u8; lanes * key_len];
     let mut metas = vec![0u64; lanes];
     let mut out = vec![0u8; lanes * needed];
@@ -222,56 +218,19 @@ pub(crate) fn walk_keys_batched<S: BatchSink>(
         }
         let n = (count - done).min(until_poll).min(lanes as u64) as usize;
         for (lane, key) in keys[..n * key_len].chunks_exact_mut(key_len).enumerate() {
-            metas[lane] = sink.prepare(gen, key);
+            metas[lane] = dataset.prepare_next(gen, key);
         }
         engine
             .schedule(&keys[..n * key_len], key_len)
             .expect("config-validated key length");
         engine.fill(&mut out[..n * needed], needed);
         for lane in 0..n {
-            sink.record(metas[lane], &out[lane * needed..(lane + 1) * needed]);
+            dataset.record_stream(metas[lane], &out[lane * needed..(lane + 1) * needed]);
         }
         done += n as u64;
         until_poll -= n as u64;
     }
     count
-}
-
-/// Adapter running a [`StorableDataset`]'s key walk through
-/// [`walk_keys_batched`].
-struct DatasetSink<'a, D: StorableDataset>(&'a mut D);
-
-impl<D: StorableDataset> BatchSink for DatasetSink<'_, D> {
-    fn needed(&self) -> usize {
-        self.0.required_keystream_len()
-    }
-
-    fn prepare(&mut self, gen: &mut KeyGenerator, key: &mut [u8]) -> u64 {
-        self.0.prepare_next(gen, key)
-    }
-
-    fn record(&mut self, meta: u64, ks: &[u8]) {
-        self.0.record_stream(meta, ks);
-    }
-}
-
-/// Walks `count` keys of `gen`'s stream into `dataset` through the batched
-/// multi-key RC4 engine, polling `cancel` every [`CANCEL_POLL_INTERVAL`]
-/// keys.
-///
-/// The resulting cells are identical to the scalar
-/// [`StorableDataset::record_next`] walk over the same stream. Returns the
-/// number of keys recorded — equal to `count` unless the cancellation flag
-/// was observed, in which case the dataset holds exactly the first `done`
-/// keys' contributions and the generator sits after the `done`-th draw.
-pub fn record_keys_batched<D: StorableDataset>(
-    dataset: &mut D,
-    gen: &mut KeyGenerator,
-    key_len: usize,
-    count: u64,
-    cancel: Option<&AtomicBool>,
-) -> u64 {
-    walk_keys_batched(&mut DatasetSink(dataset), gen, key_len, count, cancel)
 }
 
 /// Per-thread dataset clones above this cell count are considered ruinous
@@ -280,84 +239,17 @@ pub fn record_keys_batched<D: StorableDataset>(
 /// `rc4-store`'s round loop applies the SAME guard to the same kinds.
 pub const PARALLEL_CLONE_MAX_CELLS: usize = 1 << 24;
 
-/// Generates `config`'s full key space into `dataset` on an explicit
-/// [`rc4_exec::Executor`], decoupling the thread budget from the logical
-/// stream count — the [`StorableDataset`] twin of
-/// [`crate::worker::generate_with_exec`], needed because storable kinds may
-/// draw structured keys ([`StorableDataset::prepare_next`]) and therefore
-/// skip with [`StorableDataset::skip_next`].
-///
-/// The resulting cells depend only on `config` (never on the thread budget):
-/// a one-thread executor records every stream in order straight into
-/// `dataset`; a larger budget splits streams into contiguous segments, each
-/// fast-forwarded via `skip_next` and recorded into a private same-shape
-/// clone, merged in deterministic segment order. Datasets whose tables are
-/// too large to clone per thread fall back to the sequential path.
-///
-/// # Errors
-///
-/// * [`DatasetError::InvalidConfig`] — invalid configuration for this kind.
-/// * [`DatasetError::Cancelled`] — the executor's flag was observed set; the
-///   dataset must be discarded (the one-thread path leaves it partially
-///   filled, the parallel path leaves it untouched).
-pub fn generate_storable_with_exec<D: StorableDataset>(
-    dataset: &mut D,
-    config: &crate::dataset::GenerationConfig,
-    exec: &rc4_exec::Executor<'_>,
-) -> Result<(), DatasetError> {
-    dataset.validate_config(config)?;
-    let cancel = exec.cancel_flag();
-    if exec.is_cancelled() {
-        return Err(DatasetError::Cancelled);
-    }
-
-    if exec.workers() == 1 || dataset.cell_count() > PARALLEL_CLONE_MAX_CELLS {
-        for w in 0..config.workers as u64 {
-            let keys = config.keys_for_worker(w);
-            let mut gen = KeyGenerator::new(config.seed, w, config.key_len);
-            let done = record_keys_batched(dataset, &mut gen, config.key_len, keys, cancel);
-            if done < keys || exec.is_cancelled() {
-                return Err(DatasetError::Cancelled);
-            }
-        }
-        return Ok(());
-    }
-
-    let shape = dataset.shape_params();
-    let plan = crate::worker::segment_plan(config, exec.workers());
-    let partials: Vec<D> = exec
-        .map(plan, |_, segment| {
-            let mut partial = D::empty_with_shape(&shape)?;
-            let mut gen = KeyGenerator::new(config.seed, segment.worker, config.key_len);
-            let mut scratch = vec![0u8; config.key_len];
-            for _ in 0..segment.skip {
-                partial.skip_next(&mut gen, &mut scratch);
-            }
-            let done =
-                record_keys_batched(&mut partial, &mut gen, config.key_len, segment.keys, cancel);
-            if done < segment.keys {
-                return Err(DatasetError::Cancelled);
-            }
-            Ok(partial)
-        })
-        .map_err(DatasetError::from)?;
-    if exec.is_cancelled() {
-        return Err(DatasetError::Cancelled);
-    }
-    for partial in partials {
-        dataset.merge_same_shape(partial)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rc4_exec::Executor;
+
     use crate::{
         longterm::LongTermDataset,
         pairs::{PairDataset, PositionPair},
         single::SingleByteDataset,
         tsc::{PerTscDataset, TscConditioning},
+        worker::generate_storable_with_exec,
     };
 
     /// Exercise the shape/cells/skip contract uniformly over every kind.
@@ -505,16 +397,12 @@ mod tests {
     fn storable_exec_generation_is_thread_invariant() {
         // Structured-key kind (per-TSC draws TSC bytes per key): the thread
         // budget must not change a single cell, only who computes it.
-        let config = crate::dataset::GenerationConfig::with_keys(700)
-            .workers(2)
-            .seed(31);
+        let config = GenerationConfig::with_keys(700).workers(2).seed(31);
         let mut reference = PerTscDataset::new(TscConditioning::Tsc1, 4).unwrap();
-        generate_storable_with_exec(&mut reference, &config, &rc4_exec::Executor::serial())
-            .unwrap();
+        generate_storable_with_exec(&mut reference, &config, &Executor::serial()).unwrap();
         for threads in [2usize, 4, 5] {
             let mut ds = PerTscDataset::new(TscConditioning::Tsc1, 4).unwrap();
-            generate_storable_with_exec(&mut ds, &config, &rc4_exec::Executor::new(threads))
-                .unwrap();
+            generate_storable_with_exec(&mut ds, &config, &Executor::new(threads)).unwrap();
             assert_eq!(ds.recorded_keystreams(), reference.recorded_keystreams());
             assert_eq!(
                 ds.cell_slices().concat(),

@@ -151,119 +151,6 @@ impl PerTscDataset {
             .collect()
     }
 
-    /// Generates a per-TSC dataset by running TKIP-structured keys through RC4.
-    ///
-    /// For each generated key the TSC is drawn uniformly, the first three key
-    /// bytes are set to the public TKIP prefix and the remaining bytes are
-    /// random (the output of the TKIP key-mixing function is modelled as
-    /// uniform, as in the paper).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::InvalidConfig`] on an invalid configuration.
-    pub fn generate(
-        conditioning: TscConditioning,
-        positions: usize,
-        config: &GenerationConfig,
-    ) -> Result<Self, DatasetError> {
-        Self::generate_with_cancel(conditioning, positions, config, None)
-    }
-
-    /// [`PerTscDataset::generate`] with a cooperative cancellation flag,
-    /// polled every few hundred keys.
-    ///
-    /// Execution is single-threaded (use
-    /// [`PerTscDataset::generate_into_with_exec`] for a thread budget), but
-    /// the *key space* is still partitioned across `config.workers`
-    /// deterministic streams exactly like the generic worker pool: logical
-    /// worker `w` draws its keys (and TSC bytes) from
-    /// `KeyGenerator::new(config.seed, w, ..)`. A one-worker configuration —
-    /// the default everywhere — reproduces the historical single-stream
-    /// behaviour bit for bit, while multi-worker configurations define the
-    /// per-worker shards the on-disk store (`rc4-store`) generates and merges.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`PerTscDataset::generate`] returns, plus
-    /// [`DatasetError::Cancelled`] when the flag was observed set.
-    pub fn generate_with_cancel(
-        conditioning: TscConditioning,
-        positions: usize,
-        config: &GenerationConfig,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-    ) -> Result<Self, DatasetError> {
-        let mut ds = Self::new(conditioning, positions)?;
-        ds.generate_into(config, cancel)?;
-        Ok(ds)
-    }
-
-    /// Generates into an *existing empty* dataset — the allocation-free body
-    /// of [`PerTscDataset::generate_with_cancel`], used directly by callers
-    /// (like the experiment dataset cache) that already hold the empty
-    /// dataset, so no second table set is ever allocated.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`PerTscDataset::generate_with_cancel`] returns, plus
-    /// [`DatasetError::InvalidConfig`] when `self` is not empty.
-    pub fn generate_into(
-        &mut self,
-        config: &GenerationConfig,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-    ) -> Result<(), DatasetError> {
-        self.generate_into_with_exec(config, &rc4_exec::Executor::serial().with_cancel(cancel))
-    }
-
-    /// [`PerTscDataset::generate_into`] on an explicit [`rc4_exec::Executor`]:
-    /// the thread budget comes from the executor while the key space stays
-    /// partitioned across `config.workers` logical streams, so the resulting
-    /// cells are identical for every thread budget (see
-    /// [`crate::storable::generate_storable_with_exec`], which this wraps —
-    /// including its fallback to sequential recording when the per-class
-    /// tables are too large to clone per thread).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`PerTscDataset::generate_into`] returns.
-    pub fn generate_into_with_exec(
-        &mut self,
-        config: &GenerationConfig,
-        exec: &rc4_exec::Executor<'_>,
-    ) -> Result<(), DatasetError> {
-        if self.keystreams != 0 {
-            return Err(DatasetError::InvalidConfig(
-                "generate_into needs an empty dataset".into(),
-            ));
-        }
-        crate::storable::generate_storable_with_exec(self, config, exec)
-    }
-
-    /// Merges another per-TSC dataset of identical shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::ShapeMismatch`] when shapes differ.
-    pub fn merge(&mut self, other: Self) -> Result<(), DatasetError> {
-        if other.conditioning != self.conditioning || other.positions != self.positions {
-            return Err(DatasetError::ShapeMismatch(
-                "per-TSC datasets have different conditioning or positions".into(),
-            ));
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
-        }
-        for (a, b) in self.class_keystreams.iter_mut().zip(other.class_keystreams) {
-            *a += b;
-        }
-        self.keystreams += other.keystreams;
-        Ok(())
-    }
-
-    /// Total keystreams recorded across all classes.
-    pub fn keystreams(&self) -> u64 {
-        self.keystreams
-    }
-
     /// Serializes to JSON.
     ///
     /// # Errors
@@ -379,9 +266,9 @@ impl StorableDataset for PerTscDataset {
     /// One TKIP-structured key: uniform key material, a uniformly drawn TSC
     /// pair, the public 3-byte prefix. The TSC pair travels to
     /// [`StorableDataset::record_stream`] as the metadata word
-    /// (`tsc0 | tsc1 << 8`). This is the shared key walk of
-    /// [`PerTscDataset::generate_with_cancel`] and the store's
-    /// shard-generation engine, so both observe identical key sequences.
+    /// (`tsc0 | tsc1 << 8`). In-memory generation and the store's
+    /// shard-generation engine both draw keys through this, so they observe
+    /// identical key sequences.
     fn prepare_next(&self, gen: &mut KeyGenerator, key: &mut [u8]) -> u64 {
         gen.fill_key(key);
         let tsc0 = gen.next_below(256) as u8;
@@ -413,7 +300,19 @@ impl StorableDataset for PerTscDataset {
     }
 
     fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
-        self.merge(other)
+        if other.conditioning != self.conditioning || other.positions != self.positions {
+            return Err(DatasetError::ShapeMismatch(
+                "per-TSC datasets have different conditioning or positions".into(),
+            ));
+        }
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b;
+        }
+        for (a, b) in self.class_keystreams.iter_mut().zip(other.class_keystreams) {
+            *a += b;
+        }
+        self.keystreams += other.keystreams;
+        Ok(())
     }
 }
 
@@ -424,11 +323,11 @@ mod tests {
     #[test]
     fn pre_set_cancel_flag_aborts_generation() {
         let cancel = std::sync::atomic::AtomicBool::new(true);
-        let result = PerTscDataset::generate_with_cancel(
-            TscConditioning::Tsc1,
-            8,
+        let mut ds = PerTscDataset::new(TscConditioning::Tsc1, 8).unwrap();
+        let result = crate::generate_storable_with_exec(
+            &mut ds,
             &GenerationConfig::with_keys(1_000_000),
-            Some(&cancel),
+            &rc4_exec::Executor::serial().with_cancel(Some(&cancel)),
         );
         assert!(matches!(result, Err(DatasetError::Cancelled)));
     }
@@ -478,8 +377,10 @@ mod tests {
         // With the TKIP key prefix, keystream byte 1 is strongly biased per class;
         // just verify generation runs and records into multiple classes.
         let config = GenerationConfig::with_keys(2_000).seed(7);
-        let ds = PerTscDataset::generate(TscConditioning::Tsc1, 8, &config).unwrap();
-        assert_eq!(ds.keystreams(), 2_000);
+        let mut ds = PerTscDataset::new(TscConditioning::Tsc1, 8).unwrap();
+        crate::generate_storable_with_exec(&mut ds, &config, &rc4_exec::Executor::serial())
+            .unwrap();
+        assert_eq!(ds.recorded_keystreams(), 2_000);
         let populated = (0..256).filter(|&c| ds.class_keystreams(c) > 0).count();
         assert!(populated > 200, "only {populated} TSC classes populated");
     }
@@ -490,15 +391,15 @@ mod tests {
         let mut b = PerTscDataset::new(TscConditioning::Tsc1, 2).unwrap();
         a.record(0, 0, &[1, 1]);
         b.record(0, 0, &[1, 2]);
-        a.merge(b).unwrap();
+        a.merge_same_shape(b).unwrap();
         assert_eq!(a.count(0, 1, 1), 2);
-        assert_eq!(a.keystreams(), 2);
+        assert_eq!(a.recorded_keystreams(), 2);
 
         let json = a.to_json().unwrap();
         let back = PerTscDataset::from_json(&json).unwrap();
         assert_eq!(back.count(0, 1, 1), 2);
 
         let mismatch = PerTscDataset::new(TscConditioning::Tsc1, 4).unwrap();
-        assert!(a.merge(mismatch).is_err());
+        assert!(a.merge_same_shape(mismatch).is_err());
     }
 }

@@ -5,7 +5,7 @@ use rc4_stats::{
     counters::{Batched16Counter, PlainCounter},
     pairs::PairDataset,
     single::SingleByteDataset,
-    KeystreamCollector,
+    StorableDataset,
 };
 
 proptest! {
@@ -19,18 +19,18 @@ proptest! {
         let split = split.min(keystreams.len());
         let mut whole = SingleByteDataset::new(8);
         for ks in &keystreams {
-            whole.record_keystream(ks);
+            whole.record_stream(0, ks);
         }
         let mut a = SingleByteDataset::new(8);
-        let mut b = a.clone_empty();
+        let mut b = SingleByteDataset::new(8);
         for ks in &keystreams[..split] {
-            a.record_keystream(ks);
+            a.record_stream(0, ks);
         }
         for ks in &keystreams[split..] {
-            b.record_keystream(ks);
+            b.record_stream(0, ks);
         }
-        a.merge(b).unwrap();
-        prop_assert_eq!(a.keystreams(), whole.keystreams());
+        a.merge_same_shape(b).unwrap();
+        prop_assert_eq!(a.recorded_keystreams(), whole.recorded_keystreams());
         for r in 1..=8 {
             prop_assert_eq!(a.counts_at(r), whole.counts_at(r));
             prop_assert_eq!(whole.counts_at(r).iter().sum::<u64>(), keystreams.len() as u64);
@@ -42,10 +42,10 @@ proptest! {
     fn pair_dataset_json_roundtrip(keystreams in prop::collection::vec(prop::collection::vec(any::<u8>(), 3), 1..32)) {
         let mut ds = PairDataset::consecutive(2).unwrap();
         for ks in &keystreams {
-            ds.record_keystream(ks);
+            ds.record_stream(0, ks);
         }
         let back = PairDataset::from_json(&ds.to_json().unwrap()).unwrap();
-        prop_assert_eq!(back.keystreams(), ds.keystreams());
+        prop_assert_eq!(back.recorded_keystreams(), ds.recorded_keystreams());
         for idx in 0..2 {
             prop_assert_eq!(back.joint_counts(idx), ds.joint_counts(idx));
         }
@@ -56,7 +56,7 @@ proptest! {
     fn pair_marginals_consistent(keystreams in prop::collection::vec(prop::collection::vec(any::<u8>(), 2), 1..64)) {
         let mut ds = PairDataset::consecutive(1).unwrap();
         for ks in &keystreams {
-            ds.record_keystream(ks);
+            ds.record_stream(0, ks);
         }
         let joint = ds.joint_counts(0);
         let first = ds.marginal_first(0);

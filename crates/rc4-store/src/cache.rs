@@ -214,7 +214,7 @@ impl DatasetCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rc4_stats::{single::SingleByteDataset, worker::generate, KeystreamCollector};
+    use rc4_stats::{generate_storable_with_exec, single::SingleByteDataset};
 
     fn temp_cache(name: &str) -> DatasetCache {
         let dir =
@@ -225,7 +225,7 @@ mod tests {
 
     fn generated(config: &GenerationConfig) -> SingleByteDataset {
         let mut ds = SingleByteDataset::new(4);
-        generate(&mut ds, config).unwrap();
+        generate_storable_with_exec(&mut ds, config, &rc4_exec::Executor::serial()).unwrap();
         ds
     }
 
@@ -240,7 +240,7 @@ mod tests {
         let hit: Option<SingleByteDataset> = cache.load(&ds.shape_params(), &config).unwrap();
         let hit = hit.expect("canonical hit");
         assert_eq!(hit.counts_at(2), ds.counts_at(2));
-        assert_eq!(hit.keystreams(), 500);
+        assert_eq!(hit.recorded_keystreams(), 500);
 
         // Different seed, shape or kind => miss.
         let other = GenerationConfig::with_keys(500).seed(10);

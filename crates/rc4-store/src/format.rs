@@ -87,7 +87,7 @@ pub struct ShardHeader {
 
 /// Number of keys logical worker `w` contributes under `config` — a thin
 /// alias for [`GenerationConfig::keys_for_worker`], the single partition rule
-/// shared with the in-memory worker pool and the per-TSC generator.
+/// shared with the in-memory key-space walker.
 pub fn keys_for_worker(config: &GenerationConfig, w: u64) -> u64 {
     config.keys_for_worker(w)
 }

@@ -345,11 +345,8 @@ fn disjoint_mut<'a, T>(items: &'a mut [T], round: &[(usize, u64)]) -> Vec<&'a mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rc4_stats::{
-        single::SingleByteDataset,
-        worker::{generate, generate_with_cancel},
-        KeystreamCollector,
-    };
+    use rc4_exec::Executor;
+    use rc4_stats::{generate_storable_with_exec, single::SingleByteDataset};
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -386,8 +383,11 @@ mod tests {
         let loaded = read_shard::<SingleByteDataset>(&path).unwrap();
         assert!(loaded.header.is_complete());
         let mut expect = SingleByteDataset::new(8);
-        generate(&mut expect, &config).unwrap();
-        assert_eq!(loaded.dataset.keystreams(), expect.keystreams());
+        generate_storable_with_exec(&mut expect, &config, &Executor::serial()).unwrap();
+        assert_eq!(
+            loaded.dataset.recorded_keystreams(),
+            expect.recorded_keystreams()
+        );
         for r in 1..=8 {
             assert_eq!(loaded.dataset.counts_at(r), expect.counts_at(r));
         }
@@ -434,11 +434,11 @@ mod tests {
 
         let resumed = read_shard::<SingleByteDataset>(&path).unwrap();
         let mut direct = SingleByteDataset::new(6);
-        generate(&mut direct, &config).unwrap();
+        generate_storable_with_exec(&mut direct, &config, &Executor::serial()).unwrap();
         for r in 1..=6 {
             assert_eq!(resumed.dataset.counts_at(r), direct.counts_at(r));
         }
-        assert_eq!(resumed.dataset.keystreams(), 900);
+        assert_eq!(resumed.dataset.recorded_keystreams(), 900);
 
         // Resuming a complete shard is a cheap no-op.
         let again = resume_shard::<SingleByteDataset>(
@@ -496,7 +496,8 @@ mod tests {
         let full = read_shard::<SingleByteDataset>(&path).unwrap();
         let mut direct = SingleByteDataset::new(4);
         let never = AtomicBool::new(false);
-        generate_with_cancel(&mut direct, &config, Some(&never)).unwrap();
+        let exec = Executor::serial().with_cancel(Some(&never));
+        generate_storable_with_exec(&mut direct, &config, &exec).unwrap();
         for r in 1..=4 {
             assert_eq!(full.dataset.counts_at(r), direct.counts_at(r));
         }
@@ -647,7 +648,7 @@ mod tests {
         .unwrap();
         let shard = read_shard::<SingleByteDataset>(&path).unwrap();
         assert_eq!(shard.header.keys_total(), 50);
-        assert_eq!(shard.dataset.keystreams(), 50);
+        assert_eq!(shard.dataset.recorded_keystreams(), 50);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

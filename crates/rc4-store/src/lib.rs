@@ -21,7 +21,7 @@
 //!   without materialising its dataset.
 //! * [`generate`] — a checkpointing generation engine. The key space of a
 //!   configuration is partitioned into per-worker streams exactly as the
-//!   `rc4-stats` worker pool partitions it; a *shard* covers a contiguous
+//!   `rc4-stats` key-space walker partitions it; a *shard* covers a contiguous
 //!   range of those workers. Completed chunks are streamed to disk at a
 //!   configurable interval, so a cancelled or crashed run resumes from the
 //!   last flushed chunk ([`generate::resume_shard`]) instead of starting

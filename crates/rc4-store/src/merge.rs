@@ -364,7 +364,7 @@ pub fn merge_shards_tiered<D: StorableDataset>(
 mod tests {
     use super::*;
     use crate::generate::{generate_shard, GenerateOptions, ShardSpec};
-    use rc4_stats::{single::SingleByteDataset, GenerationConfig, KeystreamCollector};
+    use rc4_stats::{single::SingleByteDataset, GenerationConfig};
     use std::path::PathBuf;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -402,8 +402,12 @@ mod tests {
 
         let master = crate::shard::read_shard::<SingleByteDataset>(&out).unwrap();
         let mut direct = SingleByteDataset::new(5);
-        rc4_stats::worker::generate(&mut direct, &config).unwrap();
-        assert_eq!(master.dataset.keystreams(), direct.keystreams());
+        rc4_stats::generate_storable_with_exec(&mut direct, &config, &rc4_exec::Executor::serial())
+            .unwrap();
+        assert_eq!(
+            master.dataset.recorded_keystreams(),
+            direct.recorded_keystreams()
+        );
         for r in 1..=5 {
             assert_eq!(master.dataset.counts_at(r), direct.counts_at(r));
         }

@@ -662,7 +662,7 @@ pub fn open_cells(path: &Path) -> Result<ShardCellStream, DatasetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rc4_stats::{single::SingleByteDataset, GenerationConfig, KeystreamCollector};
+    use rc4_stats::{single::SingleByteDataset, GenerationConfig};
 
     fn temp_file(name: &str) -> PathBuf {
         let mut dir = std::env::temp_dir();
@@ -673,8 +673,8 @@ mod tests {
 
     fn sample() -> (ShardHeader, SingleByteDataset) {
         let mut ds = SingleByteDataset::new(4);
-        ds.record_keystream(&[1, 2, 3, 4]);
-        ds.record_keystream(&[1, 9, 3, 4]);
+        ds.record_stream(0, &[1, 2, 3, 4]);
+        ds.record_stream(0, &[1, 9, 3, 4]);
         let mut header = ShardHeader::new(
             "single",
             GenerationConfig::with_keys(2),
@@ -701,7 +701,7 @@ mod tests {
         assert_eq!(loaded.header, header);
         assert_eq!(loaded.dataset.count(1, 1), 2);
         assert_eq!(loaded.dataset.count(2, 9), 1);
-        assert_eq!(loaded.dataset.keystreams(), 2);
+        assert_eq!(loaded.dataset.recorded_keystreams(), 2);
         let _ = fs::remove_file(&path);
     }
 
@@ -757,7 +757,10 @@ mod tests {
         assert_eq!(raw.encoding, CellEncoding::Raw);
         assert_eq!(v2.encoding, CellEncoding::DeltaVarint);
         assert_eq!(v2.dataset.cell_slices(), raw.dataset.cell_slices());
-        assert_eq!(v2.dataset.keystreams(), raw.dataset.keystreams());
+        assert_eq!(
+            v2.dataset.recorded_keystreams(),
+            raw.dataset.recorded_keystreams()
+        );
 
         // Corrupting one cell byte must fail the CRC.
         let mut bytes = fs::read(&v2_path).unwrap();

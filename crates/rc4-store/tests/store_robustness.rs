@@ -13,7 +13,7 @@ use rc4_stats::{
     pairs::{PairDataset, PositionPair},
     single::SingleByteDataset,
     tsc::{PerTscDataset, TscConditioning},
-    DatasetError, GenerationConfig, KeystreamCollector, StorableDataset,
+    DatasetError, GenerationConfig, StorableDataset,
 };
 use rc4_store::{
     generate_shard, merge_shards, peek_header, read_shard, write_shard, GenerateOptions,
@@ -323,7 +323,7 @@ proptest! {
         let dir = scratch();
         let mut ds = SingleByteDataset::new(positions);
         for ks in &keystreams {
-            ds.record_keystream(&ks[..positions.min(ks.len())]);
+            ds.record_stream(0, &ks[..positions.min(ks.len())]);
         }
         let mut header = ShardHeader::new(
             "single",
@@ -339,7 +339,7 @@ proptest! {
         let back = read_shard::<SingleByteDataset>(&path).unwrap();
         prop_assert_eq!(back.header, header);
         prop_assert_eq!(back.dataset.cell_slices().concat(), ds.cell_slices().concat());
-        prop_assert_eq!(back.dataset.keystreams(), ds.keystreams());
+        prop_assert_eq!(back.dataset.recorded_keystreams(), ds.recorded_keystreams());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -356,7 +356,7 @@ proptest! {
             .collect();
         let mut ds = PairDataset::new(pairs).unwrap();
         for ks in &keystreams {
-            ds.record_keystream(ks);
+            ds.record_stream(0, ks);
         }
         let mut header = ShardHeader::new(
             "pairs",
@@ -371,7 +371,7 @@ proptest! {
         write_shard(&path, &header, &ds).unwrap();
         let back = read_shard::<PairDataset>(&path).unwrap();
         prop_assert_eq!(back.dataset.cell_slices().concat(), ds.cell_slices().concat());
-        prop_assert_eq!(back.dataset.keystreams(), ds.keystreams());
+        prop_assert_eq!(back.dataset.recorded_keystreams(), ds.recorded_keystreams());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -228,28 +228,16 @@ impl CookieStatistics {
         }
     }
 
-    /// Computes the combined per-transition pair likelihoods.
+    /// Computes the combined per-transition pair likelihoods on `exec`: the
+    /// per-transition FM scoring and ABSAB combination — independent
+    /// 65536-entry table computations — run in parallel, collected back in
+    /// transition order (identical output for any worker count).
     ///
     /// # Errors
     ///
     /// Returns [`TlsError::InvalidConfig`] when no requests have been added or
-    /// both bias families are disabled.
-    pub fn likelihoods(
-        &self,
-        config: &CookieAttackConfig,
-    ) -> Result<Vec<PairLikelihoods>, TlsError> {
-        self.likelihoods_with_exec(config, &Executor::serial())
-    }
-
-    /// [`CookieStatistics::likelihoods`] on an explicit executor: the per
-    /// transition FM scoring and ABSAB combination — independent 65536-entry
-    /// table computations — run in parallel, collected back in transition
-    /// order (identical output for any worker count).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`CookieStatistics::likelihoods`] returns, plus
-    /// [`TlsError::Cancelled`] when the executor's flag is raised.
+    /// both bias families are disabled, and [`TlsError::Cancelled`] when the
+    /// executor's flag is raised.
     pub fn likelihoods_with_exec(
         &self,
         config: &CookieAttackConfig,
@@ -327,28 +315,17 @@ pub struct CookieRecoveryOutcome {
     pub attempts: usize,
 }
 
-/// Generates the ranked cookie candidate list from accumulated statistics.
+/// Generates the ranked cookie candidate list from accumulated statistics on
+/// `exec`: both analysis stages — the per-transition likelihood tables and the
+/// list-Viterbi beam expansion — fan out across the executor's workers. The
+/// candidate list is identical for any worker count.
 ///
 /// # Errors
 ///
-/// Propagates the validation errors of [`CookieStatistics::likelihoods`] and of
-/// the list-Viterbi decoder.
-pub fn cookie_candidates(
-    stats: &CookieStatistics,
-    config: &CookieAttackConfig,
-) -> Result<Vec<PairCandidate>, TlsError> {
-    cookie_candidates_with_exec(stats, config, &Executor::serial())
-}
-
-/// [`cookie_candidates`] on an explicit executor: both analysis stages — the
-/// per-transition likelihood tables and the list-Viterbi beam expansion —
-/// fan out across the executor's workers. The candidate list is identical
-/// for any worker count.
-///
-/// # Errors
-///
-/// Everything [`cookie_candidates`] returns, plus [`TlsError::Cancelled`]
-/// when the executor's flag is raised.
+/// Propagates the validation errors of
+/// [`CookieStatistics::likelihoods_with_exec`] and of the list-Viterbi
+/// decoder, and returns [`TlsError::Cancelled`] when the executor's flag is
+/// raised.
 pub fn cookie_candidates_with_exec(
     stats: &CookieStatistics,
     config: &CookieAttackConfig,
@@ -423,7 +400,7 @@ pub fn recover_cookie(
     config: &CookieAttackConfig,
     oracle: impl FnMut(&[u8]) -> bool,
 ) -> Result<CookieRecoveryOutcome, TlsError> {
-    let candidates = cookie_candidates(stats, config)?;
+    let candidates = cookie_candidates_with_exec(stats, config, &Executor::serial())?;
     Ok(brute_force_cookie(&candidates, oracle))
 }
 
@@ -449,7 +426,9 @@ mod tests {
         };
         assert!(stats.add(&short).is_err());
         // Likelihoods require at least one request and one enabled family.
-        assert!(stats.likelihoods(&CookieAttackConfig::default()).is_err());
+        assert!(stats
+            .likelihoods_with_exec(&CookieAttackConfig::default(), &Executor::serial())
+            .is_err());
     }
 
     #[test]
@@ -526,7 +505,7 @@ mod tests {
             candidates: 32,
             ..CookieAttackConfig::default()
         };
-        let candidates = cookie_candidates(&stats, &config).unwrap();
+        let candidates = cookie_candidates_with_exec(&stats, &config, &Executor::serial()).unwrap();
         assert!(!candidates.is_empty());
         assert!(candidates.len() <= 32);
         for cand in &candidates {

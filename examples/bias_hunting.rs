@@ -8,12 +8,15 @@
 //! cargo run --release --example bias_hunting -- laptop
 //! ```
 
-use rc4_attacks::experiments::{
-    biases::{
-        eq345_equalities, fig4_fm_shortterm, fig5_z1z2, fig6_single_byte, longterm_aligned,
-        table1_fm_longterm, table2_new_biases, BiasScale,
+use rc4_attacks::{
+    experiments::{
+        biases::{
+            eq345_equalities, fig4_fm_shortterm, fig5_z1z2, fig6_single_byte, longterm_aligned,
+            table1_fm_longterm, table2_new_biases, BiasScale,
+        },
+        Scale,
     },
-    Scale,
+    ExperimentContext,
 };
 
 fn scale_from_args() -> (Scale, BiasScale) {
@@ -41,14 +44,15 @@ fn main() {
     let (scale, bias_scale) = scale_from_args();
     println!("bias hunt at {scale:?} scale: {bias_scale:?}\n");
 
+    let ctx = ExperimentContext::new();
     let reports = [
-        table1_fm_longterm(&bias_scale),
-        fig4_fm_shortterm(&bias_scale, &[1, 2, 5, 17, 64, 130, 257]),
-        table2_new_biases(&bias_scale),
-        eq345_equalities(&bias_scale),
-        fig5_z1z2(&bias_scale, &[4, 16, 32, 64, 128, 256]),
-        fig6_single_byte(&bias_scale),
-        longterm_aligned(&bias_scale),
+        table1_fm_longterm(&bias_scale, &ctx),
+        fig4_fm_shortterm(&bias_scale, &[1, 2, 5, 17, 64, 130, 257], &ctx),
+        table2_new_biases(&bias_scale, &ctx),
+        eq345_equalities(&bias_scale, &ctx),
+        fig5_z1z2(&bias_scale, &[4, 16, 32, 64, 128, 256], &ctx),
+        fig6_single_byte(&bias_scale, &ctx),
+        longterm_aligned(&bias_scale, &ctx),
     ];
     for report in reports {
         match report {

@@ -10,8 +10,12 @@
 use plaintext_recovery::{
     candidates::most_likely, charset::Charset, counts::SingleCounts, likelihood::SingleLikelihoods,
 };
-use rc4_attacks::experiments::biases::{headline_detection, BiasScale};
-use rc4_stats::{single::SingleByteDataset, worker::generate, GenerationConfig};
+use rc4_attacks::{
+    experiments::biases::{headline_detection, BiasScale},
+    ExperimentContext,
+};
+use rc4_exec::Executor;
+use rc4_stats::{generate_storable_with_exec, single::SingleByteDataset, GenerationConfig};
 use stat_tests::chisq::chi_squared_uniform;
 
 fn main() {
@@ -21,8 +25,12 @@ fn main() {
 
     println!("\n== 2. Empirical single-byte statistics (2^17 keys) ==");
     let mut dataset = SingleByteDataset::new(32);
-    generate(&mut dataset, &GenerationConfig::with_keys(1 << 17).seed(1))
-        .expect("generation succeeds");
+    generate_storable_with_exec(
+        &mut dataset,
+        &GenerationConfig::with_keys(1 << 17).seed(1),
+        &Executor::serial(),
+    )
+    .expect("generation succeeds");
     let z2 = dataset.probability(2, 0);
     println!(
         "Pr[Z2 = 0]  = {:.6}  (uniform would be {:.6}; Mantin-Shamir predicts ~{:.6})",
@@ -37,11 +45,11 @@ fn main() {
     );
 
     println!("\n== 3. Headline bias detection report ==");
-    let report = headline_detection(&BiasScale {
+    let scale = BiasScale {
         keys: 1 << 17,
         ..BiasScale::quick()
-    })
-    .expect("experiment runs");
+    };
+    let report = headline_detection(&scale, &ExperimentContext::new()).expect("experiment runs");
     print!("{}", report.render());
 
     println!("== 4. Recovering a repeated plaintext byte from the Z2 bias ==");

@@ -6,7 +6,7 @@
 //!
 //! * [`crypto_prims`] — SHA-1/SHA-256/MD5, HMAC, TLS PRF, CRC-32, Michael.
 //! * [`rc4`] — the RC4 cipher (KSA, PRGA, RC4-drop\[n\]).
-//! * [`rc4_stats`] — keystream statistics datasets and the worker pool.
+//! * [`rc4_stats`] — keystream statistics datasets and the key-space walker.
 //! * [`stat_tests`] — chi-squared, M-test, proportion tests, Holm correction.
 //! * [`rc4_biases`] — the analytic catalogue of keystream biases.
 //! * [`plaintext_recovery`] — Bayesian plaintext recovery (Algorithms 1–2).

@@ -3,9 +3,10 @@
 //! (`stat-tests`) and the analytic catalogue (`rc4-biases`).
 
 use rc4_biases::{fm::fm_biases_at, UNIFORM_PAIR, UNIFORM_SINGLE};
+use rc4_exec::Executor;
 use rc4_stats::{
-    longterm::LongTermDataset, pairs::PairDataset, single::SingleByteDataset, worker::generate,
-    GenerationConfig, KeystreamCollector,
+    generate_storable_with_exec, longterm::LongTermDataset, pairs::PairDataset,
+    single::SingleByteDataset, GenerationConfig, StorableDataset,
 };
 use stat_tests::{
     chisq::chi_squared_uniform, holm::holm_rejections, mtest::m_test_independence,
@@ -13,20 +14,22 @@ use stat_tests::{
 };
 
 /// The Mantin–Shamir bias must be detected end-to-end: generate keys with the
-/// worker pool, test position 2 for uniformity, and confirm the flagged value is 0.
+/// key-space walker, test position 2 for uniformity, and confirm the flagged value is 0.
 #[test]
 fn mantin_shamir_detected_end_to_end() {
     let mut ds = SingleByteDataset::new(4);
-    generate(
+    generate_storable_with_exec(
         &mut ds,
         &GenerationConfig::with_keys(1 << 16).workers(2).seed(11),
+        &Executor::serial(),
     )
     .unwrap();
 
     let uniform_test = chi_squared_uniform(ds.counts_at(2)).unwrap();
     assert!(uniform_test.rejects(), "p = {}", uniform_test.p_value);
 
-    let z2_zero = proportion_test(ds.count(2, 0), ds.keystreams(), UNIFORM_SINGLE).unwrap();
+    let z2_zero =
+        proportion_test(ds.count(2, 0), ds.recorded_keystreams(), UNIFORM_SINGLE).unwrap();
     assert!(z2_zero.test.rejects());
     assert!(
         z2_zero.relative_bias > 0.5,
@@ -36,7 +39,8 @@ fn mantin_shamir_detected_end_to_end() {
 
     // Position 1 is much closer to uniform: its strongest single-value deviation
     // is far weaker than the Z2 = 0 one.
-    let z1_zero = proportion_test(ds.count(1, 0), ds.keystreams(), UNIFORM_SINGLE).unwrap();
+    let z1_zero =
+        proportion_test(ds.count(1, 0), ds.recorded_keystreams(), UNIFORM_SINGLE).unwrap();
     assert!(z1_zero.relative_bias.abs() < z2_zero.relative_bias);
 }
 
@@ -44,8 +48,13 @@ fn mantin_shamir_detected_end_to_end() {
 #[test]
 fn holm_correction_flags_only_strong_values() {
     let mut ds = SingleByteDataset::new(2);
-    generate(&mut ds, &GenerationConfig::with_keys(1 << 15).seed(7)).unwrap();
-    let n = ds.keystreams();
+    generate_storable_with_exec(
+        &mut ds,
+        &GenerationConfig::with_keys(1 << 15).seed(7),
+        &Executor::serial(),
+    )
+    .unwrap();
+    let n = ds.recorded_keystreams();
     let p_values: Vec<f64> = (0..=255u8)
         .map(|v| {
             proportion_test(ds.count(2, v), n, UNIFORM_SINGLE)
@@ -67,7 +76,12 @@ fn holm_correction_flags_only_strong_values() {
 #[test]
 fn fm_digraphs_consistent_between_catalogue_and_measurement() {
     let mut ds = PairDataset::consecutive(4).unwrap();
-    generate(&mut ds, &GenerationConfig::with_keys(1 << 16).seed(3)).unwrap();
+    generate_storable_with_exec(
+        &mut ds,
+        &GenerationConfig::with_keys(1 << 16).seed(3),
+        &Executor::serial(),
+    )
+    .unwrap();
 
     // The catalogue says position 1 carries the strong (0,0) digraph.
     let biases = fm_biases_at(1);
@@ -88,8 +102,13 @@ fn fm_digraphs_consistent_between_catalogue_and_measurement() {
 #[test]
 fn longterm_dataset_counts_are_consistent() {
     let mut ds = LongTermDataset::new(255, 2048).unwrap();
-    generate(&mut ds, &GenerationConfig::with_keys(64).seed(5)).unwrap();
-    assert_eq!(ds.keystreams(), 64);
+    generate_storable_with_exec(
+        &mut ds,
+        &GenerationConfig::with_keys(64).seed(5),
+        &Executor::serial(),
+    )
+    .unwrap();
+    assert_eq!(ds.recorded_keystreams(), 64);
     assert_eq!(ds.total_digraphs(), 64 * 2047);
     assert!(ds.aligned_samples() > 0);
     // Every PRGA counter value received samples.

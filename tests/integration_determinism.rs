@@ -9,8 +9,9 @@
 //! bit-identical results, regardless of worker count.
 
 use rc4_attacks::{experiments::Scale, ExperimentContext, Registry};
+use rc4_exec::Executor;
 use rc4_stats::{
-    pairs::PairDataset, single::SingleByteDataset, worker::generate, GenerationConfig,
+    generate_storable_with_exec, pairs::PairDataset, single::SingleByteDataset, GenerationConfig,
 };
 use wpa_tkip::injection::{InjectionConfig, InjectionSimulator};
 use wpa_tkip::mpdu::FrameAddressing;
@@ -23,8 +24,8 @@ fn dataset_generation_is_bit_identical_across_runs() {
     let config = GenerationConfig::with_keys(10_000).seed(0xD5EED).workers(2);
     let mut a = SingleByteDataset::new(8);
     let mut b = SingleByteDataset::new(8);
-    generate(&mut a, &config).unwrap();
-    generate(&mut b, &config).unwrap();
+    generate_storable_with_exec(&mut a, &config, &Executor::new(config.workers)).unwrap();
+    generate_storable_with_exec(&mut b, &config, &Executor::new(config.workers)).unwrap();
     assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
 }
 
@@ -39,8 +40,8 @@ fn multi_worker_generation_is_scheduling_independent() {
         let config = GenerationConfig::with_keys(5_000).seed(42).workers(workers);
         let mut a = PairDataset::consecutive(3).unwrap();
         let mut b = PairDataset::consecutive(3).unwrap();
-        generate(&mut a, &config).unwrap();
-        generate(&mut b, &config).unwrap();
+        generate_storable_with_exec(&mut a, &config, &Executor::new(config.workers)).unwrap();
+        generate_storable_with_exec(&mut b, &config, &Executor::new(config.workers)).unwrap();
         assert_eq!(
             a.to_json().unwrap(),
             b.to_json().unwrap(),

@@ -7,7 +7,8 @@ use plaintext_recovery::{
     candidates::generate_candidates, charset::Charset, counts::SingleCounts,
     likelihood::SingleLikelihoods,
 };
-use rc4_stats::{single::SingleByteDataset, worker::generate, GenerationConfig};
+use rc4_exec::Executor;
+use rc4_stats::{generate_storable_with_exec, single::SingleByteDataset, GenerationConfig};
 
 /// Broadcast-attack style recovery: the same two plaintext bytes are encrypted
 /// at positions 1-2 under many random keys; the empirical keystream
@@ -17,7 +18,12 @@ use rc4_stats::{single::SingleByteDataset, worker::generate, GenerationConfig};
 fn broadcast_recovery_of_initial_bytes_with_real_keystreams() {
     // Empirical keystream model.
     let mut model = SingleByteDataset::new(2);
-    generate(&mut model, &GenerationConfig::with_keys(1 << 17).seed(21)).unwrap();
+    generate_storable_with_exec(
+        &mut model,
+        &GenerationConfig::with_keys(1 << 17).seed(21),
+        &Executor::serial(),
+    )
+    .unwrap();
 
     // Victim traffic: fixed plaintext under fresh random keys.
     let plaintext = [b'O', b'K'];
@@ -61,7 +67,12 @@ fn broadcast_recovery_of_initial_bytes_with_real_keystreams() {
 #[test]
 fn candidate_list_invariants_hold() {
     let mut model = SingleByteDataset::new(2);
-    generate(&mut model, &GenerationConfig::with_keys(1 << 14).seed(22)).unwrap();
+    generate_storable_with_exec(
+        &mut model,
+        &GenerationConfig::with_keys(1 << 14).seed(22),
+        &Executor::serial(),
+    )
+    .unwrap();
     let mut counts = SingleCounts::new(vec![1, 2]).unwrap();
     let mut key = [0u8; 16];
     for i in 0u32..20_000 {

@@ -138,7 +138,7 @@ fn every_experiment_runs_at_quick_scale() {
 /// leave the cache directory empty (no `.ds` files, no temp droppings).
 #[test]
 fn mid_run_cancellation_of_parallel_recovery_leaves_no_partial_shards() {
-    use rc4_attacks::experiments::fig7::{run_with_context, Fig7Config};
+    use rc4_attacks::experiments::fig7::{run, Fig7Config};
     use rc4_attacks::experiments::CountSource;
     use std::time::{Duration, Instant};
 
@@ -173,7 +173,7 @@ fn mid_run_cancellation_of_parallel_recovery_leaves_no_partial_shards() {
             std::thread::sleep(Duration::from_millis(25));
             canceller.cancel();
         });
-        run_with_context(&config, &ctx)
+        run(&config, &ctx)
     });
     let elapsed = started.elapsed();
     assert_eq!(result, Err(ExperimentError::Cancelled));
@@ -199,7 +199,7 @@ fn mid_run_cancellation_of_parallel_recovery_leaves_no_partial_shards() {
         .with_workers(4)
         .with_cache_dir(&dir)
         .unwrap();
-    run_with_context(&config, &ctx).expect("uncancelled rerun succeeds");
+    run(&config, &ctx).expect("uncancelled rerun succeeds");
     let stored: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())

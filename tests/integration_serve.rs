@@ -390,3 +390,57 @@ fn serve_priority_order_and_queued_cancel() {
         .expect("server exits cleanly");
     let _ = std::fs::remove_dir_all(&state_dir);
 }
+
+/// A peer that sends a frame larger than the server's 1 MiB cap without a
+/// newline gets an error frame and a closed connection, the rejection is
+/// counted, and other clients are still served.
+#[test]
+fn oversized_frame_is_rejected_and_the_server_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let state_dir = temp_state_dir("oversized");
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        state_dir: state_dir.clone(),
+        budget: 1,
+        default_workers: 1,
+        cache_dir: None,
+    })
+    .expect("server binds");
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let stream = std::net::TcpStream::connect(&addr).expect("raw peer connects");
+    let mut sender = stream.try_clone().expect("socket clones");
+    // Write from a second thread so the reply can be read while the server
+    // stops reading; the write itself fails once the server hangs up.
+    let writer = std::thread::spawn(move || {
+        let _ = sender.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut reply = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut reply)
+        .expect("error frame arrives");
+    assert!(reply.contains(r#""ok":false"#), "{reply}");
+    assert!(reply.contains("exceeds 1048576 bytes"), "{reply}");
+    writer.join().expect("writer thread joins");
+
+    let mut client = Client::connect(&addr).expect("second client connects");
+    assert!(!client.list().expect("list responds").is_empty());
+    let metrics = client.metrics().expect("metrics respond");
+    let oversized = metrics
+        .field("counters")
+        .and_then(|c| c.field("serve.frames.oversized"))
+        .expect("rejection is counted");
+    assert!(
+        matches!(oversized, serde::Value::UInt(n) if *n >= 1),
+        "{oversized:?}"
+    );
+
+    client.shutdown(5_000).expect("shutdown drains");
+    server_thread
+        .join()
+        .expect("server thread joins")
+        .expect("server exits cleanly");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}

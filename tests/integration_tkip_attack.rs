@@ -4,7 +4,10 @@
 //! (`rc4-attacks`).
 
 use crypto_prims::michael::MichaelKey;
-use rc4_attacks::experiments::fig8::{run, Fig8Config, TkipTrafficModel};
+use rc4_attacks::{
+    experiments::fig8::{run, Fig8Config, TkipTrafficModel},
+    ExperimentContext,
+};
 use wpa_tkip::{
     injection::{InjectionConfig, InjectionSimulator},
     keymix::mix_key,
@@ -103,7 +106,7 @@ fn fig8_driver_produces_monotone_success_and_trailer_consistency() {
         model: TkipTrafficModel::Synthetic { relative_bias: 0.9 },
         seed: 1,
     };
-    let (points, report) = run(&config).unwrap();
+    let (points, report) = run(&config, &ExperimentContext::new()).unwrap();
     assert_eq!(points.len(), 2);
     assert!(points[1].success_full_list >= points[0].success_full_list);
     for p in &points {

@@ -3,9 +3,15 @@
 //! (`plaintext-recovery`), and the Fig. 10 experiment driver (`rc4-attacks`).
 
 use plaintext_recovery::charset::Charset;
-use rc4_attacks::experiments::fig10::{run, Fig10Config};
+use rc4_attacks::{
+    experiments::fig10::{run, Fig10Config},
+    ExperimentContext,
+};
+use rc4_exec::Executor;
 use tls_rc4::{
-    attack::{brute_force_cookie, cookie_candidates, CookieAttackConfig, CookieStatistics},
+    attack::{
+        brute_force_cookie, cookie_candidates_with_exec, CookieAttackConfig, CookieStatistics,
+    },
     http::RequestTemplate,
     traffic::{TrafficConfig, TrafficGenerator},
 };
@@ -39,7 +45,7 @@ fn tls_capture_to_candidate_pipeline() {
         candidates: 128,
         ..CookieAttackConfig::default()
     };
-    let candidates = cookie_candidates(&stats, &config).unwrap();
+    let candidates = cookie_candidates_with_exec(&stats, &config, &Executor::serial()).unwrap();
     assert!(!candidates.is_empty());
     for cand in &candidates {
         assert_eq!(cand.plaintext.len(), cookie.len());
@@ -73,7 +79,7 @@ fn fig10_driver_candidate_list_dominates() {
         source: rc4_attacks::experiments::CountSource::Analytic,
         seed: 9,
     };
-    let (points, report) = run(&config).unwrap();
+    let (points, report) = run(&config, &ExperimentContext::new()).unwrap();
     assert_eq!(points.len(), 1);
     let p = points[0];
     assert!(p.success_list >= p.success_top1);

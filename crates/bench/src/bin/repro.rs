@@ -52,9 +52,6 @@
 //! repro status [--json|--metrics]
 //! repro shutdown [--deadline-ms N]
 //! # clients find the server through --addr or the `addr` file in --state-dir
-//!
-//! # legacy form, kept for muscle memory and old scripts:
-//! repro [EXPERIMENT] [SCALE] [--json]
 //! ```
 //!
 //! Everything experiment-specific — names, summaries, per-scale defaults,
@@ -64,161 +61,37 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use bench::{fail, runtime, CliResult, FlagTable, Flags};
 use rc4_attacks::{
     context::StderrSink, experiments::Scale, Experiment, ExperimentContext, ExperimentReport,
     Registry,
 };
 
-/// Parsed command line.
-struct Args {
-    command: Command,
-    scale: Scale,
-    seed: u64,
-    workers: usize,
-    json: bool,
-    until_confident: bool,
-    config_path: Option<String>,
-    cache_dir: Option<String>,
-    trace_path: Option<String>,
-    metrics_out: Option<String>,
-}
-
-enum Command {
-    List,
-    Run(Vec<String>),
-}
-
-fn usage() -> String {
-    "usage: repro list\n       \
+const USAGE: &str = "usage: repro list\n       \
      repro run <NAME...|all> [--until-confident] [--scale S] [--seed N] [--workers W] [--json] [--config FILE] [--cache-dir DIR] [--trace FILE] [--metrics-out FILE]\n       \
      repro dataset <generate|resume|merge|info> ... (see `repro dataset --help`)\n       \
      repro campaign <plan|run|resume|worker|status> ... (see `repro campaign --help`)\n       \
      repro bench [--json] [--compare BENCH_FILE] [--tolerance PCT]\n       \
      repro trace summarize FILE [--json]\n       \
-     repro serve|submit|jobs|watch|result|cancel|status|shutdown ... (see `repro serve --help`)"
-        .to_string()
-}
+     repro serve|submit|jobs|watch|result|cancel|status|shutdown ... (see `repro serve --help`)";
 
-/// Parses the command line; `Err` carries the message and exit status
-/// (`--help` exits 0 with usage on stdout, parse errors exit 2 on stderr).
-fn parse_args(args: &[String]) -> Result<Args, (String, u8)> {
-    let mut positional: Vec<String> = Vec::new();
-    let mut scale: Option<Scale> = None;
-    let mut seed = 0u64;
-    let mut workers = 1usize;
-    let mut json = false;
-    let mut until_confident = false;
-    let mut config_path = None;
-    let mut cache_dir = None;
-    let mut trace_path = None;
-    let mut metrics_out = None;
+const LIST_FLAGS: FlagTable = FlagTable {
+    switches: &["--json"],
+    valued: &[],
+};
 
-    let fail = |msg: String| (msg, 2u8);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--until-confident" => until_confident = true,
-            "--scale" | "--seed" | "--workers" | "--config" | "--cache-dir" | "--trace"
-            | "--metrics-out" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| fail(format!("{arg} requires a value\n{}", usage())))?;
-                match arg.as_str() {
-                    "--scale" => scale = Some(parse_scale(value).map_err(fail)?),
-                    "--seed" => {
-                        seed = parse_u64(value).map_err(|_| {
-                            fail(format!("--seed expects an integer, got '{value}'"))
-                        })?;
-                    }
-                    "--workers" => {
-                        workers = value.parse().map_err(|_| {
-                            fail(format!("--workers expects an integer, got '{value}'"))
-                        })?;
-                        if workers == 0 {
-                            return Err(fail(
-                                "--workers must be at least 1: the worker count partitions the \
-                                 deterministic key space, so there is no meaningful zero-worker run"
-                                    .to_string(),
-                            ));
-                        }
-                    }
-                    "--cache-dir" => cache_dir = Some(value.clone()),
-                    "--trace" => trace_path = Some(value.clone()),
-                    "--metrics-out" => metrics_out = Some(value.clone()),
-                    _ => config_path = Some(value.clone()),
-                }
-            }
-            "--help" | "-h" => return Err((usage(), 0)),
-            other if other.starts_with("--") => {
-                return Err(fail(format!("unknown flag '{other}'\n{}", usage())))
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-
-    let command = match positional.split_first() {
-        None => Command::Run(vec!["all".to_string()]),
-        Some((first, rest)) => match first.as_str() {
-            "list" => {
-                if !rest.is_empty() {
-                    return Err(fail(format!(
-                        "'repro list' takes no arguments\n{}",
-                        usage()
-                    )));
-                }
-                Command::List
-            }
-            "run" => {
-                if rest.is_empty() {
-                    return Err(fail(format!(
-                        "'repro run' needs experiment names\n{}",
-                        usage()
-                    )));
-                }
-                Command::Run(rest.to_vec())
-            }
-            // Legacy form: exactly one experiment plus an optional scale.
-            // Anything longer is ambiguous (name list vs name+scale), so
-            // point at the explicit `run` subcommand instead of guessing.
-            _ => {
-                match rest {
-                    [] => {}
-                    [scale_name] => {
-                        if scale.is_some() {
-                            return Err(fail(format!(
-                                "give the scale either positionally or via --scale, not both\n{}",
-                                usage()
-                            )));
-                        }
-                        scale = Some(parse_scale(scale_name).map_err(fail)?);
-                    }
-                    _ => {
-                        return Err(fail(format!(
-                            "the legacy form takes one experiment and an optional scale; \
-                             use 'repro run <NAME...>' to run several experiments\n{}",
-                            usage()
-                        )));
-                    }
-                }
-                Command::Run(vec![first.to_string()])
-            }
-        },
-    };
-
-    Ok(Args {
-        command,
-        scale: scale.unwrap_or(Scale::Quick),
-        seed,
-        workers,
-        json,
-        until_confident,
-        config_path,
-        cache_dir,
-        trace_path,
-        metrics_out,
-    })
-}
+const RUN_FLAGS: FlagTable = FlagTable {
+    switches: &["--json", "--until-confident"],
+    valued: &[
+        "--scale",
+        "--seed",
+        "--workers",
+        "--config",
+        "--cache-dir",
+        "--trace",
+        "--metrics-out",
+    ],
+};
 
 /// Maps experiment names to their streaming `--until-confident` variants.
 ///
@@ -267,21 +140,14 @@ fn until_confident_names(registry: &Registry, names: &[String]) -> Result<Vec<St
     Ok(streaming)
 }
 
-fn parse_scale(name: &str) -> Result<Scale, String> {
+fn parse_scale(name: &str) -> CliResult<Scale> {
     Scale::parse(name).ok_or_else(|| {
         let known: Vec<&str> = Scale::ALL.iter().map(|s| s.name()).collect();
-        format!("unknown scale '{name}' (expected {})", known.join(" | "))
+        (
+            format!("unknown scale '{name}' (expected {})", known.join(" | ")),
+            2,
+        )
     })
-}
-
-/// Parses a u64 accepting both decimal and `0x`-prefixed hex (seeds are
-/// usually quoted in hex in the experiment docs).
-fn parse_u64(s: &str) -> Result<u64, String> {
-    let parsed = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => s.parse(),
-    };
-    parsed.map_err(|_| format!("expected an integer, got '{s}'"))
 }
 
 /// Loads and validates the `--config` overrides: a JSON object keyed by
@@ -368,156 +234,154 @@ fn build_experiments(
     Ok(experiments)
 }
 
-fn run() -> Result<(), (String, u8)> {
+fn run() -> CliResult<()> {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("dataset") {
-        return dataset_cli::run(&raw[1..]);
-    }
-    if raw.first().map(String::as_str) == Some("campaign") {
-        return campaign_cli::run(&raw[1..]);
-    }
-    if raw.first().map(String::as_str) == Some("bench") {
-        return bench_cli::run(&raw[1..]);
-    }
-    if raw.first().map(String::as_str) == Some("trace") {
-        return trace_cli::run(&raw[1..]);
-    }
-    if let Some(first) = raw.first().map(String::as_str) {
-        if matches!(
-            first,
-            "serve" | "submit" | "jobs" | "watch" | "result" | "cancel" | "status" | "shutdown"
-        ) {
-            return serve_cli::run(first, &raw[1..]);
+    let Some((command, args)) = raw.split_first() else {
+        return fail(format!("'repro' needs a command\n{USAGE}"));
+    };
+    match command.as_str() {
+        "list" => list(&LIST_FLAGS.parse(args, USAGE)?),
+        "run" => run_experiments(&RUN_FLAGS.parse(args, USAGE)?),
+        "dataset" => dataset_cli::run(args),
+        "campaign" => campaign_cli::run(args),
+        "bench" => bench_cli::run(args),
+        "trace" => trace_cli::run(args),
+        "serve" | "submit" | "jobs" | "watch" | "result" | "cancel" | "status" | "shutdown" => {
+            serve_cli::run(command, args)
         }
+        "--help" | "-h" => Err((USAGE.to_string(), 0)),
+        other => fail(format!(
+            "unknown command '{other}'; experiments run through 'repro run <NAME...|all>'\n{USAGE}"
+        )),
     }
-    let args = parse_args(&raw)?;
+}
+
+fn list(flags: &Flags) -> CliResult<()> {
+    flags.at_most(0)?;
     let registry = Registry::with_defaults();
-
-    if args.until_confident && matches!(args.command, Command::List) {
-        return Err((
-            format!("--until-confident only applies to 'repro run'\n{}", usage()),
-            2,
-        ));
-    }
-
-    match args.command {
-        Command::List => {
-            if args.json {
-                let scales: Vec<serde::Value> = Scale::ALL
-                    .iter()
-                    .map(|s| serde::Value::Str(s.name().into()))
-                    .collect();
-                let entries: Vec<serde::Value> = registry
-                    .entries()
-                    .iter()
-                    .map(|e| {
-                        serde::Value::Object(vec![
-                            ("name".into(), serde::Value::Str(e.name().into())),
-                            ("summary".into(), serde::Value::Str(e.summary().into())),
-                            (
-                                "aliases".into(),
-                                serde::Value::Array(
-                                    e.aliases()
-                                        .iter()
-                                        .map(|a| serde::Value::Str((*a).into()))
-                                        .collect(),
-                                ),
-                            ),
-                            ("scales".into(), serde::Value::Array(scales.clone())),
-                        ])
-                    })
-                    .collect();
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&entries).expect("list serializes")
-                );
-            } else {
-                let width = registry.names().iter().map(|n| n.len()).max().unwrap_or(0);
-                for entry in registry.entries() {
-                    println!("{:width$}  {}", entry.name(), entry.summary());
-                }
-            }
-            Ok(())
-        }
-        Command::Run(names) => {
-            let names = if args.until_confident {
-                until_confident_names(&registry, &names).map_err(|msg| (msg, 2))?
-            } else {
-                names
-            };
-            let overrides = match &args.config_path {
-                Some(path) => load_config_overrides(&registry, path).map_err(|msg| (msg, 2))?,
-                None => Vec::new(),
-            };
-            let experiments = build_experiments(&registry, &names, args.scale, &overrides)
-                .map_err(|msg| (msg, 2))?;
-
-            let mut ctx = ExperimentContext::new()
-                .with_seed(args.seed)
-                .with_workers(args.workers)
-                .with_sink(Arc::new(StderrSink));
-            if let Some(dir) = &args.cache_dir {
-                ctx = ctx
-                    .with_cache_dir(dir)
-                    .map_err(|e| (format!("--cache-dir {dir}: {e}"), 2))?;
-            }
-            eprintln!(
-                "repro: running {} experiment(s) at scale {} (seed {}, {} worker(s){})",
-                experiments.len(),
-                args.scale.name(),
-                args.seed,
-                args.workers,
-                args.cache_dir
-                    .as_deref()
-                    .map(|d| format!(", cache {d}"))
-                    .unwrap_or_default()
-            );
-
-            let trace_path = args
-                .trace_path
-                .clone()
-                .or_else(|| std::env::var("REPRO_TRACE").ok().filter(|p| !p.is_empty()));
-            if let Some(path) = &trace_path {
-                rc4_obs::trace::init_file(std::path::Path::new(path))
-                    .map_err(|e| (format!("--trace {path}: {e}"), 2))?;
-            }
-            // `--metrics-out` switches the metrics registry on for this run
-            // and dumps the final snapshot as JSON. The executor's
-            // `exec.worker_busy_us` / `exec.worker_idle_us` counters in that
-            // snapshot are what the multi-core utilization tests read.
-            if args.metrics_out.is_some() {
-                rc4_obs::metrics::enable();
-            }
-
-            let mut reports: Vec<ExperimentReport> = Vec::with_capacity(experiments.len());
-            for experiment in &experiments {
-                let report = experiment
-                    .run_observed(&ctx)
-                    .map_err(|e| (format!("experiment '{}' failed: {e}", experiment.name()), 1))?;
-                if !args.json {
-                    println!("{}", report.render());
-                }
-                reports.push(report);
-            }
-            if trace_path.is_some() {
-                rc4_obs::trace::flush();
-            }
-            if let Some(path) = &args.metrics_out {
-                let snapshot = rc4_obs::metrics::snapshot().to_value();
-                let text =
-                    serde_json::to_string_pretty(&snapshot).expect("metrics snapshot serializes");
-                std::fs::write(path, format!("{text}\n"))
-                    .map_err(|e| (format!("--metrics-out {path}: {e}"), 1))?;
-            }
-            if args.json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&reports).expect("reports serialize")
-                );
-            }
-            Ok(())
+    if flags.switch("--json") {
+        let scales: Vec<serde::Value> = Scale::ALL
+            .iter()
+            .map(|s| serde::Value::Str(s.name().into()))
+            .collect();
+        let entries: Vec<serde::Value> = registry
+            .entries()
+            .iter()
+            .map(|e| {
+                serde::Value::Object(vec![
+                    ("name".into(), serde::Value::Str(e.name().into())),
+                    ("summary".into(), serde::Value::Str(e.summary().into())),
+                    (
+                        "aliases".into(),
+                        serde::Value::Array(
+                            e.aliases()
+                                .iter()
+                                .map(|a| serde::Value::Str((*a).into()))
+                                .collect(),
+                        ),
+                    ),
+                    ("scales".into(), serde::Value::Array(scales.clone())),
+                ])
+            })
+            .collect();
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&entries).expect("list serializes")
+        );
+    } else {
+        let width = registry.names().iter().map(|n| n.len()).max().unwrap_or(0);
+        for entry in registry.entries() {
+            println!("{:width$}  {}", entry.name(), entry.summary());
         }
     }
+    Ok(())
+}
+
+fn run_experiments(flags: &Flags) -> CliResult<()> {
+    if flags.positional.is_empty() {
+        return flags.usage_error("'repro run' needs experiment names");
+    }
+    let scale = flags
+        .value("--scale")
+        .map_or(Ok(Scale::Quick), parse_scale)?;
+    let seed = flags.u64("--seed")?.unwrap_or(0);
+    let workers = flags.at_least("--workers", 1)?.unwrap_or(1);
+    let json = flags.switch("--json");
+    let cache_dir = flags.value("--cache-dir");
+    let metrics_out = flags.value("--metrics-out");
+
+    let registry = Registry::with_defaults();
+    let names = if flags.switch("--until-confident") {
+        until_confident_names(&registry, &flags.positional).or_else(fail)?
+    } else {
+        flags.positional.clone()
+    };
+    let overrides = match flags.value("--config") {
+        Some(path) => load_config_overrides(&registry, path).or_else(fail)?,
+        None => Vec::new(),
+    };
+    let experiments = build_experiments(&registry, &names, scale, &overrides).or_else(fail)?;
+
+    let mut ctx = ExperimentContext::new()
+        .with_seed(seed)
+        .with_workers(workers)
+        .with_sink(Arc::new(StderrSink));
+    if let Some(dir) = cache_dir {
+        ctx = ctx
+            .with_cache_dir(dir)
+            .or_else(|e| fail(format!("--cache-dir {dir}: {e}")))?;
+    }
+    eprintln!(
+        "repro: running {} experiment(s) at scale {} (seed {seed}, {workers} worker(s){})",
+        experiments.len(),
+        scale.name(),
+        cache_dir
+            .map(|d| format!(", cache {d}"))
+            .unwrap_or_default()
+    );
+
+    let trace_path = flags
+        .value("--trace")
+        .map(str::to_string)
+        .or_else(|| std::env::var("REPRO_TRACE").ok().filter(|p| !p.is_empty()));
+    if let Some(path) = &trace_path {
+        rc4_obs::trace::init_file(std::path::Path::new(path))
+            .or_else(|e| fail(format!("--trace {path}: {e}")))?;
+    }
+    // `--metrics-out` switches the metrics registry on for this run
+    // and dumps the final snapshot as JSON. The executor's
+    // `exec.worker_busy_us` / `exec.worker_idle_us` counters in that
+    // snapshot are what the multi-core utilization tests read.
+    if metrics_out.is_some() {
+        rc4_obs::metrics::enable();
+    }
+
+    let mut reports: Vec<ExperimentReport> = Vec::with_capacity(experiments.len());
+    for experiment in &experiments {
+        let report = experiment
+            .run_observed(&ctx)
+            .or_else(|e| runtime(format!("experiment '{}' failed: {e}", experiment.name())))?;
+        if !json {
+            println!("{}", report.render());
+        }
+        reports.push(report);
+    }
+    if trace_path.is_some() {
+        rc4_obs::trace::flush();
+    }
+    if let Some(path) = metrics_out {
+        let snapshot = rc4_obs::metrics::snapshot().to_value();
+        let text = serde_json::to_string_pretty(&snapshot).expect("metrics snapshot serializes");
+        std::fs::write(path, format!("{text}\n"))
+            .or_else(|e| runtime(format!("--metrics-out {path}: {e}")))?;
+    }
+    if json {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&reports).expect("reports serialize")
+        );
+    }
+    Ok(())
 }
 
 /// The `repro dataset` subcommand family: drive the `rc4-store` persistence
@@ -538,12 +402,11 @@ mod dataset_cli {
         MergeOptions, ShardHeader, ShardSpec,
     };
 
-    use super::parse_u64;
+    use bench::{fail, parse_u64, runtime, CliResult, FlagTable, Flags};
 
     const KINDS: &str = "single | pairs | longterm | per-tsc";
 
-    fn usage() -> String {
-        "usage: repro dataset generate --out FILE --kind KIND [shape flags] \
+    const USAGE: &str = "usage: repro dataset generate --out FILE --kind KIND [shape flags] \
          [--keys N] [--workers W] [--seed N] [--key-len L] [--worker-range LO..HI] \
          [--checkpoint-keys N] [--stop-after-keys N] [--compress]\n       \
          repro dataset resume FILE [--checkpoint-keys N] [--stop-after-keys N]\n       \
@@ -560,9 +423,43 @@ mod dataset_cli {
          single    --positions P                 per-position byte counts (Fig. 6 style)\n  \
          pairs     --consecutive R | --pairs a:b,c:d...   joint pair counts (consec512/first16 style)\n  \
          longterm  --block B [--drop D]          long-term digraphs (default drop 1023)\n  \
-         per-tsc   --positions P [--conditioning tsc1|tsc0tsc1]   TKIP per-TSC counts (Fig. 8)"
-            .to_string()
-    }
+         per-tsc   --positions P [--conditioning tsc1|tsc0tsc1]   TKIP per-TSC counts (Fig. 8)";
+
+    const GENERATE_FLAGS: FlagTable = FlagTable {
+        switches: &["--compress"],
+        valued: &[
+            "--out",
+            "--kind",
+            "--positions",
+            "--pairs",
+            "--consecutive",
+            "--drop",
+            "--block",
+            "--conditioning",
+            "--keys",
+            "--workers",
+            "--seed",
+            "--key-len",
+            "--worker-range",
+            "--checkpoint-keys",
+            "--stop-after-keys",
+        ],
+    };
+
+    const RESUME_FLAGS: FlagTable = FlagTable {
+        switches: &[],
+        valued: &["--checkpoint-keys", "--stop-after-keys"],
+    };
+
+    const MERGE_FLAGS: FlagTable = FlagTable {
+        switches: &["--streaming", "--compress"],
+        valued: &["--out", "--fan-in", "--window-cells"],
+    };
+
+    const INFO_FLAGS: FlagTable = FlagTable {
+        switches: &["--json"],
+        valued: &[],
+    };
 
     /// The dataset shape selected on the command line.
     enum KindSpec {
@@ -589,28 +486,15 @@ mod dataset_cli {
         opts: GenerateOptions,
     }
 
-    type CliResult<T> = Result<T, (String, u8)>;
-
-    fn fail<T>(msg: impl Into<String>) -> CliResult<T> {
-        Err((msg.into(), 2))
-    }
-
-    fn runtime<T>(e: DatasetError) -> CliResult<T> {
-        Err((e.to_string(), 1))
-    }
-
     pub fn run(args: &[String]) -> CliResult<()> {
         match args.first().map(String::as_str) {
-            Some("--help") | Some("-h") => Err((usage(), 0)),
-            None => Err((
-                format!("'repro dataset' needs a subcommand\n{}", usage()),
-                2,
-            )),
+            Some("--help") | Some("-h") => Err((USAGE.to_string(), 0)),
+            None => fail(format!("'repro dataset' needs a subcommand\n{USAGE}")),
             Some("generate") => generate(&args[1..]),
             Some("resume") => resume(&args[1..]),
             Some("merge") => merge(&args[1..]),
             Some("info") => info(&args[1..]),
-            Some(other) => fail(format!("unknown dataset subcommand '{other}'\n{}", usage())),
+            Some(other) => fail(format!("unknown dataset subcommand '{other}'\n{USAGE}")),
         }
     }
 
@@ -627,70 +511,33 @@ mod dataset_cli {
     }
 
     fn parse_generate(args: &[String]) -> CliResult<GenerateArgs> {
-        let mut out: Option<PathBuf> = None;
-        let mut kind: Option<String> = None;
-        let mut positions: Option<usize> = None;
-        let mut pairs: Option<Vec<PositionPair>> = None;
-        let mut consecutive: Option<usize> = None;
-        let mut drop: Option<usize> = None;
-        let mut block: Option<usize> = None;
-        let mut conditioning = TscConditioning::Tsc1;
-        let mut config = GenerationConfig::default();
-        let mut worker_range = None;
-        let mut opts = GenerateOptions::default();
-
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = || -> CliResult<&String> {
-                it.next()
-                    .ok_or_else(|| (format!("{arg} requires a value\n{}", usage()), 2))
-            };
-            match arg.as_str() {
-                "--out" => out = Some(PathBuf::from(value()?)),
-                "--kind" => kind = Some(value()?.clone()),
-                "--positions" => positions = Some(parse_usize(value()?)?),
-                "--pairs" => pairs = Some(parse_pairs(value()?)?),
-                "--consecutive" => consecutive = Some(parse_usize(value()?)?),
-                "--drop" => drop = Some(parse_usize(value()?)?),
-                "--block" => block = Some(parse_usize(value()?)?),
-                "--conditioning" => {
-                    conditioning = match value()?.as_str() {
-                        "tsc1" => TscConditioning::Tsc1,
-                        "tsc0tsc1" => TscConditioning::Tsc0Tsc1,
-                        other => {
-                            return fail(format!(
-                                "unknown conditioning '{other}' (expected tsc1 | tsc0tsc1)"
-                            ))
-                        }
-                    }
-                }
-                "--keys" => config.keys = parse_int(value()?)?,
-                "--workers" => {
-                    config.workers = parse_usize(value()?)?;
-                    if config.workers == 0 {
-                        return fail(
-                            "--workers must be at least 1: the worker count partitions the \
-                             deterministic key space, so there is no meaningful zero-worker run",
-                        );
-                    }
-                }
-                "--seed" => config.seed = parse_int(value()?)?,
-                "--key-len" => config.key_len = parse_usize(value()?)?,
-                "--worker-range" => worker_range = Some(parse_range(value()?)?),
-                "--checkpoint-keys" => opts.checkpoint_keys = parse_int(value()?)?,
-                "--stop-after-keys" => opts.stop_after_keys = Some(parse_int(value()?)?),
-                "--compress" => opts.encoding = CellEncoding::DeltaVarint,
-                other => return fail(format!("unknown flag '{other}'\n{}", usage())),
+        let flags = GENERATE_FLAGS.parse(args, USAGE)?;
+        flags.at_most(0)?;
+        let Some(out) = flags.value("--out").map(PathBuf::from) else {
+            return flags.usage_error("--out is required");
+        };
+        let Some(kind) = flags.value("--kind") else {
+            return flags.usage_error(format!("--kind is required ({KINDS})"));
+        };
+        let positions = flags.usize("--positions")?;
+        let pairs = flags.value("--pairs").map(parse_pairs).transpose()?;
+        let consecutive = flags.usize("--consecutive")?;
+        let conditioning = match flags.value("--conditioning") {
+            None | Some("tsc1") => TscConditioning::Tsc1,
+            Some("tsc0tsc1") => TscConditioning::Tsc0Tsc1,
+            Some(other) => {
+                return fail(format!(
+                    "unknown conditioning '{other}' (expected tsc1 | tsc0tsc1)"
+                ))
             }
+        };
+        let config = generation_config(&flags)?;
+        let worker_range = flags.value("--worker-range").map(parse_range).transpose()?;
+        let mut opts = resume_options(&flags)?;
+        if flags.switch("--compress") {
+            opts.encoding = CellEncoding::DeltaVarint;
         }
-
-        let Some(out) = out else {
-            return fail(format!("--out is required\n{}", usage()));
-        };
-        let Some(kind) = kind else {
-            return fail(format!("--kind is required ({KINDS})\n{}", usage()));
-        };
-        let spec = match kind.as_str() {
+        let spec = match kind {
             "single" => KindSpec::Single {
                 positions: positions
                     .ok_or_else(|| ("kind 'single' needs --positions".to_string(), 2))?,
@@ -709,8 +556,12 @@ mod dataset_cli {
                 }
             },
             "longterm" => KindSpec::LongTerm {
-                drop: drop.unwrap_or(LongTermDataset::DEFAULT_DROP),
-                block: block.ok_or_else(|| ("kind 'longterm' needs --block".to_string(), 2))?,
+                drop: flags
+                    .usize("--drop")?
+                    .unwrap_or(LongTermDataset::DEFAULT_DROP),
+                block: flags
+                    .usize("--block")?
+                    .ok_or_else(|| ("kind 'longterm' needs --block".to_string(), 2))?,
             },
             "per-tsc" => KindSpec::PerTsc {
                 conditioning,
@@ -796,28 +647,34 @@ mod dataset_cli {
         report_status(&label, status)
     }
 
-    fn resume(args: &[String]) -> CliResult<()> {
-        let mut file: Option<PathBuf> = None;
+    /// The config flags `generate` shares with `campaign plan`.
+    pub(super) fn generation_config(flags: &Flags) -> CliResult<GenerationConfig> {
+        let defaults = GenerationConfig::default();
+        Ok(GenerationConfig {
+            keys: flags.u64("--keys")?.unwrap_or(defaults.keys),
+            workers: flags.at_least("--workers", 1)?.unwrap_or(defaults.workers),
+            seed: flags.u64("--seed")?.unwrap_or(defaults.seed),
+            key_len: flags.usize("--key-len")?.unwrap_or(defaults.key_len),
+        })
+    }
+
+    /// The checkpoint flags `generate` shares with `resume`.
+    fn resume_options(flags: &Flags) -> CliResult<GenerateOptions> {
         let mut opts = GenerateOptions::default();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = || -> CliResult<&String> {
-                it.next()
-                    .ok_or_else(|| (format!("{arg} requires a value\n{}", usage()), 2))
-            };
-            match arg.as_str() {
-                "--checkpoint-keys" => opts.checkpoint_keys = parse_int(value()?)?,
-                "--stop-after-keys" => opts.stop_after_keys = Some(parse_int(value()?)?),
-                other if other.starts_with("--") => {
-                    return fail(format!("unknown flag '{other}'\n{}", usage()))
-                }
-                path if file.is_none() => file = Some(PathBuf::from(path)),
-                _ => return fail(format!("'dataset resume' takes one file\n{}", usage())),
-            }
+        if let Some(n) = flags.u64("--checkpoint-keys")? {
+            opts.checkpoint_keys = n;
         }
-        let Some(file) = file else {
-            return fail(format!("'dataset resume' needs a shard file\n{}", usage()));
+        opts.stop_after_keys = flags.u64("--stop-after-keys")?;
+        Ok(opts)
+    }
+
+    fn resume(args: &[String]) -> CliResult<()> {
+        let flags = RESUME_FLAGS.parse(args, USAGE)?;
+        let [file] = flags.at_most(1)? else {
+            return flags.usage_error("'dataset resume' needs a shard file");
         };
+        let file = PathBuf::from(file);
+        let opts = resume_options(&flags)?;
         let header = match peek_header(&file) {
             Ok(h) => h,
             Err(e) => return runtime(e),
@@ -839,59 +696,29 @@ mod dataset_cli {
     }
 
     fn merge(args: &[String]) -> CliResult<()> {
-        let mut out: Option<PathBuf> = None;
-        let mut inputs: Vec<PathBuf> = Vec::new();
-        let mut streaming = false;
-        let mut options = MergeOptions::default();
-        let mut fan_in: Option<usize> = None;
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--out" | "--fan-in" | "--window-cells" => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| (format!("{arg} requires a value"), 2))?;
-                    match arg.as_str() {
-                        "--out" => out = Some(PathBuf::from(value)),
-                        "--fan-in" => {
-                            let n = parse_usize(value)?;
-                            if n < 2 {
-                                return fail("--fan-in must be at least 2");
-                            }
-                            fan_in = Some(n);
-                        }
-                        _ => {
-                            options.window_cells = parse_usize(value)?;
-                            if options.window_cells == 0 {
-                                return fail("--window-cells must be at least 1");
-                            }
-                            streaming = true;
-                        }
-                    }
-                }
-                "--streaming" => streaming = true,
-                "--compress" => {
-                    options.encoding = CellEncoding::DeltaVarint;
-                    streaming = true;
-                }
-                other if other.starts_with("--") => {
-                    return fail(format!("unknown flag '{other}'\n{}", usage()))
-                }
-                path => inputs.push(PathBuf::from(path)),
-            }
-        }
-        let Some(out) = out else {
-            return fail(format!("'dataset merge' needs --out\n{}", usage()));
+        let flags = MERGE_FLAGS.parse(args, USAGE)?;
+        let Some(out) = flags.value("--out").map(PathBuf::from) else {
+            return flags.usage_error("'dataset merge' needs --out");
         };
+        let inputs: Vec<PathBuf> = flags.positional.iter().map(PathBuf::from).collect();
         if inputs.len() < 2 {
-            return fail(format!(
-                "'dataset merge' needs at least two input shards\n{}",
-                usage()
-            ));
+            return flags.usage_error("'dataset merge' needs at least two input shards");
         }
+        let fan_in = flags.at_least("--fan-in", 2)?;
+        let window_cells = flags.at_least("--window-cells", 1)?;
+        let mut options = MergeOptions::default();
         if let Some(n) = fan_in {
             options.fan_in = n;
         }
+        if let Some(n) = window_cells {
+            options.window_cells = n;
+        }
+        if flags.switch("--compress") {
+            options.encoding = CellEncoding::DeltaVarint;
+        }
+        // Windowing and v2 output both need the streaming merge.
+        let streaming =
+            flags.switch("--streaming") || flags.switch("--compress") || window_cells.is_some();
         let header = match peek_header(&inputs[0]) {
             Ok(h) => h,
             Err(e) => return runtime(e),
@@ -943,21 +770,12 @@ mod dataset_cli {
     }
 
     fn info(args: &[String]) -> CliResult<()> {
-        let mut file: Option<PathBuf> = None;
-        let mut json = false;
-        for arg in args {
-            match arg.as_str() {
-                "--json" => json = true,
-                other if other.starts_with("--") => {
-                    return fail(format!("unknown flag '{other}'\n{}", usage()))
-                }
-                path if file.is_none() => file = Some(PathBuf::from(path)),
-                _ => return fail(format!("'dataset info' takes one file\n{}", usage())),
-            }
-        }
-        let Some(file) = file else {
-            return fail(format!("'dataset info' needs a shard file\n{}", usage()));
+        let flags = INFO_FLAGS.parse(args, USAGE)?;
+        let [file] = flags.at_most(1)? else {
+            return flags.usage_error("'dataset info' needs a shard file");
         };
+        let file = PathBuf::from(file);
+        let json = flags.switch("--json");
         let (header, encoding) = match peek_shard(&file) {
             Ok(pair) => pair,
             Err(e) => return runtime(e),
@@ -1059,14 +877,6 @@ mod dataset_cli {
         Ok(())
     }
 
-    fn parse_int(s: &str) -> CliResult<u64> {
-        parse_u64(s).map_err(|msg| (msg, 2))
-    }
-
-    fn parse_usize(s: &str) -> CliResult<usize> {
-        parse_int(s).map(|v| v as usize)
-    }
-
     /// `--pairs a:b,c:d,...`
     fn parse_pairs(s: &str) -> CliResult<Vec<PositionPair>> {
         let mut pairs = Vec::new();
@@ -1074,9 +884,10 @@ mod dataset_cli {
             let Some((a, b)) = part.split_once(':') else {
                 return fail(format!("--pairs expects a:b,c:d,... (got '{part}')"));
             };
+            let int = |s: &str| parse_u64(s.trim()).map(|v| v as usize).or_else(fail);
             pairs.push(PositionPair {
-                a: parse_usize(a.trim())?,
-                b: parse_usize(b.trim())?,
+                a: int(a)?,
+                b: int(b)?,
             });
         }
         Ok(pairs)
@@ -1087,7 +898,8 @@ mod dataset_cli {
         let Some((lo, hi)) = s.split_once("..") else {
             return fail(format!("--worker-range expects LO..HI (got '{s}')"));
         };
-        Ok((parse_int(lo.trim())?, parse_int(hi.trim())?))
+        let int = |s: &str| parse_u64(s.trim()).or_else(fail);
+        Ok((int(lo)?, int(hi)?))
     }
 }
 
@@ -1120,7 +932,7 @@ mod campaign_cli {
 
     use rc4_stats::{
         longterm::LongTermDataset, pairs::PairDataset, single::SingleByteDataset,
-        tsc::PerTscDataset, DatasetError, GenerationConfig, StorableDataset,
+        tsc::PerTscDataset, DatasetError, StorableDataset,
     };
     use rc4_store::{
         campaign::{CampaignManifest, CampaignSpec, Lease, WorkerCommand, WorkerEvent},
@@ -1128,23 +940,14 @@ mod campaign_cli {
         GenerateStatus, MergeOptions, ShardSpec,
     };
 
-    use super::dataset_cli::{dispatch_kind, Dispatch};
-    use super::parse_u64;
+    use bench::{fail, parse_u64, runtime, CliResult, FlagTable};
 
-    type CliResult<T> = Result<T, (String, u8)>;
-
-    fn fail<T>(msg: impl Into<String>) -> CliResult<T> {
-        Err((msg.into(), 2))
-    }
-
-    fn runtime<T>(e: DatasetError) -> CliResult<T> {
-        Err((e.to_string(), 1))
-    }
+    use super::dataset_cli::{dispatch_kind, generation_config, Dispatch};
 
     /// The manifest's fixed file name inside a campaign directory.
     const MANIFEST_NAME: &str = "campaign.json";
 
-    fn usage() -> String {
+    const USAGE: &str =
         "usage: repro campaign plan --dir DIR --kind KIND --shape A[,B,...] --leases N \
          [--keys N] [--workers W] [--seed N] [--key-len L]\n       \
          repro campaign run --dir DIR --out FILE [--procs P] [--checkpoint-keys N] \
@@ -1165,75 +968,78 @@ mod campaign_cli {
          worker is the child end of the coordinator's stdin/stdout JSON-line\n\
          protocol; --fail-after-keys makes it exit abnormally mid-lease after\n\
          checkpointing N keys (deterministic crash injection for tests, applied\n\
-         by run's --fail-first-after-keys to the first worker only)."
-            .to_string()
-    }
+         by run's --fail-first-after-keys to the first worker only).";
+
+    const PLAN_FLAGS: FlagTable = FlagTable {
+        switches: &[],
+        valued: &[
+            "--dir",
+            "--kind",
+            "--shape",
+            "--leases",
+            "--keys",
+            "--workers",
+            "--seed",
+            "--key-len",
+        ],
+    };
+
+    const WORKER_FLAGS: FlagTable = FlagTable {
+        switches: &[],
+        valued: &["--dir", "--checkpoint-keys", "--fail-after-keys"],
+    };
+
+    const RUN_FLAGS: FlagTable = FlagTable {
+        switches: &["--compress"],
+        valued: &[
+            "--dir",
+            "--out",
+            "--procs",
+            "--checkpoint-keys",
+            "--heartbeat-timeout-ms",
+            "--max-respawns",
+            "--max-attempts",
+            "--fan-in",
+            "--fail-first-after-keys",
+        ],
+    };
+
+    const STATUS_FLAGS: FlagTable = FlagTable {
+        switches: &["--json"],
+        valued: &["--dir"],
+    };
 
     pub fn run(args: &[String]) -> CliResult<()> {
         match args.first().map(String::as_str) {
-            Some("--help") | Some("-h") => Err((usage(), 0)),
-            None => Err((
-                format!("'repro campaign' needs a subcommand\n{}", usage()),
-                2,
-            )),
+            Some("--help") | Some("-h") => Err((USAGE.to_string(), 0)),
+            None => fail(format!("'repro campaign' needs a subcommand\n{USAGE}")),
             Some("plan") => plan(&args[1..]),
             Some("run") | Some("resume") => coordinate(&args[1..]),
             Some("worker") => worker(&args[1..]),
             Some("status") => status(&args[1..]),
-            Some(other) => fail(format!(
-                "unknown campaign subcommand '{other}'\n{}",
-                usage()
-            )),
+            Some(other) => fail(format!("unknown campaign subcommand '{other}'\n{USAGE}")),
         }
-    }
-
-    fn parse_usize(s: &str) -> CliResult<usize> {
-        parse_u64(s).map(|v| v as usize).map_err(|msg| (msg, 2))
     }
 
     // ---------------------------------------------------------------- plan
 
     fn plan(args: &[String]) -> CliResult<()> {
-        let mut dir: Option<PathBuf> = None;
-        let mut kind: Option<String> = None;
-        let mut shape: Option<Vec<u64>> = None;
-        let mut leases: Option<u64> = None;
-        let mut config = GenerationConfig::default();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let value = match arg.as_str() {
-                "--help" | "-h" => return Err((usage(), 0)),
-                _ => it
-                    .next()
-                    .ok_or_else(|| (format!("{arg} requires a value\n{}", usage()), 2))?,
-            };
-            match arg.as_str() {
-                "--dir" => dir = Some(PathBuf::from(value)),
-                "--kind" => kind = Some(value.clone()),
-                "--shape" => {
-                    let parsed: Result<Vec<u64>, _> =
-                        value.split(',').map(|p| parse_u64(p.trim())).collect();
-                    shape = Some(parsed.map_err(|msg| (format!("--shape: {msg}"), 2))?);
-                }
-                "--leases" => leases = Some(parse_u64(value).map_err(|msg| (msg, 2))?),
-                "--keys" => config.keys = parse_u64(value).map_err(|msg| (msg, 2))?,
-                "--workers" => {
-                    config.workers = parse_usize(value)?;
-                    if config.workers == 0 {
-                        return fail("--workers must be at least 1");
-                    }
-                }
-                "--seed" => config.seed = parse_u64(value).map_err(|msg| (msg, 2))?,
-                "--key-len" => config.key_len = parse_usize(value)?,
-                other => return fail(format!("unknown flag '{other}'\n{}", usage())),
-            }
-        }
-        let (Some(dir), Some(kind), Some(shape), Some(leases)) = (dir, kind, shape, leases) else {
-            return fail(format!(
-                "'campaign plan' needs --dir, --kind, --shape and --leases\n{}",
-                usage()
-            ));
+        let flags = PLAN_FLAGS.parse(args, USAGE)?;
+        flags.at_most(0)?;
+        let (Some(dir), Some(kind), Some(shape), Some(leases)) = (
+            flags.value("--dir").map(PathBuf::from),
+            flags.value("--kind").map(str::to_string),
+            flags.value("--shape"),
+            flags.u64("--leases")?,
+        ) else {
+            return flags.usage_error("'campaign plan' needs --dir, --kind, --shape and --leases");
         };
+        let shape = shape
+            .split(',')
+            .map(|p| parse_u64(p.trim()))
+            .collect::<Result<Vec<u64>, _>>()
+            .or_else(|msg| fail(format!("--shape: {msg}")))?;
+        let config = generation_config(&flags)?;
         // Instantiating the empty dataset front-loads shape validation, so a
         // bad plan fails here rather than in the first worker.
         dispatch_kind(&kind, |d| match d {
@@ -1308,28 +1114,13 @@ mod campaign_cli {
     }
 
     fn worker(args: &[String]) -> CliResult<()> {
-        let mut dir: Option<PathBuf> = None;
-        let mut checkpoint_keys: Option<u64> = None;
-        let mut fail_after_keys: Option<u64> = None;
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let value = it
-                .next()
-                .ok_or_else(|| (format!("{arg} requires a value\n{}", usage()), 2))?;
-            match arg.as_str() {
-                "--dir" => dir = Some(PathBuf::from(value)),
-                "--checkpoint-keys" => {
-                    checkpoint_keys = Some(parse_u64(value).map_err(|msg| (msg, 2))?)
-                }
-                "--fail-after-keys" => {
-                    fail_after_keys = Some(parse_u64(value).map_err(|msg| (msg, 2))?)
-                }
-                other => return fail(format!("unknown flag '{other}'\n{}", usage())),
-            }
-        }
-        let Some(dir) = dir else {
-            return fail(format!("'campaign worker' needs --dir\n{}", usage()));
+        let flags = WORKER_FLAGS.parse(args, USAGE)?;
+        flags.at_most(0)?;
+        let Some(dir) = flags.value("--dir").map(PathBuf::from) else {
+            return flags.usage_error("'campaign worker' needs --dir");
         };
+        let checkpoint_keys = flags.u64("--checkpoint-keys")?;
+        let mut fail_after_keys = flags.u64("--fail-after-keys")?;
         // The manifest is read once, for the spec; lease state is owned by
         // the coordinator (which rewrites the file) and arrives over stdin.
         let manifest = match CampaignManifest::load(dir.join(MANIFEST_NAME)) {
@@ -1425,68 +1216,23 @@ mod campaign_cli {
     }
 
     fn parse_run(args: &[String]) -> CliResult<RunArgs> {
-        let mut parsed = RunArgs {
-            dir: PathBuf::new(),
-            out: PathBuf::new(),
-            procs: 2,
-            checkpoint_keys: None,
-            heartbeat_timeout_ms: 60_000,
-            max_respawns: 4,
-            max_attempts: 5,
-            fan_in: None,
-            compress: false,
-            fail_first_after_keys: None,
+        let flags = RUN_FLAGS.parse(args, USAGE)?;
+        flags.at_most(0)?;
+        let (Some(dir), Some(out)) = (flags.value("--dir"), flags.value("--out")) else {
+            return flags.usage_error("'campaign run' needs --dir and --out");
         };
-        let mut dir = None;
-        let mut out = None;
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let value = match arg.as_str() {
-                "--help" | "-h" => return Err((usage(), 0)),
-                "--compress" => {
-                    parsed.compress = true;
-                    continue;
-                }
-                _ => it
-                    .next()
-                    .ok_or_else(|| (format!("{arg} requires a value\n{}", usage()), 2))?,
-            };
-            let int = || parse_u64(value).map_err(|msg| (msg, 2u8));
-            match arg.as_str() {
-                "--dir" => dir = Some(PathBuf::from(value)),
-                "--out" => out = Some(PathBuf::from(value)),
-                "--procs" => {
-                    parsed.procs = parse_usize(value)?;
-                    if parsed.procs == 0 {
-                        return fail("--procs must be at least 1");
-                    }
-                }
-                "--checkpoint-keys" => parsed.checkpoint_keys = Some(int()?),
-                "--heartbeat-timeout-ms" => parsed.heartbeat_timeout_ms = int()?,
-                "--max-respawns" => parsed.max_respawns = int()?,
-                "--max-attempts" => {
-                    parsed.max_attempts = int()?;
-                    if parsed.max_attempts == 0 {
-                        return fail("--max-attempts must be at least 1");
-                    }
-                }
-                "--fan-in" => {
-                    let n = parse_usize(value)?;
-                    if n < 2 {
-                        return fail("--fan-in must be at least 2");
-                    }
-                    parsed.fan_in = Some(n);
-                }
-                "--fail-first-after-keys" => parsed.fail_first_after_keys = Some(int()?),
-                other => return fail(format!("unknown flag '{other}'\n{}", usage())),
-            }
-        }
-        let (Some(dir), Some(out)) = (dir, out) else {
-            return fail(format!("'campaign run' needs --dir and --out\n{}", usage()));
-        };
-        parsed.dir = dir;
-        parsed.out = out;
-        Ok(parsed)
+        Ok(RunArgs {
+            dir: PathBuf::from(dir),
+            out: PathBuf::from(out),
+            procs: flags.at_least("--procs", 1)?.unwrap_or(2),
+            checkpoint_keys: flags.u64("--checkpoint-keys")?,
+            heartbeat_timeout_ms: flags.u64("--heartbeat-timeout-ms")?.unwrap_or(60_000),
+            max_respawns: flags.u64("--max-respawns")?.unwrap_or(4),
+            max_attempts: flags.at_least("--max-attempts", 1)?.unwrap_or(5) as u64,
+            fan_in: flags.at_least("--fan-in", 2)?,
+            compress: flags.switch("--compress"),
+            fail_first_after_keys: flags.u64("--fail-first-after-keys")?,
+        })
     }
 
     fn spawn_worker(
@@ -1824,25 +1570,12 @@ mod campaign_cli {
     // -------------------------------------------------------------- status
 
     fn status(args: &[String]) -> CliResult<()> {
-        let mut dir: Option<PathBuf> = None;
-        let mut json = false;
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--json" => json = true,
-                "--help" | "-h" => return Err((usage(), 0)),
-                "--dir" => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| ("--dir requires a value".to_string(), 2))?;
-                    dir = Some(PathBuf::from(value));
-                }
-                other => return fail(format!("unknown flag '{other}'\n{}", usage())),
-            }
-        }
-        let Some(dir) = dir else {
-            return fail(format!("'campaign status' needs --dir\n{}", usage()));
+        let flags = STATUS_FLAGS.parse(args, USAGE)?;
+        flags.at_most(0)?;
+        let Some(dir) = flags.value("--dir").map(PathBuf::from) else {
+            return flags.usage_error("'campaign status' needs --dir");
         };
+        let json = flags.switch("--json");
         let path = dir.join(MANIFEST_NAME);
         let manifest = match CampaignManifest::load(&path) {
             Ok(m) => m,
@@ -1911,9 +1644,10 @@ mod campaign_cli {
 /// The `repro bench` subcommand: a fixed-seed, quick-scale performance smoke
 /// run plus the CI regression gate.
 ///
-/// Each measurement replays the workload of the same-named criterion bench
-/// (`bench/benches/`), so the numbers are directly comparable with the
-/// committed `BENCH_*.json` trajectory. `--compare FILE` checks every
+/// This is the repository's one kernel benchmark harness: each row times
+/// one hot loop of the generation or recovery path under a fixed seed, and
+/// the rows are the committed `BENCH_*.json` trajectory. `--compare FILE`
+/// checks every
 /// measured bench that also appears in `FILE` and fails (exit 1) when one is
 /// more than `--tolerance` percent slower; the text output is a markdown
 /// table suitable for a CI job summary.
@@ -1935,7 +1669,7 @@ mod bench_cli {
     };
     use rc4_store::codec::{DeltaVarintDecoder, DeltaVarintEncoder};
 
-    type CliResult<T> = Result<T, (String, u8)>;
+    use bench::{fail, runtime, CliResult, FlagTable};
 
     /// Default regression tolerance in percent: generous enough for
     /// run-to-run noise on shared CI runners, tight enough to catch a real
@@ -1956,14 +1690,13 @@ mod bench_cli {
         }
     }
 
-    fn usage() -> String {
-        "usage: repro bench [--json] [--save-json FILE] [--compare BENCH_FILE|latest] [--tolerance PCT] [--engine NAME]\n\
+    const USAGE: &str = "usage: repro bench [--json] [--save-json FILE] [--compare BENCH_FILE|latest] [--tolerance PCT]\n\
          \n\
          Runs the quick perf smoke suite (fixed seeds) and prints one entry per\n\
-         bench: ns per iteration plus throughput where meaningful. --engine\n\
-         forces the batch engine tier (same choices as the RC4_ACCEL_FORCE\n\
-         environment variable: auto, avx512, avx2, portable); the\n\
-         resolved engine is reported in the summary and the JSON. With\n\
+         bench: ns per iteration plus throughput where meaningful. The batch\n\
+         engine follows the RC4_ACCEL_FORCE environment variable (auto, avx512,\n\
+         avx2, portable; unset = auto); the resolved engine is reported in the\n\
+         summary and the JSON. With\n\
          --compare, entries also present in BENCH_FILE are checked and the run\n\
          fails (exit 1) if any is more than PCT percent slower (default 25).\n\
          `--compare latest` resolves the highest-numbered BENCH_pr<N>.json in\n\
@@ -1971,9 +1704,12 @@ mod bench_cli {
          checkout), so CI never hardcodes a trajectory filename.\n\
          --save-json additionally writes the JSON report of the SAME\n\
          measurement pass to FILE (so a CI job gets the human summary, the\n\
-         machine artifact and the gate from one run)."
-            .to_string()
-    }
+         machine artifact and the gate from one run).";
+
+    const FLAGS: FlagTable = FlagTable {
+        switches: &["--json"],
+        valued: &["--save-json", "--compare", "--tolerance"],
+    };
 
     /// Resolves `--compare latest`: the `BENCH_pr<N>.json` with the highest
     /// `N` in the current directory, falling back to `BENCH_baseline.json`
@@ -2076,8 +1812,7 @@ mod bench_cli {
     fn measure_all() -> Vec<Measurement> {
         let mut results = Vec::new();
 
-        // Scalar PRGA bulk fill — same workload as rc4_throughput's
-        // `rc4_keystream/65536`.
+        // Scalar PRGA bulk fill: one key, 64 KiB of keystream.
         let mut prga = rc4::Prga::new(b"benchmark key 16").expect("valid key");
         let mut buf = vec![0u8; 65536];
         results.push(Measurement {
@@ -2162,8 +1897,7 @@ mod bench_cli {
             bytes_per_iter: Some((1u64 << 15) * 64),
         });
 
-        // Fig. 8 quick sweep — same workload as fig8_fig9_tkip's
-        // `quick_sweep` criterion bench.
+        // Fig. 8 quick sweep: two trials of one synthetic-bias capture count.
         let fig8_config = Fig8Config {
             capture_counts: vec![1 << 11],
             trials: 2,
@@ -2473,67 +2207,22 @@ mod bench_cli {
     }
 
     pub fn run(args: &[String]) -> CliResult<()> {
-        let mut json = false;
-        let mut save_json: Option<String> = None;
-        let mut compare_path: Option<String> = None;
-        let mut tolerance_pct = DEFAULT_TOLERANCE_PCT;
-        let mut engine_flag: Option<String> = None;
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--help" | "-h" => return Err((usage(), 0)),
-                "--json" => json = true,
-                "--engine" => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| ("--engine requires a name".to_string(), 2))?;
-                    engine_flag = Some(value.clone());
-                }
-                "--save-json" => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| ("--save-json requires a file".to_string(), 2))?;
-                    save_json = Some(value.clone());
-                }
-                "--compare" => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| ("--compare requires a file".to_string(), 2))?;
-                    compare_path = Some(value.clone());
-                }
-                "--tolerance" => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| ("--tolerance requires a percentage".to_string(), 2))?;
-                    tolerance_pct = value
-                        .parse()
-                        .map_err(|_| (format!("--tolerance expects a number, got '{value}'"), 2))?;
-                }
-                other => return Err((format!("unknown flag '{other}'\n{}", usage()), 2)),
-            }
-        }
+        let flags = FLAGS.parse(args, USAGE)?;
+        flags.at_most(0)?;
+        let json = flags.switch("--json");
+        let save_json = flags.value("--save-json");
+        let mut compare_path = flags.value("--compare").map(str::to_string);
+        let tolerance_pct = flags
+            .parse("--tolerance", "a number")?
+            .unwrap_or(DEFAULT_TOLERANCE_PCT);
 
-        // `--engine NAME` is exactly the RC4_ACCEL_FORCE hook behind a flag:
-        // validate the name and its availability up front (exit 2 with the
-        // choice list, like any other usage error), then export the variable
-        // so every engine construction — including the recovery scoring
-        // kernel's dispatch — sees the same override.
-        if let Some(name) = &engine_flag {
-            let tier = rc4_accel::Engine::parse(name).ok_or_else(|| {
-                (
-                    format!(
-                        "--engine {name}: unknown engine (choices: {})",
-                        rc4_accel::Engine::CHOICES.join(", ")
-                    ),
-                    2,
-                )
-            })?;
-            AutoBatch::with_engine(tier).map_err(|e| (format!("--engine {name}: {e}"), 2))?;
-            std::env::set_var(rc4_accel::FORCE_ENV, name);
+        // Validate an RC4_ACCEL_FORCE override up front, so a typo or an
+        // engine this CPU lacks fails with a clean usage error listing the
+        // choices instead of a panic mid-run.
+        if let Some(tier) = rc4_accel::Engine::from_env().or_else(fail)? {
+            AutoBatch::with_engine(tier)
+                .or_else(|e| fail(format!("{}: {e}", rc4_accel::FORCE_ENV)))?;
         }
-        // A pre-existing RC4_ACCEL_FORCE override is validated here too so a
-        // typo fails with a clean usage error instead of a panic mid-run.
-        rc4_accel::Engine::from_env().map_err(|e| (e, 2))?;
 
         if compare_path.as_deref() == Some("latest") {
             let resolved = resolve_latest_bench_file()?;
@@ -2558,9 +2247,9 @@ mod bench_cli {
         let json_report =
             serde_json::to_string_pretty(&to_json(&measurements, &rows, engine_label))
                 .expect("bench report serializes");
-        if let Some(path) = &save_json {
+        if let Some(path) = save_json {
             std::fs::write(path, format!("{json_report}\n"))
-                .map_err(|e| (format!("cannot write {path}: {e}"), 1))?;
+                .or_else(|e| runtime(format!("cannot write {path}: {e}")))?;
         }
         if json {
             println!("{json_report}");
@@ -2600,37 +2289,30 @@ mod bench_cli {
 /// The `repro trace` subcommand family: offline aggregation of span traces
 /// written by `repro run --trace FILE` (or `REPRO_TRACE=FILE`).
 mod trace_cli {
-    fn usage() -> String {
-        "usage: repro trace summarize FILE [--json]\n\
+    use bench::{CliResult, FlagTable};
+
+    const USAGE: &str = "usage: repro trace summarize FILE [--json]\n\
          \n\
          aggregates a span-trace JSONL file (written by `repro run --trace FILE`)\n\
-         into per-span-name count / total / mean / p95 durations"
-            .to_string()
-    }
+         into per-span-name count / total / mean / p95 durations";
 
-    pub fn run(args: &[String]) -> Result<(), (String, u8)> {
-        let mut json = false;
-        let mut positional: Vec<&String> = Vec::new();
-        for arg in args {
-            match arg.as_str() {
-                "--json" => json = true,
-                "--help" | "-h" => return Err((usage(), 0)),
-                other if other.starts_with("--") => {
-                    return Err((format!("unknown flag '{other}'\n{}", usage()), 2))
-                }
-                _ => positional.push(arg),
-            }
-        }
-        let [cmd, file] = positional.as_slice() else {
-            return Err((format!("'repro trace' needs a subcommand\n{}", usage()), 2));
+    const FLAGS: FlagTable = FlagTable {
+        switches: &["--json"],
+        valued: &[],
+    };
+
+    pub fn run(args: &[String]) -> CliResult<()> {
+        let flags = FLAGS.parse(args, USAGE)?;
+        let [cmd, file] = flags.positional.as_slice() else {
+            return flags.usage_error("'repro trace' needs a subcommand");
         };
-        if cmd.as_str() != "summarize" {
-            return Err((format!("unknown trace subcommand '{cmd}'\n{}", usage()), 2));
+        if cmd != "summarize" {
+            return flags.usage_error(format!("unknown trace subcommand '{cmd}'"));
         }
         let text = std::fs::read_to_string(file.as_str())
             .map_err(|e| (format!("cannot read {file}: {e}"), 1))?;
         let summary = rc4_obs::summary::summarize_jsonl(&text).map_err(|e| (e, 1))?;
-        if json {
+        if flags.switch("--json") {
             println!(
                 "{}",
                 serde_json::to_string_pretty(&summary.to_value()).expect("summary serializes")
@@ -2650,19 +2332,13 @@ mod trace_cli {
 mod serve_cli {
     use std::path::PathBuf;
 
+    use bench::{fail, parse_u64, runtime, CliResult, FlagTable, Flags};
     use rc4_attacks::experiments::Scale;
     use rc4_serve::{Client, JobSpec, JobStatus, Server, ServerConfig};
 
-    use super::{parse_scale, parse_u64};
+    use super::parse_scale;
 
-    type CliResult<T> = Result<T, (String, u8)>;
-
-    fn fail<T>(msg: impl Into<String>) -> CliResult<T> {
-        Err((msg.into(), 2))
-    }
-
-    fn usage() -> String {
-        "usage: repro serve [--addr HOST:PORT] [--state-dir DIR] [--budget N] \
+    const USAGE: &str = "usage: repro serve [--addr HOST:PORT] [--state-dir DIR] [--budget N] \
          [--default-workers W] [--cache-dir DIR] [--no-cache]\n       \
          repro submit NAME [--scale S] [--seed N] [--priority P] [--workers W] [CONN]\n       \
          repro jobs [--json] [CONN]\n       \
@@ -2676,230 +2352,136 @@ mod serve_cli {
          status is human-readable by default; --json prints the raw status frame,\n\
          --metrics prints the server's metrics registry snapshot instead.\n\
          result --telemetry adds the job's scheduling timings on stderr; the\n\
-         stdout result document stays byte-identical either way."
-            .to_string()
+         stdout result document stays byte-identical either way.";
+
+    /// One table for the whole family; each command reads the flags it uses.
+    const FLAGS: FlagTable = FlagTable {
+        switches: &["--json", "--no-cache", "--metrics", "--telemetry"],
+        valued: &[
+            "--addr",
+            "--state-dir",
+            "--scale",
+            "--seed",
+            "--priority",
+            "--workers",
+            "--from",
+            "--deadline-ms",
+            "--budget",
+            "--default-workers",
+            "--cache-dir",
+        ],
+    };
+
+    fn state_dir(flags: &Flags) -> PathBuf {
+        PathBuf::from(flags.value("--state-dir").unwrap_or(".reprod"))
     }
 
-    /// Flags shared by every client command: how to reach the server.
-    struct Conn {
-        addr: Option<String>,
-        state_dir: PathBuf,
-    }
-
-    impl Conn {
-        fn resolve(&self) -> CliResult<String> {
-            if let Some(addr) = &self.addr {
-                return Ok(addr.clone());
-            }
-            let path = self.state_dir.join("addr");
-            match std::fs::read_to_string(&path) {
-                Ok(text) => Ok(text.trim().to_string()),
-                Err(e) => fail(format!(
-                    "cannot read server address from {} ({e}); is a server running? \
-                     start one with `repro serve` or point at it with --addr",
-                    path.display()
-                )),
-            }
-        }
-
-        fn connect(&self) -> CliResult<Client> {
-            let addr = self.resolve()?;
-            Client::connect(&addr).map_err(|e| (e.to_string(), 1))
-        }
-    }
-
-    /// Parses the flags of one serve-family command. `positional` collects
-    /// non-flag arguments (experiment name, job ID); unknown flags error.
-    struct Parsed {
-        conn: Conn,
-        positional: Vec<String>,
-        scale: Scale,
-        seed: u64,
-        priority: i64,
-        workers: u64,
-        from: u64,
-        deadline_ms: u64,
-        budget: usize,
-        default_workers: usize,
-        cache_dir: Option<String>,
-        no_cache: bool,
-        json: bool,
-        metrics: bool,
-        telemetry: bool,
-    }
-
-    fn parse(args: &[String]) -> CliResult<Parsed> {
-        let mut parsed = Parsed {
-            conn: Conn {
-                addr: None,
-                state_dir: PathBuf::from(".reprod"),
-            },
-            positional: Vec::new(),
-            scale: Scale::Quick,
-            seed: 0,
-            priority: 0,
-            workers: 0,
-            from: 0,
-            deadline_ms: 10_000,
-            budget: std::thread::available_parallelism().map_or(4, usize::from),
-            default_workers: 1,
-            cache_dir: None,
-            no_cache: false,
-            json: false,
-            metrics: false,
-            telemetry: false,
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--json" => parsed.json = true,
-                "--no-cache" => parsed.no_cache = true,
-                "--metrics" => parsed.metrics = true,
-                "--telemetry" => parsed.telemetry = true,
-                "--help" | "-h" => return Err((usage(), 0)),
-                "--addr" | "--state-dir" | "--scale" | "--seed" | "--priority" | "--workers"
-                | "--from" | "--deadline-ms" | "--budget" | "--default-workers" | "--cache-dir" => {
-                    let value = it
-                        .next()
-                        .ok_or_else(|| (format!("{arg} requires a value\n{}", usage()), 2u8))?;
-                    match arg.as_str() {
-                        "--addr" => parsed.conn.addr = Some(value.clone()),
-                        "--state-dir" => parsed.conn.state_dir = PathBuf::from(value),
-                        "--scale" => {
-                            parsed.scale = parse_scale(value).map_err(|msg| (msg, 2))?;
-                        }
-                        "--seed" => {
-                            parsed.seed = parse_u64(value).map_err(|msg| (msg, 2))?;
-                        }
-                        "--priority" => {
-                            parsed.priority = value.parse().map_err(|_| {
-                                (format!("--priority expects an integer, got '{value}'"), 2u8)
-                            })?;
-                        }
-                        "--workers" | "--from" | "--deadline-ms" => {
-                            let n = parse_u64(value).map_err(|msg| (msg, 2))?;
-                            match arg.as_str() {
-                                "--workers" => parsed.workers = n,
-                                "--from" => parsed.from = n,
-                                _ => parsed.deadline_ms = n,
-                            }
-                        }
-                        "--budget" | "--default-workers" => {
-                            let n: usize = value.parse().map_err(|_| {
-                                (format!("{arg} expects an integer, got '{value}'"), 2u8)
-                            })?;
-                            if n == 0 {
-                                return fail(format!("{arg} must be at least 1"));
-                            }
-                            match arg.as_str() {
-                                "--budget" => parsed.budget = n,
-                                _ => parsed.default_workers = n,
-                            }
-                        }
-                        _ => parsed.cache_dir = Some(value.clone()),
+    /// Connects to the server at `--addr`, or at the address its state
+    /// directory's `addr` file records.
+    fn connect(flags: &Flags) -> CliResult<Client> {
+        let addr = match flags.value("--addr") {
+            Some(addr) => addr.to_string(),
+            None => {
+                let path = state_dir(flags).join("addr");
+                match std::fs::read_to_string(&path) {
+                    Ok(text) => text.trim().to_string(),
+                    Err(e) => {
+                        return fail(format!(
+                            "cannot read server address from {} ({e}); is a server running? \
+                             start one with `repro serve` or point at it with --addr",
+                            path.display()
+                        ))
                     }
                 }
-                other if other.starts_with("--") => {
-                    return fail(format!("unknown flag '{other}'\n{}", usage()))
-                }
-                other => parsed.positional.push(other.to_string()),
             }
-        }
-        Ok(parsed)
+        };
+        Client::connect(&addr).or_else(runtime)
     }
 
-    fn job_id(parsed: &Parsed, cmd: &str) -> CliResult<u64> {
-        match parsed.positional.as_slice() {
-            [one] => parse_u64(one).map_err(|msg| (format!("job ID: {msg}"), 2)),
-            _ => fail(format!(
-                "'repro {cmd}' needs exactly one job ID\n{}",
-                usage()
-            )),
+    fn job_id(flags: &Flags, cmd: &str) -> CliResult<u64> {
+        match flags.positional.as_slice() {
+            [one] => parse_u64(one).or_else(|msg| fail(format!("job ID: {msg}"))),
+            _ => flags.usage_error(format!("'repro {cmd}' needs exactly one job ID")),
         }
     }
 
     pub fn run(cmd: &str, args: &[String]) -> CliResult<()> {
-        let parsed = parse(args)?;
+        let flags = FLAGS.parse(args, USAGE)?;
         match cmd {
-            "serve" => serve(&parsed),
-            "submit" => submit(&parsed),
-            "jobs" => jobs(&parsed),
-            "watch" => watch(&parsed),
-            "result" => result(&parsed),
-            "cancel" => cancel(&parsed),
-            "status" => status(&parsed),
-            "shutdown" => shutdown(&parsed),
+            "serve" => serve(&flags),
+            "submit" => submit(&flags),
+            "jobs" => jobs(&flags),
+            "watch" => watch(&flags),
+            "result" => result(&flags),
+            "cancel" => cancel(&flags),
+            "status" => status(&flags),
+            "shutdown" => shutdown(&flags),
             _ => unreachable!("dispatch guards the command list"),
         }
     }
 
-    fn serve(parsed: &Parsed) -> CliResult<()> {
-        if !parsed.positional.is_empty() {
-            return fail(format!("'repro serve' takes no positionals\n{}", usage()));
+    fn serve(flags: &Flags) -> CliResult<()> {
+        if !flags.positional.is_empty() {
+            return flags.usage_error("'repro serve' takes no positionals");
         }
-        let state_dir = parsed.conn.state_dir.clone();
-        let cache_dir = if parsed.no_cache {
+        let state_dir = state_dir(flags);
+        let cache_dir = if flags.switch("--no-cache") {
             None
         } else {
             Some(
-                parsed
-                    .cache_dir
-                    .as_ref()
+                flags
+                    .value("--cache-dir")
                     .map_or_else(|| state_dir.join("cache"), PathBuf::from),
             )
         };
+        let budget = match flags.at_least("--budget", 1)? {
+            Some(n) => n,
+            None => std::thread::available_parallelism().map_or(4, usize::from),
+        };
         let config = ServerConfig {
-            addr: parsed
-                .conn
-                .addr
-                .clone()
-                .unwrap_or_else(|| "127.0.0.1:0".to_string()),
-            state_dir,
-            budget: parsed.budget,
-            default_workers: parsed.default_workers,
+            addr: flags.value("--addr").unwrap_or("127.0.0.1:0").to_string(),
+            state_dir: state_dir.clone(),
+            budget,
+            default_workers: flags.at_least("--default-workers", 1)?.unwrap_or(1),
             cache_dir,
         };
-        let server = Server::bind(config).map_err(|e| (e.to_string(), 1))?;
+        let server = Server::bind(config).or_else(runtime)?;
         eprintln!(
-            "reprod: listening on {} (state {}, budget {})",
+            "reprod: listening on {} (state {}, budget {budget})",
             server.local_addr(),
-            parsed.conn.state_dir.display(),
-            parsed.budget
+            state_dir.display(),
         );
-        server.run().map_err(|e| (e.to_string(), 1))
+        server.run().or_else(runtime)
     }
 
-    fn submit(parsed: &Parsed) -> CliResult<()> {
-        let [name] = parsed.positional.as_slice() else {
-            return fail(format!(
-                "'repro submit' needs exactly one experiment name\n{}",
-                usage()
-            ));
+    fn submit(flags: &Flags) -> CliResult<()> {
+        let [name] = flags.positional.as_slice() else {
+            return flags.usage_error("'repro submit' needs exactly one experiment name");
         };
-        let mut client = parsed.conn.connect()?;
-        let id = client
-            .submit(JobSpec {
-                name: name.clone(),
-                scale: parsed.scale.name().to_string(),
-                seed: parsed.seed,
-                priority: parsed.priority,
-                workers: parsed.workers,
-            })
-            .map_err(|e| (e.to_string(), 1))?;
+        let scale = flags
+            .value("--scale")
+            .map_or(Ok(Scale::Quick), parse_scale)?;
+        let seed = flags.u64("--seed")?.unwrap_or(0);
+        let spec = JobSpec {
+            name: name.clone(),
+            scale: scale.name().to_string(),
+            seed,
+            priority: flags.parse("--priority", "an integer")?.unwrap_or(0),
+            workers: flags.u64("--workers")?.unwrap_or(0),
+        };
+        let id = connect(flags)?.submit(spec).or_else(runtime)?;
         eprintln!(
-            "repro: submitted job {id} ({name}, scale {}, seed {})",
-            parsed.scale.name(),
-            parsed.seed
+            "repro: submitted job {id} ({name}, scale {}, seed {seed})",
+            scale.name()
         );
         // Bare ID on stdout so scripts can `id=$(repro submit ...)`.
         println!("{id}");
         Ok(())
     }
 
-    fn jobs(parsed: &Parsed) -> CliResult<()> {
-        let mut client = parsed.conn.connect()?;
-        let records = client.jobs().map_err(|e| (e.to_string(), 1))?;
-        if parsed.json {
+    fn jobs(flags: &Flags) -> CliResult<()> {
+        let records = connect(flags)?.jobs().or_else(runtime)?;
+        if flags.switch("--json") {
             println!(
                 "{}",
                 serde_json::to_string_pretty(&serde::Value::Array(records))
@@ -2927,29 +2509,27 @@ mod serve_cli {
         Ok(())
     }
 
-    fn watch(parsed: &Parsed) -> CliResult<()> {
-        let id = job_id(parsed, "watch")?;
-        let mut client = parsed.conn.connect()?;
-        let (status, dropped) = client
-            .watch(id, parsed.from, |seq, line| println!("[{seq}] {line}"))
-            .map_err(|e| (e.to_string(), 1))?;
+    fn watch(flags: &Flags) -> CliResult<()> {
+        let id = job_id(flags, "watch")?;
+        let from = flags.u64("--from")?.unwrap_or(0);
+        let (status, dropped) = connect(flags)?
+            .watch(id, from, |seq, line| println!("[{seq}] {line}"))
+            .or_else(runtime)?;
         if dropped > 0 {
             eprintln!("repro: server failed to persist {dropped} event(s) to its on-disk log");
         }
         println!("job {id} {}", status.name());
         match status {
             JobStatus::Done => Ok(()),
-            other => Err((format!("job {id} ended {}", other.name()), 1)),
+            other => runtime(format!("job {id} ended {}", other.name())),
         }
     }
 
-    fn result(parsed: &Parsed) -> CliResult<()> {
-        let id = job_id(parsed, "result")?;
-        let mut client = parsed.conn.connect()?;
-        if parsed.telemetry {
-            let (document, telemetry) = client
-                .result_with_telemetry(id)
-                .map_err(|e| (e.to_string(), 1))?;
+    fn result(flags: &Flags) -> CliResult<()> {
+        let id = job_id(flags, "result")?;
+        let mut client = connect(flags)?;
+        if flags.switch("--telemetry") {
+            let (document, telemetry) = client.result_with_telemetry(id).or_else(runtime)?;
             print!("{document}");
             // Telemetry goes to stderr so `repro result ID --telemetry > out`
             // still captures exactly the byte-identical result document.
@@ -2964,33 +2544,32 @@ mod serve_cli {
             }
             return Ok(());
         }
-        let document = client.result(id).map_err(|e| (e.to_string(), 1))?;
+        let document = client.result(id).or_else(runtime)?;
         // The document already carries the one-shot run's trailing newline;
         // print it verbatim to preserve byte identity.
         print!("{document}");
         Ok(())
     }
 
-    fn cancel(parsed: &Parsed) -> CliResult<()> {
-        let id = job_id(parsed, "cancel")?;
-        let mut client = parsed.conn.connect()?;
-        let status = client.cancel(id).map_err(|e| (e.to_string(), 1))?;
+    fn cancel(flags: &Flags) -> CliResult<()> {
+        let id = job_id(flags, "cancel")?;
+        let status = connect(flags)?.cancel(id).or_else(runtime)?;
         println!("job {id} {}", status.name());
         Ok(())
     }
 
-    fn status(parsed: &Parsed) -> CliResult<()> {
-        let mut client = parsed.conn.connect()?;
-        if parsed.metrics {
-            let metrics = client.metrics().map_err(|e| (e.to_string(), 1))?;
+    fn status(flags: &Flags) -> CliResult<()> {
+        let mut client = connect(flags)?;
+        if flags.switch("--metrics") {
+            let metrics = client.metrics().or_else(runtime)?;
             println!(
                 "{}",
                 serde_json::to_string_pretty(&metrics).expect("metrics serialize")
             );
             return Ok(());
         }
-        let status = client.status().map_err(|e| (e.to_string(), 1))?;
-        if parsed.json {
+        let status = client.status().or_else(runtime)?;
+        if flags.switch("--json") {
             println!(
                 "{}",
                 serde_json::to_string_pretty(&status).expect("status serializes")
@@ -3051,11 +2630,9 @@ mod serve_cli {
         out
     }
 
-    fn shutdown(parsed: &Parsed) -> CliResult<()> {
-        let mut client = parsed.conn.connect()?;
-        let summary = client
-            .shutdown(parsed.deadline_ms)
-            .map_err(|e| (e.to_string(), 1))?;
+    fn shutdown(flags: &Flags) -> CliResult<()> {
+        let deadline_ms = flags.u64("--deadline-ms")?.unwrap_or(10_000);
+        let summary = connect(flags)?.shutdown(deadline_ms).or_else(runtime)?;
         println!(
             "{}",
             serde_json::to_string_pretty(&summary).expect("summary serializes")

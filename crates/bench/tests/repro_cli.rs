@@ -176,29 +176,26 @@ fn unknown_experiment_lists_registered_names_and_fails() {
 /// Unknown scales exit non-zero and name the valid scales.
 #[test]
 fn unknown_scale_fails_with_the_valid_choices() {
-    for args in [
-        &["run", "headline", "--scale", "galactic"][..],
-        &["headline", "galactic"][..],
-    ] {
-        let output = repro(args);
-        assert_eq!(output.status.code(), Some(2), "args: {args:?}");
-        let err = stderr(&output);
-        assert!(err.contains("quick") && err.contains("laptop") && err.contains("extended"));
-    }
+    let output = repro(&["run", "headline", "--scale", "galactic"]);
+    assert_eq!(output.status.code(), Some(2));
+    let err = stderr(&output);
+    assert!(err.contains("quick") && err.contains("laptop") && err.contains("extended"));
 }
 
-/// The pre-redesign positional form keeps working for one experiment plus an
-/// optional scale; longer positional lists are rejected with a pointer to
-/// `run` instead of being guessed at.
+/// Experiments run only through `repro run`: the positional form
+/// `repro NAME [SCALE]` and a bare `repro` are usage errors that point at it,
+/// and run nothing.
 #[test]
-fn legacy_positional_form_still_runs() {
-    let output = repro(&["headline", "quick"]);
-    assert!(output.status.success());
-    assert!(stdout(&output).contains("headline"));
-
-    let ambiguous = repro(&["fig7", "fig8", "quick"]);
-    assert_eq!(ambiguous.status.code(), Some(2));
-    assert!(stderr(&ambiguous).contains("repro run"));
+fn positional_form_is_rejected_with_a_pointer_to_run() {
+    for args in [&["headline", "quick"][..], &["fig7", "fig8", "quick"], &[]] {
+        let output = repro(args);
+        assert_eq!(output.status.code(), Some(2), "args: {args:?}");
+        assert!(stdout(&output).is_empty(), "args: {args:?}");
+        assert!(
+            stderr(&output).contains("repro run <NAME"),
+            "args: {args:?}"
+        );
+    }
 }
 
 /// `--help` is not an error: usage goes to stdout with exit 0.
@@ -675,31 +672,28 @@ fn bench_engine_force_is_suite_neutral_and_reported() {
     );
 }
 
-/// `repro bench --engine <name>` rejects unknown engines with exit 2 and
-/// lists the valid choices; the same contract applies to a bogus
-/// `RC4_ACCEL_FORCE` already in the environment (clean exit 2, no panic).
+/// `repro bench` rejects an unknown `RC4_ACCEL_FORCE` engine up front with
+/// exit 2, naming the variable and listing the valid choices (no panic
+/// mid-run); `--engine` is not a flag, the variable is the one override.
 #[test]
 fn bench_engine_flag_rejects_unknown_engines_listing_choices() {
-    let output = repro(&["bench", "--engine", "sse9"]);
-    assert_eq!(output.status.code(), Some(2), "{}", stderr(&output));
-    assert!(
-        stderr(&output).contains("choices: auto, avx512, avx2, portable"),
-        "{}",
-        stderr(&output)
-    );
-
     let env_bogus = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["bench"])
         .env("REPRO_BENCH_FAST", "1")
         .env("RC4_ACCEL_FORCE", "quantum")
         .output()
         .expect("repro binary runs");
-    assert_eq!(env_bogus.status.code(), Some(2), "{}", stderr(&env_bogus));
+    let err = stderr(&env_bogus);
+    assert_eq!(env_bogus.status.code(), Some(2), "{err}");
+    assert!(err.contains("RC4_ACCEL_FORCE"), "{err}");
     assert!(
-        stderr(&env_bogus).contains("RC4_ACCEL_FORCE"),
-        "{}",
-        stderr(&env_bogus)
+        err.contains("choices: auto, avx512, avx2, portable"),
+        "{err}"
     );
+
+    let flag = repro(&["bench", "--engine", "portable"]);
+    assert_eq!(flag.status.code(), Some(2), "{}", stderr(&flag));
+    assert!(stderr(&flag).contains("unknown flag '--engine'"));
 }
 
 /// Multi-core speedup proof: `--workers 4` must keep the pool busy enough

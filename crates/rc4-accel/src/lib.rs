@@ -38,8 +38,8 @@
 //! Every tier must be measurable on any box, so the dispatch has an override
 //! hook: setting `RC4_ACCEL_FORCE=<engine>` (one of [`Engine::CHOICES`])
 //! makes [`AutoBatch::new`] select that engine everywhere — including deep
-//! inside dataset generation — and `repro bench --engine <engine>` drives the
-//! perf smoke suite through it. Forcing an engine the CPU lacks is an error
+//! inside dataset generation — so `repro bench` run under the variable drives
+//! the perf smoke suite through that engine. Forcing an engine the CPU lacks is an error
 //! (CLIs validate up front; the library panics rather than silently
 //! measuring the wrong engine). Because every engine is bit-identical, the
 //! override can never change results — only wall-clock.

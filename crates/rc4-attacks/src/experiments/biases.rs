@@ -785,6 +785,15 @@ mod tests {
     }
 
     #[test]
+    fn scales_are_ordered_by_effort() {
+        let quick = BiasScale::for_scale(Scale::Quick);
+        let laptop = BiasScale::for_scale(Scale::Laptop);
+        let extended = BiasScale::for_scale(Scale::Extended);
+        assert!(quick.keys < laptop.keys);
+        assert!(laptop.keys < extended.keys);
+    }
+
+    #[test]
     fn table1_report_shape() {
         let r = table1_fm_longterm(&tiny(), &ExperimentContext::default()).unwrap();
         assert_eq!(r.id, "table1");

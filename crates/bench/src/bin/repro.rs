@@ -1659,9 +1659,10 @@ mod bench_cli {
         likelihood::PairLikelihoods,
         viterbi::{list_viterbi, ViterbiConfig},
     };
+    use rand::{rngs::StdRng, SeedableRng};
     use rc4_accel::{AutoBatch, KeystreamBatch};
     use rc4_attacks::experiments::fig8::{run as fig8_run, Fig8Config, TkipTrafficModel};
-    use rc4_attacks::ExperimentContext;
+    use rc4_attacks::{sampling::sample_counts_normal, ExperimentContext};
     use rc4_exec::Executor;
     use rc4_stats::{
         generate_storable_with_exec, single::SingleByteDataset, streaming::StreamingCounts,
@@ -1913,6 +1914,25 @@ mod bench_cli {
                     &ExperimentContext::new(),
                 )
                 .expect("fig8 quick config runs");
+            }),
+            bytes_per_iter: None,
+        });
+
+        // Recovery path, sampler side: one sampled-mode count table, the
+        // per-table cost of every fig7/fig10/streaming trial. ABSAB-shaped
+        // (one hot cell, 65535 equal cells) at n = 2^30, the fig10 count.
+        let alpha = (1.0 + 2f64.powi(-8)) / 65536.0;
+        let mut absab = vec![(1.0 - alpha) / 65535.0; 65536];
+        absab[0x4142] = alpha;
+        let mut rng = StdRng::seed_from_u64(0x5A3);
+        results.push(Measurement {
+            name: "sampling/normal_65536",
+            ns_per_iter: time_min(|| {
+                std::hint::black_box(sample_counts_normal(
+                    std::hint::black_box(&absab),
+                    1 << 30,
+                    &mut rng,
+                ));
             }),
             bytes_per_iter: None,
         });

@@ -295,6 +295,7 @@ fn bench_smoke_mode_contract() {
         "rc4_batch_rekey/256x68",
         "dataset_generate/single_32768x64",
         "fig8_tkip_recovery/quick_sweep",
+        "sampling/normal_65536",
         "recovery_likelihood/fm_sparse_65536",
         "recovery_viterbi/base64_6x256",
         "streaming_ingest/absorb_rescore_65536",

@@ -1654,6 +1654,7 @@ mod campaign_cli {
 mod bench_cli {
     use std::time::Instant;
 
+    use crypto_prims::crc32::crc32;
     use plaintext_recovery::{
         charset::Charset,
         likelihood::PairLikelihoods,
@@ -1664,6 +1665,7 @@ mod bench_cli {
     use rc4_attacks::experiments::fig8::{run as fig8_run, Fig8Config, TkipTrafficModel};
     use rc4_attacks::{sampling::sample_counts_normal, ExperimentContext};
     use rc4_exec::Executor;
+    use rc4_serve::{Client, JobSpec, JobStatus, Server, ServerConfig};
     use rc4_stats::{
         generate_storable_with_exec, single::SingleByteDataset, streaming::StreamingCounts,
         GenerationConfig,
@@ -1808,6 +1810,49 @@ mod bench_cli {
             engine.fill(&mut out[done * per_key..(done + n) * per_key], per_key);
             done += n;
         }
+    }
+
+    /// Times one served quick fig6 job — submit, watch to the end frame,
+    /// fetch the result — against an in-process server bound to an
+    /// ephemeral loopback port with temporary state and cache directories.
+    /// `time_min`'s untimed first job generates and stores the dataset, so
+    /// every timed job is a cache hit: what is left is the serving round
+    /// trips plus the job's real work.
+    fn time_served_fig6() -> f64 {
+        let state_dir =
+            std::env::temp_dir().join(format!("repro-bench-serve-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state_dir);
+        let server = Server::bind(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            state_dir: state_dir.clone(),
+            budget: 1,
+            default_workers: 1,
+            cache_dir: Some(state_dir.join("cache")),
+        })
+        .expect("in-process server binds");
+        let addr = server.local_addr().to_string();
+        let server_thread = std::thread::spawn(move || server.run());
+        let mut client = Client::connect(&addr).expect("bench client connects");
+        let spec = JobSpec {
+            name: "fig6".to_string(),
+            scale: "quick".to_string(),
+            seed: 0,
+            priority: 0,
+            workers: 1,
+        };
+        let ns = time_min(|| {
+            let id = client.submit(spec.clone()).expect("submit succeeds");
+            let (status, _) = client.watch(id, 0, |_, _| {}).expect("watch ends");
+            assert_eq!(status, JobStatus::Done, "served fig6 job finishes");
+            std::hint::black_box(client.result(id).expect("done job has a result"));
+        });
+        client.shutdown(5_000).expect("shutdown drains");
+        server_thread
+            .join()
+            .expect("server thread joins")
+            .expect("server exits cleanly");
+        let _ = std::fs::remove_dir_all(&state_dir);
+        ns
     }
 
     fn measure_all() -> Vec<Measurement> {
@@ -2075,6 +2120,27 @@ mod bench_cli {
                 std::hint::black_box(sum);
             }),
             bytes_per_iter: Some(65536 * 8),
+        });
+
+        // Shard I/O checksum: CRC-32 over 1 MiB, the integrity check every
+        // shard write and read runs over its whole cell payload.
+        let crc_input: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
+            .collect();
+        results.push(Measurement {
+            name: "crc32/1048576",
+            ns_per_iter: time_min(|| {
+                std::hint::black_box(crc32(std::hint::black_box(&crc_input)));
+            }),
+            bytes_per_iter: Some(1 << 20),
+        });
+
+        // End to end through `reprod`. Last on purpose: binding a server
+        // turns the metrics registry on for the rest of the process.
+        results.push(Measurement {
+            name: "e2e/serve_fig6_quick",
+            ns_per_iter: time_served_fig6(),
+            bytes_per_iter: None,
         });
 
         results

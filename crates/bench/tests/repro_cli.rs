@@ -299,6 +299,8 @@ fn bench_smoke_mode_contract() {
         "recovery_likelihood/fm_sparse_65536",
         "recovery_viterbi/base64_6x256",
         "streaming_ingest/absorb_rescore_65536",
+        "crc32/1048576",
+        "e2e/serve_fig6_quick",
     ] {
         assert!(names.iter().any(|n| n == expected), "missing {expected}");
     }

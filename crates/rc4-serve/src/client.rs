@@ -4,13 +4,13 @@
 //! stateful call is [`Client::watch`], which keeps reading progress frames
 //! until the job's terminal `end` frame arrives.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 use serde::Value;
 
 use crate::ledger::JobStatus;
-use crate::protocol::{parse_response, JobSpec, Request};
+use crate::protocol::{parse_response, write_frame, JobSpec, Request};
 use crate::ServeError;
 
 /// A connected `reprod` client.
@@ -39,6 +39,11 @@ impl Client {
     pub fn connect(addr: &str) -> Result<Self, ServeError> {
         let writer = TcpStream::connect(addr)
             .map_err(|e| ServeError::Io(format!("cannot connect to {addr}: {e}")))?;
+        // With Nagle on, round trips stall on delayed ACKs; see the
+        // "Transport" section of the protocol docs.
+        writer
+            .set_nodelay(true)
+            .map_err(|e| ServeError::Io(format!("cannot set TCP_NODELAY: {e}")))?;
         let reader = writer
             .try_clone()
             .map_err(|e| ServeError::Io(format!("cannot clone stream: {e}")))?;
@@ -49,8 +54,7 @@ impl Client {
     }
 
     fn round_trip(&mut self, request: &Request) -> Result<Value, ServeError> {
-        writeln!(self.writer, "{}", request.to_line())
-            .and_then(|()| self.writer.flush())
+        write_frame(&mut self.writer, &request.to_line())
             .map_err(|e| ServeError::Io(format!("cannot send request: {e}")))?;
         self.read_frame()
     }

@@ -11,6 +11,21 @@
 //! be omitted by clients (a missing field falls back to its documented
 //! default instead of erroring).
 //!
+//! # Transport
+//!
+//! Every frame, in both directions, goes out through [`write_frame`]: the
+//! line and its `'\n'` in **one** `write_all`, then a flush. Both ends also
+//! set `TCP_NODELAY` on their socket ([`Client::connect`](crate::Client::connect),
+//! and the server on every accepted connection). Neither is optional. Writing the JSON and the
+//! newline separately (`writeln!` on a bare `TcpStream` does exactly that)
+//! leaves the newline behind Nagle's algorithm until the peer ACKs, while
+//! the peer delays that ACK (40 ms or more) because it is still waiting for
+//! the newline: every round trip then stalls for a delayed-ACK timeout
+//! instead of costing its real work. One write per frame is not enough on
+//! its own: a `watch` answers with several frames back to back (ack,
+//! progress, end), and with Nagle on each later frame again waits for the
+//! client's delayed ACK.
+//!
 //! # Frame reference
 //!
 //! One section per frame type. Every JSON example below is produced **by
@@ -172,9 +187,27 @@
 //! assert_eq!(parse_response(&err), Err(ServeError::Server("queue is draining".into())));
 //! ```
 
+use std::io::Write;
+
 use serde::Value;
 
 use crate::ServeError;
+
+/// Writes one frame: `frame` and its terminating `'\n'` in a single
+/// `write_all`, then a flush. The one place frames are written, on sockets
+/// and on the per-job event files alike (see "Transport" above for why a
+/// socket frame must be one write).
+///
+/// # Errors
+///
+/// Whatever the underlying writer reports.
+pub fn write_frame(w: &mut impl Write, frame: &str) -> std::io::Result<()> {
+    let mut line = String::with_capacity(frame.len() + 1);
+    line.push_str(frame);
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
 
 /// A client request frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -516,6 +549,25 @@ mod tests {
             Request::parse(r#"{"cmd":"submit","name":"fig8","seed":"high"}"#),
             Err(ServeError::Protocol(_)),
         ));
+    }
+
+    #[test]
+    fn write_frame_is_one_write_of_line_and_newline() {
+        /// Records the size of every `write` call it receives.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes::default();
+        write_frame(&mut w, r#"{"cmd":"status"}"#).unwrap();
+        assert_eq!(w.0, vec![b"{\"cmd\":\"status\"}\n".to_vec()]);
     }
 
     #[test]

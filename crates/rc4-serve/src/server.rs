@@ -20,7 +20,7 @@
 //! visible to clients, so the on-disk account is never behind the wire one.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,7 +37,7 @@ use rc4_store::{DatasetCache, SingleFlight};
 use serde::Value;
 
 use crate::ledger::{JobRecord, JobStatus, RunLedger};
-use crate::protocol::{error_response, ok_response, JobSpec, Request};
+use crate::protocol::{error_response, ok_response, write_frame, JobSpec, Request};
 use crate::queue::JobQueue;
 use crate::ServeError;
 
@@ -158,7 +158,7 @@ impl JobEvents {
             .append(true)
             .create(true)
             .open(&state.path)
-            .and_then(|mut f| writeln!(f, "{frame}"));
+            .and_then(|mut f| write_frame(&mut f, &frame));
         match appended {
             Ok(()) => state.count += 1,
             Err(_) => state.dropped += 1,
@@ -409,6 +409,14 @@ impl Server {
             }
             match stream {
                 Ok(stream) => {
+                    // A watch answers with several frames back to back; with
+                    // Nagle on, each one after the first waits for the
+                    // client's delayed ACK (see the protocol's "Transport"
+                    // docs).
+                    if let Err(e) = stream.set_nodelay(true) {
+                        eprintln!("reprod: cannot set TCP_NODELAY: {e}");
+                        continue;
+                    }
                     let shared = Arc::clone(&self.shared);
                     std::thread::spawn(move || handle_connection(&shared, stream));
                 }
@@ -1028,7 +1036,37 @@ fn drain(shared: &Arc<Shared>, deadline: Duration) -> u64 {
 
 /// Writes one frame line; `false` when the peer is gone.
 fn send(writer: &mut TcpStream, frame: &str) -> bool {
-    writeln!(writer, "{frame}")
-        .and_then(|()| writer.flush())
-        .is_ok()
+    write_frame(writer, frame).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn event_log_appends_one_complete_record_per_line() {
+        let dir = std::env::temp_dir().join(format!("rc4-serve-events-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("job-0.jsonl");
+        let events = JobEvents::create(path.clone());
+        let count = 25u64;
+        for i in 0..count {
+            events.push(format!("event {i} with \"quotes\" and a \\n escape"));
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.ends_with('\n'), "last record is newline-terminated");
+        let seqs: Vec<u64> = text
+            .lines()
+            .map(|line| {
+                let record: Value = serde_json::from_str(line).expect("every line parses");
+                match record.field("seq") {
+                    Ok(Value::UInt(seq)) => *seq,
+                    other => panic!("record without seq: {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(seqs, (0..count).collect::<Vec<_>>());
+        assert_eq!(read_events_from(&path, 0).len() as u64, count);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

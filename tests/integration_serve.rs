@@ -391,6 +391,71 @@ fn serve_priority_order_and_queued_cancel() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// Round trips cost their real work, not a delayed-ACK timeout. With a frame
+/// split into two writes (JSON, then newline) or Nagle left on, each stalled
+/// trip waits 40 ms or more for the peer's delayed ACK, so 50 trips would
+/// take at least 2 s. A `watch` of a finished job answers with several
+/// frames back to back, which stalls under Nagle even with one write per
+/// frame.
+#[test]
+fn round_trips_do_not_stall_on_delayed_acks() {
+    let state_dir = temp_state_dir("nodelay");
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        state_dir: state_dir.clone(),
+        budget: 1,
+        default_workers: 1,
+        cache_dir: None,
+    })
+    .expect("server binds");
+    let addr = server.local_addr().to_string();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(&addr).expect("client connects");
+    let id = client
+        .submit(JobSpec {
+            name: "fig6".to_string(),
+            scale: "quick".to_string(),
+            seed: 0,
+            priority: 0,
+            workers: 1,
+        })
+        .expect("submit succeeds");
+    let (status, _) = client.watch(id, 0, |_, _| {}).expect("watch terminates");
+    assert_eq!(status, JobStatus::Done, "quick fig6 should finish");
+    for _ in 0..3 {
+        client.status().expect("warm-up status responds");
+    }
+
+    let start = Instant::now();
+    for _ in 0..50 {
+        client.status().expect("status responds");
+    }
+    let status_elapsed = start.elapsed();
+    assert!(
+        status_elapsed < Duration::from_secs(1),
+        "50 status round trips took {status_elapsed:?}"
+    );
+
+    let start = Instant::now();
+    for _ in 0..50 {
+        let (status, _) = client.watch(id, 0, |_, _| {}).expect("watch terminates");
+        assert_eq!(status, JobStatus::Done);
+    }
+    let watch_elapsed = start.elapsed();
+    assert!(
+        watch_elapsed < Duration::from_secs(1),
+        "50 watches of a finished job took {watch_elapsed:?}"
+    );
+
+    client.shutdown(5_000).expect("shutdown drains");
+    server_thread
+        .join()
+        .expect("server thread joins")
+        .expect("server exits cleanly");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 /// A peer that sends a frame larger than the server's 1 MiB cap without a
 /// newline gets an error frame and a closed connection, the rejection is
 /// counted, and other clients are still served.

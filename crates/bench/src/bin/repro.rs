@@ -397,9 +397,8 @@ mod dataset_cli {
         DatasetError, GenerationConfig,
     };
     use rc4_store::{
-        generate_shard, merge_shards, merge_shards_streaming, merge_shards_tiered, peek_header,
-        peek_shard, read_shard, resume_shard, CellEncoding, GenerateOptions, GenerateStatus,
-        MergeOptions, ShardHeader, ShardSpec,
+        generate_shard, merge_shards, peek_shard, read_shard, resume_shard, CellEncoding,
+        GenerateOptions, GenerateStatus, MergeOptions, ShardHeader, ShardSpec,
     };
 
     use bench::{fail, parse_u64, runtime, CliResult, FlagTable, Flags};
@@ -410,14 +409,14 @@ mod dataset_cli {
          [--keys N] [--workers W] [--seed N] [--key-len L] [--worker-range LO..HI] \
          [--checkpoint-keys N] [--stop-after-keys N] [--compress]\n       \
          repro dataset resume FILE [--checkpoint-keys N] [--stop-after-keys N]\n       \
-         repro dataset merge --out FILE [--streaming] [--fan-in N] [--window-cells N] \
-         [--compress] SHARD SHARD...\n       \
+         repro dataset merge --out FILE [--fan-in N] [--window-cells N] [--compress] \
+         SHARD SHARD...\n       \
          repro dataset info FILE [--json]\n\
          \n\
          --compress writes v2 delta+varint cells (smaller; v1 raw cells stay the\n\
          byte-identity default); resume always keeps the file's own encoding.\n\
-         merge --streaming sums shards through fixed windows instead of loading\n\
-         them whole; --fan-in caps simultaneously open inputs (tiered merge).\n\
+         merge sums shards through fixed windows of --window-cells cells;\n\
+         --fan-in caps simultaneously open inputs (tiered merge).\n\
          \n\
          kinds and their shape flags:\n  \
          single    --positions P                 per-position byte counts (Fig. 6 style)\n  \
@@ -452,7 +451,7 @@ mod dataset_cli {
     };
 
     const MERGE_FLAGS: FlagTable = FlagTable {
-        switches: &["--streaming", "--compress"],
+        switches: &["--compress"],
         valued: &["--out", "--fan-in", "--window-cells"],
     };
 
@@ -675,8 +674,8 @@ mod dataset_cli {
         };
         let file = PathBuf::from(file);
         let opts = resume_options(&flags)?;
-        let header = match peek_header(&file) {
-            Ok(h) => h,
+        let header = match peek_shard(&file) {
+            Ok((h, _)) => h,
             Err(e) => return runtime(e),
         };
         warn_oversized_checkpoint(&opts, header.keys_total());
@@ -704,60 +703,22 @@ mod dataset_cli {
         if inputs.len() < 2 {
             return flags.usage_error("'dataset merge' needs at least two input shards");
         }
-        let fan_in = flags.at_least("--fan-in", 2)?;
-        let window_cells = flags.at_least("--window-cells", 1)?;
         let mut options = MergeOptions::default();
-        if let Some(n) = fan_in {
+        if let Some(n) = flags.at_least("--fan-in", 2)? {
             options.fan_in = n;
         }
-        if let Some(n) = window_cells {
+        if let Some(n) = flags.at_least("--window-cells", 1)? {
             options.window_cells = n;
         }
         if flags.switch("--compress") {
             options.encoding = CellEncoding::DeltaVarint;
         }
-        // Windowing and v2 output both need the streaming merge.
-        let streaming =
-            flags.switch("--streaming") || flags.switch("--compress") || window_cells.is_some();
-        let header = match peek_header(&inputs[0]) {
-            Ok(h) => h,
+        let header = match peek_shard(&inputs[0]) {
+            Ok((h, _)) => h,
             Err(e) => return runtime(e),
         };
         let refs: Vec<&Path> = inputs.iter().map(PathBuf::as_path).collect();
-        // --fan-in selects the tiered out-of-core merge, --streaming (or any
-        // flag implying it) the windowed single-pass one; the default stays
-        // the in-memory merge, whose output all three match byte for byte
-        // (for the default raw encoding).
-        let merged = dispatch_kind(&header.kind, |d| match d {
-            Dispatch::Single if fan_in.is_some() => {
-                merge_shards_tiered::<SingleByteDataset>(&refs, &out, &options)
-            }
-            Dispatch::Pairs if fan_in.is_some() => {
-                merge_shards_tiered::<PairDataset>(&refs, &out, &options)
-            }
-            Dispatch::LongTerm if fan_in.is_some() => {
-                merge_shards_tiered::<LongTermDataset>(&refs, &out, &options)
-            }
-            Dispatch::PerTsc if fan_in.is_some() => {
-                merge_shards_tiered::<PerTscDataset>(&refs, &out, &options)
-            }
-            Dispatch::Single if streaming => {
-                merge_shards_streaming::<SingleByteDataset>(&refs, &out, &options)
-            }
-            Dispatch::Pairs if streaming => {
-                merge_shards_streaming::<PairDataset>(&refs, &out, &options)
-            }
-            Dispatch::LongTerm if streaming => {
-                merge_shards_streaming::<LongTermDataset>(&refs, &out, &options)
-            }
-            Dispatch::PerTsc if streaming => {
-                merge_shards_streaming::<PerTscDataset>(&refs, &out, &options)
-            }
-            Dispatch::Single => merge_shards::<SingleByteDataset>(&refs, &out),
-            Dispatch::Pairs => merge_shards::<PairDataset>(&refs, &out),
-            Dispatch::LongTerm => merge_shards::<LongTermDataset>(&refs, &out),
-            Dispatch::PerTsc => merge_shards::<PerTscDataset>(&refs, &out),
-        })?;
+        let merged = merge_kind(&header.kind, &refs, &out, &options)?;
         eprintln!(
             "repro: dataset {}: merged {} shard(s), workers {}..{}, {} keys",
             out.display(),
@@ -767,6 +728,21 @@ mod dataset_cli {
             merged.keys_done()
         );
         Ok(())
+    }
+
+    /// [`merge_shards`] for a dataset kind named at runtime.
+    pub(super) fn merge_kind(
+        kind: &str,
+        inputs: &[&Path],
+        out: &Path,
+        options: &MergeOptions,
+    ) -> CliResult<ShardHeader> {
+        dispatch_kind(kind, |d| match d {
+            Dispatch::Single => merge_shards::<SingleByteDataset>(inputs, out, options),
+            Dispatch::Pairs => merge_shards::<PairDataset>(inputs, out, options),
+            Dispatch::LongTerm => merge_shards::<LongTermDataset>(inputs, out, options),
+            Dispatch::PerTsc => merge_shards::<PerTscDataset>(inputs, out, options),
+        })
     }
 
     fn info(args: &[String]) -> CliResult<()> {
@@ -936,13 +912,13 @@ mod campaign_cli {
     };
     use rc4_store::{
         campaign::{CampaignManifest, CampaignSpec, Lease, WorkerCommand, WorkerEvent},
-        generate_shard, merge_shards_tiered, resume_shard, CellEncoding, GenerateOptions,
-        GenerateStatus, MergeOptions, ShardSpec,
+        generate_shard, resume_shard, CellEncoding, GenerateOptions, GenerateStatus, MergeOptions,
+        ShardSpec,
     };
 
     use bench::{fail, parse_u64, runtime, CliResult, FlagTable};
 
-    use super::dataset_cli::{dispatch_kind, generation_config, Dispatch};
+    use super::dataset_cli::{dispatch_kind, generation_config, merge_kind, Dispatch};
 
     /// The manifest's fixed file name inside a campaign directory.
     const MANIFEST_NAME: &str = "campaign.json";
@@ -1544,18 +1520,7 @@ mod campaign_cli {
                 options.fan_in = n;
             }
             let refs: Vec<&Path> = shards.iter().map(PathBuf::as_path).collect();
-            dispatch_kind(&manifest.spec.kind, |d| match d {
-                Dispatch::Single => {
-                    merge_shards_tiered::<SingleByteDataset>(&refs, &args.out, &options)
-                }
-                Dispatch::Pairs => merge_shards_tiered::<PairDataset>(&refs, &args.out, &options),
-                Dispatch::LongTerm => {
-                    merge_shards_tiered::<LongTermDataset>(&refs, &args.out, &options)
-                }
-                Dispatch::PerTsc => {
-                    merge_shards_tiered::<PerTscDataset>(&refs, &args.out, &options)
-                }
-            })?;
+            merge_kind(&manifest.spec.kind, &refs, &args.out, &options)?;
         }
         eprintln!(
             "repro: campaign {}: merged {} lease shard(s) into {} ({} encoding)",

@@ -351,8 +351,8 @@ fn dataset_info_json_is_parseable() {
 }
 
 /// `--compress` writes a v2 delta+varint shard that is smaller on disk yet
-/// holds the identical dataset, and the streaming/tiered merge flags produce
-/// output byte-identical to the default in-memory merge.
+/// holds the identical dataset, and the window/fan-in merge flags produce
+/// output byte-identical to the default merge.
 #[test]
 fn compressed_shards_and_streaming_merge_match_raw() {
     let dir = scratch("compress");
@@ -399,7 +399,7 @@ fn compressed_shards_and_streaming_merge_match_raw() {
     let info = repro(&["dataset", "info", &shard0]);
     assert!(stdout(&info).contains("raw"), "{}", stdout(&info));
 
-    // In-memory, streaming and tiered merges agree byte for byte.
+    // Default, small-window and tiered merges agree byte for byte.
     let merged = path_str(&dir.join("merged.ds"));
     let merged_streaming = path_str(&dir.join("merged-streaming.ds"));
     let merged_tiered = path_str(&dir.join("merged-tiered.ds"));
@@ -410,7 +410,6 @@ fn compressed_shards_and_streaming_merge_match_raw() {
         "merge",
         "--out",
         &merged_streaming,
-        "--streaming",
         "--window-cells",
         "100",
         &shard0,
@@ -439,7 +438,6 @@ fn compressed_shards_and_streaming_merge_match_raw() {
         "merge",
         "--out",
         &merged_mixed,
-        "--streaming",
         &shard0_v2,
         &shard1,
     ]);

@@ -20,8 +20,9 @@ use std::time::Instant;
 use crypto_prims::{sha256::Sha256, to_hex, Digest};
 use rc4_stats::{DatasetError, GenerationConfig, StorableDataset};
 
+use crate::codec::CellEncoding;
 use crate::format::ShardHeader;
-use crate::shard::{peek_header, read_shard, write_shard};
+use crate::shard::{peek_shard, read_shard, write_shard_with};
 
 /// A directory of complete, reusable dataset shards.
 #[derive(Debug, Clone)]
@@ -142,7 +143,7 @@ impl DatasetCache {
                 continue;
             }
             // Foreign or unreadable headers just mean "not a hit".
-            let Ok(header) = peek_header(&path) else {
+            let Ok((header, _)) = peek_shard(&path) else {
                 continue;
             };
             if Self::matches::<D>(&header, shape, config) {
@@ -184,7 +185,7 @@ impl DatasetCache {
             dataset.cell_count() as u64,
         )?;
         header.progress = (0..config.workers as u64)
-            .map(|w| crate::format::keys_for_worker(config, w))
+            .map(|w| config.keys_for_worker(w))
             .collect();
         let path = self.canonical_path(D::kind(), &shape, config);
         let _span = rc4_obs::Span::enter_with(
@@ -195,10 +196,10 @@ impl DatasetCache {
             },
         );
         let write_start = rc4_obs::metrics::is_enabled().then(Instant::now);
-        // Write through a unique temp name and rename (write_shard already
-        // does); overwriting an existing entry with identical contents is
-        // harmless.
-        write_shard(&path, &header, dataset)?;
+        // Write through a unique temp name and rename (write_shard_with
+        // already does); overwriting an existing entry with identical
+        // contents is harmless.
+        write_shard_with(&path, &header, dataset, CellEncoding::Raw)?;
         if let Some(start) = write_start {
             rc4_obs::metrics::counter_add("store.cache.stored", 1);
             rc4_obs::metrics::counter_add(

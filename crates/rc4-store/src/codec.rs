@@ -7,13 +7,15 @@
 //! same key budget), so deltas are small and most cells compress to one or
 //! two bytes — typically a 3-6x size reduction on real count tables.
 //!
-//! The codec layer is deliberately streaming on both sides: the encoder is
-//! fed cells incrementally and appends to a caller-owned buffer, the decoder
-//! pulls bytes from any [`std::io::Read`] through an internal refill window.
-//! That is what lets the out-of-core merge
-//! ([`crate::merge::merge_shards_tiered`]) process shards far larger than
-//! RAM in fixed-size cell windows. The byte-level layout is specified
-//! normatively in `docs/shard-format.md`.
+//! The codec layer is streaming on both sides, and it is the only one: the
+//! encoder is fed cells incrementally and appends to a caller-owned buffer
+//! (the one shard writer, [`crate::shard::create_cells`], controls flushing),
+//! and [`CellReader`] — the one decoder — pulls bytes from any
+//! [`std::io::Read`] through an internal refill window, decoding a whole
+//! window per refill. Every shard read goes through it, from a full
+//! [`crate::shard::read_shard`] to the windowed
+//! [`crate::merge::merge_shards`], so no path ever buffers a whole file. The
+//! byte-level layout is specified normatively in `docs/shard-format.md`.
 
 use std::io::Read;
 
@@ -117,32 +119,6 @@ impl DeltaVarintEncoder {
     }
 }
 
-/// Encodes a whole cell slice-run into a fresh buffer — the convenience form
-/// used by the in-memory round-trip tests and the bench smoke.
-pub fn encode_cells_delta_varint<'a>(slices: impl IntoIterator<Item = &'a [u64]>) -> Vec<u8> {
-    let mut enc = DeltaVarintEncoder::new();
-    let mut out = Vec::new();
-    for slice in slices {
-        for &cell in slice {
-            enc.push(cell, &mut out);
-        }
-    }
-    out
-}
-
-/// Decodes exactly `out.len()` delta+varint cells from `bytes`, returning
-/// the number of input bytes consumed.
-pub fn decode_cells_delta_varint(bytes: &[u8], out: &mut [u64]) -> Option<usize> {
-    let mut dec = DeltaVarintDecoder::new();
-    let mut offset = 0usize;
-    for cell in out.iter_mut() {
-        let (value, used) = dec.next(&bytes[offset..])?;
-        *cell = value;
-        offset += used;
-    }
-    Some(offset)
-}
-
 /// Streaming delta+varint decoder over byte slices.
 #[derive(Debug, Default)]
 pub struct DeltaVarintDecoder {
@@ -238,39 +214,51 @@ impl<R: Read> CellReader<R> {
         Ok(())
     }
 
-    /// Decodes exactly `out.len()` cells into `out`.
+    /// Decodes exactly `out.len()` cells into `out`, one buffered window at
+    /// a time: every whole raw cell in the window decodes in one pass, and
+    /// varints decode while a worst-case 10-byte varint is guaranteed to be
+    /// buffered, so the refill check runs once per window, not per cell.
     ///
     /// # Errors
     ///
     /// [`DatasetError::Io`]-shaped strings are reported through the returned
     /// message; the caller (which knows the path) wraps them.
     pub fn read_cells(&mut self, out: &mut [u64]) -> Result<(), String> {
-        match self.encoding {
-            CellEncoding::Raw => {
-                for cell in out.iter_mut() {
+        let mut done = 0;
+        while done < out.len() {
+            match self.encoding {
+                CellEncoding::Raw => {
                     self.fill(8).map_err(|e| e.to_string())?;
-                    if self.len - self.pos < 8 {
+                    let n = ((self.len - self.pos) / 8).min(out.len() - done);
+                    if n == 0 {
                         return Err("truncated cell section".into());
                     }
-                    *cell = u64::from_le_bytes(
-                        self.buf[self.pos..self.pos + 8]
-                            .try_into()
-                            .expect("8 bytes"),
-                    );
-                    self.pos += 8;
-                    self.consumed += 8;
+                    let bytes = &self.buf[self.pos..self.pos + 8 * n];
+                    for (cell, raw) in out[done..done + n].iter_mut().zip(bytes.chunks_exact(8)) {
+                        *cell = u64::from_le_bytes(raw.try_into().expect("8 bytes"));
+                    }
+                    self.pos += 8 * n;
+                    self.consumed += 8 * n as u64;
+                    done += n;
                 }
-            }
-            CellEncoding::DeltaVarint => {
-                for cell in out.iter_mut() {
+                CellEncoding::DeltaVarint => {
                     self.fill(10).map_err(|e| e.to_string())?;
-                    let (value, used) = self
-                        .decoder
-                        .next(&self.buf[self.pos..self.len])
-                        .ok_or_else(|| "truncated or malformed varint cell".to_string())?;
-                    *cell = value;
-                    self.pos += used;
-                    self.consumed += used as u64;
+                    let start = self.pos;
+                    // Under 10 bytes after a refill means the input is ending;
+                    // its last cells then decode one per refill attempt.
+                    loop {
+                        let (value, used) = self
+                            .decoder
+                            .next(&self.buf[self.pos..self.len])
+                            .ok_or_else(|| "truncated or malformed varint cell".to_string())?;
+                        out[done] = value;
+                        self.pos += used;
+                        done += 1;
+                        if done == out.len() || self.len - self.pos < 10 {
+                            break;
+                        }
+                    }
+                    self.consumed += (self.pos - start) as u64;
                 }
             }
         }
@@ -295,6 +283,48 @@ pub(crate) fn corrupt_cells(path: &std::path::Path, msg: String) -> DatasetError
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encodes a whole cell slice-run into a fresh buffer.
+    fn encode_cells_delta_varint<'a>(slices: impl IntoIterator<Item = &'a [u64]>) -> Vec<u8> {
+        let mut enc = DeltaVarintEncoder::new();
+        let mut out = Vec::new();
+        for slice in slices {
+            for &cell in slice {
+                enc.push(cell, &mut out);
+            }
+        }
+        out
+    }
+
+    /// Decodes exactly `out.len()` delta+varint cells from `bytes`, returning
+    /// the number of input bytes consumed.
+    fn decode_cells_delta_varint(bytes: &[u8], out: &mut [u64]) -> Option<usize> {
+        let mut dec = DeltaVarintDecoder::new();
+        let mut offset = 0usize;
+        for cell in out.iter_mut() {
+            let (value, used) = dec.next(&bytes[offset..])?;
+            *cell = value;
+            offset += used;
+        }
+        Some(offset)
+    }
+
+    /// A reader that hands out 1-7 bytes per `read` call, so raw cells and
+    /// varints arrive split across reads.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let n = (1 + self.calls % 7).min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
 
     #[test]
     fn varint_roundtrips_edge_values() {
@@ -369,19 +399,23 @@ mod tests {
             (&raw, CellEncoding::Raw),
             (&compressed, CellEncoding::DeltaVarint),
         ] {
-            let mut reader = CellReader::new(bytes.as_slice(), encoding);
-            let mut out = vec![0u64; cells.len()];
-            // Odd window size so windows straddle the refill buffer.
-            for chunk in out.chunks_mut(777) {
-                reader.read_cells(chunk).unwrap();
+            let buffered: Box<dyn Read> = Box::new(bytes.as_slice());
+            let trickle: Box<dyn Read> = Box::new(Trickle { bytes, calls: 0 });
+            for source in [buffered, trickle] {
+                let mut reader = CellReader::new(source, encoding);
+                let mut out = vec![0u64; cells.len()];
+                // Odd window size so windows straddle the refill buffer.
+                for chunk in out.chunks_mut(777) {
+                    reader.read_cells(chunk).unwrap();
+                }
+                assert_eq!(out, cells);
+                assert_eq!(reader.bytes_consumed(), bytes.len() as u64);
+                let (_, crc, leftover) = reader.finish();
+                assert!(leftover.is_empty());
+                let mut whole = crypto_prims::crc32::Crc32::new();
+                whole.update(bytes);
+                assert_eq!(crc.finalize(), whole.finalize());
             }
-            assert_eq!(out, cells);
-            assert_eq!(reader.bytes_consumed(), bytes.len() as u64);
-            let (_, crc, leftover) = reader.finish();
-            assert!(leftover.is_empty());
-            let mut whole = crypto_prims::crc32::Crc32::new();
-            whole.update(bytes);
-            assert_eq!(crc.finalize(), whole.finalize());
         }
     }
 

@@ -85,13 +85,6 @@ pub struct ShardHeader {
     pub cells: u64,
 }
 
-/// Number of keys logical worker `w` contributes under `config` — a thin
-/// alias for [`GenerationConfig::keys_for_worker`], the single partition rule
-/// shared with the in-memory key-space walker.
-pub fn keys_for_worker(config: &GenerationConfig, w: u64) -> u64 {
-    config.keys_for_worker(w)
-}
-
 impl ShardHeader {
     /// Creates a fresh (zero-progress) header for a worker range.
     ///
@@ -128,7 +121,7 @@ impl ShardHeader {
     /// Total keys this shard will contain when complete.
     pub fn keys_total(&self) -> u64 {
         (self.worker_lo..self.worker_hi)
-            .map(|w| keys_for_worker(&self.config, w))
+            .map(|w| self.config.keys_for_worker(w))
             .sum()
     }
 
@@ -142,12 +135,12 @@ impl ShardHeader {
         self.progress
             .iter()
             .enumerate()
-            .all(|(i, &done)| done == keys_for_worker(&self.config, self.worker_lo + i as u64))
+            .all(|(i, &done)| done == self.config.keys_for_worker(self.worker_lo + i as u64))
     }
 
     /// Keys remaining for the covered worker at offset `i` into the range.
     pub fn remaining_for(&self, i: usize) -> u64 {
-        keys_for_worker(&self.config, self.worker_lo + i as u64) - self.progress[i]
+        self.config.keys_for_worker(self.worker_lo + i as u64) - self.progress[i]
     }
 
     /// Internal-consistency check applied to every header read from disk.
@@ -180,7 +173,7 @@ impl ShardHeader {
             ));
         }
         for (i, &done) in self.progress.iter().enumerate() {
-            let total = keys_for_worker(&self.config, self.worker_lo + i as u64);
+            let total = self.config.keys_for_worker(self.worker_lo + i as u64);
             if done > total {
                 return Err(DatasetError::corrupt(
                     path,
@@ -206,9 +199,9 @@ mod tests {
     #[test]
     fn worker_split_matches_pool_rule() {
         // 10 keys over 3 workers: 4 + 3 + 3.
-        assert_eq!(keys_for_worker(&config(), 0), 4);
-        assert_eq!(keys_for_worker(&config(), 1), 3);
-        assert_eq!(keys_for_worker(&config(), 2), 3);
+        assert_eq!(config().keys_for_worker(0), 4);
+        assert_eq!(config().keys_for_worker(1), 3);
+        assert_eq!(config().keys_for_worker(2), 3);
     }
 
     #[test]

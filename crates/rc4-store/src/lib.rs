@@ -13,12 +13,13 @@
 //! * [`codec`] — the two cell encodings behind the format versions: raw
 //!   `u64` little-endian (v1, the byte-identity default) and delta+varint
 //!   compressed (v2, typically 3-6x smaller for real count tables), plus the
-//!   buffered CRC-tracking [`codec::CellReader`] the streaming paths share.
-//! * [`shard`] — [`shard::write_shard`] / [`shard::read_shard`] /
-//!   [`shard::peek_header`]: atomic (write-to-temp + rename) persistence and
-//!   fully validated loading of any [`rc4_stats::StorableDataset`]; plus
-//!   [`shard::open_cells`], a windowed cell stream that reads a shard
-//!   without materialising its dataset.
+//!   buffered CRC-tracking [`codec::CellReader`], the one cell decoder.
+//! * [`shard`] — one writer ([`shard::create_cells`]) and one reader
+//!   ([`shard::open_cells`]), both streaming: atomic (write-to-temp + rename)
+//!   persistence and fully validated loading of any
+//!   [`rc4_stats::StorableDataset`]. [`shard::write_shard_with`],
+//!   [`shard::read_shard`] and [`shard::peek_shard`] are those two applied
+//!   to a whole in-memory dataset or to the header alone.
 //! * [`generate`] — a checkpointing generation engine. The key space of a
 //!   configuration is partitioned into per-worker streams exactly as the
 //!   `rc4-stats` key-space walker partitions it; a *shard* covers a contiguous
@@ -27,12 +28,12 @@
 //!   last flushed chunk ([`generate::resume_shard`]) instead of starting
 //!   over — the on-disk analogue of `Batched16Counter`'s flush-and-aggregate
 //!   design.
-//! * [`merge`] — an n-way merge that validates shape equality and
-//!   seed-disjointness (disjoint worker ranges of the *same* master
-//!   configuration; each worker index derives an independent seed stream) and
-//!   sums the shards into a master dataset. Merging every shard of a
-//!   configuration yields cell-for-cell the dataset an uninterrupted
-//!   in-memory generation would have produced.
+//! * [`merge`] — the one n-way merge, windowed and tiered, that validates
+//!   shape equality and seed-disjointness (disjoint worker ranges of the
+//!   *same* master configuration; each worker index derives an independent
+//!   seed stream) and sums the shards into a master dataset. Merging every
+//!   shard of a configuration yields cell-for-cell the dataset an
+//!   uninterrupted in-memory generation would have produced.
 //! * [`cache`] — a load-or-generate dataset cache keyed by a SHA-256 hash of
 //!   `(kind, shape, config)`. Experiment drivers consult it before
 //!   generating; a hit skips generation entirely and is guaranteed to be the
@@ -70,6 +71,6 @@ pub use campaign::{
 pub use codec::CellEncoding;
 pub use format::{ShardHeader, FORMAT_VERSION, FORMAT_VERSION_COMPRESSED, MAGIC};
 pub use generate::{generate_shard, resume_shard, GenerateOptions, GenerateStatus, ShardSpec};
-pub use merge::{merge_shards, merge_shards_streaming, merge_shards_tiered, MergeOptions};
-pub use shard::{open_cells, peek_header, peek_shard, read_shard, write_shard, write_shard_with};
+pub use merge::{merge_shards, MergeOptions};
+pub use shard::{create_cells, open_cells, peek_shard, read_shard, write_shard_with};
 pub use singleflight::{FlightGuard, FlightStats, SingleFlight};

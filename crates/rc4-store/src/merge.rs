@@ -1,28 +1,23 @@
 //! N-way shard merge: the on-disk analogue of the paper's "merge the counts
 //! from ~80 machines" step.
 //!
-//! Merging validates that every input shard belongs to the *same* master
-//! dataset — identical kind, shape and generation configuration — that each
-//! shard is complete, and that the covered worker ranges are seed-disjoint
-//! (non-overlapping) and tile a contiguous range with no gaps. Counter cells
-//! are then summed, which is exact: the result is cell-for-cell the dataset a
-//! single run over the union of the worker streams would have produced.
+//! [`merge_shards`] is the one merge. It validates that every input shard
+//! belongs to the *same* master dataset — identical kind, shape and
+//! generation configuration — that each shard is complete, and that the
+//! covered worker ranges are seed-disjoint (non-overlapping) and tile a
+//! contiguous range with no gaps. Counter cells are then summed, which is
+//! exact: the result is cell-for-cell the dataset a single run over the union
+//! of the worker streams would have produced.
 //!
-//! Three entry points share that validation:
-//!
-//! * [`merge_shards`] — loads every input into memory; simplest, and fine
-//!   when the merged table fits in RAM a few times over.
-//! * [`merge_shards_streaming`] — out-of-core: streams fixed-size cell
-//!   windows from every input at once ([`crate::shard::open_cells`]) and
-//!   sums them into the output ([`crate::shard::create_cells`]), so peak
-//!   memory is `O(window × inputs)` instead of `O(cells × inputs)`.
-//! * [`merge_shards_tiered`] — caps the number of simultaneously open
-//!   streams at [`MergeOptions::fan_in`] by merging contiguous groups into
-//!   intermediate shards first — the shape of a fleet campaign's final
-//!   aggregation step, where hundreds of worker shards arrive at once.
-//!
-//! Because `u64` addition is commutative and associative, all three produce
-//! cell-for-cell identical outputs; with the default raw encoding the files
+//! The sum is out-of-core: each pass streams fixed-size cell windows from
+//! every input at once ([`crate::shard::open_cells`]) into the output
+//! ([`crate::shard::create_cells`]), so peak memory is `O(window × inputs)`
+//! instead of `O(cells × inputs)`. More inputs than
+//! [`MergeOptions::fan_in`] are merged in contiguous groups into intermediate
+//! shards first — the shape of a fleet campaign's final aggregation step,
+//! where hundreds of worker shards arrive at once. Because `u64` addition is
+//! commutative and associative, every window size and fan-in produces
+//! cell-for-cell identical output; with the default raw encoding the files
 //! are byte-identical.
 
 use std::path::{Path, PathBuf};
@@ -32,16 +27,16 @@ use rc4_stats::{DatasetError, StorableDataset};
 
 use crate::codec::CellEncoding;
 use crate::format::ShardHeader;
-use crate::shard::{create_cells, open_cells, peek_shard, read_shard, write_shard};
+use crate::shard::{create_cells, expect_kind, open_cells, peek_shard};
 
-/// Tuning knobs for the out-of-core merges.
+/// Tuning knobs for [`merge_shards`].
 #[derive(Debug, Clone, Copy)]
 pub struct MergeOptions {
     /// Cells summed per streaming window. Peak merge memory is roughly
     /// `window_cells × (inputs + 1) × 8` bytes.
     pub window_cells: usize,
-    /// Maximum input shards merged in one pass by [`merge_shards_tiered`]
-    /// (equivalently: simultaneously open input streams).
+    /// Maximum input shards merged in one pass (equivalently: simultaneously
+    /// open input streams).
     pub fan_in: usize,
     /// Cell encoding of the merged output (and of tier intermediates). Raw
     /// keeps the campaign byte-identity contract; delta+varint trades CPU
@@ -63,6 +58,15 @@ impl Default for MergeOptions {
 /// Merges `inputs` (two or more complete, disjoint shards of one master
 /// configuration) into a single shard at `out`, returning the merged header.
 ///
+/// Cells are streamed in [`MergeOptions::window_cells`]-sized windows, so the
+/// merged table never has to fit in memory, and at most
+/// [`MergeOptions::fan_in`] inputs are open at once: larger input sets are
+/// sorted by worker range and merged in contiguous groups into intermediate
+/// shards (siblings of `out`, cleaned up afterwards), tier by tier, until one
+/// final pass writes `out`. Every input's CRC-32 trailer is verified *before*
+/// the output is renamed into place — corrupt inputs can never produce a
+/// visible output file.
+///
 /// # Errors
 ///
 /// * [`DatasetError::InvalidConfig`] — fewer than two inputs, or an input is
@@ -70,43 +74,62 @@ impl Default for MergeOptions {
 /// * [`DatasetError::ShapeMismatch`] — inputs disagree on kind, shape or
 ///   configuration, overlap in worker ranges (duplicate derived seeds), or
 ///   leave a gap in the covered range.
-/// * Everything [`read_shard`] / [`write_shard`] return.
+/// * [`DatasetError::Corrupt`] — an input is damaged, or its kind tag or
+///   declared cell count contradicts `D`.
+/// * [`DatasetError::Io`] — an input cannot be read or the output written.
 pub fn merge_shards<D: StorableDataset>(
     inputs: &[&Path],
     out: &Path,
+    options: &MergeOptions,
 ) -> Result<ShardHeader, DatasetError> {
-    if inputs.len() < 2 {
-        return Err(DatasetError::InvalidConfig(
-            "merge needs at least two input shards".into(),
-        ));
+    let fan_in = options.fan_in.max(2);
+    if inputs.len() <= fan_in {
+        return merge_pass::<D>(inputs, out, options);
     }
 
-    let mut shards = Vec::with_capacity(inputs.len());
+    // Sort once by worker range so every group covers a contiguous span.
+    let mut order: Vec<usize> = (0..inputs.len()).collect();
+    let mut lows = Vec::with_capacity(inputs.len());
     for path in inputs {
-        shards.push((*path, read_shard::<D>(path)?));
+        lows.push(peek_shard(path)?.0.worker_lo);
     }
-    let headers: Vec<(&Path, &ShardHeader)> = shards.iter().map(|(p, s)| (*p, &s.header)).collect();
-    let (order, header) = plan_merge(&headers, out)?;
-    let shape = header.shape.clone();
+    order.sort_by_key(|&i| lows[i]);
 
-    let mut merged: Option<D> = None;
-    for &i in &order {
-        let dataset = std::mem::replace(&mut shards[i].1.dataset, D::empty_with_shape(&shape)?);
-        merged = Some(match merged {
-            None => dataset,
-            Some(mut acc) => {
-                acc.merge_same_shape(dataset)?;
-                acc
+    let out_name = out
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "merged".into());
+    let mut level: Vec<PathBuf> = order.iter().map(|&i| inputs[i].to_path_buf()).collect();
+    let mut temps: Vec<PathBuf> = Vec::new();
+    let result = (|| {
+        let mut tier = 0usize;
+        while level.len() > fan_in {
+            let mut next = Vec::with_capacity(level.len().div_ceil(fan_in));
+            for (i, group) in level.chunks(fan_in).enumerate() {
+                if group.len() == 1 {
+                    // A lone trailing shard passes through to the next tier.
+                    next.push(group[0].clone());
+                    continue;
+                }
+                let tmp = out.with_file_name(format!("{out_name}.tier{tier}-{i}.part"));
+                let refs: Vec<&Path> = group.iter().map(PathBuf::as_path).collect();
+                merge_pass::<D>(&refs, &tmp, options)?;
+                temps.push(tmp.clone());
+                next.push(tmp);
             }
-        });
+            level = next;
+            tier += 1;
+        }
+        let refs: Vec<&Path> = level.iter().map(PathBuf::as_path).collect();
+        merge_pass::<D>(&refs, out, options)
+    })();
+    for tmp in temps {
+        let _ = std::fs::remove_file(tmp);
     }
-    let merged = merged.expect("at least two shards");
-
-    write_shard(out, &header, &merged)?;
-    Ok(header)
+    result
 }
 
-/// The validation every merge flavour shares: completeness, identical
+/// The validation every merge pass runs: completeness, identical
 /// kind/shape/config, seed-disjoint contiguous worker coverage. Returns the
 /// input indices in worker order plus the merged (already-validated) header.
 fn plan_merge(
@@ -199,20 +222,10 @@ fn plan_merge(
     Ok((order, header))
 }
 
-/// Merges like [`merge_shards`] but out-of-core: cells are streamed in
-/// [`MergeOptions::window_cells`]-sized windows, so the merged table never
-/// has to fit in memory. Every input's CRC-32 trailer is verified *before*
-/// the output is renamed into place — corrupt inputs can never produce a
-/// visible output file.
-///
-/// With `options.encoding == CellEncoding::Raw` (the default) the output is
-/// byte-identical to what [`merge_shards`] writes.
-///
-/// # Errors
-///
-/// As [`merge_shards`], plus [`DatasetError::Corrupt`] when an input's kind
-/// tag or declared cell count contradicts `D`.
-pub fn merge_shards_streaming<D: StorableDataset>(
+/// One merge pass over at most [`MergeOptions::fan_in`] inputs: window by
+/// window, sums every input's cells into the output, then verifies every
+/// input's trailer before the output is renamed into place.
+fn merge_pass<D: StorableDataset>(
     inputs: &[&Path],
     out: &Path,
     options: &MergeOptions,
@@ -226,27 +239,7 @@ pub fn merge_shards_streaming<D: StorableDataset>(
     let mut peeked = Vec::with_capacity(inputs.len());
     for path in inputs {
         let (header, _encoding) = peek_shard(path)?;
-        if header.kind != D::kind() {
-            return Err(DatasetError::corrupt(
-                path,
-                format!(
-                    "holds a '{}' dataset, expected '{}'",
-                    header.kind,
-                    D::kind()
-                ),
-            ));
-        }
-        let implied = D::cell_count_for_shape(&header.shape)
-            .map_err(|e| DatasetError::corrupt(path, format!("invalid stored shape: {e}")))?;
-        if implied != header.cells {
-            return Err(DatasetError::corrupt(
-                path,
-                format!(
-                    "header declares {} cells but the shape implies {implied}",
-                    header.cells
-                ),
-            ));
-        }
+        expect_kind::<D>(path, &header)?;
         peeked.push(header);
     }
     let headers: Vec<(&Path, &ShardHeader)> = inputs.iter().copied().zip(peeked.iter()).collect();
@@ -296,70 +289,6 @@ pub fn merge_shards_streaming<D: StorableDataset>(
     Ok(merged)
 }
 
-/// Merges any number of shards while never holding more than
-/// [`MergeOptions::fan_in`] input streams open: inputs are sorted by worker
-/// range and merged in contiguous groups into intermediate shards (siblings
-/// of `out`, cleaned up afterwards), tier by tier, until one final
-/// [`merge_shards_streaming`] pass writes `out`.
-///
-/// Produces cell-for-cell (and, for raw encoding, byte-for-byte) the same
-/// output as a single flat merge.
-///
-/// # Errors
-///
-/// As [`merge_shards_streaming`].
-pub fn merge_shards_tiered<D: StorableDataset>(
-    inputs: &[&Path],
-    out: &Path,
-    options: &MergeOptions,
-) -> Result<ShardHeader, DatasetError> {
-    let fan_in = options.fan_in.max(2);
-    if inputs.len() <= fan_in {
-        return merge_shards_streaming::<D>(inputs, out, options);
-    }
-
-    // Sort once by worker range so every group covers a contiguous span.
-    let mut order: Vec<usize> = (0..inputs.len()).collect();
-    let mut lows = Vec::with_capacity(inputs.len());
-    for path in inputs {
-        lows.push(peek_shard(path)?.0.worker_lo);
-    }
-    order.sort_by_key(|&i| lows[i]);
-
-    let out_name = out
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "merged".into());
-    let mut level: Vec<PathBuf> = order.iter().map(|&i| inputs[i].to_path_buf()).collect();
-    let mut temps: Vec<PathBuf> = Vec::new();
-    let result = (|| {
-        let mut tier = 0usize;
-        while level.len() > fan_in {
-            let mut next = Vec::with_capacity(level.len().div_ceil(fan_in));
-            for (i, group) in level.chunks(fan_in).enumerate() {
-                if group.len() == 1 {
-                    // A lone trailing shard passes through to the next tier.
-                    next.push(group[0].clone());
-                    continue;
-                }
-                let tmp = out.with_file_name(format!("{out_name}.tier{tier}-{i}.part"));
-                let refs: Vec<&Path> = group.iter().map(PathBuf::as_path).collect();
-                merge_shards_streaming::<D>(&refs, &tmp, options)?;
-                temps.push(tmp.clone());
-                next.push(tmp);
-            }
-            level = next;
-            tier += 1;
-        }
-        let refs: Vec<&Path> = level.iter().map(PathBuf::as_path).collect();
-        merge_shards_streaming::<D>(&refs, out, options)
-    })();
-    for tmp in temps {
-        let _ = std::fs::remove_file(tmp);
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,7 +325,8 @@ mod tests {
         let a = shard(&dir, "a.ds", &config, 0, 1);
         let b = shard(&dir, "b.ds", &config, 1, 3);
         let out = dir.join("master.ds");
-        let header = merge_shards::<SingleByteDataset>(&[&a, &b], &out).unwrap();
+        let header =
+            merge_shards::<SingleByteDataset>(&[&a, &b], &out, &MergeOptions::default()).unwrap();
         assert_eq!((header.worker_lo, header.worker_hi), (0, 3));
         assert!(header.is_complete());
 
@@ -426,13 +356,13 @@ mod tests {
         let c = shard(&dir, "c.ds", &other, 1, 2);
         let out = dir.join("out.ds");
         assert!(matches!(
-            merge_shards::<SingleByteDataset>(&[&a, &c], &out),
+            merge_shards::<SingleByteDataset>(&[&a, &c], &out, &MergeOptions::default()),
             Err(DatasetError::ShapeMismatch(msg)) if msg.contains("configurations")
         ));
 
         // Overlap: the same worker twice.
         assert!(matches!(
-            merge_shards::<SingleByteDataset>(&[&b, &b], &out),
+            merge_shards::<SingleByteDataset>(&[&b, &b], &out, &MergeOptions::default()),
             Err(DatasetError::ShapeMismatch(msg)) if msg.contains("overlap")
         ));
 
@@ -448,17 +378,17 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            merge_shards::<SingleByteDataset>(&[&a, &wide], &out),
+            merge_shards::<SingleByteDataset>(&[&a, &wide], &out, &MergeOptions::default()),
             Err(DatasetError::ShapeMismatch(msg)) if msg.contains("shaped")
         ));
 
         // A single input is not a merge.
-        assert!(merge_shards::<SingleByteDataset>(&[&a], &out).is_err());
+        assert!(merge_shards::<SingleByteDataset>(&[&a], &out, &MergeOptions::default()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn streaming_and_tiered_merges_are_byte_identical_to_in_memory() {
+    fn windowed_and_tiered_merges_are_byte_identical_to_the_default() {
         let dir = temp_dir("stream");
         let config = GenerationConfig::with_keys(900).workers(6).seed(23);
         let shards: Vec<PathBuf> = (0..6)
@@ -467,7 +397,7 @@ mod tests {
         let refs: Vec<&Path> = shards.iter().map(|p| p.as_path()).collect();
 
         let flat = dir.join("flat.ds");
-        merge_shards::<SingleByteDataset>(&refs, &flat).unwrap();
+        merge_shards::<SingleByteDataset>(&refs, &flat, &MergeOptions::default()).unwrap();
         let flat_bytes = std::fs::read(&flat).unwrap();
 
         // Tiny windows force many refill/sum iterations.
@@ -476,7 +406,7 @@ mod tests {
             window_cells: 7,
             ..MergeOptions::default()
         };
-        let header = merge_shards_streaming::<SingleByteDataset>(&refs, &streamed, &opts).unwrap();
+        let header = merge_shards::<SingleByteDataset>(&refs, &streamed, &opts).unwrap();
         assert_eq!((header.worker_lo, header.worker_hi), (0, 6));
         assert_eq!(std::fs::read(&streamed).unwrap(), flat_bytes);
 
@@ -487,7 +417,7 @@ mod tests {
             fan_in: 2,
             ..MergeOptions::default()
         };
-        merge_shards_tiered::<SingleByteDataset>(&refs, &tiered, &opts).unwrap();
+        merge_shards::<SingleByteDataset>(&refs, &tiered, &opts).unwrap();
         assert_eq!(std::fs::read(&tiered).unwrap(), flat_bytes);
         // Tier intermediates were cleaned up.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -509,13 +439,13 @@ mod tests {
         let a = shard(&dir, "a.ds", &config, 0, 1);
         let b = shard(&dir, "b.ds", &config, 1, 2);
         let raw = dir.join("raw.ds");
-        merge_shards::<SingleByteDataset>(&[&a, &b], &raw).unwrap();
+        merge_shards::<SingleByteDataset>(&[&a, &b], &raw, &MergeOptions::default()).unwrap();
         let packed = dir.join("packed.ds");
         let opts = MergeOptions {
             encoding: crate::codec::CellEncoding::DeltaVarint,
             ..MergeOptions::default()
         };
-        merge_shards_streaming::<SingleByteDataset>(&[&a, &b], &packed, &opts).unwrap();
+        merge_shards::<SingleByteDataset>(&[&a, &b], &packed, &opts).unwrap();
         let raw = crate::shard::read_shard::<SingleByteDataset>(&raw).unwrap();
         let packed = crate::shard::read_shard::<SingleByteDataset>(&packed).unwrap();
         assert_eq!(raw.header, packed.header);
@@ -536,7 +466,7 @@ mod tests {
         bytes[mid] ^= 0x10;
         std::fs::write(&b, &bytes).unwrap();
         let out = dir.join("out.ds");
-        let r = merge_shards_streaming::<SingleByteDataset>(&[&a, &b], &out, &Default::default());
+        let r = merge_shards::<SingleByteDataset>(&[&a, &b], &out, &Default::default());
         assert!(matches!(r, Err(DatasetError::Corrupt(msg)) if msg.contains("CRC")));
         assert!(!out.exists(), "corrupt input produced an output file");
         // The aborted writer's temp file was removed as well.
@@ -557,7 +487,7 @@ mod tests {
         let b = shard(&dir, "b.ds", &config, 2, 3);
         let out = dir.join("out.ds");
         assert!(matches!(
-            merge_shards::<SingleByteDataset>(&[&a, &b], &out),
+            merge_shards::<SingleByteDataset>(&[&a, &b], &out, &MergeOptions::default()),
             Err(DatasetError::ShapeMismatch(msg)) if msg.contains("no input shard")
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -584,7 +514,7 @@ mod tests {
         .unwrap();
         let out = dir.join("out.ds");
         assert!(matches!(
-            merge_shards::<SingleByteDataset>(&[&a, &partial], &out),
+            merge_shards::<SingleByteDataset>(&[&a, &partial], &out, &MergeOptions::default()),
             Err(DatasetError::InvalidConfig(msg)) if msg.contains("resume")
         ));
         let _ = std::fs::remove_dir_all(&dir);

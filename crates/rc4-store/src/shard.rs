@@ -1,12 +1,19 @@
-//! Reading and writing shard files.
+//! Reading and writing shard files: one writer, one reader.
 //!
-//! Writes are atomic: the file is assembled in a sibling `*.tmp` file and
-//! renamed over the destination, so a crash mid-checkpoint leaves the
-//! previous complete checkpoint intact. Reads validate everything — magic,
-//! format version, header consistency, cell count, file length and the
-//! CRC-32 trailer — before any cell reaches a dataset, and surface failures
-//! as typed [`DatasetError::Io`] / [`DatasetError::Corrupt`] errors naming
-//! the path.
+//! [`create_cells`] is the only writer. It streams cells through the codec
+//! into a sibling `*.tmp` file and renames that over the destination only
+//! once the CRC-32 trailer is written and synced, so a crash mid-checkpoint
+//! leaves the previous complete checkpoint intact; a failed or abandoned
+//! write removes its temp file. [`write_shard_with`] is that writer fed from
+//! an in-memory dataset.
+//!
+//! [`open_cells`] is the only reader, and the one place the preamble and
+//! header are parsed and validated. It hands out cells window by window
+//! through [`CellReader`] and checks the cell count, trailer length and
+//! CRC-32 at [`ShardCellStream::finish`]. [`read_shard`] is that reader
+//! filling an in-memory dataset and [`peek_shard`] stops after the header,
+//! so no path ever buffers a whole file. Failures surface as typed
+//! [`DatasetError::Io`] / [`DatasetError::Corrupt`] errors naming the path.
 
 use std::fs;
 use std::io::{BufWriter, Read, Write};
@@ -15,7 +22,7 @@ use std::path::{Path, PathBuf};
 use crypto_prims::crc32::Crc32;
 use rc4_stats::{DatasetError, StorableDataset};
 
-use crate::codec::{CellEncoding, CellReader, DeltaVarintDecoder, DeltaVarintEncoder};
+use crate::codec::{CellEncoding, CellReader, DeltaVarintEncoder};
 use crate::format::{ShardHeader, MAGIC, MAX_HEADER_LEN, PREAMBLE_LEN};
 
 /// A fully loaded shard: its header plus the reconstructed dataset.
@@ -29,6 +36,9 @@ pub struct ShardFile<D> {
     /// a compressed shard stays compressed across checkpoints.
     pub encoding: CellEncoding,
 }
+
+/// Encoded bytes the writer buffers before one CRC update and one write.
+const FLUSH_BYTES: usize = 1 << 19;
 
 /// Sibling temp path used for atomic writes, salted with the process id and
 /// a counter so concurrent writers of the same destination (e.g. two runs
@@ -46,30 +56,18 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Serializes `dataset` under `header` to `path` atomically, with raw
-/// (format version 1) cells — the default encoding every byte-identity
-/// contract is pinned against. See [`write_shard_with`] for compression.
+/// Serializes `dataset` under `header` to `path` atomically, choosing the
+/// cell encoding (and thereby the format version actually written):
+/// [`CellEncoding::Raw`] is the v1 default every byte-identity contract is
+/// pinned against. The cells go through [`create_cells`], one slice at a time.
 ///
 /// # Errors
 ///
-/// Returns [`DatasetError::Io`] on file-system failures,
-/// [`DatasetError::Serialization`] if the header fails to encode, and
+/// Returns [`DatasetError::Io`] on file-system failures (the temp file is
+/// removed), [`DatasetError::Serialization`] if the header fails to encode,
+/// [`DatasetError::Corrupt`] if the header contradicts itself, and
 /// [`DatasetError::InvalidConfig`] if `header.cells` disagrees with the
 /// dataset's cell count (a caller bug worth catching before it reaches disk).
-pub fn write_shard<D: StorableDataset>(
-    path: &Path,
-    header: &ShardHeader,
-    dataset: &D,
-) -> Result<(), DatasetError> {
-    write_shard_with(path, header, dataset, CellEncoding::Raw)
-}
-
-/// Serializes `dataset` under `header` to `path` atomically, choosing the
-/// cell encoding (and thereby the format version actually written).
-///
-/// # Errors
-///
-/// As [`write_shard`].
 pub fn write_shard_with<D: StorableDataset>(
     path: &Path,
     header: &ShardHeader,
@@ -83,79 +81,21 @@ pub fn write_shard_with<D: StorableDataset>(
             dataset.cell_count()
         )));
     }
-    let header_bytes = header_json_bytes(header)?;
-    let header_len = header_bytes.len() as u32;
-
-    let tmp = tmp_path(path);
-    let file = fs::File::create(&tmp).map_err(|e| DatasetError::io(&tmp, e))?;
-    let mut out = BufWriter::new(file);
-    let mut crc = Crc32::new();
-    let mut emit = |out: &mut BufWriter<fs::File>, bytes: &[u8]| -> Result<(), DatasetError> {
-        crc.update(bytes);
-        out.write_all(bytes).map_err(|e| DatasetError::io(&tmp, e))
-    };
-
-    emit(&mut out, &MAGIC)?;
-    emit(&mut out, &encoding.format_version().to_le_bytes())?;
-    emit(&mut out, &header_len.to_le_bytes())?;
-    emit(&mut out, &header_bytes)?;
-    // Cells, buffered in ~512 KiB chunks so CRC and write syscalls both see
-    // large runs instead of per-cell pieces. The delta chain of the
-    // compressed encoding runs across slice boundaries, exactly as the
-    // decoder expects.
-    let mut buf = Vec::with_capacity(1 << 19);
-    let mut encoder = DeltaVarintEncoder::new();
+    let mut writer = create_cells(path, header, encoding)?;
     for slice in dataset.cell_slices() {
-        for &cell in slice {
-            match encoding {
-                CellEncoding::Raw => buf.extend_from_slice(&cell.to_le_bytes()),
-                CellEncoding::DeltaVarint => encoder.push(cell, &mut buf),
-            }
-            if buf.len() >= (1 << 19) {
-                emit(&mut out, &buf)?;
-                buf.clear();
-            }
-        }
+        writer.write_cells(slice)?;
     }
-    if !buf.is_empty() {
-        emit(&mut out, &buf)?;
-    }
-    let digest = crc.finalize();
-    out.write_all(&digest.to_le_bytes())
-        .map_err(|e| DatasetError::io(&tmp, e))?;
-    out.flush().map_err(|e| DatasetError::io(&tmp, e))?;
-    out.into_inner()
-        .map_err(|e| DatasetError::io(&tmp, e.to_string()))?
-        .sync_all()
-        .map_err(|e| DatasetError::io(&tmp, e))?;
-    fs::rename(&tmp, path).map_err(|e| DatasetError::io(path, e))?;
-    Ok(())
+    writer.finish()
 }
 
-/// Serializes a header to its JSON bytes, enforcing the format's length
-/// limit (the single place both the in-memory and the streaming writer get
-/// their header bytes from, so they cannot diverge).
-fn header_json_bytes(header: &ShardHeader) -> Result<Vec<u8>, DatasetError> {
-    let header_json = serde_json::to_string(header)
-        .map_err(|e| DatasetError::Serialization(format!("shard header: {e}")))?;
-    if header_json.len() > MAX_HEADER_LEN {
-        return Err(DatasetError::InvalidConfig(format!(
-            "shard header would be {} bytes, over the {MAX_HEADER_LEN}-byte format limit \
-             (usually an extreme worker count; split the run into more shards)",
-            header_json.len()
-        )));
-    }
-    Ok(header_json.into_bytes())
-}
-
-/// A streaming, window-at-a-time shard *writer* — the output half of the
-/// out-of-core merge, mirroring [`ShardCellStream`] on the input side.
+/// The streaming shard writer, opened by [`create_cells`]: the output half
+/// of every shard write, mirroring [`ShardCellStream`] on the input side.
 ///
 /// Cells are encoded and CRC'd as they arrive; nothing is visible at the
 /// destination path until [`ShardCellWriter::finish`] has written the CRC-32
-/// trailer, synced, and atomically renamed the temp file into place. Dropping
-/// an unfinished writer removes the temp file, so an aborted merge leaves no
-/// partial output behind.
+/// trailer, synced, and atomically renamed the temp file into place. A failed
+/// write, sync or rename, or dropping an unfinished writer, removes the temp
+/// file, so an aborted write leaves no partial output behind.
 #[derive(Debug)]
 pub struct ShardCellWriter {
     path: PathBuf,
@@ -170,12 +110,6 @@ pub struct ShardCellWriter {
 }
 
 impl ShardCellWriter {
-    /// Cells the header still expects before [`ShardCellWriter::finish`] is
-    /// allowed.
-    pub fn remaining_cells(&self) -> u64 {
-        self.remaining
-    }
-
     /// Encoded bytes produced so far (the merge's write-bytes telemetry).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
@@ -195,7 +129,8 @@ impl ShardCellWriter {
         Ok(())
     }
 
-    /// Appends `cells` to the cell section.
+    /// Appends `cells` to the cell section, flushing every 512 KiB of
+    /// encoded output, so even a whole-table slice is never buffered whole.
     ///
     /// # Errors
     ///
@@ -209,14 +144,25 @@ impl ShardCellWriter {
                 self.remaining
             )));
         }
-        for &cell in cells {
+        // A raw chunk is exactly FLUSH_BYTES; a varint chunk at most 10x
+        // the cells, so the buffer stays within a few flushes' worth.
+        for chunk in cells.chunks(FLUSH_BYTES / 8) {
             match self.encoding {
-                CellEncoding::Raw => self.buf.extend_from_slice(&cell.to_le_bytes()),
-                CellEncoding::DeltaVarint => self.encoder.push(cell, &mut self.buf),
+                CellEncoding::Raw => {
+                    for &cell in chunk {
+                        self.buf.extend_from_slice(&cell.to_le_bytes());
+                    }
+                }
+                CellEncoding::DeltaVarint => {
+                    for &cell in chunk {
+                        self.encoder.push(cell, &mut self.buf);
+                    }
+                }
             }
+            self.remaining -= chunk.len() as u64;
+            self.emit(FLUSH_BYTES)?;
         }
-        self.remaining -= cells.len() as u64;
-        self.emit(1 << 19)
+        Ok(())
     }
 
     /// Writes the CRC-32 trailer, syncs, and renames the file into place.
@@ -271,16 +217,25 @@ impl Drop for ShardCellWriter {
 ///
 /// # Errors
 ///
-/// [`DatasetError::Corrupt`]-free validation errors when the header is
-/// inconsistent, [`DatasetError::Serialization`] if it fails to encode, and
-/// [`DatasetError::Io`] on file-system failures.
+/// [`DatasetError::Corrupt`] when the header contradicts itself,
+/// [`DatasetError::Serialization`] if it fails to encode,
+/// [`DatasetError::InvalidConfig`] if it exceeds the format's length limit,
+/// and [`DatasetError::Io`] on file-system failures.
 pub fn create_cells(
     path: &Path,
     header: &ShardHeader,
     encoding: CellEncoding,
 ) -> Result<ShardCellWriter, DatasetError> {
     header.validate(path)?;
-    let header_bytes = header_json_bytes(header)?;
+    let header_json = serde_json::to_string(header)
+        .map_err(|e| DatasetError::Serialization(format!("shard header: {e}")))?;
+    if header_json.len() > MAX_HEADER_LEN {
+        return Err(DatasetError::InvalidConfig(format!(
+            "shard header would be {} bytes, over the {MAX_HEADER_LEN}-byte format limit \
+             (usually an extreme worker count; split the run into more shards)",
+            header_json.len()
+        )));
+    }
     let tmp = tmp_path(path);
     let file = fs::File::create(&tmp).map_err(|e| DatasetError::io(&tmp, e))?;
     let mut writer = ShardCellWriter {
@@ -290,7 +245,7 @@ pub fn create_cells(
         crc: Crc32::new(),
         encoding,
         encoder: DeltaVarintEncoder::new(),
-        buf: Vec::with_capacity(1 << 19),
+        buf: Vec::with_capacity(FLUSH_BYTES),
         remaining: header.cells,
         bytes_written: 0,
     };
@@ -300,134 +255,19 @@ pub fn create_cells(
         .extend_from_slice(&encoding.format_version().to_le_bytes());
     writer
         .buf
-        .extend_from_slice(&(header_bytes.len() as u32).to_le_bytes());
-    writer.buf.extend_from_slice(&header_bytes);
+        .extend_from_slice(&(header_json.len() as u32).to_le_bytes());
+    writer.buf.extend_from_slice(header_json.as_bytes());
     writer.emit(0)?;
     Ok(writer)
 }
 
-/// Version-check shared by every read path: maps the on-disk format version
-/// to its cell encoding, rejecting unknown versions by name.
-fn decode_version(path: &Path, version: u32) -> Result<CellEncoding, DatasetError> {
-    CellEncoding::from_format_version(version).ok_or_else(|| {
-        DatasetError::corrupt(
-            path,
-            format!(
-                "unsupported format version {version} (this build reads {} and {})",
-                crate::format::FORMAT_VERSION,
-                crate::format::FORMAT_VERSION_COMPRESSED
-            ),
-        )
-    })
-}
-
-/// Parses and validates the preamble and header from raw bytes.
-fn decode_header(
+/// Checks that `header` describes a `D` dataset: the kind tag matches and
+/// the declared cell count is the one the shape implies. Shared by
+/// [`read_shard`] and the merge, which both trust cell counts from here on.
+pub(crate) fn expect_kind<D: StorableDataset>(
     path: &Path,
-    bytes: &[u8],
-) -> Result<(ShardHeader, usize, CellEncoding), DatasetError> {
-    if bytes.len() < PREAMBLE_LEN {
-        return Err(DatasetError::corrupt(
-            path,
-            format!("truncated file ({} bytes, preamble needs 16)", bytes.len()),
-        ));
-    }
-    if bytes[..8] != MAGIC {
-        return Err(DatasetError::corrupt(
-            path,
-            "not an rc4-store dataset (bad magic)",
-        ));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let encoding = decode_version(path, version)?;
-    let header_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    if header_len > MAX_HEADER_LEN {
-        return Err(DatasetError::corrupt(
-            path,
-            format!("implausible header length {header_len} (limit {MAX_HEADER_LEN})"),
-        ));
-    }
-    let header_end = PREAMBLE_LEN
-        .checked_add(header_len)
-        .filter(|&end| end <= bytes.len())
-        .ok_or_else(|| {
-            DatasetError::corrupt(path, "truncated file (header extends past end of file)")
-        })?;
-    let header_json = std::str::from_utf8(&bytes[PREAMBLE_LEN..header_end])
-        .map_err(|_| DatasetError::corrupt(path, "shard header is not UTF-8"))?;
-    let header: ShardHeader = serde_json::from_str(header_json)
-        .map_err(|e| DatasetError::corrupt(path, format!("unreadable shard header: {e}")))?;
-    header.validate(path)?;
-    Ok((header, header_end, encoding))
-}
-
-/// Reads only the header of a shard file (cells are not touched and the CRC
-/// is *not* verified — use [`read_shard`] before trusting the counts).
-///
-/// # Errors
-///
-/// Returns [`DatasetError::Io`] when the file cannot be read and
-/// [`DatasetError::Corrupt`] when the preamble or header is invalid.
-pub fn peek_header(path: &Path) -> Result<ShardHeader, DatasetError> {
-    peek_shard(path).map(|(h, _)| h)
-}
-
-/// As [`peek_header`], additionally reporting the file's cell encoding.
-///
-/// # Errors
-///
-/// As [`peek_header`].
-pub fn peek_shard(path: &Path) -> Result<(ShardHeader, CellEncoding), DatasetError> {
-    let mut file = fs::File::open(path).map_err(|e| DatasetError::io(path, e))?;
-    let bytes = read_preamble_and_header(path, &mut file)?;
-    decode_header(path, &bytes).map(|(h, _, enc)| (h, enc))
-}
-
-/// Reads exactly the preamble + JSON header bytes from the front of `file`,
-/// leaving the reader positioned at the first cell byte.
-fn read_preamble_and_header(path: &Path, file: &mut fs::File) -> Result<Vec<u8>, DatasetError> {
-    let eof_or_io = |e: std::io::Error, what: &str| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            DatasetError::corrupt(path, format!("truncated file ({what})"))
-        } else {
-            DatasetError::io(path, e)
-        }
-    };
-    let mut preamble = [0u8; PREAMBLE_LEN];
-    file.read_exact(&mut preamble)
-        .map_err(|e| eof_or_io(e, "shorter than the 16-byte preamble"))?;
-    if preamble[..8] != MAGIC {
-        return Err(DatasetError::corrupt(
-            path,
-            "not an rc4-store dataset (bad magic)",
-        ));
-    }
-    let version = u32::from_le_bytes(preamble[8..12].try_into().expect("4 bytes"));
-    decode_version(path, version)?;
-    let header_len = u32::from_le_bytes(preamble[12..16].try_into().expect("4 bytes")) as usize;
-    if header_len > MAX_HEADER_LEN {
-        return Err(DatasetError::corrupt(
-            path,
-            format!("implausible header length {header_len} (limit {MAX_HEADER_LEN})"),
-        ));
-    }
-    let mut bytes = preamble.to_vec();
-    bytes.resize(PREAMBLE_LEN + header_len, 0);
-    file.read_exact(&mut bytes[PREAMBLE_LEN..])
-        .map_err(|e| eof_or_io(e, "header extends past end of file"))?;
-    Ok(bytes)
-}
-
-/// Reads and fully validates a shard file, reconstructing the dataset.
-///
-/// # Errors
-///
-/// * [`DatasetError::Io`] — the file cannot be read.
-/// * [`DatasetError::Corrupt`] — bad magic, unsupported format version,
-///   truncation, header/shape/cell-count inconsistency, or CRC mismatch.
-pub fn read_shard<D: StorableDataset>(path: &Path) -> Result<ShardFile<D>, DatasetError> {
-    let bytes = fs::read(path).map_err(|e| DatasetError::io(path, e))?;
-    let (header, header_end, encoding) = decode_header(path, &bytes)?;
+    header: &ShardHeader,
+) -> Result<(), DatasetError> {
     if header.kind != D::kind() {
         return Err(DatasetError::corrupt(
             path,
@@ -438,93 +278,53 @@ pub fn read_shard<D: StorableDataset>(path: &Path) -> Result<ShardFile<D>, Datas
             ),
         ));
     }
-    let mut dataset = D::empty_with_shape(&header.shape)
+    let implied = D::cell_count_for_shape(&header.shape)
         .map_err(|e| DatasetError::corrupt(path, format!("invalid stored shape: {e}")))?;
-    if dataset.cell_count() as u64 != header.cells {
+    if implied != header.cells {
         return Err(DatasetError::corrupt(
             path,
             format!(
-                "header declares {} cells but the shape implies {}",
-                header.cells,
-                dataset.cell_count()
+                "header declares {} cells but the shape implies {implied}",
+                header.cells
             ),
         ));
     }
-    // Length accounting: raw cells have a fixed byte size, compressed cells
-    // occupy whatever the varints take — there the decoder itself must
-    // consume the cell section exactly.
-    if encoding == CellEncoding::Raw {
-        let cells_len = (header.cells as usize)
-            .checked_mul(8)
-            .ok_or_else(|| DatasetError::corrupt(path, "cell count overflows"))?;
-        let expected_len = header_end + cells_len + 4;
-        if bytes.len() < expected_len {
-            return Err(DatasetError::corrupt(
-                path,
-                format!(
-                    "truncated file ({} bytes, expected {expected_len})",
-                    bytes.len()
-                ),
-            ));
-        }
-        if bytes.len() > expected_len {
-            return Err(DatasetError::corrupt(
-                path,
-                format!(
-                    "trailing bytes after the CRC ({} bytes, expected {expected_len})",
-                    bytes.len()
-                ),
-            ));
-        }
-    } else if bytes.len() < header_end + 4 {
-        return Err(DatasetError::corrupt(
-            path,
-            format!(
-                "truncated file ({} bytes, no room for the CRC trailer)",
-                bytes.len()
-            ),
-        ));
+    Ok(())
+}
+
+/// Reads only the header of a shard file and its cell encoding (cells are
+/// not touched and the CRC is *not* verified — use [`read_shard`] before
+/// trusting the counts).
+///
+/// # Errors
+///
+/// Returns [`DatasetError::Io`] when the file cannot be read and
+/// [`DatasetError::Corrupt`] when the preamble or header is invalid.
+pub fn peek_shard(path: &Path) -> Result<(ShardHeader, CellEncoding), DatasetError> {
+    let stream = open_cells(path)?;
+    Ok((stream.header, stream.encoding))
+}
+
+/// Reads and fully validates a shard file, reconstructing the dataset: the
+/// [`open_cells`] stream read into the dataset's cell slices, then
+/// [`ShardCellStream::finish`]'s trailer and CRC checks.
+///
+/// # Errors
+///
+/// * [`DatasetError::Io`] — the file cannot be read.
+/// * [`DatasetError::Corrupt`] — bad magic, unsupported format version,
+///   truncation, trailing bytes, header/shape/cell-count inconsistency, or
+///   CRC mismatch.
+pub fn read_shard<D: StorableDataset>(path: &Path) -> Result<ShardFile<D>, DatasetError> {
+    let mut stream = open_cells(path)?;
+    expect_kind::<D>(path, &stream.header)?;
+    let mut dataset = D::empty_with_shape(&stream.header.shape)
+        .map_err(|e| DatasetError::corrupt(path, format!("invalid stored shape: {e}")))?;
+    for slice in dataset.cell_slices_mut() {
+        stream.read_cells(slice)?;
     }
-    let crc_at = bytes.len() - 4;
-    let stored_crc = u32::from_le_bytes(bytes[crc_at..].try_into().expect("4 bytes"));
-    let mut crc = Crc32::new();
-    crc.update(&bytes[..crc_at]);
-    if crc.finalize() != stored_crc {
-        return Err(DatasetError::corrupt(
-            path,
-            "CRC-32 mismatch (bit flip or torn write)",
-        ));
-    }
-    let mut offset = header_end;
-    match encoding {
-        CellEncoding::Raw => {
-            for slice in dataset.cell_slices_mut() {
-                for cell in slice.iter_mut() {
-                    *cell =
-                        u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8 bytes"));
-                    offset += 8;
-                }
-            }
-        }
-        CellEncoding::DeltaVarint => {
-            let mut decoder = DeltaVarintDecoder::new();
-            for slice in dataset.cell_slices_mut() {
-                for cell in slice.iter_mut() {
-                    let (value, used) = decoder.next(&bytes[offset..crc_at]).ok_or_else(|| {
-                        DatasetError::corrupt(path, "truncated or malformed varint cell")
-                    })?;
-                    *cell = value;
-                    offset += used;
-                }
-            }
-            if offset != crc_at {
-                return Err(DatasetError::corrupt(
-                    path,
-                    format!("{} trailing bytes after the last cell", crc_at - offset),
-                ));
-            }
-        }
-    }
+    let (header, encoding) = (stream.header.clone(), stream.encoding);
+    stream.finish()?;
     dataset.set_recorded_keystreams(header.keys_done());
     Ok(ShardFile {
         header,
@@ -533,12 +333,14 @@ pub fn read_shard<D: StorableDataset>(path: &Path) -> Result<ShardFile<D>, Datas
     })
 }
 
-/// A streaming, window-at-a-time reader over one shard's cell section.
+/// The streaming reader over one shard's cell section, opened by
+/// [`open_cells`]: the input half of every shard read.
 ///
-/// Opened by [`open_cells`]; the out-of-core merge runs one per input shard
-/// so no full cell table is ever resident. The CRC-32 trailer is verified by
-/// [`ShardCellStream::finish`] — cells handed out before that are *unverified*,
-/// so callers must only commit derived output after `finish` succeeds.
+/// [`read_shard`] drains one into a dataset; the merge runs one per input
+/// shard so no full cell table is ever resident. The CRC-32 trailer is
+/// verified by [`ShardCellStream::finish`] — cells handed out before that
+/// are *unverified*, so callers must only commit derived output after
+/// `finish` succeeds.
 #[derive(Debug)]
 pub struct ShardCellStream {
     path: PathBuf,
@@ -635,21 +437,86 @@ impl ShardCellStream {
 
 /// Opens a shard for streaming cell access without loading it into memory.
 ///
-/// Validates the preamble and header eagerly; cell bytes are decoded lazily
-/// through [`ShardCellStream::read_cells`] and integrity-checked at
+/// Parses and validates the preamble and header eagerly — the one place any
+/// read path does; cell bytes are decoded lazily through
+/// [`ShardCellStream::read_cells`] and integrity-checked at
 /// [`ShardCellStream::finish`]. Kind/shape validation against a concrete
-/// dataset type is the caller's job (the merge checks the header's kind tag
-/// and [`rc4_stats::StorableDataset::cell_count_for_shape`]).
+/// dataset type is the caller's job ([`read_shard`] and the merge both check
+/// the header's kind tag and implied cell count).
 ///
 /// # Errors
 ///
-/// As [`peek_header`].
+/// As [`peek_shard`].
 pub fn open_cells(path: &Path) -> Result<ShardCellStream, DatasetError> {
     let mut file = fs::File::open(path).map_err(|e| DatasetError::io(path, e))?;
-    let bytes = read_preamble_and_header(path, &mut file)?;
-    let (header, _, encoding) = decode_header(path, &bytes)?;
+    let eof_or_io = |e: std::io::Error, what: &str| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            DatasetError::corrupt(path, format!("truncated file ({what})"))
+        } else {
+            DatasetError::io(path, e)
+        }
+    };
+    let mut preamble = [0u8; PREAMBLE_LEN];
+    file.read_exact(&mut preamble)
+        .map_err(|e| eof_or_io(e, "shorter than the 16-byte preamble"))?;
+    if preamble[..8] != MAGIC {
+        return Err(DatasetError::corrupt(
+            path,
+            "not an rc4-store dataset (bad magic)",
+        ));
+    }
+    let version = u32::from_le_bytes(preamble[8..12].try_into().expect("4 bytes"));
+    let encoding = CellEncoding::from_format_version(version).ok_or_else(|| {
+        DatasetError::corrupt(
+            path,
+            format!(
+                "unsupported format version {version} (this build reads {} and {})",
+                crate::format::FORMAT_VERSION,
+                crate::format::FORMAT_VERSION_COMPRESSED
+            ),
+        )
+    })?;
+    let header_len = u32::from_le_bytes(preamble[12..16].try_into().expect("4 bytes")) as usize;
+    if header_len > MAX_HEADER_LEN {
+        return Err(DatasetError::corrupt(
+            path,
+            format!("implausible header length {header_len} (limit {MAX_HEADER_LEN})"),
+        ));
+    }
+    let mut header_bytes = vec![0u8; header_len];
+    file.read_exact(&mut header_bytes)
+        .map_err(|e| eof_or_io(e, "header extends past end of file"))?;
+    let header_json = std::str::from_utf8(&header_bytes)
+        .map_err(|_| DatasetError::corrupt(path, "shard header is not UTF-8"))?;
+    let header: ShardHeader = serde_json::from_str(header_json)
+        .map_err(|e| DatasetError::corrupt(path, format!("unreadable shard header: {e}")))?;
+    header.validate(path)?;
+    // A cell takes at least 8 raw bytes or 1 varint byte, so a header
+    // declaring more cells than the file can hold is rejected here, before
+    // any reader allocates a table for them.
+    let file_len = file
+        .metadata()
+        .map_err(|e| DatasetError::io(path, e))?
+        .len();
+    let cell_bytes = file_len.saturating_sub((PREAMBLE_LEN + header_len) as u64);
+    let min_cell_bytes = match encoding {
+        CellEncoding::Raw => 8,
+        CellEncoding::DeltaVarint => 1,
+    };
+    if header.cells.saturating_mul(min_cell_bytes) > cell_bytes.saturating_sub(4) {
+        return Err(DatasetError::corrupt(
+            path,
+            format!(
+                "truncated file ({cell_bytes} bytes after the header cannot hold {} cells \
+                 and the CRC trailer)",
+                header.cells
+            ),
+        ));
+    }
+    // The cell reader continues the digest the trailer covers.
     let mut crc = Crc32::new();
-    crc.update(&bytes);
+    crc.update(&preamble);
+    crc.update(&header_bytes);
     Ok(ShardCellStream {
         path: path.to_path_buf(),
         remaining: header.cells,
@@ -692,9 +559,9 @@ mod tests {
     fn write_read_roundtrip_preserves_everything() {
         let path = temp_file("roundtrip");
         let (header, ds) = sample();
-        write_shard(&path, &header, &ds).unwrap();
+        write_shard_with(&path, &header, &ds, CellEncoding::Raw).unwrap();
 
-        let peeked = peek_header(&path).unwrap();
+        let (peeked, _) = peek_shard(&path).unwrap();
         assert_eq!(peeked, header);
 
         let loaded: ShardFile<SingleByteDataset> = read_shard(&path).unwrap();
@@ -711,16 +578,35 @@ mod tests {
         let (mut header, ds) = sample();
         header.cells += 1;
         assert!(matches!(
-            write_shard(&path, &header, &ds),
+            write_shard_with(&path, &header, &ds, CellEncoding::Raw),
             Err(DatasetError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn failed_write_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("rc4-store-leak-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        // The destination is a non-empty directory, so the final rename fails.
+        let dest = dir.join("dest.ds");
+        fs::create_dir_all(dest.join("occupied")).unwrap();
+        let (header, ds) = sample();
+        let r = write_shard_with(&dest, &header, &ds, CellEncoding::Raw);
+        assert!(matches!(r, Err(DatasetError::Io(_))), "{r:?}");
+        let temps: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(temps.is_empty(), "leftover temp files: {temps:?}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn kind_mismatch_is_corrupt() {
         let path = temp_file("kind");
         let (header, ds) = sample();
-        write_shard(&path, &header, &ds).unwrap();
+        write_shard_with(&path, &header, &ds, CellEncoding::Raw).unwrap();
         let r: Result<ShardFile<rc4_stats::pairs::PairDataset>, _> = read_shard(&path);
         assert!(matches!(r, Err(DatasetError::Corrupt(msg)) if msg.contains("'single'")));
         let _ = fs::remove_file(&path);
@@ -740,7 +626,7 @@ mod tests {
         let raw_path = dir.join("raw.ds");
         let v2_path = dir.join("compressed.ds");
         let (header, ds) = sample();
-        write_shard(&raw_path, &header, &ds).unwrap();
+        write_shard_with(&raw_path, &header, &ds, CellEncoding::Raw).unwrap();
         write_shard_with(&v2_path, &header, &ds, CellEncoding::DeltaVarint).unwrap();
 
         // The compressed file is a format-version-2 file and smaller.
@@ -778,12 +664,12 @@ mod tests {
         let _ = fs::create_dir_all(&dir);
         let path = dir.join("future.ds");
         let (header, ds) = sample();
-        write_shard(&path, &header, &ds).unwrap();
+        write_shard_with(&path, &header, &ds, CellEncoding::Raw).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[8] = 9; // format version 9
         fs::write(&path, &bytes).unwrap();
         for result in [
-            peek_header(&path).map(|_| ()),
+            peek_shard(&path).map(|_| ()),
             read_shard::<SingleByteDataset>(&path).map(|_| ()),
             open_cells(&path).map(|_| ()),
         ] {

@@ -16,8 +16,9 @@ use rc4_stats::{
     DatasetError, GenerationConfig, StorableDataset,
 };
 use rc4_store::{
-    generate_shard, merge_shards, peek_header, read_shard, write_shard, GenerateOptions,
-    ShardHeader, ShardSpec, FORMAT_VERSION, FORMAT_VERSION_COMPRESSED,
+    generate_shard, merge_shards, peek_shard, read_shard, write_shard_with, CellEncoding,
+    GenerateOptions, MergeOptions, ShardHeader, ShardSpec, FORMAT_VERSION,
+    FORMAT_VERSION_COMPRESSED,
 };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -109,7 +110,7 @@ fn wrong_format_version_is_rejected_by_name() {
     std::fs::write(&path, &bytes).unwrap();
     for result in [
         read_shard::<SingleByteDataset>(&path).map(|_| ()),
-        peek_header(&path).map(|_| ()),
+        peek_shard(&path).map(|_| ()),
     ] {
         match result {
             Err(DatasetError::Corrupt(msg)) => assert!(
@@ -159,7 +160,11 @@ fn shape_mismatched_merge_fails_with_typed_error() {
         &mut |_, _| {},
     )
     .unwrap();
-    match merge_shards::<SingleByteDataset>(&[&narrow, &wide], &dir.join("out.ds")) {
+    match merge_shards::<SingleByteDataset>(
+        &[&narrow, &wide],
+        &dir.join("out.ds"),
+        &MergeOptions::default(),
+    ) {
         Err(DatasetError::ShapeMismatch(msg)) => {
             assert!(
                 msg.contains("narrow.ds") && msg.contains("wide.ds"),
@@ -225,7 +230,7 @@ fn implausible_header_length_is_rejected_before_allocation() {
     bytes.extend_from_slice(&u32::MAX.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     for result in [
-        peek_header(&path).map(|_| ()),
+        peek_shard(&path).map(|_| ()),
         read_shard::<SingleByteDataset>(&path).map(|_| ()),
     ] {
         match result {
@@ -234,6 +239,40 @@ fn implausible_header_length_is_rejected_before_allocation() {
             }
             other => panic!("huge header length gave {other:?}"),
         }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn implausible_cell_count_is_rejected_before_allocation() {
+    // A valid header whose shape implies a 2 TiB table, over a file holding
+    // no cells, must be rejected by the file-length bound, not by an
+    // attempted allocation.
+    let dir = scratch();
+    let path = dir.join("huge-cells.ds");
+    let positions = 1u64 << 30;
+    let header = ShardHeader::new(
+        "single",
+        GenerationConfig::with_keys(1),
+        vec![positions],
+        0,
+        1,
+        positions * 256,
+    )
+    .unwrap();
+    let json = serde_json::to_string(&header).unwrap();
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&rc4_store::MAGIC);
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&(json.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(json.as_bytes());
+    bytes.extend_from_slice(&[0; 12]);
+    std::fs::write(&path, &bytes).unwrap();
+    match read_shard::<SingleByteDataset>(&path) {
+        Err(DatasetError::Corrupt(msg)) => {
+            assert!(msg.contains("cannot hold"), "{msg}")
+        }
+        other => panic!("huge cell count gave {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -335,7 +374,7 @@ proptest! {
         ).unwrap();
         header.progress = vec![keystreams.len() as u64];
         let path = dir.join("prop.ds");
-        write_shard(&path, &header, &ds).unwrap();
+        write_shard_with(&path, &header, &ds, CellEncoding::Raw).unwrap();
         let back = read_shard::<SingleByteDataset>(&path).unwrap();
         prop_assert_eq!(back.header, header);
         prop_assert_eq!(back.dataset.cell_slices().concat(), ds.cell_slices().concat());
@@ -368,7 +407,7 @@ proptest! {
         ).unwrap();
         header.progress = vec![keystreams.len() as u64];
         let path = dir.join("prop.ds");
-        write_shard(&path, &header, &ds).unwrap();
+        write_shard_with(&path, &header, &ds, CellEncoding::Raw).unwrap();
         let back = read_shard::<PairDataset>(&path).unwrap();
         prop_assert_eq!(back.dataset.cell_slices().concat(), ds.cell_slices().concat());
         prop_assert_eq!(back.dataset.recorded_keystreams(), ds.recorded_keystreams());

@@ -67,6 +67,21 @@ use rc4_attacks::{
     Registry,
 };
 
+/// `print!` through [`bench::write_stdout`]: a closed stdout ends the
+/// process cleanly instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        bench::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`bench::write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        bench::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 const USAGE: &str = "usage: repro list\n       \
      repro run <NAME...|all> [--until-confident] [--scale S] [--seed N] [--workers W] [--json] [--config FILE] [--cache-dir DIR] [--trace FILE] [--metrics-out FILE]\n       \
      repro dataset <generate|resume|merge|info> ... (see `repro dataset --help`)\n       \
@@ -284,14 +299,14 @@ fn list(flags: &Flags) -> CliResult<()> {
                 ])
             })
             .collect();
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&entries).expect("list serializes")
         );
     } else {
         let width = registry.names().iter().map(|n| n.len()).max().unwrap_or(0);
         for entry in registry.entries() {
-            println!("{:width$}  {}", entry.name(), entry.summary());
+            outln!("{:width$}  {}", entry.name(), entry.summary());
         }
     }
     Ok(())
@@ -362,7 +377,7 @@ fn run_experiments(flags: &Flags) -> CliResult<()> {
             .run_observed(&ctx)
             .or_else(|e| runtime(format!("experiment '{}' failed: {e}", experiment.name())))?;
         if !json {
-            println!("{}", report.render());
+            outln!("{}", report.render());
         }
         reports.push(report);
     }
@@ -376,7 +391,7 @@ fn run_experiments(flags: &Flags) -> CliResult<()> {
             .or_else(|e| runtime(format!("--metrics-out {path}: {e}")))?;
     }
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&reports).expect("reports serialize")
         );
@@ -778,24 +793,29 @@ mod dataset_cli {
                     serde::Value::Str(encoding.name().to_string()),
                 ));
             }
-            println!(
+            outln!(
                 "{}",
                 serde_json::to_string_pretty(&value).expect("header serializes")
             );
             return;
         }
-        println!("file:        {}", file.display());
-        println!("kind:        {}", header.kind);
-        println!("shape:       {:?}", header.shape);
-        println!(
+        outln!("file:        {}", file.display());
+        outln!("kind:        {}", header.kind);
+        outln!("shape:       {:?}", header.shape);
+        outln!(
             "config:      keys={} workers={} seed={:#x} key_len={}",
-            header.config.keys, header.config.workers, header.config.seed, header.config.key_len
+            header.config.keys,
+            header.config.workers,
+            header.config.seed,
+            header.config.key_len
         );
-        println!(
+        outln!(
             "workers:     {}..{} of {}",
-            header.worker_lo, header.worker_hi, header.config.workers
+            header.worker_lo,
+            header.worker_hi,
+            header.config.workers
         );
-        println!(
+        outln!(
             "progress:    {}/{} keys ({})",
             header.keys_done(),
             header.keys_total(),
@@ -805,13 +825,13 @@ mod dataset_cli {
                 "resumable"
             }
         );
-        println!("cells:       {}", header.cells);
-        println!(
+        outln!("cells:       {}", header.cells);
+        outln!(
             "encoding:    {} (format v{})",
             encoding.name(),
             encoding.format_version()
         );
-        println!("integrity:   CRC-32 verified");
+        outln!("integrity:   CRC-32 verified");
     }
 
     /// The four storable kinds, for typed dispatch off a header's kind tag
@@ -1551,18 +1571,21 @@ mod campaign_cli {
             // loading it above validated it.
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| (format!("{}: {e}", path.display()), 1))?;
-            print!("{text}");
+            out!("{text}");
             return Ok(());
         }
         let spec = &manifest.spec;
-        println!("campaign:  {}", path.display());
-        println!("kind:      {}  shape {:?}", spec.kind, spec.shape);
-        println!(
+        outln!("campaign:  {}", path.display());
+        outln!("kind:      {}  shape {:?}", spec.kind, spec.shape);
+        outln!(
             "config:    keys={} workers={} seed={:#x} key_len={}",
-            spec.config.keys, spec.config.workers, spec.config.seed, spec.config.key_len
+            spec.config.keys,
+            spec.config.workers,
+            spec.config.seed,
+            spec.config.key_len
         );
         let counts = manifest.state_counts();
-        println!(
+        outln!(
             "leases:    {} (pending {}, granted {}, running {}, complete {}, expired {})",
             manifest.leases.len(),
             counts[0],
@@ -1571,7 +1594,7 @@ mod campaign_cli {
             counts[3],
             counts[4]
         );
-        println!(
+        outln!(
             "progress:  {}/{} keys{}",
             manifest.keys_done(),
             spec.config.keys,
@@ -1582,7 +1605,7 @@ mod campaign_cli {
             }
         );
         for lease in &manifest.leases {
-            println!("  {}", render_lease(&manifest, lease));
+            outln!("  {}", render_lease(&manifest, lease));
         }
         Ok(())
     }
@@ -1636,6 +1659,12 @@ mod bench_cli {
         GenerationConfig,
     };
     use rc4_store::codec::{DeltaVarintDecoder, DeltaVarintEncoder};
+    use tls_rc4::{
+        attack::CookieStatistics,
+        http::RequestTemplate,
+        record::MAC_LEN,
+        traffic::{TrafficConfig, TrafficGenerator},
+    };
 
     use bench::{fail, runtime, CliResult, FlagTable};
 
@@ -2045,6 +2074,35 @@ mod bench_cli {
             bytes_per_iter: Some(65536 * 8),
         });
 
+        // TLS cookie attack, statistics side: 1500 captured requests of the
+        // quick tls-cookie template folded into fresh ABSAB/FM tables at
+        // max gap 32 (the quick preset) — the per-capture cost of every
+        // tls-cookie and tls-cookie-stream run.
+        let cookie = b"dGhpc2lzc2VjcmV0";
+        let mut template = RequestTemplate::new("site.com", "auth", cookie.len());
+        template.align_cookie(0, 0, MAC_LEN);
+        let captures = TrafficGenerator::new(
+            template.clone(),
+            cookie.to_vec(),
+            TrafficConfig {
+                seed: 0x71C5,
+                ..TrafficConfig::default()
+            },
+        )
+        .and_then(|mut traffic| traffic.capture(1500))
+        .expect("valid traffic config");
+        results.push(Measurement {
+            name: "tls/cookie_stats_add_1500",
+            ns_per_iter: time_min(|| {
+                let mut stats = CookieStatistics::new(&template, 32).expect("non-empty cookie");
+                for capture in std::hint::black_box(&captures) {
+                    stats.add(capture).expect("aligned captures");
+                }
+                std::hint::black_box(stats.requests());
+            }),
+            bytes_per_iter: None,
+        });
+
         // Shard codec: delta+varint (v2) encode/decode of a 65536-cell count
         // window — the compressed shard format's hot loops. bytes_per_iter
         // is the *decoded* cell volume, so the throughput column is directly
@@ -2303,9 +2361,9 @@ mod bench_cli {
                 .or_else(|e| runtime(format!("cannot write {path}: {e}")))?;
         }
         if json {
-            println!("{json_report}");
+            outln!("{json_report}");
         } else {
-            println!(
+            outln!(
                 "{}",
                 render_markdown(&measurements, &rows, tolerance_pct, engine_label)
             );
@@ -2364,12 +2422,12 @@ mod trace_cli {
             .map_err(|e| (format!("cannot read {file}: {e}"), 1))?;
         let summary = rc4_obs::summary::summarize_jsonl(&text).map_err(|e| (e, 1))?;
         if flags.switch("--json") {
-            println!(
+            outln!(
                 "{}",
                 serde_json::to_string_pretty(&summary.to_value()).expect("summary serializes")
             );
         } else {
-            println!("{}", summary.render_table());
+            outln!("{}", summary.render_table());
         }
         Ok(())
     }
@@ -2526,14 +2584,14 @@ mod serve_cli {
             scale.name()
         );
         // Bare ID on stdout so scripts can `id=$(repro submit ...)`.
-        println!("{id}");
+        outln!("{id}");
         Ok(())
     }
 
     fn jobs(flags: &Flags) -> CliResult<()> {
         let records = connect(flags)?.jobs().or_else(runtime)?;
         if flags.switch("--json") {
-            println!(
+            outln!(
                 "{}",
                 serde_json::to_string_pretty(&serde::Value::Array(records))
                     .expect("jobs serialize")
@@ -2547,7 +2605,7 @@ mod serve_cli {
                 Ok(serde::Value::Int(n)) => n.to_string(),
                 _ => "-".to_string(),
             };
-            println!(
+            outln!(
                 "{:>4}  {:10}  {:18}  scale {:8}  seed {:6}  workers {}",
                 field("id"),
                 field("status"),
@@ -2564,12 +2622,12 @@ mod serve_cli {
         let id = job_id(flags, "watch")?;
         let from = flags.u64("--from")?.unwrap_or(0);
         let (status, dropped) = connect(flags)?
-            .watch(id, from, |seq, line| println!("[{seq}] {line}"))
+            .watch(id, from, |seq, line| outln!("[{seq}] {line}"))
             .or_else(runtime)?;
         if dropped > 0 {
             eprintln!("repro: server failed to persist {dropped} event(s) to its on-disk log");
         }
-        println!("job {id} {}", status.name());
+        outln!("job {id} {}", status.name());
         match status {
             JobStatus::Done => Ok(()),
             other => runtime(format!("job {id} ended {}", other.name())),
@@ -2581,7 +2639,7 @@ mod serve_cli {
         let mut client = connect(flags)?;
         if flags.switch("--telemetry") {
             let (document, telemetry) = client.result_with_telemetry(id).or_else(runtime)?;
-            print!("{document}");
+            out!("{document}");
             // Telemetry goes to stderr so `repro result ID --telemetry > out`
             // still captures exactly the byte-identical result document.
             match telemetry {
@@ -2598,14 +2656,14 @@ mod serve_cli {
         let document = client.result(id).or_else(runtime)?;
         // The document already carries the one-shot run's trailing newline;
         // print it verbatim to preserve byte identity.
-        print!("{document}");
+        out!("{document}");
         Ok(())
     }
 
     fn cancel(flags: &Flags) -> CliResult<()> {
         let id = job_id(flags, "cancel")?;
         let status = connect(flags)?.cancel(id).or_else(runtime)?;
-        println!("job {id} {}", status.name());
+        outln!("job {id} {}", status.name());
         Ok(())
     }
 
@@ -2613,7 +2671,7 @@ mod serve_cli {
         let mut client = connect(flags)?;
         if flags.switch("--metrics") {
             let metrics = client.metrics().or_else(runtime)?;
-            println!(
+            outln!(
                 "{}",
                 serde_json::to_string_pretty(&metrics).expect("metrics serialize")
             );
@@ -2621,13 +2679,13 @@ mod serve_cli {
         }
         let status = client.status().or_else(runtime)?;
         if flags.switch("--json") {
-            println!(
+            outln!(
                 "{}",
                 serde_json::to_string_pretty(&status).expect("status serializes")
             );
             return Ok(());
         }
-        println!("{}", render_status(&status));
+        outln!("{}", render_status(&status));
         Ok(())
     }
 
@@ -2684,7 +2742,7 @@ mod serve_cli {
     fn shutdown(flags: &Flags) -> CliResult<()> {
         let deadline_ms = flags.u64("--deadline-ms")?.unwrap_or(10_000);
         let summary = connect(flags)?.shutdown(deadline_ms).or_else(runtime)?;
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&summary).expect("summary serializes")
         );
@@ -2697,7 +2755,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         // Exit 0 is the --help path: usage belongs on stdout, unprefixed.
         Err((msg, 0)) => {
-            println!("{msg}");
+            outln!("{msg}");
             ExitCode::SUCCESS
         }
         Err((msg, code)) => {

@@ -29,6 +29,24 @@ pub fn runtime<T>(e: impl Display) -> CliResult<T> {
     Err((e.to_string(), 1))
 }
 
+/// Writes `args` to stdout, the one way `repro` prints results.
+///
+/// A closed pipe (`repro list | head -1`) means the reader wants nothing
+/// more: the span trace is flushed and the process exits 0. Any other write
+/// error exits 1 with a message on stderr.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let Err(e) = std::io::stdout().lock().write_fmt(args) else {
+        return;
+    };
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        rc4_obs::trace::flush();
+        std::process::exit(0);
+    }
+    eprintln!("repro: cannot write to stdout: {e}");
+    std::process::exit(1);
+}
+
 /// Parses a `u64` written in decimal or as `0x`-prefixed hex (seeds are
 /// usually quoted in hex in the experiment docs).
 pub fn parse_u64(text: &str) -> Result<u64, String> {

@@ -37,6 +37,41 @@ fn list_prints_the_registry() {
     }
 }
 
+/// A reader that stops early (`repro list | head -1`) ends `repro` with
+/// exit 0 and no panic: once after reading the first line, and once with
+/// the pipe closed before `repro` has written anything.
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    for read_first_line in [true, false] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("list")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("repro binary runs");
+        let out = child.stdout.take().expect("piped stdout");
+        if read_first_line {
+            let mut line = String::new();
+            BufReader::new(out).read_line(&mut line).unwrap();
+            assert!(line.starts_with("headline"), "first line: {line:?}");
+        } else {
+            drop(out);
+        }
+        let mut err = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut err)
+            .unwrap();
+        let status = child.wait().unwrap();
+        assert!(!err.contains("panicked"), "stderr: {err}");
+        assert!(status.success(), "exit {status:?}, stderr: {err}");
+    }
+}
+
 /// `repro list --json` describes every experiment completely: name, summary,
 /// aliases, and the scales it accepts — the machine-readable registry
 /// contract serving clients rely on to validate submissions.
@@ -299,6 +334,7 @@ fn bench_smoke_mode_contract() {
         "recovery_likelihood/fm_sparse_65536",
         "recovery_viterbi/base64_6x256",
         "streaming_ingest/absorb_rescore_65536",
+        "tls/cookie_stats_add_1500",
         "crc32/1048576",
         "e2e/serve_fig6_quick",
     ] {

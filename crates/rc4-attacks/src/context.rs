@@ -408,7 +408,10 @@ impl ExperimentContext {
     /// [`ExperimentContext::executor`]. With a cache attached, a complete
     /// dataset matching `(kind, shape of empty, config)` is loaded and
     /// returned *without any generation work*; on a miss, the dataset is
-    /// generated as above and persisted for the next run.
+    /// generated as above and persisted for the next run. The dataset comes
+    /// back shared: a hit may be the copy the cache's memory tier keeps
+    /// resident for every job of the process, and a fresh generation is
+    /// wrapped in a new [`Arc`].
     /// Because cache entries are validated against the full configuration and
     /// the store reproduces generation exactly (see `rc4-store`), cached and
     /// fresh runs produce identical experiment output.
@@ -426,11 +429,11 @@ impl ExperimentContext {
     /// context is cancelled), and cache I/O / corruption errors as
     /// [`ExperimentError::Component`] (a damaged matching cache entry is
     /// reported, never silently regenerated).
-    pub fn load_or_generate<D: StorableDataset>(
+    pub fn load_or_generate<D: StorableDataset + Sync + 'static>(
         &self,
         mut empty: D,
         config: &GenerationConfig,
-    ) -> Result<D, ExperimentError> {
+    ) -> Result<Arc<D>, ExperimentError> {
         let _span = rc4_obs::Span::enter_with(
             "store.load_or_generate",
             rc4_obs::kv! {
@@ -440,7 +443,7 @@ impl ExperimentContext {
         );
         let Some(cache) = self.cache.as_deref() else {
             generate_storable_with_exec(&mut empty, config, &self.executor())?;
-            return Ok(empty);
+            return Ok(Arc::new(empty));
         };
         let shape = empty.shape_params();
         // Hold the key's flight for the whole check-generate-store sequence
@@ -467,7 +470,7 @@ impl ExperimentContext {
             kind: D::kind(),
             outcome: "stored",
         });
-        Ok(empty)
+        Ok(Arc::new(empty))
     }
 }
 
@@ -589,7 +592,7 @@ mod tests {
                 })
             })
             .collect();
-        let datasets: Vec<SingleByteDataset> = handles
+        let datasets: Vec<Arc<SingleByteDataset>> = handles
             .into_iter()
             .map(|h| h.join().expect("racing thread panicked"))
             .collect();

@@ -671,16 +671,20 @@ pub fn run_tls_cookie_stream(
         // Ingest: capture one batch of encrypted requests and fold each into
         // the incremental per-transition count tables.
         let batch = (config.stop.cap - consumed).min(config.stop.batch) as usize;
+        let span = rc4_obs::Span::enter_with("tls.capture", rc4_obs::kv! { "requests" => batch });
         for capture in traffic.capture(batch).map_err(ExperimentError::from)? {
             stats.add(&capture).map_err(ExperimentError::from)?;
         }
+        drop(span);
         consumed += batch as u64;
         reporter.tick(batch as u64);
 
         // Re-score: fresh candidate ranking from the accumulated statistics
         // (analysis fans out on the context executor — worker-invariant).
+        let span = rc4_obs::Span::enter("tls.score");
         candidates = cookie_candidates_with_exec(&stats, &attack_config, &ctx.executor())
             .map_err(ExperimentError::from)?;
+        drop(span);
         margin = candidate_margin(&candidates).unwrap_or(0.0);
         if test.observe(consumed, margin).is_decided() {
             break;

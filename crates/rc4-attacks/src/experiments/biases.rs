@@ -32,6 +32,13 @@ use crate::{
     ExperimentError,
 };
 
+/// Logical key streams of every bias-experiment dataset. The stream count
+/// partitions the deterministic key space and is therefore part of a
+/// measured dataset's identity; threads come from the context's executor, so
+/// `--workers` changes wall-clock time but never a measured probability
+/// (worker-count invariance).
+const BIAS_STREAMS: usize = 1;
+
 /// Scale configuration for the bias-hunting experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct BiasScale {
@@ -43,8 +50,6 @@ pub struct BiasScale {
     pub longterm_keys: u64,
     /// Keystream bytes consumed per key in the long-term dataset (after the 1023-byte drop).
     pub longterm_block: usize,
-    /// Worker threads.
-    pub workers: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -55,7 +60,6 @@ impl Default for BiasScale {
             keys: 1 << 22,
             longterm_keys: 1 << 10,
             longterm_block: 1 << 21,
-            workers: 1,
             seed: 0xB1A5,
         }
     }
@@ -124,18 +128,11 @@ impl BiasConfig {
     }
 
     /// The effective [`BiasScale`] under `ctx`.
-    ///
-    /// `workers` stays at the single-stream default: the stream count
-    /// partitions the deterministic key space and is therefore part of the
-    /// measured dataset's identity. Threads come from the context's executor
-    /// instead, so `--workers` changes wall-clock time but never a measured
-    /// probability (worker-count invariance).
     fn scale(&self, ctx: &ExperimentContext) -> BiasScale {
         BiasScale {
             keys: self.keys,
             longterm_keys: self.longterm_keys,
             longterm_block: self.longterm_block,
-            workers: 1,
             seed: ctx.mix_seed(self.seed),
         }
     }
@@ -314,7 +311,7 @@ pub fn table1_fm_longterm(
 ) -> Result<ExperimentReport, ExperimentError> {
     let config = GenerationConfig {
         keys: scale.longterm_keys,
-        workers: scale.workers,
+        workers: BIAS_STREAMS,
         seed: scale.seed,
         key_len: 16,
     };
@@ -388,7 +385,7 @@ pub fn fig4_fm_shortterm(
     let max_pos = positions.iter().copied().max().unwrap_or(1).max(2);
     let config = GenerationConfig {
         keys: scale.keys,
-        workers: scale.workers,
+        workers: BIAS_STREAMS,
         seed: scale.seed ^ 4,
         key_len: 16,
     };
@@ -442,7 +439,7 @@ pub fn table2_new_biases(
 ) -> Result<ExperimentReport, ExperimentError> {
     let config = GenerationConfig {
         keys: scale.keys,
-        workers: scale.workers,
+        workers: BIAS_STREAMS,
         seed: scale.seed ^ 2,
         key_len: 16,
     };
@@ -503,7 +500,7 @@ pub fn eq345_equalities(
 ) -> Result<ExperimentReport, ExperimentError> {
     let config = GenerationConfig {
         keys: scale.keys,
-        workers: scale.workers,
+        workers: BIAS_STREAMS,
         seed: scale.seed ^ 345,
         key_len: 16,
     };
@@ -574,7 +571,7 @@ pub fn fig5_z1z2(
     let _ = max_pos;
     let config = GenerationConfig {
         keys: scale.keys,
-        workers: scale.workers,
+        workers: BIAS_STREAMS,
         seed: scale.seed ^ 5,
         key_len: 16,
     };
@@ -628,7 +625,7 @@ pub fn fig6_single_byte(
 ) -> Result<ExperimentReport, ExperimentError> {
     let config = GenerationConfig {
         keys: scale.keys,
-        workers: scale.workers,
+        workers: BIAS_STREAMS,
         seed: scale.seed ^ 6,
         key_len: 16,
     };
@@ -692,7 +689,7 @@ pub fn longterm_aligned(
 ) -> Result<ExperimentReport, ExperimentError> {
     let config = GenerationConfig {
         keys: scale.longterm_keys,
-        workers: scale.workers,
+        workers: BIAS_STREAMS,
         seed: scale.seed ^ 8,
         key_len: 16,
     };
@@ -731,7 +728,7 @@ pub fn headline_detection(
 ) -> Result<ExperimentReport, ExperimentError> {
     let config = GenerationConfig {
         keys: scale.keys,
-        workers: scale.workers,
+        workers: BIAS_STREAMS,
         seed: scale.seed ^ 99,
         key_len: 16,
     };
@@ -779,7 +776,6 @@ mod tests {
             keys: 1 << 13,
             longterm_keys: 4,
             longterm_block: 4096,
-            workers: 1,
             seed: 7,
         }
     }

@@ -6,8 +6,8 @@
 //! polled their own cancellation flag and invented their own progress
 //! plumbing. This crate centralizes that into one substrate:
 //!
-//! * [`Executor`] — a scoped work-stealing thread pool (built on the vendored
-//!   `crossbeam::thread::scope`) exposing [`Executor::map`] (parallel map with
+//! * [`Executor`] — a scoped work-stealing thread pool (built on
+//!   `std::thread::scope`) exposing [`Executor::map`] (parallel map with
 //!   results in item order), [`Executor::reduce`] (map plus a fold that runs
 //!   in item order, so the reduction is independent of scheduling) and
 //!   [`Executor::chunked`] (parallel fill of disjoint sub-slices).

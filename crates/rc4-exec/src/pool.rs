@@ -11,9 +11,8 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+use std::thread;
 use std::time::Instant;
-
-use crossbeam::thread;
 
 /// Why a parallel call did not return a full result set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,7 +172,7 @@ impl<'e> Executor<'e> {
             let f = &f;
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut done: Vec<(usize, R)> = Vec::new();
                         let mut failure: Option<(usize, E)> = None;
                         // Per-worker tallies land in the registry as one add
@@ -225,8 +224,7 @@ impl<'e> Executor<'e> {
                 .into_iter()
                 .map(|h| h.join().expect("rc4-exec worker panicked"))
                 .collect()
-        })
-        .expect("rc4-exec scope panicked");
+        });
 
         if self.is_cancelled() {
             return Err(ExecError::Cancelled);
@@ -448,6 +446,17 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "rc4-exec worker panicked")]
+    fn panicking_task_panics_out_of_map() {
+        let _ = Executor::new(2).map((0..4).collect::<Vec<u32>>(), |_, x| {
+            if x == 3 {
+                panic!("task panic");
+            }
+            Ok::<_, ()>(x)
+        });
     }
 
     #[test]

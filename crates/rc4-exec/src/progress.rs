@@ -157,9 +157,9 @@ mod tests {
         use std::sync::atomic::AtomicU64;
         let p = ProgressThrottle::new(4000, 10);
         let finals = AtomicU64::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     for _ in 0..1000 {
                         p.tick(1, |d, t| {
                             if d >= t {
@@ -169,8 +169,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(p.done(), 4000);
         // Exactly one tick reports completion — no duplicate terminal events.
         assert_eq!(finals.load(Ordering::Relaxed), 1);
@@ -183,9 +182,9 @@ mod tests {
         // total from 4 threads, yet only the first may report.
         let p = ProgressThrottle::new(4000, 1_000_000);
         let finals = AtomicU64::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..4 {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     for _ in 0..1250 {
                         p.tick(1, |d, t| {
                             if d >= t {
@@ -195,8 +194,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(p.done(), 5000);
         assert_eq!(finals.load(Ordering::Relaxed), 1);
     }

@@ -73,8 +73,11 @@ pub struct GenerationConfig {
     /// Paper scale: `2^44` for `first16`, `2^45` for `consec512`, `2^47` for
     /// the aggregated single-byte statistics.
     pub keys: u64,
-    /// Number of worker threads. The paper used roughly 80 machines; we use
-    /// threads on one machine.
+    /// Number of logical key streams the key space is split into (the
+    /// paper's roughly 80 machines each drew their own keys). A shape
+    /// parameter, part of the dataset's identity: changing it changes the
+    /// keys drawn. Threads come from the [`rc4_exec::Executor`] the walker
+    /// runs on and never change a cell.
     pub workers: usize,
     /// Master seed. Each worker derives an independent deterministic stream
     /// from `(seed, worker_index)`, so results are reproducible for a fixed
@@ -105,7 +108,8 @@ impl GenerationConfig {
         }
     }
 
-    /// Sets the number of worker threads.
+    /// Sets the number of logical key streams (a shape parameter, not a
+    /// thread count; see the `workers` field).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -120,7 +124,7 @@ impl GenerationConfig {
     /// Number of keys logical worker `w` contributes: an even split with the
     /// first `keys % workers` workers taking one extra key.
     ///
-    /// This is THE key-space partition rule — the in-memory walker
+    /// This is THE key-space partition rule — in-memory generation
     /// ([`crate::generate_storable_with_exec`]) and the on-disk store
     /// (`rc4-store`) both use it, so
     /// a shard merged from per-worker files is cell-for-cell identical to an

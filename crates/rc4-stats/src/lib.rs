@@ -19,8 +19,10 @@
 //!   plaintext likelihoods of Section 5.
 //! * [`storable`] — the [`StorableDataset`] trait every dataset implements
 //!   and its batched record loop, [`record_keys_batched`].
-//! * [`worker`] — [`generate_storable_with_exec`], the one in-memory
-//!   key-space walker standing in for the paper's distributed setup. It runs
+//! * [`worker`] — [`record_streams`], the one key-space walker standing in
+//!   for the paper's distributed setup, and [`generate_storable_with_exec`],
+//!   which walks a whole configuration with it in memory (the on-disk store
+//!   calls [`record_streams`] once per checkpoint round). It runs
 //!   on the shared execution layer (`rc4-exec`); each logical stream derives
 //!   its RC4 keys deterministically from a per-stream seed ([`keygen`]), so runs are
 //!   reproducible and cell-identical for ANY thread budget. The RC4 hot loop
@@ -56,8 +58,8 @@ pub mod worker;
 
 pub use dataset::{DatasetError, GenerationConfig};
 pub use keygen::{splitmix64, KeyGenerator};
-pub use storable::{record_keys_batched, StorableDataset, PARALLEL_CLONE_MAX_CELLS};
-pub use worker::generate_storable_with_exec;
+pub use storable::{record_keys_batched, StorableDataset};
+pub use worker::{generate_storable_with_exec, record_streams};
 
 /// Number of possible byte values; the alphabet size of every distribution here.
 pub const NUM_VALUES: usize = 256;

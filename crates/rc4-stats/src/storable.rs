@@ -35,10 +35,12 @@
 //! identical to the scalar one-key-at-a-time walk — a property pinned by this
 //! module's tests and by `tests/proptest_datasets.rs`.
 //!
-//! The in-memory key-space walker built on it,
-//! [`generate_storable_with_exec`](crate::worker::generate_storable_with_exec),
-//! lives in [`crate::worker`]; the on-disk store (`rc4-store`) drives
-//! [`record_keys_batched`] through its own checkpointed round loop.
+//! The one key-space walker built on it lives in [`crate::worker`]:
+//! [`record_streams`](crate::worker::record_streams) records more keys from
+//! already-positioned generators on an executor, and both in-memory
+//! generation
+//! ([`generate_storable_with_exec`](crate::worker::generate_storable_with_exec))
+//! and the on-disk store's checkpoint rounds (`rc4-store`) call it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -232,12 +234,6 @@ pub fn record_keys_batched<D: StorableDataset>(
     }
     count
 }
-
-/// Per-thread dataset clones above this cell count are considered ruinous
-/// (a per-TSC `Tsc0Tsc1` table is gigabytes); such datasets are generated
-/// sequentially even when the executor has threads to spare. Exported so
-/// `rc4-store`'s round loop applies the SAME guard to the same kinds.
-pub const PARALLEL_CLONE_MAX_CELLS: usize = 1 << 24;
 
 #[cfg(test)]
 mod tests {

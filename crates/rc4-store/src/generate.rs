@@ -1,11 +1,12 @@
 //! Checkpointed shard generation with resume.
 //!
 //! Generation proceeds in *rounds*: every covered worker advances its
-//! deterministic key stream by up to a chunk of keys, the per-worker deltas
-//! are merged into the accumulating dataset, and the whole shard —
-//! header (with updated per-worker progress) plus cells — is flushed to disk
-//! atomically. A cancelled or killed run therefore loses at most one round of
-//! work; [`resume_shard`] reloads the last flushed chunk, fast-forwards each
+//! deterministic key stream by up to a chunk of keys through the one
+//! key-space walker, [`rc4_stats::record_streams`] (on at most one thread per
+//! covered stream and per core), and the whole shard — header (with updated
+//! per-worker progress) plus cells — is flushed to disk atomically. A
+//! cancelled or killed run therefore loses at most one round of work;
+//! [`resume_shard`] reloads the last flushed chunk, fast-forwards each
 //! worker stream to its checkpointed position (via
 //! [`rc4_stats::StorableDataset::skip_next`], which replays only the RNG
 //! draws, not the RC4 work) and continues.
@@ -17,13 +18,11 @@
 //! byte-identity guarantee rests on.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 use rc4_exec::Executor;
 
-use rc4_stats::{
-    record_keys_batched, DatasetError, GenerationConfig, KeyGenerator, StorableDataset,
-};
+use rc4_stats::{record_streams, DatasetError, GenerationConfig, KeyGenerator, StorableDataset};
 
 use crate::codec::CellEncoding;
 use crate::format::ShardHeader;
@@ -202,7 +201,6 @@ fn run_rounds<D: StorableDataset>(
         ));
     }
     dataset.validate_config(&header.config)?;
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
     let workers = (header.worker_hi - header.worker_lo) as usize;
     let key_len = header.config.key_len;
     let keys_total = header.keys_total();
@@ -246,14 +244,10 @@ fn run_rounds<D: StorableDataset>(
     write_shard_with(path, &header, &dataset, encoding)?;
     progress(header.keys_done(), keys_total);
 
-    // Per-worker round deltas are whole extra copies of the counter tables.
-    // That is fine for the usual shapes (a consec-16 pair dataset is ~8 MiB)
-    // but ruinous for e.g. per-TSC Tsc0Tsc1 (gigabytes per clone), so large
-    // datasets fall back to recording the round's workers sequentially into
-    // the accumulator — same cells, same checkpoints, no clones. The
-    // threshold is shared with `rc4-stats`' in-memory exec generation.
-    let sequential = workers == 1 || dataset.cell_count() > rc4_stats::PARALLEL_CLONE_MAX_CELLS;
-
+    // One executor for every round: at most one thread per covered stream
+    // and per core, so partials follow the machine, not the stream count.
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let exec = Executor::new(workers.min(threads)).with_cancel(cancel);
     let chunk = (opts.effective_checkpoint_keys(keys_total) / workers as u64).max(1);
     loop {
         if header.is_complete() {
@@ -265,89 +259,29 @@ fn run_rounds<D: StorableDataset>(
         {
             return Ok(GenerateStatus::Stopped);
         }
-        if cancelled() {
-            return Err(DatasetError::Cancelled);
-        }
 
-        // One round: every worker with remaining keys advances by up to
-        // `chunk` keys into a private delta; the deltas are merged in worker
-        // order and the shard is flushed.
-        let round: Vec<(usize, u64)> = (0..workers)
-            .filter_map(|i| {
-                let n = header.remaining_for(i).min(chunk);
-                (n > 0).then_some((i, n))
-            })
+        // One round: every covered stream advances by up to `chunk` keys
+        // through the walker, then the shard is flushed. A cancelled round
+        // returns before the flush, so the on-disk checkpoint stays
+        // consistent with its header.
+        let round: Vec<u64> = (0..workers)
+            .map(|i| header.remaining_for(i).min(chunk))
             .collect();
-
-        if sequential || round.len() == 1 {
-            // Record straight into the accumulator, worker by worker,
-            // through the batched multi-key engine. A cancelled round is not
-            // flushed, so the on-disk checkpoint stays consistent with its
-            // header either way.
-            for &(i, n) in &round {
-                let done = record_keys_batched(&mut dataset, &mut gens[i], key_len, n, cancel);
-                if done < n {
-                    return Err(DatasetError::Cancelled);
-                }
-                header.progress[i] += n;
-            }
-        } else {
-            // One execution task per covered worker, run on the shared pool
-            // (`rc4-exec`); a task that observes the cancellation flag
-            // mid-round reports `Cancelled`, the round's partial deltas are
-            // discarded, and the last on-disk checkpoint stays untouched.
-            let shape = dataset.shape_params();
-            let exec = Executor::new(round.len()).with_cancel(cancel);
-            let tasks: Vec<(usize, u64, &mut KeyGenerator)> = round
-                .iter()
-                .zip(disjoint_mut(&mut gens, &round))
-                .map(|(&(i, n), gen)| (i, n, gen))
-                .collect();
-            let deltas: Vec<(usize, u64, D)> = exec
-                .map(tasks, |_, (i, n, gen)| {
-                    let mut delta = D::empty_with_shape(&shape)?;
-                    let done = record_keys_batched(&mut delta, gen, key_len, n, cancel);
-                    if done < n {
-                        return Err(DatasetError::Cancelled);
-                    }
-                    Ok((i, done, delta))
-                })
-                .map_err(DatasetError::from)?;
-            for (i, done, delta) in deltas {
-                dataset.merge_same_shape(delta)?;
-                header.progress[i] += done;
-            }
+        record_streams(&mut dataset, &mut gens, &round, &exec)?;
+        for (done, n) in header.progress.iter_mut().zip(round) {
+            *done += n;
         }
-
         write_shard_with(path, &header, &dataset, encoding)?;
         progress(header.keys_done(), keys_total);
     }
 }
 
-/// Hands each round entry an exclusive `&mut` to its worker's generator.
-///
-/// The round list indexes `gens` in strictly increasing order, so repeated
-/// `split_at_mut` carves out non-overlapping borrows.
-fn disjoint_mut<'a, T>(items: &'a mut [T], round: &[(usize, u64)]) -> Vec<&'a mut T> {
-    let mut rest = items;
-    let mut base = 0usize;
-    let mut out = Vec::with_capacity(round.len());
-    for &(i, _) in round {
-        let (_, tail) = rest.split_at_mut(i - base);
-        let (item, tail) = tail.split_first_mut().expect("round index in range");
-        out.push(item);
-        rest = tail;
-        base = i + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rc4_exec::Executor;
     use rc4_stats::{generate_storable_with_exec, single::SingleByteDataset};
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rc4-store-gen-{}-{name}", std::process::id()));
@@ -396,112 +330,126 @@ mod tests {
 
     #[test]
     fn stop_resume_produces_identical_cells() {
-        let dir = temp_dir("resume");
-        let config = GenerationConfig::with_keys(900).workers(2).seed(5);
-        let opts = GenerateOptions {
-            checkpoint_keys: 128,
-            stop_after_keys: Some(300),
-            encoding: CellEncoding::Raw,
-        };
-        let path = dir.join("stopped.ds");
-        let status = generate_shard(
-            &path,
-            SingleByteDataset::new(6),
-            &ShardSpec::full(config),
-            &opts,
-            None,
-            &mut no_progress(),
-        )
-        .unwrap();
-        assert_eq!(status, GenerateStatus::Stopped);
-        let partial = read_shard::<SingleByteDataset>(&path).unwrap();
-        assert!(!partial.header.is_complete());
-        assert!(partial.header.keys_done() >= 300);
-        assert!(partial.header.keys_done() < 900);
-
-        let status = resume_shard::<SingleByteDataset>(
-            &path,
-            &GenerateOptions {
-                checkpoint_keys: 64,
-                stop_after_keys: None,
+        // 3 streams cover more streams than this machine may have cores, so
+        // rounds also cut streams across bins.
+        for streams in [2usize, 3] {
+            let dir = temp_dir(&format!("resume-{streams}"));
+            let config = GenerationConfig::with_keys(900).workers(streams).seed(5);
+            let opts = GenerateOptions {
+                checkpoint_keys: 128,
+                stop_after_keys: Some(300),
                 encoding: CellEncoding::Raw,
-            },
-            None,
-            &mut no_progress(),
-        )
-        .unwrap();
-        assert_eq!(status, GenerateStatus::Complete);
+            };
+            let path = dir.join("stopped.ds");
+            let status = generate_shard(
+                &path,
+                SingleByteDataset::new(6),
+                &ShardSpec::full(config),
+                &opts,
+                None,
+                &mut no_progress(),
+            )
+            .unwrap();
+            assert_eq!(status, GenerateStatus::Stopped);
+            let partial = read_shard::<SingleByteDataset>(&path).unwrap();
+            assert!(!partial.header.is_complete());
+            assert!(partial.header.keys_done() >= 300);
+            assert!(partial.header.keys_done() < 900);
 
-        let resumed = read_shard::<SingleByteDataset>(&path).unwrap();
-        let mut direct = SingleByteDataset::new(6);
-        generate_storable_with_exec(&mut direct, &config, &Executor::serial()).unwrap();
-        for r in 1..=6 {
-            assert_eq!(resumed.dataset.counts_at(r), direct.counts_at(r));
+            let status = resume_shard::<SingleByteDataset>(
+                &path,
+                &GenerateOptions {
+                    checkpoint_keys: 64,
+                    stop_after_keys: None,
+                    encoding: CellEncoding::Raw,
+                },
+                None,
+                &mut no_progress(),
+            )
+            .unwrap();
+            assert_eq!(status, GenerateStatus::Complete);
+
+            let resumed = read_shard::<SingleByteDataset>(&path).unwrap();
+            let mut direct = SingleByteDataset::new(6);
+            generate_storable_with_exec(&mut direct, &config, &Executor::serial()).unwrap();
+            for r in 1..=6 {
+                assert_eq!(
+                    resumed.dataset.counts_at(r),
+                    direct.counts_at(r),
+                    "streams {streams}"
+                );
+            }
+            assert_eq!(resumed.dataset.recorded_keystreams(), 900);
+
+            // Resuming a complete shard is a cheap no-op.
+            let again = resume_shard::<SingleByteDataset>(
+                &path,
+                &GenerateOptions::default(),
+                None,
+                &mut no_progress(),
+            )
+            .unwrap();
+            assert_eq!(again, GenerateStatus::Complete);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!(resumed.dataset.recorded_keystreams(), 900);
-
-        // Resuming a complete shard is a cheap no-op.
-        let again = resume_shard::<SingleByteDataset>(
-            &path,
-            &GenerateOptions::default(),
-            None,
-            &mut no_progress(),
-        )
-        .unwrap();
-        assert_eq!(again, GenerateStatus::Complete);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn cancellation_leaves_a_resumable_checkpoint() {
-        let dir = temp_dir("cancel");
-        let path = dir.join("cancelled.ds");
-        let config = GenerationConfig::with_keys(50_000).workers(2).seed(1);
-        let cancel = AtomicBool::new(false);
-        let mut rounds = 0u32;
-        let result = generate_shard(
-            &path,
-            SingleByteDataset::new(4),
-            &ShardSpec::full(config),
-            &GenerateOptions {
-                checkpoint_keys: 1_000,
-                stop_after_keys: None,
-                encoding: CellEncoding::Raw,
-            },
-            Some(&cancel),
-            &mut |_done, _total| {
-                rounds += 1;
-                if rounds == 3 {
-                    cancel.store(true, Ordering::Relaxed);
-                }
-            },
-        );
-        assert_eq!(result, Err(DatasetError::Cancelled));
+        for streams in [2usize, 3] {
+            let dir = temp_dir(&format!("cancel-{streams}"));
+            let path = dir.join("cancelled.ds");
+            let config = GenerationConfig::with_keys(50_000).workers(streams).seed(1);
+            let cancel = AtomicBool::new(false);
+            let mut rounds = 0u32;
+            let result = generate_shard(
+                &path,
+                SingleByteDataset::new(4),
+                &ShardSpec::full(config),
+                &GenerateOptions {
+                    checkpoint_keys: 1_000,
+                    stop_after_keys: None,
+                    encoding: CellEncoding::Raw,
+                },
+                Some(&cancel),
+                &mut |_done, _total| {
+                    rounds += 1;
+                    if rounds == 3 {
+                        cancel.store(true, Ordering::Relaxed);
+                    }
+                },
+            );
+            assert_eq!(result, Err(DatasetError::Cancelled));
 
-        // The file holds a consistent checkpoint and resumes to the same
-        // final state as an uncancelled run.
-        let partial = read_shard::<SingleByteDataset>(&path).unwrap();
-        assert!(partial.header.keys_done() > 0);
-        resume_shard::<SingleByteDataset>(
-            &path,
-            &GenerateOptions {
-                checkpoint_keys: 10_000,
-                stop_after_keys: None,
-                encoding: CellEncoding::Raw,
-            },
-            None,
-            &mut no_progress(),
-        )
-        .unwrap();
-        let full = read_shard::<SingleByteDataset>(&path).unwrap();
-        let mut direct = SingleByteDataset::new(4);
-        let never = AtomicBool::new(false);
-        let exec = Executor::serial().with_cancel(Some(&never));
-        generate_storable_with_exec(&mut direct, &config, &exec).unwrap();
-        for r in 1..=4 {
-            assert_eq!(full.dataset.counts_at(r), direct.counts_at(r));
+            // The file holds a consistent checkpoint and resumes to the same
+            // final state as an uncancelled run.
+            let partial = read_shard::<SingleByteDataset>(&path).unwrap();
+            assert!(partial.header.keys_done() > 0);
+            resume_shard::<SingleByteDataset>(
+                &path,
+                &GenerateOptions {
+                    checkpoint_keys: 10_000,
+                    stop_after_keys: None,
+                    encoding: CellEncoding::Raw,
+                },
+                None,
+                &mut no_progress(),
+            )
+            .unwrap();
+            let full = read_shard::<SingleByteDataset>(&path).unwrap();
+            let mut direct = SingleByteDataset::new(4);
+            let never = AtomicBool::new(false);
+            let exec = Executor::serial().with_cancel(Some(&never));
+            generate_storable_with_exec(&mut direct, &config, &exec).unwrap();
+            for r in 1..=4 {
+                assert_eq!(
+                    full.dataset.counts_at(r),
+                    direct.counts_at(r),
+                    "streams {streams}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -649,6 +597,99 @@ mod tests {
         let shard = read_shard::<SingleByteDataset>(&path).unwrap();
         assert_eq!(shard.header.keys_total(), 50);
         assert_eq!(shard.dataset.recorded_keystreams(), 50);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A single-byte dataset that counts how many instances are alive at
+    /// once, so the round engine's partials can be bounded.
+    struct Probe {
+        inner: SingleByteDataset,
+        _live: Live,
+    }
+
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    struct Live;
+
+    impl Live {
+        fn new() -> Self {
+            let now = LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK.fetch_max(now, Ordering::SeqCst);
+            Live
+        }
+    }
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            LIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl StorableDataset for Probe {
+        fn kind() -> &'static str {
+            SingleByteDataset::kind()
+        }
+        fn shape_params(&self) -> Vec<u64> {
+            self.inner.shape_params()
+        }
+        fn empty_with_shape(params: &[u64]) -> Result<Self, DatasetError> {
+            Ok(Probe {
+                inner: SingleByteDataset::empty_with_shape(params)?,
+                _live: Live::new(),
+            })
+        }
+        fn cell_slices(&self) -> Vec<&[u64]> {
+            self.inner.cell_slices()
+        }
+        fn cell_slices_mut(&mut self) -> Vec<&mut [u64]> {
+            self.inner.cell_slices_mut()
+        }
+        fn recorded_keystreams(&self) -> u64 {
+            self.inner.recorded_keystreams()
+        }
+        fn set_recorded_keystreams(&mut self, keystreams: u64) {
+            self.inner.set_recorded_keystreams(keystreams);
+        }
+        fn required_keystream_len(&self) -> usize {
+            self.inner.required_keystream_len()
+        }
+        fn record_stream(&mut self, meta: u64, ks: &[u8]) {
+            self.inner.record_stream(meta, ks);
+        }
+        fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
+            self.inner.merge_same_shape(other.inner)
+        }
+    }
+
+    #[test]
+    fn round_partials_follow_cores_not_streams() {
+        let dir = temp_dir("partials");
+        let path = dir.join("w16.ds");
+        let config = GenerationConfig::with_keys(8_000).workers(16).seed(2);
+        let empty = Probe::empty_with_shape(&[4]).unwrap();
+        PEAK.store(LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
+        generate_shard(
+            &path,
+            empty,
+            &ShardSpec::full(config),
+            &GenerateOptions {
+                checkpoint_keys: 2_000,
+                stop_after_keys: None,
+                encoding: CellEncoding::Raw,
+            },
+            None,
+            &mut no_progress(),
+        )
+        .unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let peak = PEAK.load(Ordering::SeqCst);
+        assert!(
+            peak <= 1 + cores.min(16),
+            "{peak} datasets alive at once for 16 streams on {cores} cores"
+        );
+        let shard = read_shard::<SingleByteDataset>(&path).unwrap();
+        assert_eq!(shard.dataset.recorded_keystreams(), 8_000);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

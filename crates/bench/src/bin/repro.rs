@@ -36,7 +36,7 @@
 //! repro campaign plan --dir DIR --kind KIND --shape A[,B,...] --leases N [config flags]
 //! repro campaign run --dir DIR --out FILE [--procs P] [--heartbeat-timeout-ms N] ...
 //! repro campaign resume ... | repro campaign status --dir DIR [--json]
-//! repro campaign worker --dir DIR   # spawned by `run`; speaks the JSON-line protocol
+//! repro campaign worker --dir DIR --lease ID   # one lease child, spawned by `run`
 //!
 //! # the perf smoke mode and CI regression gate (see README "Performance"):
 //! repro bench [--json] [--compare BENCH_FILE] [--tolerance PCT]
@@ -399,6 +399,40 @@ fn run_experiments(flags: &Flags) -> CliResult<()> {
     Ok(())
 }
 
+/// The dataset kind tags `repro dataset` and `repro campaign` accept.
+const KINDS: &str = "single | pairs | longterm | per-tsc";
+
+/// Evaluates `$body`, a `Result<_, DatasetError>`, with `$D` naming the
+/// storable dataset type whose kind tag is `$kind` (a shard header's or a
+/// campaign manifest's). An unknown tag is a usage error (exit 2), a
+/// `DatasetError` a runtime one (exit 1).
+macro_rules! with_kind {
+    ($kind:expr, $D:ident => $body:expr) => {
+        match &$kind[..] {
+            "single" => {
+                type $D = rc4_stats::single::SingleByteDataset;
+                ($body).or_else(bench::runtime)
+            }
+            "pairs" => {
+                type $D = rc4_stats::pairs::PairDataset;
+                ($body).or_else(bench::runtime)
+            }
+            "longterm" => {
+                type $D = rc4_stats::longterm::LongTermDataset;
+                ($body).or_else(bench::runtime)
+            }
+            "per-tsc" => {
+                type $D = rc4_stats::tsc::PerTscDataset;
+                ($body).or_else(bench::runtime)
+            }
+            other => bench::fail(format!(
+                "unknown dataset kind '{other}' (expected {})",
+                crate::KINDS
+            )),
+        }
+    };
+}
+
 /// The `repro dataset` subcommand family: drive the `rc4-store` persistence
 /// layer (generate / resume / merge / info) from the command line.
 mod dataset_cli {
@@ -409,7 +443,7 @@ mod dataset_cli {
         pairs::{PairDataset, PositionPair},
         single::SingleByteDataset,
         tsc::{PerTscDataset, TscConditioning},
-        DatasetError, GenerationConfig,
+        GenerationConfig,
     };
     use rc4_store::{
         generate_shard, merge_shards, peek_shard, read_shard, resume_shard, CellEncoding,
@@ -418,7 +452,7 @@ mod dataset_cli {
 
     use bench::{fail, parse_u64, runtime, CliResult, FlagTable, Flags};
 
-    const KINDS: &str = "single | pairs | longterm | per-tsc";
+    use super::KINDS;
 
     const USAGE: &str = "usage: repro dataset generate --out FILE --kind KIND [shape flags] \
          [--keys N] [--workers W] [--seed N] [--key-len L] [--worker-range LO..HI] \
@@ -696,16 +730,8 @@ mod dataset_cli {
         warn_oversized_checkpoint(&opts, header.keys_total());
         let label = file.display().to_string();
         let mut progress = progress_printer(label.clone());
-        let status = dispatch_kind(&header.kind, |d| match d {
-            Dispatch::Single => {
-                resume_shard::<SingleByteDataset>(&file, &opts, None, &mut progress)
-            }
-            Dispatch::Pairs => resume_shard::<PairDataset>(&file, &opts, None, &mut progress),
-            Dispatch::LongTerm => {
-                resume_shard::<LongTermDataset>(&file, &opts, None, &mut progress)
-            }
-            Dispatch::PerTsc => resume_shard::<PerTscDataset>(&file, &opts, None, &mut progress),
-        })?;
+        let status =
+            with_kind!(header.kind, D => resume_shard::<D>(&file, &opts, None, &mut progress))?;
         report_status(&label, status)
     }
 
@@ -733,7 +759,7 @@ mod dataset_cli {
             Err(e) => return runtime(e),
         };
         let refs: Vec<&Path> = inputs.iter().map(PathBuf::as_path).collect();
-        let merged = merge_kind(&header.kind, &refs, &out, &options)?;
+        let merged = with_kind!(header.kind, D => merge_shards::<D>(&refs, &out, &options))?;
         eprintln!(
             "repro: dataset {}: merged {} shard(s), workers {}..{}, {} keys",
             out.display(),
@@ -743,21 +769,6 @@ mod dataset_cli {
             merged.keys_done()
         );
         Ok(())
-    }
-
-    /// [`merge_shards`] for a dataset kind named at runtime.
-    pub(super) fn merge_kind(
-        kind: &str,
-        inputs: &[&Path],
-        out: &Path,
-        options: &MergeOptions,
-    ) -> CliResult<ShardHeader> {
-        dispatch_kind(kind, |d| match d {
-            Dispatch::Single => merge_shards::<SingleByteDataset>(inputs, out, options),
-            Dispatch::Pairs => merge_shards::<PairDataset>(inputs, out, options),
-            Dispatch::LongTerm => merge_shards::<LongTermDataset>(inputs, out, options),
-            Dispatch::PerTsc => merge_shards::<PerTscDataset>(inputs, out, options),
-        })
     }
 
     fn info(args: &[String]) -> CliResult<()> {
@@ -772,12 +783,7 @@ mod dataset_cli {
             Err(e) => return runtime(e),
         };
         // A full typed read doubles as an integrity check (CRC, cell count).
-        let verified = dispatch_kind(&header.kind, |d| match d {
-            Dispatch::Single => read_shard::<SingleByteDataset>(&file).map(|s| s.header),
-            Dispatch::Pairs => read_shard::<PairDataset>(&file).map(|s| s.header),
-            Dispatch::LongTerm => read_shard::<LongTermDataset>(&file).map(|s| s.header),
-            Dispatch::PerTsc => read_shard::<PerTscDataset>(&file).map(|s| s.header),
-        })?;
+        let verified = with_kind!(header.kind, D => read_shard::<D>(&file).map(|s| s.header))?;
         print_info(&file, &verified, encoding, json);
         Ok(())
     }
@@ -834,30 +840,6 @@ mod dataset_cli {
         outln!("integrity:   CRC-32 verified");
     }
 
-    /// The four storable kinds, for typed dispatch off a header's kind tag
-    /// (shared with the campaign subcommands, which dispatch off the
-    /// manifest's kind the same way).
-    pub(super) enum Dispatch {
-        Single,
-        Pairs,
-        LongTerm,
-        PerTsc,
-    }
-
-    pub(super) fn dispatch_kind<T>(
-        kind: &str,
-        f: impl FnOnce(Dispatch) -> Result<T, DatasetError>,
-    ) -> CliResult<T> {
-        let d = match kind {
-            "single" => Dispatch::Single,
-            "pairs" => Dispatch::Pairs,
-            "longterm" => Dispatch::LongTerm,
-            "per-tsc" => Dispatch::PerTsc,
-            other => return fail(format!("unknown dataset kind '{other}' (expected {KINDS})")),
-        };
-        f(d).or_else(|e| runtime(e))
-    }
-
     fn report_status(label: &str, status: GenerateStatus) -> CliResult<()> {
         match status {
             GenerateStatus::Complete => {
@@ -902,43 +884,37 @@ mod dataset_cli {
 /// The `repro campaign` subcommand family: fleet-scale dataset generation.
 ///
 /// A *campaign* splits one generation configuration's worker range into
-/// seed-disjoint leases (`plan`), drives a pool of worker processes through
-/// them (`run` / `resume`), and merges the finished lease shards into a
-/// table byte-identical to what a single uninterrupted
-/// `repro dataset generate` would have produced. Lease state lives in the
-/// campaign directory's `campaign.json` manifest
-/// (`rc4_store::campaign::CampaignManifest`), atomically rewritten on every
-/// transition, so a killed coordinator resumes with `repro campaign run`
-/// and loses at most the work since each worker's last checkpoint.
+/// seed-disjoint leases (`plan`), runs them as child processes (`run` /
+/// `resume`), and merges the finished lease shards into a table
+/// byte-identical to what a single uninterrupted `repro dataset generate`
+/// would have produced. Lease state lives in the campaign directory's
+/// `campaign.json` manifest (`rc4_store::campaign::CampaignManifest`),
+/// atomically rewritten on every transition, so a killed coordinator resumes
+/// with `repro campaign run` and loses at most the work since each child's
+/// last checkpoint.
 ///
-/// The coordinator talks to workers over the newline-delimited JSON
-/// protocol of `rc4_store::campaign::{WorkerCommand, WorkerEvent}`
-/// (stdin/stdout), spawning `repro campaign worker` children from the
-/// current executable. A worker that crashes or goes silent past
-/// `--heartbeat-timeout-ms` has its lease expired and re-granted; because
-/// lease content is deterministic (worker `w` always derives its stream
-/// from `(seed, w)`), the replacement resumes the crashed worker's shard
-/// from its last checkpoint and the final merge is unaffected.
+/// The lease loop is `rc4_store::campaign::run_leases`; this module only
+/// launches its children: one `repro campaign worker --lease ID` process per
+/// grant, from the current executable. A child that crashes, or whose shard
+/// shows no new checkpoint for `--heartbeat-timeout-ms`, has its lease
+/// expired and re-granted; because lease content is deterministic (worker
+/// `w` always derives its stream from `(seed, w)`), the replacement resumes
+/// the lost child's shard from its last checkpoint and the final merge is
+/// unaffected.
 mod campaign_cli {
-    use std::io::{BufRead, Write};
     use std::path::{Path, PathBuf};
-    use std::process::Stdio;
-    use std::sync::mpsc;
-    use std::time::{Duration, Instant};
+    use std::process::{Child, Command, Stdio};
+    use std::time::Instant;
 
-    use rc4_stats::{
-        longterm::LongTermDataset, pairs::PairDataset, single::SingleByteDataset,
-        tsc::PerTscDataset, DatasetError, StorableDataset,
-    };
+    use rc4_stats::{DatasetError, StorableDataset};
     use rc4_store::{
-        campaign::{CampaignManifest, CampaignSpec, Lease, WorkerCommand, WorkerEvent},
-        generate_shard, resume_shard, CellEncoding, GenerateOptions, GenerateStatus, MergeOptions,
-        ShardSpec,
+        run_leases, CampaignManifest, CampaignSpec, CellEncoding, GenerateOptions, GenerateStatus,
+        Launcher, Lease, MergeOptions, RunOptions,
     };
 
     use bench::{fail, parse_u64, runtime, CliResult, FlagTable};
 
-    use super::dataset_cli::{dispatch_kind, generation_config, merge_kind, Dispatch};
+    use super::dataset_cli::generation_config;
 
     /// The manifest's fixed file name inside a campaign directory.
     const MANIFEST_NAME: &str = "campaign.json";
@@ -947,24 +923,26 @@ mod campaign_cli {
         "usage: repro campaign plan --dir DIR --kind KIND --shape A[,B,...] --leases N \
          [--keys N] [--workers W] [--seed N] [--key-len L]\n       \
          repro campaign run --dir DIR --out FILE [--procs P] [--checkpoint-keys N] \
-         [--heartbeat-timeout-ms N] [--max-respawns N] [--max-attempts N] \
+         [--heartbeat-timeout-ms N] [--max-attempts N] \
          [--fan-in N] [--compress] [--fail-first-after-keys N]\n       \
          repro campaign resume ... (alias of run: completed leases are skipped)\n       \
-         repro campaign worker --dir DIR [--checkpoint-keys N] [--fail-after-keys N]\n       \
+         repro campaign worker --dir DIR --lease ID [--checkpoint-keys N] [--fail-after-keys N]\n       \
          repro campaign status --dir DIR [--json]\n\
          \n\
          plan splits the config's worker range into N contiguous seed-disjoint\n\
          leases and writes DIR/campaign.json; --shape is the dataset's raw shape\n\
          parameters (single: positions | pairs: a,b,... flattened pairs |\n\
          longterm: drop,block | per-tsc: cond,positions — see `repro dataset`).\n\
-         run spawns P local `campaign worker` processes (default 2), re-leases\n\
-         work from crashed or silent workers, and on completion merges every\n\
-         lease shard into FILE — byte-identical to a single-process generate\n\
-         (raw encoding; --compress writes a v2 delta+varint merged table).\n\
-         worker is the child end of the coordinator's stdin/stdout JSON-line\n\
-         protocol; --fail-after-keys makes it exit abnormally mid-lease after\n\
-         checkpointing N keys (deterministic crash injection for tests, applied\n\
-         by run's --fail-first-after-keys to the first worker only).";
+         run keeps up to P `campaign worker` children alive (default 2), one per\n\
+         lease grant; a child that dies, or whose shard shows no new checkpoint\n\
+         for the heartbeat timeout, has its lease re-granted (at most\n\
+         --max-attempts grants per lease). On completion it merges every lease\n\
+         shard into FILE — byte-identical to a single-process generate (raw\n\
+         encoding; --compress writes a v2 delta+varint merged table).\n\
+         worker generates or resumes one lease's shard and exits 0 once it is\n\
+         complete; --fail-after-keys makes it exit 3 after checkpointing N keys\n\
+         (deterministic crash injection for tests, applied by run's\n\
+         --fail-first-after-keys to the first child only).";
 
     const PLAN_FLAGS: FlagTable = FlagTable {
         switches: &[],
@@ -982,7 +960,7 @@ mod campaign_cli {
 
     const WORKER_FLAGS: FlagTable = FlagTable {
         switches: &[],
-        valued: &["--dir", "--checkpoint-keys", "--fail-after-keys"],
+        valued: &["--dir", "--lease", "--checkpoint-keys", "--fail-after-keys"],
     };
 
     const RUN_FLAGS: FlagTable = FlagTable {
@@ -993,7 +971,6 @@ mod campaign_cli {
             "--procs",
             "--checkpoint-keys",
             "--heartbeat-timeout-ms",
-            "--max-respawns",
             "--max-attempts",
             "--fan-in",
             "--fail-first-after-keys",
@@ -1017,6 +994,10 @@ mod campaign_cli {
         }
     }
 
+    fn load(dir: &Path) -> CliResult<CampaignManifest> {
+        CampaignManifest::load(dir.join(MANIFEST_NAME)).or_else(runtime)
+    }
+
     // ---------------------------------------------------------------- plan
 
     fn plan(args: &[String]) -> CliResult<()> {
@@ -1038,13 +1019,8 @@ mod campaign_cli {
         let config = generation_config(&flags)?;
         // Instantiating the empty dataset front-loads shape validation, so a
         // bad plan fails here rather than in the first worker.
-        dispatch_kind(&kind, |d| match d {
-            Dispatch::Single => SingleByteDataset::empty_with_shape(&shape).map(|_| ()),
-            Dispatch::Pairs => PairDataset::empty_with_shape(&shape).map(|_| ()),
-            Dispatch::LongTerm => LongTermDataset::empty_with_shape(&shape).map(|_| ()),
-            Dispatch::PerTsc => PerTscDataset::empty_with_shape(&shape).map(|_| ()),
-        })
-        .map_err(|(msg, _)| (msg, 2))?;
+        with_kind!(kind, D => D::empty_with_shape(&shape).map(|_| ()))
+            .map_err(|(msg, _)| (msg, 2))?;
         std::fs::create_dir_all(&dir).map_err(|e| (format!("{}: {e}", dir.display()), 1))?;
         let spec = CampaignSpec {
             kind,
@@ -1068,486 +1044,127 @@ mod campaign_cli {
 
     // -------------------------------------------------------------- worker
 
-    /// Writes one protocol event as a flushed stdout line (the coordinator
-    /// reads line-by-line, so partial lines must never be visible).
-    fn emit(event: &WorkerEvent) {
-        let mut out = std::io::stdout().lock();
-        let _ = out.write_all(event.to_line().as_bytes());
-        let _ = out.flush();
-    }
-
-    /// Generates (or resumes) one lease's shard, emitting a heartbeat per
-    /// checkpoint. The shard file existing means a previous holder of this
-    /// lease checkpointed some work; resuming it is always correct because
-    /// lease content is deterministic in `(seed, worker index)`.
-    fn run_lease<D: StorableDataset>(
-        dir: &Path,
-        spec: &CampaignSpec,
-        id: u64,
-        worker_lo: u64,
-        worker_hi: u64,
-        shard: &str,
-        opts: &GenerateOptions,
-    ) -> Result<GenerateStatus, DatasetError> {
-        let path = dir.join(shard);
-        let keys_total: u64 = (worker_lo..worker_hi)
-            .map(|w| spec.config.keys_for_worker(w))
-            .sum();
-        let mut progress = |done: u64, _total: u64| {
-            emit(&WorkerEvent::Heartbeat {
-                id,
-                keys_done: done,
-                keys_total,
-            });
-        };
-        if path.exists() {
-            resume_shard::<D>(&path, opts, None, &mut progress)
-        } else {
-            let empty = D::empty_with_shape(&spec.shape)?;
-            let shard_spec = ShardSpec::workers(spec.config, worker_lo, worker_hi);
-            generate_shard(&path, empty, &shard_spec, opts, None, &mut progress)
-        }
-    }
-
     fn worker(args: &[String]) -> CliResult<()> {
         let flags = WORKER_FLAGS.parse(args, USAGE)?;
         flags.at_most(0)?;
-        let Some(dir) = flags.value("--dir").map(PathBuf::from) else {
-            return flags.usage_error("'campaign worker' needs --dir");
+        let (Some(dir), Some(id)) = (flags.value("--dir"), flags.u64("--lease")?) else {
+            return flags.usage_error("'campaign worker' needs --dir and --lease");
         };
-        let checkpoint_keys = flags.u64("--checkpoint-keys")?;
-        let mut fail_after_keys = flags.u64("--fail-after-keys")?;
-        // The manifest is read once, for the spec; lease state is owned by
-        // the coordinator (which rewrites the file) and arrives over stdin.
-        let manifest = match CampaignManifest::load(dir.join(MANIFEST_NAME)) {
-            Ok(m) => m,
-            Err(e) => return runtime(e),
-        };
-        let spec = manifest.spec.clone();
-        drop(manifest);
-        emit(&WorkerEvent::Ready {
-            worker: format!("pid-{}", std::process::id()),
-        });
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = line.map_err(|e| (format!("campaign worker stdin: {e}"), 1))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let cmd = WorkerCommand::parse(&line).map_err(|e| (e.to_string(), 1))?;
-            let (id, worker_lo, worker_hi, shard) = match cmd {
-                WorkerCommand::Shutdown => return Ok(()),
-                WorkerCommand::Lease {
-                    id,
-                    worker_lo,
-                    worker_hi,
-                    shard,
-                } => (id, worker_lo, worker_hi, shard),
-            };
-            emit(&WorkerEvent::Started { id });
-            let mut opts = GenerateOptions::default();
-            if let Some(n) = checkpoint_keys {
-                opts.checkpoint_keys = n;
-            }
-            // Crash injection: checkpoint N keys, then die like a killed
-            // process — abnormal exit, no Complete/Failed event. Applied to
-            // at most one lease so the respawned replacement finishes it.
-            opts.stop_after_keys = fail_after_keys.take();
-            let injected_stop = opts.stop_after_keys.is_some();
-            let status = dispatch_kind(&spec.kind, |d| match d {
-                Dispatch::Single => run_lease::<SingleByteDataset>(
-                    &dir, &spec, id, worker_lo, worker_hi, &shard, &opts,
-                ),
-                Dispatch::Pairs => {
-                    run_lease::<PairDataset>(&dir, &spec, id, worker_lo, worker_hi, &shard, &opts)
-                }
-                Dispatch::LongTerm => run_lease::<LongTermDataset>(
-                    &dir, &spec, id, worker_lo, worker_hi, &shard, &opts,
-                ),
-                Dispatch::PerTsc => {
-                    run_lease::<PerTscDataset>(&dir, &spec, id, worker_lo, worker_hi, &shard, &opts)
-                }
-            });
-            match status {
-                Ok(GenerateStatus::Complete) => emit(&WorkerEvent::Complete { id }),
-                Ok(GenerateStatus::Stopped) => {
-                    debug_assert!(injected_stop, "stop_after_keys is only set by injection");
-                    eprintln!(
-                        "repro: campaign worker pid-{}: injected failure on lease {id}",
-                        std::process::id()
-                    );
-                    std::process::exit(3);
-                }
-                Err((error, _)) => emit(&WorkerEvent::Failed { id, error }),
-            }
+        let manifest = load(Path::new(dir))?;
+        let mut opts = GenerateOptions::default();
+        if let Some(n) = flags.u64("--checkpoint-keys")? {
+            opts.checkpoint_keys = n;
         }
-        // Stdin EOF without a shutdown command: the coordinator is gone.
-        Ok(())
+        // Crash injection: checkpoint N keys, then exit abnormally like a
+        // killed process, leaving the shard resumable.
+        opts.stop_after_keys = flags.u64("--fail-after-keys")?;
+        let status = with_kind!(manifest.spec.kind, D => {
+            manifest.generate_lease::<D>(id, &opts, None, &mut |_, _| {})
+        })?;
+        match status {
+            GenerateStatus::Complete => Ok(()),
+            GenerateStatus::Stopped => Err((
+                format!("campaign worker: injected failure on lease {id}"),
+                3,
+            )),
+        }
     }
 
     // --------------------------------------------------------- coordinator
 
-    /// Everything `campaign run` needs to know about one spawned worker.
-    struct WorkerProc {
-        child: std::process::Child,
-        stdin: Option<std::process::ChildStdin>,
-        /// Manifest owner string, learned from the worker's Ready event.
-        owner: Option<String>,
-        /// Ready (or finished a lease) with nothing grantable at the time.
-        idle: bool,
-        alive: bool,
-    }
-
-    struct RunArgs {
+    /// Launches each lease grant as a `repro campaign worker` process.
+    struct Workers {
+        exe: PathBuf,
         dir: PathBuf,
-        out: PathBuf,
-        procs: usize,
         checkpoint_keys: Option<u64>,
-        heartbeat_timeout_ms: u64,
-        max_respawns: u64,
-        max_attempts: u64,
-        fan_in: Option<usize>,
-        compress: bool,
-        fail_first_after_keys: Option<u64>,
+        /// Crash injection for the first child only.
+        fail_after_keys: Option<u64>,
     }
 
-    fn parse_run(args: &[String]) -> CliResult<RunArgs> {
+    impl Launcher for Workers {
+        type Child = Child;
+
+        fn launch(&mut self, lease: &Lease) -> Result<Child, DatasetError> {
+            let mut cmd = Command::new(&self.exe);
+            cmd.args(["campaign", "worker", "--dir"])
+                .arg(&self.dir)
+                .args(["--lease", &lease.id.to_string()])
+                .stdin(Stdio::null())
+                .stdout(Stdio::null());
+            if let Some(n) = self.checkpoint_keys {
+                cmd.args(["--checkpoint-keys", &n.to_string()]);
+            }
+            if let Some(n) = self.fail_after_keys.take() {
+                cmd.args(["--fail-after-keys", &n.to_string()]);
+            }
+            cmd.spawn()
+                .map_err(|e| DatasetError::Io(format!("cannot spawn campaign worker: {e}")))
+        }
+
+        fn try_wait(&mut self, child: &mut Child) -> Option<bool> {
+            child
+                .try_wait()
+                .map_or(Some(false), |s| s.map(|s| s.success()))
+        }
+
+        fn kill(&mut self, child: &mut Child) {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+
+    fn coordinate(args: &[String]) -> CliResult<()> {
         let flags = RUN_FLAGS.parse(args, USAGE)?;
         flags.at_most(0)?;
         let (Some(dir), Some(out)) = (flags.value("--dir"), flags.value("--out")) else {
             return flags.usage_error("'campaign run' needs --dir and --out");
         };
-        Ok(RunArgs {
-            dir: PathBuf::from(dir),
-            out: PathBuf::from(out),
+        let (dir, out) = (PathBuf::from(dir), PathBuf::from(out));
+        let opts = RunOptions {
             procs: flags.at_least("--procs", 1)?.unwrap_or(2),
-            checkpoint_keys: flags.u64("--checkpoint-keys")?,
             heartbeat_timeout_ms: flags.u64("--heartbeat-timeout-ms")?.unwrap_or(60_000),
-            max_respawns: flags.u64("--max-respawns")?.unwrap_or(4),
             max_attempts: flags.at_least("--max-attempts", 1)?.unwrap_or(5) as u64,
-            fan_in: flags.at_least("--fan-in", 2)?,
-            compress: flags.switch("--compress"),
-            fail_first_after_keys: flags.u64("--fail-first-after-keys")?,
-        })
-    }
-
-    fn spawn_worker(
-        args: &RunArgs,
-        fail_after_keys: Option<u64>,
-        idx: usize,
-        tx: &mpsc::Sender<(usize, Option<String>)>,
-    ) -> CliResult<WorkerProc> {
-        let exe = std::env::current_exe()
-            .map_err(|e| (format!("cannot locate the repro binary: {e}"), 1))?;
-        let mut cmd = std::process::Command::new(exe);
-        cmd.arg("campaign")
-            .arg("worker")
-            .arg("--dir")
-            .arg(&args.dir);
-        if let Some(n) = args.checkpoint_keys {
-            cmd.arg("--checkpoint-keys").arg(n.to_string());
-        }
-        if let Some(n) = fail_after_keys {
-            cmd.arg("--fail-after-keys").arg(n.to_string());
-        }
-        cmd.stdin(Stdio::piped()).stdout(Stdio::piped());
-        let mut child = cmd
-            .spawn()
-            .map_err(|e| (format!("cannot spawn campaign worker: {e}"), 1))?;
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let tx = tx.clone();
-        // One reader thread per worker: lines fan into the coordinator's
-        // single channel, and the trailing None is the EOF (= death) signal.
-        std::thread::spawn(move || {
-            for line in std::io::BufReader::new(stdout).lines() {
-                let Ok(line) = line else { break };
-                if tx.send((idx, Some(line))).is_err() {
-                    return;
-                }
-            }
-            let _ = tx.send((idx, None));
-        });
-        Ok(WorkerProc {
-            child,
-            stdin: Some(stdin),
-            owner: None,
-            idle: false,
-            alive: true,
-        })
-    }
-
-    /// Aborts the campaign once any incomplete lease has burned through its
-    /// grant budget — without this a deterministic failure (bad disk, bad
-    /// shape) would re-lease forever.
-    fn check_attempts(manifest: &CampaignManifest, max_attempts: u64) -> CliResult<()> {
-        for lease in &manifest.leases {
-            if lease.state.is_grantable() && lease.attempts >= max_attempts {
-                return Err((
-                    format!(
-                        "campaign aborted: lease {} (workers {}..{}) failed {} time(s)",
-                        lease.id, lease.worker_lo, lease.worker_hi, lease.attempts
-                    ),
-                    1,
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Grants the next lease to worker `widx` or, when nothing is grantable,
-    /// parks it idle (it will be fed when a lease expires) or shuts it down
-    /// (when the campaign is complete).
-    fn grant_or_park(
-        manifest: &mut CampaignManifest,
-        worker: &mut WorkerProc,
-        now_ms: u64,
-    ) -> CliResult<()> {
-        let Some(owner) = worker.owner.clone() else {
-            return Ok(());
         };
-        if let Some(lease) = manifest.grant_next(&owner, now_ms).or_else(runtime)? {
-            eprintln!(
-                "repro: campaign: lease {} (workers {}..{}) -> {} (attempt {})",
-                lease.id, lease.worker_lo, lease.worker_hi, owner, lease.attempts
-            );
-            let cmd = WorkerCommand::Lease {
-                id: lease.id,
-                worker_lo: lease.worker_lo,
-                worker_hi: lease.worker_hi,
-                shard: lease.shard.clone(),
-            };
-            worker.idle = false;
-            if let Some(stdin) = &mut worker.stdin {
-                if stdin.write_all(cmd.to_line().as_bytes()).is_err() {
-                    // The worker died between Ready and now; its reader
-                    // thread's EOF signal will expire the lease we just
-                    // granted, so nothing to unwind here.
-                    worker.alive = false;
-                }
-            }
-        } else if manifest.all_complete() {
-            shut_down(worker);
-        } else {
-            worker.idle = true;
+        let mut merge = MergeOptions::default();
+        if let Some(n) = flags.at_least("--fan-in", 2)? {
+            merge.fan_in = n;
         }
-        Ok(())
-    }
-
-    fn shut_down(worker: &mut WorkerProc) {
-        if let Some(mut stdin) = worker.stdin.take() {
-            let _ = stdin.write_all(WorkerCommand::Shutdown.to_line().as_bytes());
-            // Dropping stdin closes the pipe, so even a worker that missed
-            // the command exits on EOF.
+        if flags.switch("--compress") {
+            merge.encoding = CellEncoding::DeltaVarint;
         }
-        worker.idle = false;
-    }
-
-    fn coordinate(args: &[String]) -> CliResult<()> {
-        let args = parse_run(args)?;
-        let mut manifest = match CampaignManifest::load(args.dir.join(MANIFEST_NAME)) {
-            Ok(m) => m,
-            Err(e) => return runtime(e),
-        };
+        let mut manifest = load(&dir)?;
         if !manifest.all_complete() {
-            drive_workers(&args, &mut manifest)?;
-        }
-        merge_campaign(&args, &manifest)
-    }
-
-    fn drive_workers(args: &RunArgs, manifest: &mut CampaignManifest) -> CliResult<()> {
-        let start = Instant::now();
-        let now_ms = move || start.elapsed().as_millis() as u64;
-        let (tx, rx) = mpsc::channel::<(usize, Option<String>)>();
-        let mut workers: Vec<WorkerProc> = Vec::new();
-        for i in 0..args.procs {
-            let inject = if i == 0 {
-                args.fail_first_after_keys
-            } else {
-                None
+            eprintln!(
+                "repro: campaign {}: {} lease(s) ({} complete), up to {} worker process(es)",
+                dir.display(),
+                manifest.leases.len(),
+                manifest.state_counts()[3],
+                opts.procs
+            );
+            let mut workers = Workers {
+                exe: std::env::current_exe()
+                    .map_err(|e| (format!("cannot locate the repro binary: {e}"), 1))?,
+                dir: dir.clone(),
+                checkpoint_keys: flags.u64("--checkpoint-keys")?,
+                fail_after_keys: flags.u64("--fail-first-after-keys")?,
             };
-            workers.push(spawn_worker(args, inject, i, &tx)?);
+            let mut log = |line: String| eprintln!("repro: campaign: {line}");
+            run_leases(
+                &mut manifest,
+                &mut workers,
+                &mut Instant::now(),
+                &opts,
+                &mut log,
+            )
+            .map_err(|e| (e.to_string(), 1))?;
         }
-        let mut respawns_left = args.max_respawns;
-
-        let counts = manifest.state_counts();
-        eprintln!(
-            "repro: campaign {}: {} lease(s) ({} complete), {} worker process(es)",
-            args.dir.display(),
-            manifest.leases.len(),
-            counts[3],
-            args.procs
-        );
-
-        while !manifest.all_complete() {
-            let message = match rx.recv_timeout(Duration::from_millis(200)) {
-                Ok(message) => Some(message),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(("campaign: every worker channel closed".to_string(), 1));
-                }
-            };
-            match message {
-                None => {
-                    // No traffic: check for hung workers that stopped
-                    // heartbeating without dying.
-                    let expired = manifest
-                        .expire_stale(args.heartbeat_timeout_ms, now_ms())
-                        .or_else(runtime)?;
-                    if !expired.is_empty() {
-                        eprintln!(
-                            "repro: campaign: lease(s) {expired:?} expired (heartbeat timeout)"
-                        );
-                        check_attempts(manifest, args.max_attempts)?;
-                    }
-                }
-                Some((widx, None)) => {
-                    // EOF: the worker exited. Expected after a shutdown;
-                    // otherwise it crashed and its lease goes back in the
-                    // pool.
-                    workers[widx].alive = false;
-                    workers[widx].stdin = None;
-                    workers[widx].idle = false;
-                    let _ = workers[widx].child.wait();
-                    if let Some(owner) = workers[widx].owner.take() {
-                        let expired = manifest.expire_owner(&owner).or_else(runtime)?;
-                        if !expired.is_empty() {
-                            eprintln!(
-                                "repro: campaign: worker {owner} died; re-leasing {expired:?}"
-                            );
-                            check_attempts(manifest, args.max_attempts)?;
-                            if !manifest.all_complete() && respawns_left > 0 {
-                                respawns_left -= 1;
-                                let idx = workers.len();
-                                workers.push(spawn_worker(args, None, idx, &tx)?);
-                            }
-                        }
-                    }
-                    if !manifest.all_complete() && workers.iter().all(|w| !w.alive) {
-                        if respawns_left == 0 {
-                            return Err((
-                                "campaign stalled: every worker died and the respawn budget \
-                                 is spent; re-run `repro campaign run` to continue from the \
-                                 manifest"
-                                    .to_string(),
-                                1,
-                            ));
-                        }
-                        respawns_left -= 1;
-                        let idx = workers.len();
-                        workers.push(spawn_worker(args, None, idx, &tx)?);
-                    }
-                }
-                Some((widx, Some(line))) => {
-                    let event = match WorkerEvent::parse(&line) {
-                        Ok(event) => event,
-                        Err(e) => {
-                            eprintln!("repro: campaign: ignoring malformed worker line: {e}");
-                            continue;
-                        }
-                    };
-                    let owner = workers[widx].owner.clone();
-                    match event {
-                        WorkerEvent::Ready { worker } => {
-                            workers[widx].owner = Some(worker);
-                            grant_or_park(manifest, &mut workers[widx], now_ms())?;
-                        }
-                        WorkerEvent::Started { id } => {
-                            if let Some(owner) = &owner {
-                                let keys_done = manifest
-                                    .leases
-                                    .iter()
-                                    .find(|l| l.id == id)
-                                    .map_or(0, |l| l.keys_done);
-                                manifest
-                                    .heartbeat(id, owner, keys_done, now_ms())
-                                    .or_else(runtime)?;
-                            }
-                        }
-                        WorkerEvent::Heartbeat { id, keys_done, .. } => {
-                            if let Some(owner) = &owner {
-                                manifest
-                                    .heartbeat(id, owner, keys_done, now_ms())
-                                    .or_else(runtime)?;
-                            }
-                        }
-                        WorkerEvent::Complete { id } => {
-                            let accepted = match &owner {
-                                Some(owner) => manifest.complete(id, owner).or_else(runtime)?,
-                                None => false,
-                            };
-                            if accepted {
-                                let counts = manifest.state_counts();
-                                eprintln!(
-                                    "repro: campaign: lease {id} complete \
-                                     ({}/{} lease(s) done)",
-                                    counts[3],
-                                    manifest.leases.len()
-                                );
-                                grant_or_park(manifest, &mut workers[widx], now_ms())?;
-                            }
-                        }
-                        WorkerEvent::Failed { id, error } => {
-                            eprintln!("repro: campaign: lease {id} failed: {error}");
-                            if let Some(owner) = &owner {
-                                manifest.expire_owner(owner).or_else(runtime)?;
-                            }
-                            check_attempts(manifest, args.max_attempts)?;
-                            grant_or_park(manifest, &mut workers[widx], now_ms())?;
-                        }
-                    }
-                    // Expired leases (timeout, crash, failure) are handed to
-                    // whichever workers are parked idle.
-                    if manifest.leases.iter().any(|l| l.state.is_grantable()) {
-                        for worker in workers.iter_mut().filter(|w| w.alive && w.idle) {
-                            grant_or_park(manifest, worker, now_ms())?;
-                        }
-                    }
-                }
-            }
-        }
-
-        for worker in workers.iter_mut().filter(|w| w.alive) {
-            shut_down(worker);
-        }
-        for worker in &mut workers {
-            let _ = worker.child.wait();
-        }
-        Ok(())
-    }
-
-    fn merge_campaign(args: &RunArgs, manifest: &CampaignManifest) -> CliResult<()> {
-        let shards: Vec<PathBuf> = manifest
-            .leases
-            .iter()
-            .map(|l| manifest.shard_path(l))
-            .collect();
-        let encoding = if args.compress {
-            CellEncoding::DeltaVarint
-        } else {
-            CellEncoding::Raw
-        };
-        if let [only] = shards.as_slice() {
-            // A one-lease campaign's shard IS the full table already.
-            std::fs::copy(only, &args.out)
-                .map_err(|e| (format!("{}: {e}", args.out.display()), 1))?;
-        } else {
-            let mut options = MergeOptions {
-                encoding,
-                ..MergeOptions::default()
-            };
-            if let Some(n) = args.fan_in {
-                options.fan_in = n;
-            }
-            let refs: Vec<&Path> = shards.iter().map(PathBuf::as_path).collect();
-            merge_kind(&manifest.spec.kind, &refs, &args.out, &options)?;
-        }
+        with_kind!(manifest.spec.kind, D => manifest.merge::<D>(&out, &merge))?;
         eprintln!(
             "repro: campaign {}: merged {} lease shard(s) into {} ({} encoding)",
-            args.dir.display(),
-            shards.len(),
-            args.out.display(),
-            encoding.name()
+            dir.display(),
+            manifest.leases.len(),
+            out.display(),
+            merge.encoding.name()
         );
         Ok(())
     }

@@ -324,3 +324,94 @@ fn plan_rejects_bad_inputs_up_front() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A one-lease campaign's merge goes through the shard reader and writer like
+/// any other: `--compress` writes a delta-varint table holding the
+/// single-process cells, and the raw merge is the single-process file.
+#[test]
+fn one_lease_campaign_merges_through_the_shard_codec() {
+    use rc4_stats::{single::SingleByteDataset, StorableDataset};
+
+    let dir = scratch("one-lease");
+    let single = dir.join("single.ds");
+    let camp = dir.join("camp");
+    let compressed = dir.join("merged-v2.ds");
+    let raw = dir.join("merged.ds");
+
+    let gen = repro(&[
+        "dataset",
+        "generate",
+        "--out",
+        &path_str(&single),
+        "--kind",
+        "single",
+        "--positions",
+        "8",
+        "--keys",
+        "1200",
+        "--workers",
+        "3",
+        "--seed",
+        "9",
+    ]);
+    assert!(gen.status.success(), "{}", stderr(&gen));
+    let plan = repro(&[
+        "campaign",
+        "plan",
+        "--dir",
+        &path_str(&camp),
+        "--kind",
+        "single",
+        "--shape",
+        "8",
+        "--leases",
+        "1",
+        "--keys",
+        "1200",
+        "--workers",
+        "3",
+        "--seed",
+        "9",
+    ]);
+    assert!(plan.status.success(), "{}", stderr(&plan));
+
+    let run = repro(&[
+        "campaign",
+        "run",
+        "--dir",
+        &path_str(&camp),
+        "--out",
+        &path_str(&compressed),
+        "--compress",
+    ]);
+    assert!(run.status.success(), "{}", stderr(&run));
+    let info = repro(&["dataset", "info", &path_str(&compressed)]);
+    assert!(info.status.success(), "{}", stderr(&info));
+    let text = stdout(&info);
+    assert!(text.contains("delta-varint"), "{text}");
+    assert!(text.contains("complete"), "{text}");
+
+    let reference = rc4_store::read_shard::<SingleByteDataset>(&single).unwrap();
+    let merged = rc4_store::read_shard::<SingleByteDataset>(&compressed).unwrap();
+    assert_eq!(merged.header, reference.header);
+    assert_eq!(
+        merged.dataset.cell_slices(),
+        reference.dataset.cell_slices()
+    );
+
+    let rerun = repro(&[
+        "campaign",
+        "run",
+        "--dir",
+        &path_str(&camp),
+        "--out",
+        &path_str(&raw),
+    ]);
+    assert!(rerun.status.success(), "{}", stderr(&rerun));
+    assert_eq!(
+        std::fs::read(&single).unwrap(),
+        std::fs::read(&raw).unwrap()
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -30,9 +30,6 @@
 //!   AVX-512 gather/scatter where the CPU has it), stepping 8–16 keystreams
 //!   per loop iteration while keeping every dataset byte-identical to the
 //!   scalar path.
-//! * [`counters`] — the 16-bit batched counter layout the paper uses to reduce
-//!   cache misses, kept as a separately testable component so the
-//!   `counter_layout` bench can quantify the optimization.
 //! * [`streaming`] — in-place accumulating count and vote tables for the
 //!   streaming ingestion mode, where ciphertext batches arrive continuously
 //!   and the attacks re-score the accumulated table online.
@@ -45,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod dataset;
 pub mod keygen;
 pub mod longterm;

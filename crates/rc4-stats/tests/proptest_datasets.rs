@@ -1,12 +1,7 @@
 //! Property-based tests for the statistics datasets.
 
 use proptest::prelude::*;
-use rc4_stats::{
-    counters::{Batched16Counter, PlainCounter},
-    pairs::PairDataset,
-    single::SingleByteDataset,
-    StorableDataset,
-};
+use rc4_stats::{pairs::PairDataset, single::SingleByteDataset, StorableDataset};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -67,19 +62,5 @@ proptest! {
             let row: u64 = (0..256).map(|y| joint[x * 256 + y]).sum();
             prop_assert_eq!(row, first[x]);
         }
-    }
-
-    /// The batched 16-bit counter always agrees with a plain u64 counter.
-    #[test]
-    fn batched_counter_matches_plain(updates in prop::collection::vec(0usize..128, 1..5000),
-                                     flush_every in 1u64..5000,
-                                     batch in 1usize..256) {
-        let mut batched = Batched16Counter::new(128, flush_every.min(65_535), batch).unwrap();
-        let mut plain = PlainCounter::new(128);
-        for &idx in &updates {
-            batched.record(idx);
-            plain.record(idx);
-        }
-        prop_assert_eq!(batched.into_counts(), plain.into_counts());
     }
 }

@@ -1,45 +1,49 @@
-//! Lease-based fleet campaigns: coordinating many worker processes over one
-//! seed-disjoint key space.
+//! Lease-based fleet campaigns: many lease children over one seed-disjoint
+//! key space.
 //!
 //! The paper's headline counts were collected on ~80 machines and merged
-//! afterwards. This module provides the bookkeeping half of that workflow:
-//! a campaign splits the logical worker range of one
-//! [`GenerationConfig`] into contiguous, seed-disjoint *leases*, each backed
-//! by its own shard file. A coordinator grants leases to worker processes,
-//! tracks their progress in a versioned, atomically-rewritten JSON
-//! *manifest*, re-issues leases whose workers crashed or went silent, and —
-//! once every lease is complete — merges the lease shards with the ordinary
-//! seed-disjoint merge, producing a table byte-identical to a single-process
-//! run.
+//! afterwards. This module reproduces that workflow: a campaign splits the
+//! logical worker range of one [`GenerationConfig`] into contiguous,
+//! seed-disjoint *leases*, each backed by its own shard file, and tracks
+//! them in a versioned, atomically-rewritten JSON *manifest*. [`run_leases`]
+//! runs each grant of a lease as one child (a process in `repro`, a thread
+//! in the tests) that generates or resumes that lease's shard and exits.
+//! The child's progress is its shard's last checkpoint, so the coordinator
+//! needs no channel to it: it polls the shard header for heartbeats, re-issues
+//! leases whose child died or went silent, and — once every lease is
+//! complete — [`CampaignManifest::merge`] merges the lease shards with the
+//! ordinary seed-disjoint merge, producing a table byte-identical to a
+//! single-process run.
 //!
 //! # Lease lifecycle
 //!
 //! ```text
-//! pending ──grant──▶ granted ──first heartbeat──▶ running ──▶ complete
-//!    ▲                  │                            │
-//!    └──────(regrant)── expired ◀──crash/timeout─────┘
+//! pending ──grant──▶ granted ──first checkpoint──▶ running ──▶ complete
+//!    ▲                  │                             │
+//!    └──────(regrant)── expired ◀──crash/timeout──────┘
 //! ```
 //!
 //! Expiry is safe — not merely tolerated — because leases are deterministic:
 //! worker `w` of `config` always derives its key stream from
 //! `(config.seed, w)`, so a re-granted lease regenerates exactly the cells
-//! the lost worker would have produced, and the replacement worker resumes
-//! from the crashed worker's last on-disk checkpoint. Even the pathological
-//! race (a hung worker revives after its lease was re-granted) is benign:
-//! both processes write identical cells, shard writes are atomic
-//! (PID-salted temp + rename), so the last rename wins with a complete,
-//! correct file either way.
-//!
-//! The coordinator/worker wire protocol ([`WorkerCommand`] /
-//! [`WorkerEvent`]) is newline-delimited JSON over the worker's
-//! stdin/stdout, so "fleet" can mean local child processes today and
-//! ssh-driven remote ones without touching this module.
+//! the lost child would have produced, and the replacement resumes from the
+//! lost child's last on-disk checkpoint. Even the pathological race (a hung
+//! child revives after its lease was re-granted) is benign: both write
+//! identical cells, shard writes are atomic (salted temp + rename), so the
+//! last rename wins with a complete, correct file either way.
 
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
+use std::sync::atomic::AtomicBool;
+use std::time::{Duration, Instant};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use rc4_stats::{DatasetError, GenerationConfig};
+use rc4_stats::{DatasetError, GenerationConfig, StorableDataset};
+
+use crate::format::ShardHeader;
+use crate::generate::{generate_shard, resume_shard, GenerateOptions, GenerateStatus, ShardSpec};
+use crate::merge::{merge_shards, MergeOptions};
+use crate::shard::{peek_shard, read_shard, write_shard_with};
 
 /// Manifest format version, bumped on breaking layout changes.
 pub const MANIFEST_VERSION: u64 = 1;
@@ -47,20 +51,20 @@ pub const MANIFEST_VERSION: u64 = 1;
 /// Lifecycle state of one lease, as recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeaseState {
-    /// Never granted; waiting for a worker.
+    /// Never granted.
     Pending,
-    /// Handed to a worker that has not yet reported progress.
+    /// Held by a child whose shard shows no new checkpoint since the grant.
     Granted,
-    /// The owning worker has heartbeated progress.
+    /// Held by a child whose shard has checkpointed progress.
     Running,
     /// All of the lease's keys are generated; its shard is mergeable.
     Complete,
-    /// The owning worker crashed or went silent; awaiting re-grant.
+    /// The holding child crashed or went silent; awaiting re-grant.
     Expired,
 }
 
 impl LeaseState {
-    /// The manifest/wire name.
+    /// The manifest name.
     pub fn name(self) -> &'static str {
         match self {
             LeaseState::Pending => "pending",
@@ -71,24 +75,20 @@ impl LeaseState {
         }
     }
 
-    /// Parses a manifest/wire name.
+    /// Parses a manifest name.
     pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "pending" => Some(LeaseState::Pending),
-            "granted" => Some(LeaseState::Granted),
-            "running" => Some(LeaseState::Running),
-            "complete" => Some(LeaseState::Complete),
-            "expired" => Some(LeaseState::Expired),
-            _ => None,
-        }
+        use LeaseState::*;
+        [Pending, Granted, Running, Complete, Expired]
+            .into_iter()
+            .find(|s| s.name() == name)
     }
 
-    /// Whether a coordinator may grant this lease to a worker right now.
+    /// Whether a coordinator may grant this lease right now.
     pub fn is_grantable(self) -> bool {
         matches!(self, LeaseState::Pending | LeaseState::Expired)
     }
 
-    /// Whether the lease is currently owned by a live worker.
+    /// Whether the lease is currently held by a child.
     pub fn is_owned(self) -> bool {
         matches!(self, LeaseState::Granted | LeaseState::Running)
     }
@@ -125,15 +125,16 @@ pub struct Lease {
     pub worker_hi: u64,
     /// Current lifecycle state.
     pub state: LeaseState,
-    /// Identity of the worker process currently holding the lease.
+    /// Owner name of the child currently holding the lease.
     pub owner: Option<String>,
     /// Times the lease has been granted (1 on first grant; >1 means it was
     /// re-issued after an expiry).
     pub attempts: u64,
-    /// Keys the owning worker last reported as generated.
+    /// Keys the holding child's shard showed at its last checkpoint.
     pub keys_done: u64,
     /// Coordinator-clock milliseconds of the last grant/heartbeat, for
-    /// heartbeat-timeout expiry. Relative to campaign start, never wall time.
+    /// heartbeat-timeout expiry. Relative to the coordinator's start, never
+    /// wall time.
     pub heartbeat_ms: u64,
     /// Shard file name, relative to the manifest's directory.
     pub shard: String,
@@ -221,7 +222,9 @@ impl CampaignManifest {
     /// on unparseable, wrong-version, or self-contradictory content.
     pub fn load(path: impl Into<PathBuf>) -> Result<Self, DatasetError> {
         let path = path.into();
-        let text = std::fs::read_to_string(&path).map_err(|e| DatasetError::io(&path, e))?;
+        let bytes = std::fs::read(&path).map_err(|e| DatasetError::io(&path, e))?;
+        let text = String::from_utf8(bytes)
+            .map_err(|_| DatasetError::corrupt(&path, "manifest is not UTF-8"))?;
         let value: Value = serde_json::from_str(&text)
             .map_err(|e| DatasetError::corrupt(&path, format!("not valid JSON: {e}")))?;
         let version = match value.field("version") {
@@ -260,13 +263,27 @@ impl CampaignManifest {
     }
 
     /// Internal-consistency check: leases must tile `0..config.workers`
-    /// contiguously in ID order.
+    /// contiguously in ID order, each with its own shard, named by a plain
+    /// file name so no lease writes outside the campaign directory.
     fn validate(&self) -> Result<(), DatasetError> {
         self.spec.config.validate().map_err(|e| {
             DatasetError::corrupt(&self.path, format!("invalid stored config: {e}"))
         })?;
         let mut expect_lo = 0u64;
+        let mut names = std::collections::HashSet::new();
         for (i, lease) in self.leases.iter().enumerate() {
+            let mut parts = Path::new(&lease.shard).components();
+            let plain = matches!((parts.next(), parts.next()),
+                (Some(Component::Normal(name)), None) if name == lease.shard.as_str());
+            if !plain || !names.insert(lease.shard.as_str()) {
+                return Err(DatasetError::corrupt(
+                    &self.path,
+                    format!(
+                        "lease {i} shard `{}` is not a file name of its own in the campaign directory",
+                        lease.shard
+                    ),
+                ));
+            }
             if lease.id != i as u64
                 || lease.worker_lo != expect_lo
                 || lease.worker_hi <= lease.worker_lo
@@ -364,8 +381,8 @@ impl CampaignManifest {
 
     /// Records a progress heartbeat from `owner` for lease `id`, persisting
     /// the transition. Returns `false` — ignoring the report — when the
-    /// lease is not currently owned by `owner` (a zombie worker whose lease
-    /// was re-granted).
+    /// lease is not currently owned by `owner` (a child whose lease was
+    /// re-granted).
     ///
     /// # Errors
     ///
@@ -408,48 +425,36 @@ impl CampaignManifest {
         Ok(true)
     }
 
-    /// Expires every lease currently owned by `owner` (worker crashed or
-    /// disconnected), persisting. Returns the expired lease IDs.
+    /// Expires every lease currently owned by `owner` (its child crashed or
+    /// exited early), persisting. Returns the expired lease IDs.
     ///
     /// # Errors
     ///
     /// [`DatasetError::Io`] when persisting fails.
     pub fn expire_owner(&mut self, owner: &str) -> Result<Vec<u64>, DatasetError> {
-        let ids: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|l| l.state.is_owned() && l.owner.as_deref() == Some(owner))
-            .map(|l| l.id)
-            .collect();
-        for &id in &ids {
-            let lease = self.lease_mut(id)?;
-            lease.state = LeaseState::Expired;
-            lease.owner = None;
-        }
-        if !ids.is_empty() {
-            self.save()?;
-            rc4_obs::metrics::counter_add("campaign.lease.expired", ids.len() as u64);
-        }
-        Ok(ids)
+        self.expire(|l| l.owner.as_deref() == Some(owner))
     }
 
     /// Expires every owned lease whose last heartbeat is older than
-    /// `timeout_ms` (hung worker), persisting. Returns the expired IDs.
+    /// `timeout_ms` (hung child), persisting. Returns the expired IDs.
     ///
     /// # Errors
     ///
     /// [`DatasetError::Io`] when persisting fails.
     pub fn expire_stale(&mut self, timeout_ms: u64, now_ms: u64) -> Result<Vec<u64>, DatasetError> {
-        let ids: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|l| l.state.is_owned() && now_ms.saturating_sub(l.heartbeat_ms) > timeout_ms)
-            .map(|l| l.id)
-            .collect();
-        for &id in &ids {
-            let lease = self.lease_mut(id)?;
-            lease.state = LeaseState::Expired;
-            lease.owner = None;
+        self.expire(|l| now_ms.saturating_sub(l.heartbeat_ms) > timeout_ms)
+    }
+
+    /// Expires every owned lease `doomed` selects, persisting; returns
+    /// their IDs.
+    fn expire(&mut self, doomed: impl Fn(&Lease) -> bool) -> Result<Vec<u64>, DatasetError> {
+        let mut ids = Vec::new();
+        for lease in self.leases.iter_mut() {
+            if lease.state.is_owned() && doomed(lease) {
+                lease.state = LeaseState::Expired;
+                lease.owner = None;
+                ids.push(lease.id);
+            }
         }
         if !ids.is_empty() {
             self.save()?;
@@ -489,16 +494,83 @@ impl CampaignManifest {
     pub fn state_counts(&self) -> [u64; 5] {
         let mut counts = [0u64; 5];
         for lease in &self.leases {
-            let i = match lease.state {
-                LeaseState::Pending => 0,
-                LeaseState::Granted => 1,
-                LeaseState::Running => 2,
-                LeaseState::Complete => 3,
-                LeaseState::Expired => 4,
-            };
-            counts[i] += 1;
+            counts[lease.state as usize] += 1;
         }
         counts
+    }
+
+    /// Generates lease `id`'s shard, or resumes it from the checkpoint an
+    /// earlier child left: the whole work of one lease child. `progress`
+    /// sees `(keys done, keys total)` after every checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// [`DatasetError::InvalidConfig`] for an unknown lease ID,
+    /// [`DatasetError::Corrupt`] when the file at the lease's shard path
+    /// holds another configuration, shape or worker range (say, left over
+    /// from an earlier campaign in the same directory), and everything
+    /// [`generate_shard`] / [`resume_shard`] return.
+    pub fn generate_lease<D: StorableDataset>(
+        &self,
+        id: u64,
+        opts: &GenerateOptions,
+        cancel: Option<&AtomicBool>,
+        progress: &mut dyn FnMut(u64, u64),
+    ) -> Result<GenerateStatus, DatasetError> {
+        let lease = self.lease(id)?;
+        let path = self.shard_path(lease);
+        let empty = D::empty_with_shape(&self.spec.shape)?;
+        let spec = ShardSpec::workers(self.spec.config, lease.worker_lo, lease.worker_hi);
+        if !path.exists() {
+            return generate_shard(&path, empty, &spec, opts, cancel, progress);
+        }
+        let (header, _) = peek_shard(&path)?;
+        let found = ShardSpec::workers(header.config, header.worker_lo, header.worker_hi);
+        if found != spec || header.shape != empty.shape_params() {
+            return Err(DatasetError::corrupt(
+                &path,
+                format!("is not lease {id}'s shard (another configuration, shape or worker range)"),
+            ));
+        }
+        drop(empty);
+        resume_shard::<D>(&path, opts, cancel, progress)
+    }
+
+    /// Merges the lease shards into `out` under `options`. A one-lease
+    /// campaign's shard is re-encoded through the shard reader and writer,
+    /// so it gets the same CRC and completeness checks and the same encoding
+    /// as a multi-shard merge.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`merge_shards`] and [`read_shard`] return; an incomplete
+    /// lease shard is [`DatasetError::InvalidConfig`].
+    pub fn merge<D: StorableDataset>(
+        &self,
+        out: &Path,
+        options: &MergeOptions,
+    ) -> Result<ShardHeader, DatasetError> {
+        let shards: Vec<PathBuf> = self.leases.iter().map(|l| self.shard_path(l)).collect();
+        let [only] = shards.as_slice() else {
+            let refs: Vec<&Path> = shards.iter().map(PathBuf::as_path).collect();
+            return merge_shards::<D>(&refs, out, options);
+        };
+        let shard = read_shard::<D>(only)?;
+        if !shard.header.is_complete() {
+            return Err(DatasetError::InvalidConfig(format!(
+                "{}: shard is incomplete; run the campaign before merging",
+                only.display()
+            )));
+        }
+        write_shard_with(out, &shard.header, &shard.dataset, options.encoding)?;
+        Ok(shard.header)
+    }
+
+    fn lease(&self, id: u64) -> Result<&Lease, DatasetError> {
+        self.leases
+            .iter()
+            .find(|l| l.id == id)
+            .ok_or_else(|| DatasetError::InvalidConfig(format!("campaign has no lease {id}")))
     }
 
     fn lease_mut(&mut self, id: u64) -> Result<&mut Lease, DatasetError> {
@@ -509,203 +581,240 @@ impl CampaignManifest {
     }
 }
 
-/// A coordinator → worker instruction, one JSON object per line on the
-/// worker's stdin.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkerCommand {
-    /// Generate (or resume) the shard for this lease.
-    Lease {
-        /// Lease ID, echoed back in every event about it.
-        id: u64,
-        /// First logical worker index covered.
-        worker_lo: u64,
-        /// One past the last logical worker index covered.
-        worker_hi: u64,
-        /// Shard file name relative to the campaign directory.
-        shard: String,
-    },
-    /// No more leases; exit cleanly.
-    Shutdown,
-}
+/// Starts and watches lease children for [`run_leases`]: child processes in
+/// `repro`, threads in tests.
+pub trait Launcher {
+    /// A running lease child.
+    type Child;
 
-impl WorkerCommand {
-    /// Serializes to one newline-terminated JSON line.
-    pub fn to_line(&self) -> String {
-        let value = match self {
-            WorkerCommand::Lease {
-                id,
-                worker_lo,
-                worker_hi,
-                shard,
-            } => Value::Object(vec![
-                ("cmd".to_string(), Value::Str("lease".to_string())),
-                ("id".to_string(), Value::UInt(*id)),
-                ("worker_lo".to_string(), Value::UInt(*worker_lo)),
-                ("worker_hi".to_string(), Value::UInt(*worker_hi)),
-                ("shard".to_string(), Value::Str(shard.clone())),
-            ]),
-            WorkerCommand::Shutdown => Value::Object(vec![(
-                "cmd".to_string(),
-                Value::Str("shutdown".to_string()),
-            )]),
-        };
-        let mut line = serde_json::to_string(&value).expect("command serializes");
-        line.push('\n');
-        line
-    }
-
-    /// Parses one JSON line.
+    /// Starts a child that generates or resumes `lease`'s shard (see
+    /// [`CampaignManifest::generate_lease`]) and exits successfully only
+    /// once the shard is complete.
     ///
     /// # Errors
     ///
-    /// [`DatasetError::Serialization`] naming the malformed or unknown part.
-    pub fn parse(line: &str) -> Result<Self, DatasetError> {
-        let value: Value = serde_json::from_str(line.trim())
-            .map_err(|e| DatasetError::Serialization(format!("campaign command: {e}")))?;
-        match str_field(&value, "cmd")? {
-            "lease" => Ok(WorkerCommand::Lease {
-                id: u64_field(&value, "id")?,
-                worker_lo: u64_field(&value, "worker_lo")?,
-                worker_hi: u64_field(&value, "worker_hi")?,
-                shard: str_field(&value, "shard")?.to_string(),
-            }),
-            "shutdown" => Ok(WorkerCommand::Shutdown),
-            other => Err(DatasetError::Serialization(format!(
-                "unknown campaign command `{other}`"
-            ))),
-        }
+    /// Whatever keeps the child from starting; it aborts the run.
+    fn launch(&mut self, lease: &Lease) -> Result<Self::Child, DatasetError>;
+
+    /// `None` while `child` runs, `Some(success)` once it has exited.
+    fn try_wait(&mut self, child: &mut Self::Child) -> Option<bool>;
+
+    /// Stops `child` and waits until it has exited.
+    fn kill(&mut self, child: &mut Self::Child);
+}
+
+/// The coordinator's clock, in milliseconds from an arbitrary origin.
+pub trait Clock {
+    /// The current time.
+    fn now_ms(&mut self) -> u64;
+    /// Waits `ms` milliseconds.
+    fn sleep_ms(&mut self, ms: u64);
+}
+
+/// Real time, counted from the instant itself.
+impl Clock for Instant {
+    fn now_ms(&mut self) -> u64 {
+        self.elapsed().as_millis() as u64
+    }
+
+    fn sleep_ms(&mut self, ms: u64) {
+        std::thread::sleep(Duration::from_millis(ms));
     }
 }
 
-/// A worker → coordinator report, one JSON object per line on the worker's
-/// stdout.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkerEvent {
-    /// The worker is up and wants its first lease.
-    Ready {
-        /// The worker's self-chosen identity (its manifest `owner` string).
-        worker: String,
-    },
-    /// The worker accepted a lease and began generating.
-    Started {
-        /// The lease being worked.
-        id: u64,
-    },
-    /// Checkpoint progress (one per on-disk checkpoint flush).
-    Heartbeat {
-        /// The lease being worked.
-        id: u64,
-        /// Keys generated so far.
-        keys_done: u64,
-        /// Keys the lease will hold when complete.
-        keys_total: u64,
-    },
-    /// The lease's shard is complete on disk; the worker wants another.
-    Complete {
-        /// The finished lease.
-        id: u64,
-    },
-    /// The lease failed; the shard (if any) holds the last good checkpoint.
-    Failed {
-        /// The failed lease.
-        id: u64,
-        /// Human-readable cause.
-        error: String,
-    },
+/// Pause between two coordinator ticks: the longest a reaped child's
+/// slot stays empty. Each tick reads one shard header per running child.
+const POLL_MS: u64 = 50;
+
+/// How [`run_leases`] bounds a campaign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Lease children alive at once.
+    pub procs: usize,
+    /// A child whose shard shows no new checkpoint for longer than this is
+    /// killed and its lease re-granted.
+    pub heartbeat_timeout_ms: u64,
+    /// A lease that fails on its `max_attempts`-th grant aborts the run.
+    pub max_attempts: u64,
 }
 
-impl WorkerEvent {
-    /// Serializes to one newline-terminated JSON line.
-    pub fn to_line(&self) -> String {
-        let mut fields = Vec::new();
+/// Why [`run_leases`] stopped before every lease was complete.
+#[derive(Debug)]
+pub enum CampaignError {
+    /// A lease failed on each of its `attempts` grants.
+    LeaseFailed {
+        /// The failing lease.
+        id: u64,
+        /// Its worker range, `worker_lo..worker_hi`.
+        workers: (u64, u64),
+        /// Grants it has had.
+        attempts: u64,
+    },
+    /// The manifest could not be persisted or a child could not start.
+    Dataset(DatasetError),
+}
+
+impl std::fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WorkerEvent::Ready { worker } => {
-                fields.push(("event".to_string(), Value::Str("ready".to_string())));
-                fields.push(("worker".to_string(), Value::Str(worker.clone())));
-            }
-            WorkerEvent::Started { id } => {
-                fields.push(("event".to_string(), Value::Str("started".to_string())));
-                fields.push(("id".to_string(), Value::UInt(*id)));
-            }
-            WorkerEvent::Heartbeat {
+            CampaignError::LeaseFailed {
                 id,
-                keys_done,
-                keys_total,
-            } => {
-                fields.push(("event".to_string(), Value::Str("heartbeat".to_string())));
-                fields.push(("id".to_string(), Value::UInt(*id)));
-                fields.push(("keys_done".to_string(), Value::UInt(*keys_done)));
-                fields.push(("keys_total".to_string(), Value::UInt(*keys_total)));
-            }
-            WorkerEvent::Complete { id } => {
-                fields.push(("event".to_string(), Value::Str("complete".to_string())));
-                fields.push(("id".to_string(), Value::UInt(*id)));
-            }
-            WorkerEvent::Failed { id, error } => {
-                fields.push(("event".to_string(), Value::Str("failed".to_string())));
-                fields.push(("id".to_string(), Value::UInt(*id)));
-                fields.push(("error".to_string(), Value::Str(error.clone())));
-            }
-        }
-        let mut line = serde_json::to_string(&Value::Object(fields)).expect("event serializes");
-        line.push('\n');
-        line
-    }
-
-    /// Parses one JSON line.
-    ///
-    /// # Errors
-    ///
-    /// [`DatasetError::Serialization`] naming the malformed or unknown part.
-    pub fn parse(line: &str) -> Result<Self, DatasetError> {
-        let value: Value = serde_json::from_str(line.trim())
-            .map_err(|e| DatasetError::Serialization(format!("campaign event: {e}")))?;
-        match str_field(&value, "event")? {
-            "ready" => Ok(WorkerEvent::Ready {
-                worker: str_field(&value, "worker")?.to_string(),
-            }),
-            "started" => Ok(WorkerEvent::Started {
-                id: u64_field(&value, "id")?,
-            }),
-            "heartbeat" => Ok(WorkerEvent::Heartbeat {
-                id: u64_field(&value, "id")?,
-                keys_done: u64_field(&value, "keys_done")?,
-                keys_total: u64_field(&value, "keys_total")?,
-            }),
-            "complete" => Ok(WorkerEvent::Complete {
-                id: u64_field(&value, "id")?,
-            }),
-            "failed" => Ok(WorkerEvent::Failed {
-                id: u64_field(&value, "id")?,
-                error: str_field(&value, "error")?.to_string(),
-            }),
-            other => Err(DatasetError::Serialization(format!(
-                "unknown campaign event `{other}`"
-            ))),
+                workers: (lo, hi),
+                attempts,
+            } => write!(
+                f,
+                "campaign aborted: lease {id} (workers {lo}..{hi}) failed {attempts} time(s)"
+            ),
+            CampaignError::Dataset(e) => write!(f, "{e}"),
         }
     }
 }
 
-fn u64_field(value: &Value, name: &str) -> Result<u64, DatasetError> {
-    match value.field(name) {
-        Ok(Value::UInt(n)) => Ok(*n),
-        _ => Err(DatasetError::Serialization(format!(
-            "campaign message lacks numeric field `{name}`"
-        ))),
+impl std::error::Error for CampaignError {}
+
+impl From<DatasetError> for CampaignError {
+    fn from(e: DatasetError) -> Self {
+        CampaignError::Dataset(e)
     }
 }
 
-fn str_field<'a>(value: &'a Value, name: &str) -> Result<&'a str, DatasetError> {
-    match value.field(name) {
-        Ok(Value::Str(s)) => Ok(s),
-        _ => Err(DatasetError::Serialization(format!(
-            "campaign message lacks string field `{name}`"
-        ))),
+/// One live lease child and the owner name its grant carries.
+struct Running<C> {
+    id: u64,
+    owner: String,
+    child: C,
+}
+
+/// Runs `manifest` until every lease is complete, one child per grant and
+/// at most `opts.procs` at once, reporting each lease transition to `log`.
+///
+/// Every tick it reaps exited children (complete when the child succeeded
+/// and its shard header says so, expired otherwise), turns each child's
+/// newer shard checkpoint into a heartbeat, expires and kills children
+/// silent for longer than the heartbeat timeout, and fills free slots with
+/// [`CampaignManifest::grant_next`]. Leases still owned when the run starts
+/// belong to children of an earlier coordinator and are expired first.
+///
+/// # Errors
+///
+/// [`CampaignError::LeaseFailed`] once a lease fails on its
+/// `opts.max_attempts`-th grant, [`CampaignError::Dataset`] when the
+/// manifest cannot be saved or a child cannot start. No child is left
+/// running on return.
+pub fn run_leases<L: Launcher>(
+    manifest: &mut CampaignManifest,
+    launcher: &mut L,
+    clock: &mut dyn Clock,
+    opts: &RunOptions,
+    log: &mut dyn FnMut(String),
+) -> Result<(), CampaignError> {
+    let mut children = Vec::new();
+    let result = lease_loop(manifest, launcher, clock, opts, log, &mut children);
+    for mut running in children {
+        launcher.kill(&mut running.child);
+        let _ = manifest.expire_owner(&running.owner);
+    }
+    result
+}
+
+fn lease_loop<L: Launcher>(
+    manifest: &mut CampaignManifest,
+    launcher: &mut L,
+    clock: &mut dyn Clock,
+    opts: &RunOptions,
+    log: &mut dyn FnMut(String),
+    children: &mut Vec<Running<L::Child>>,
+) -> Result<(), CampaignError> {
+    manifest.expire(|_| true)?;
+    let mut launched = 0u64;
+    loop {
+        let now = clock.now_ms();
+        let mut failed = Vec::new();
+        let mut i = 0;
+        while i < children.len() {
+            let Some(success) = launcher.try_wait(&mut children[i].child) else {
+                i += 1;
+                continue;
+            };
+            let Running { id, owner, .. } = children.remove(i);
+            let shard = manifest.shard_path(manifest.lease(id)?);
+            let complete = success && peek_shard(&shard).is_ok_and(|(h, _)| h.is_complete());
+            if complete && manifest.complete(id, &owner)? {
+                let done = manifest.state_counts()[3];
+                log(format!(
+                    "lease {id} complete ({done}/{} lease(s) done)",
+                    manifest.leases.len()
+                ));
+            } else {
+                let expired = manifest.expire_owner(&owner)?;
+                log(format!("worker {owner} died; re-leasing {expired:?}"));
+                failed.extend(expired);
+            }
+        }
+        for running in children.iter() {
+            let lease = manifest.lease(running.id)?;
+            if let Ok((header, _)) = peek_shard(&manifest.shard_path(lease)) {
+                if header.keys_done() != lease.keys_done {
+                    manifest.heartbeat(running.id, &running.owner, header.keys_done(), now)?;
+                }
+            }
+        }
+        let stale = manifest.expire_stale(opts.heartbeat_timeout_ms, now)?;
+        if !stale.is_empty() {
+            for running in children.iter_mut().filter(|r| stale.contains(&r.id)) {
+                launcher.kill(&mut running.child);
+            }
+            children.retain(|r| !stale.contains(&r.id));
+            log(format!("lease(s) {stale:?} expired (heartbeat timeout)"));
+            failed.extend(stale);
+        }
+        for id in failed {
+            let lease = manifest.lease(id)?;
+            if lease.attempts >= opts.max_attempts {
+                return Err(CampaignError::LeaseFailed {
+                    id,
+                    workers: (lease.worker_lo, lease.worker_hi),
+                    attempts: lease.attempts,
+                });
+            }
+        }
+        if manifest.all_complete() {
+            return Ok(());
+        }
+        while children.len() < opts.procs {
+            let owner = format!("child-{launched}");
+            let Some(lease) = manifest.grant_next(&owner, now)? else {
+                break;
+            };
+            launched += 1;
+            log(format!(
+                "lease {} (workers {}..{}) -> {owner} (attempt {})",
+                lease.id, lease.worker_lo, lease.worker_hi, lease.attempts
+            ));
+            match launcher.launch(&lease) {
+                Ok(child) => children.push(Running {
+                    id: lease.id,
+                    owner,
+                    child,
+                }),
+                Err(e) => {
+                    manifest.expire_owner(&owner)?;
+                    return Err(e.into());
+                }
+            }
+        }
+        clock.sleep_ms(POLL_MS);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+
+    use rc4_stats::single::SingleByteDataset;
+
     use super::*;
 
     fn spec(keys: u64, workers: usize) -> CampaignSpec {
@@ -816,42 +925,369 @@ mod tests {
     }
 
     #[test]
-    fn wire_commands_and_events_round_trip() {
-        let commands = [
-            WorkerCommand::Lease {
-                id: 3,
-                worker_lo: 4,
-                worker_hi: 8,
-                shard: "lease-0003.ds".to_string(),
-            },
-            WorkerCommand::Shutdown,
-        ];
-        for cmd in commands {
-            let line = cmd.to_line();
-            assert!(line.ends_with('\n'));
-            assert_eq!(WorkerCommand::parse(&line).unwrap(), cmd);
+    fn a_shard_of_another_campaign_is_not_resumed() {
+        let opts = GenerateOptions::default();
+        let old = CampaignManifest::plan(temp_manifest("stale-old"), spec(200, 2), 2).unwrap();
+        old.generate_lease::<SingleByteDataset>(0, &opts, None, &mut |_, _| {})
+            .unwrap();
+        let mut other = spec(200, 2);
+        other.config.seed = 12;
+        let new = CampaignManifest::plan(temp_manifest("stale-new"), other, 2).unwrap();
+        std::fs::copy(
+            old.shard_path(&old.leases[0]),
+            new.shard_path(&new.leases[0]),
+        )
+        .unwrap();
+        let resumed = new.generate_lease::<SingleByteDataset>(0, &opts, None, &mut |_, _| {});
+        assert!(
+            matches!(resumed, Err(DatasetError::Corrupt(ref msg)) if msg.contains("lease 0")),
+            "{resumed:?}"
+        );
+    }
+
+    /// Saves `m` with lease 1's shard renamed to `name`; loading it again
+    /// must fail as corrupt.
+    fn assert_shard_name_rejected(tag: &str, name: &str) {
+        let mut m = CampaignManifest::plan(temp_manifest(tag), spec(100, 4), 2).unwrap();
+        m.leases[1].shard = name.to_string();
+        m.save().unwrap();
+        assert!(
+            matches!(CampaignManifest::load(m.path()), Err(DatasetError::Corrupt(msg)) if msg.contains("file name")),
+            "shard name {name:?} must be rejected"
+        );
+    }
+
+    #[test]
+    fn absolute_shard_names_are_rejected() {
+        let outside = std::env::temp_dir().join("lease-0001.ds");
+        assert_shard_name_rejected("abs", outside.to_str().unwrap());
+    }
+
+    #[test]
+    fn parent_dir_shard_names_are_rejected() {
+        assert_shard_name_rejected("dotdot", "..");
+    }
+
+    #[test]
+    fn shard_names_with_a_separator_are_rejected() {
+        assert_shard_name_rejected("slash", "../lease-0001.ds");
+        assert_shard_name_rejected("subdir", "sub/lease-0001.ds");
+    }
+
+    #[test]
+    fn leases_sharing_a_shard_are_rejected() {
+        assert_shard_name_rejected("shared", "lease-0000.ds");
+    }
+
+    /// What a thread lease child does with its grant.
+    #[derive(Debug, Clone, Copy)]
+    enum Act {
+        /// Generate or resume the lease to completion.
+        Finish,
+        /// Like `Finish`, in lockstep with the fake clock: one checkpoint
+        /// per coordinator tick, so it heartbeats on every tick.
+        Paced,
+        /// Checkpoint at least this many keys, then exit "successfully"
+        /// with the shard still incomplete.
+        StopAfter(u64),
+        /// Make no progress until killed.
+        Hang,
+        /// Exit unsuccessfully at once.
+        Fail,
+    }
+
+    /// Fake time, shared by the coordinator's clock and the paced children.
+    #[derive(Default)]
+    struct FakeTime {
+        now_ms: AtomicU64,
+        /// Paced children alive; while there is one, the clock advances only
+        /// after it has written its next checkpoint.
+        paced: AtomicUsize,
+        checkpointed: AtomicBool,
+    }
+
+    /// Waits, without a timeout, until `done` holds.
+    fn wait_until(done: impl Fn() -> bool) {
+        while !done() {
+            std::thread::sleep(Duration::from_micros(50));
         }
-        let events = [
-            WorkerEvent::Ready {
-                worker: "w1".to_string(),
-            },
-            WorkerEvent::Started { id: 3 },
-            WorkerEvent::Heartbeat {
-                id: 3,
-                keys_done: 100,
-                keys_total: 400,
-            },
-            WorkerEvent::Complete { id: 3 },
-            WorkerEvent::Failed {
-                id: 3,
-                error: "disk full".to_string(),
-            },
-        ];
-        for event in events {
-            let line = event.to_line();
-            assert_eq!(WorkerEvent::parse(&line).unwrap(), event);
+    }
+
+    /// The coordinator's side of [`FakeTime`]: each sleep waits for a
+    /// paced child's next checkpoint (if one is alive), then advances the
+    /// time by the requested milliseconds at once.
+    struct FakeClock(Arc<FakeTime>);
+
+    impl Clock for FakeClock {
+        fn now_ms(&mut self) -> u64 {
+            self.0.now_ms.load(Ordering::SeqCst)
         }
-        assert!(WorkerCommand::parse("{\"cmd\":\"dance\"}").is_err());
-        assert!(WorkerEvent::parse("not json").is_err());
+
+        fn sleep_ms(&mut self, ms: u64) {
+            let time = &self.0;
+            wait_until(|| {
+                time.paced.load(Ordering::SeqCst) == 0
+                    || time.checkpointed.swap(false, Ordering::SeqCst)
+            });
+            time.now_ms.fetch_add(ms, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Lease children on threads, each acting as `script` says for its
+    /// lease and attempt.
+    struct Threads {
+        manifest: PathBuf,
+        script: fn(&Lease) -> Act,
+        time: Arc<FakeTime>,
+        live: Arc<AtomicUsize>,
+        launches: usize,
+    }
+
+    struct ThreadChild {
+        stop: Arc<AtomicBool>,
+        handle: Option<JoinHandle<bool>>,
+    }
+
+    impl Launcher for Threads {
+        type Child = ThreadChild;
+
+        fn launch(&mut self, lease: &Lease) -> Result<ThreadChild, DatasetError> {
+            let (act, id) = ((self.script)(lease), lease.id);
+            self.launches += 1;
+            self.live.fetch_add(1, Ordering::SeqCst);
+            if let Act::Paced = act {
+                self.time.paced.fetch_add(1, Ordering::SeqCst);
+            }
+            let stop = Arc::new(AtomicBool::new(false));
+            let (path, flag) = (self.manifest.clone(), Arc::clone(&stop));
+            let (time, live) = (Arc::clone(&self.time), Arc::clone(&self.live));
+            let handle = std::thread::spawn(move || {
+                let ok = run_child(&path, id, act, &flag, &time);
+                if let Act::Paced = act {
+                    time.paced.fetch_sub(1, Ordering::SeqCst);
+                }
+                live.fetch_sub(1, Ordering::SeqCst);
+                ok
+            });
+            Ok(ThreadChild {
+                stop,
+                handle: Some(handle),
+            })
+        }
+
+        fn try_wait(&mut self, child: &mut ThreadChild) -> Option<bool> {
+            if !child.handle.as_ref()?.is_finished() {
+                return None;
+            }
+            Some(child.handle.take()?.join().unwrap())
+        }
+
+        fn kill(&mut self, child: &mut ThreadChild) {
+            child.stop.store(true, Ordering::SeqCst);
+            if let Some(handle) = child.handle.take() {
+                handle.join().unwrap();
+            }
+        }
+    }
+
+    fn run_child(path: &Path, id: u64, act: Act, stop: &AtomicBool, time: &FakeTime) -> bool {
+        let manifest = CampaignManifest::load(path).unwrap();
+        let mut opts = GenerateOptions {
+            checkpoint_keys: 2,
+            ..GenerateOptions::default()
+        };
+        // Called once each checkpoint is on disk: hand the clock one tick.
+        let mut pace = |_: u64, _: u64| {
+            let tick = time.now_ms.load(Ordering::SeqCst);
+            time.checkpointed.store(true, Ordering::SeqCst);
+            wait_until(|| {
+                time.now_ms.load(Ordering::SeqCst) != tick || stop.load(Ordering::SeqCst)
+            });
+        };
+        let mut progress: &mut dyn FnMut(u64, u64) = &mut |_, _| {};
+        match act {
+            Act::Finish => {}
+            Act::Paced => progress = &mut pace,
+            Act::StopAfter(n) => opts.stop_after_keys = Some(n),
+            Act::Hang => {
+                wait_until(|| stop.load(Ordering::SeqCst));
+                return false;
+            }
+            Act::Fail => return false,
+        }
+        let status = manifest.generate_lease::<SingleByteDataset>(id, &opts, Some(stop), progress);
+        matches!(
+            status,
+            Ok(GenerateStatus::Complete | GenerateStatus::Stopped)
+        )
+    }
+
+    /// No child goes stale: only the hang test sets a timeout.
+    const OPTS: RunOptions = RunOptions {
+        procs: 2,
+        heartbeat_timeout_ms: u64::MAX,
+        max_attempts: 3,
+    };
+
+    /// Plans a single-byte campaign of `leases` leases over `workers`
+    /// streams (400 keys per stream) and returns it with a thread launcher.
+    fn fleet(
+        tag: &str,
+        workers: usize,
+        leases: u64,
+        script: fn(&Lease) -> Act,
+    ) -> (CampaignManifest, Threads) {
+        let spec = spec(400 * workers as u64, workers);
+        let manifest = CampaignManifest::plan(temp_manifest(tag), spec, leases).unwrap();
+        let threads = Threads {
+            manifest: manifest.path().to_path_buf(),
+            script,
+            time: Arc::default(),
+            live: Arc::default(),
+            launches: 0,
+        };
+        (manifest, threads)
+    }
+
+    fn drive(
+        m: &mut CampaignManifest,
+        threads: &mut Threads,
+        opts: &RunOptions,
+    ) -> (Result<(), CampaignError>, Vec<String>) {
+        let mut lines = Vec::new();
+        let mut clock = FakeClock(Arc::clone(&threads.time));
+        let result = run_leases(m, threads, &mut clock, opts, &mut |line| lines.push(line));
+        (result, lines)
+    }
+
+    /// The merged campaign equals one single-process shard, byte for byte.
+    fn assert_merge_is_single_process(m: &CampaignManifest) {
+        let merged = m.dir().join("merged.ds");
+        let single = m.dir().join("single.ds");
+        m.merge::<SingleByteDataset>(&merged, &MergeOptions::default())
+            .unwrap();
+        let empty = SingleByteDataset::new(8);
+        let full = ShardSpec::full(m.spec.config);
+        generate_shard(
+            &single,
+            empty,
+            &full,
+            &GenerateOptions::default(),
+            None,
+            &mut |_, _| {},
+        )
+        .unwrap();
+        assert_eq!(
+            std::fs::read(merged).unwrap(),
+            std::fs::read(single).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_hung_child_is_expired_while_another_heartbeats() {
+        let (mut m, mut threads) = fleet("hang", 2, 2, |l| match (l.id, l.attempts) {
+            (0, 1) => Act::Hang,
+            (1, _) => Act::Paced,
+            _ => Act::Finish,
+        });
+        // The paced child checkpoints on each of its ~200 ticks; the hung
+        // one expires after 100.
+        let opts = RunOptions {
+            heartbeat_timeout_ms: 100 * POLL_MS,
+            ..OPTS
+        };
+        let (result, log) = drive(&mut m, &mut threads, &opts);
+        result.unwrap();
+        let expiry = log
+            .iter()
+            .position(|l| l == "lease(s) [0] expired (heartbeat timeout)");
+        let other_done = log.iter().position(|l| l.starts_with("lease 1 complete"));
+        assert!(expiry.unwrap() < other_done.unwrap(), "{log:?}");
+        assert!(
+            log.contains(&"lease 0 (workers 0..1) -> child-2 (attempt 2)".to_string()),
+            "{log:?}"
+        );
+        assert_eq!((m.leases[0].attempts, m.leases[1].attempts), (2, 1));
+        assert!(m.all_complete());
+        assert_eq!(threads.live.load(Ordering::SeqCst), 0);
+        assert_merge_is_single_process(&m);
+    }
+
+    #[test]
+    fn an_incomplete_shard_is_resumed_to_identical_cells() {
+        let (mut m, mut threads) = fleet("resume", 3, 3, |l| match (l.id, l.attempts) {
+            (0, 1) => Act::StopAfter(30),
+            _ => Act::Finish,
+        });
+        let (result, log) = drive(&mut m, &mut threads, &OPTS);
+        result.unwrap();
+        assert!(
+            log.contains(&"worker child-0 died; re-leasing [0]".to_string()),
+            "{log:?}"
+        );
+        assert_eq!(m.leases[0].attempts, 2);
+        assert_eq!(threads.launches, 4);
+        assert_merge_is_single_process(&m);
+        // The state on disk agrees.
+        let reloaded = CampaignManifest::load(m.path()).unwrap();
+        assert_eq!(reloaded.state_counts(), [0, 0, 0, 3, 0]);
+    }
+
+    #[test]
+    fn max_attempts_failures_abort_with_no_child_left() {
+        let (mut m, mut threads) = fleet("abort", 2, 2, |l| match l.id {
+            0 => Act::Fail,
+            _ => Act::Hang,
+        });
+        let (result, _) = drive(&mut m, &mut threads, &OPTS);
+        let err = result.unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CampaignError::LeaseFailed {
+                    id: 0,
+                    workers: (0, 1),
+                    attempts: 3
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("lease 0"), "{err}");
+        assert_eq!(
+            threads.live.load(Ordering::SeqCst),
+            0,
+            "every child is stopped"
+        );
+        assert!(
+            m.leases.iter().all(|l| !l.state.is_owned()),
+            "{:?}",
+            m.leases
+        );
+    }
+
+    #[test]
+    fn a_complete_manifest_launches_nothing() {
+        let (mut m, mut threads) = fleet("done", 2, 2, |_| Act::Fail);
+        for id in 0..2 {
+            m.grant_next("old", 0).unwrap();
+            assert!(m.complete(id, "old").unwrap());
+        }
+        let (result, log) = drive(&mut m, &mut threads, &OPTS);
+        result.unwrap();
+        assert_eq!((threads.launches, log.len()), (0, 0));
+    }
+
+    #[test]
+    fn leases_owned_by_a_gone_coordinator_are_regranted() {
+        let (mut m, mut threads) = fleet("orphan", 2, 2, |_| Act::Finish);
+        m.grant_next("pid-1", 5_000_000).unwrap();
+        let (result, log) = drive(&mut m, &mut threads, &OPTS);
+        result.unwrap();
+        assert!(
+            log.contains(&"lease 0 (workers 0..1) -> child-0 (attempt 2)".to_string()),
+            "{log:?}"
+        );
+        assert_merge_is_single_process(&m);
     }
 }

@@ -26,8 +26,7 @@
 //!   range of those workers. Completed chunks are streamed to disk at a
 //!   configurable interval, so a cancelled or crashed run resumes from the
 //!   last flushed chunk ([`generate::resume_shard`]) instead of starting
-//!   over — the on-disk analogue of `Batched16Counter`'s flush-and-aggregate
-//!   design.
+//!   over.
 //! * [`merge`] — the one n-way merge, windowed and tiered, that validates
 //!   shape equality and seed-disjointness (disjoint worker ranges of the
 //!   *same* master configuration; each worker index derives an independent
@@ -41,11 +40,12 @@
 //! * [`singleflight`] — keyed mutual exclusion around the cache's
 //!   check-generate-store sequence, so N concurrent clients missing on the
 //!   same key trigger exactly one generation and the rest wait then hit.
-//! * [`campaign`] — lease-based coordination for fleets of worker
-//!   processes: a versioned, atomically-rewritten manifest splits a
-//!   configuration's worker range into seed-disjoint leases, re-issues them
-//!   when workers crash or stall, and hands the completed shards to the
-//!   merge layer for a byte-identical final table.
+//! * [`campaign`] — lease-based fleet campaigns: a versioned,
+//!   atomically-rewritten manifest splits a configuration's worker range
+//!   into seed-disjoint leases, and [`campaign::run_leases`] runs one child
+//!   per lease grant, reads each child's shard checkpoints as its heartbeat,
+//!   re-issues leases whose child crashed or stalled, and hands the
+//!   completed shards to the merge layer for a byte-identical final table.
 //!
 //! All errors surface as typed [`rc4_stats::DatasetError`] variants —
 //! [`rc4_stats::DatasetError::Io`] for file-system failures and
@@ -66,7 +66,8 @@ pub mod singleflight;
 
 pub use cache::DatasetCache;
 pub use campaign::{
-    CampaignManifest, CampaignSpec, Lease, LeaseState, WorkerCommand, WorkerEvent, MANIFEST_VERSION,
+    run_leases, CampaignError, CampaignManifest, CampaignSpec, Clock, Launcher, Lease, LeaseState,
+    RunOptions, MANIFEST_VERSION,
 };
 pub use codec::CellEncoding;
 pub use format::{ShardHeader, FORMAT_VERSION, FORMAT_VERSION_COMPRESSED, MAGIC};

@@ -16,9 +16,9 @@ use rc4_stats::{
     DatasetError, GenerationConfig, StorableDataset,
 };
 use rc4_store::{
-    generate_shard, merge_shards, peek_shard, read_shard, write_shard_with, CellEncoding,
-    GenerateOptions, MergeOptions, ShardHeader, ShardSpec, FORMAT_VERSION,
-    FORMAT_VERSION_COMPRESSED,
+    generate_shard, merge_shards, peek_shard, read_shard, write_shard_with, CampaignManifest,
+    CampaignSpec, CellEncoding, GenerateOptions, MergeOptions, ShardHeader, ShardSpec,
+    FORMAT_VERSION, FORMAT_VERSION_COMPRESSED,
 };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -349,6 +349,20 @@ fn every_kind_roundtrips_through_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A manifest nested far deeper than any real one is a typed error, not a
+/// stack overflow in the JSON parser.
+#[test]
+fn deeply_nested_manifest_is_corrupt() {
+    let dir = scratch();
+    let path = dir.join("campaign.json");
+    std::fs::write(&path, "[".repeat(1 << 20)).unwrap();
+    assert!(matches!(
+        CampaignManifest::load(&path),
+        Err(DatasetError::Corrupt(msg)) if msg.contains("recursion limit")
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -411,6 +425,62 @@ proptest! {
         let back = read_shard::<PairDataset>(&path).unwrap();
         prop_assert_eq!(back.dataset.cell_slices().concat(), ds.cell_slices().concat());
         prop_assert_eq!(back.dataset.recorded_keystreams(), ds.recorded_keystreams());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Arbitrary bytes as a campaign manifest are a typed `Corrupt` error,
+    /// never a panic.
+    #[test]
+    fn proptest_arbitrary_manifest_bytes_are_corrupt(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let dir = scratch();
+        let path = dir.join("campaign.json");
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = CampaignManifest::load(&path);
+        prop_assert!(matches!(loaded, Err(DatasetError::Corrupt(_))), "{:?}", loaded);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A planned manifest reloads equal, even after a grant and a
+    /// heartbeat; the same file with one byte replaced or cut short loads
+    /// or fails as `Corrupt`, never panics.
+    #[test]
+    fn proptest_planned_manifests_reload_equal(
+        workers in 1usize..16,
+        leases in 1u64..16,
+        keys in 1u64..100_000,
+        seed in any::<u64>(),
+        shape in prop::collection::vec(any::<u64>(), 1..4),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let dir = scratch();
+        let path = dir.join("campaign.json");
+        let spec = CampaignSpec {
+            kind: "single".to_string(),
+            shape,
+            config: GenerationConfig::with_keys(keys).workers(workers).seed(seed),
+        };
+        let leases = leases.min(workers as u64);
+        let mut planned = CampaignManifest::plan(&path, spec, leases).unwrap();
+        planned.grant_next("child-0", 7).unwrap();
+        planned.heartbeat(0, "child-0", 1, 9).unwrap();
+        let back = CampaignManifest::load(&path).unwrap();
+        prop_assert_eq!(&back.spec, &planned.spec);
+        prop_assert_eq!(&back.leases, &planned.leases);
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = at % bytes.len();
+        let mut cut = bytes.clone();
+        cut.truncate(at);
+        bytes[at] = byte;
+        for damaged in [bytes, cut] {
+            std::fs::write(&path, &damaged).unwrap();
+            if let Err(e) = CampaignManifest::load(&path) {
+                prop_assert!(matches!(e, DatasetError::Corrupt(_)), "{:?}", e);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

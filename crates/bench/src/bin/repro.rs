@@ -902,8 +902,10 @@ mod dataset_cli {
 /// the lost child's shard from its last checkpoint and the final merge is
 /// unaffected.
 mod campaign_cli {
+    use std::os::unix::process::parent_id;
     use std::path::{Path, PathBuf};
     use std::process::{Child, Command, Stdio};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
 
     use rc4_stats::{DatasetError, StorableDataset};
@@ -940,7 +942,8 @@ mod campaign_cli {
          shard into FILE — byte-identical to a single-process generate (raw\n\
          encoding; --compress writes a v2 delta+varint merged table).\n\
          worker generates or resumes one lease's shard and exits 0 once it is\n\
-         complete; --fail-after-keys makes it exit 3 after checkpointing N keys\n\
+         complete, or 1 at its next checkpoint once its parent process is gone;\n\
+         --fail-after-keys makes it exit 3 after checkpointing N keys\n\
          (deterministic crash injection for tests, applied by run's\n\
          --fail-first-after-keys to the first child only).";
 
@@ -1058,15 +1061,30 @@ mod campaign_cli {
         // Crash injection: checkpoint N keys, then exit abnormally like a
         // killed process, leaving the shard resumable.
         opts.stop_after_keys = flags.u64("--fail-after-keys")?;
+        // A coordinator killed outright cannot stop its children, so each
+        // child watches its parent: once it has been re-parented, it stops
+        // after the checkpoint it just flushed and exits, leaving the shard
+        // for a `campaign resume` instead of working on as an orphan.
+        let parent = parent_id();
+        let orphaned = AtomicBool::new(false);
         let status = with_kind!(manifest.spec.kind, D => {
-            manifest.generate_lease::<D>(id, &opts, None, &mut |_, _| {})
-        })?;
+            manifest.generate_lease::<D>(id, &opts, Some(&orphaned), &mut |_, _| {
+                if parent_id() != parent {
+                    orphaned.store(true, Ordering::Relaxed);
+                }
+            })
+        });
         match status {
-            GenerateStatus::Complete => Ok(()),
-            GenerateStatus::Stopped => Err((
+            Ok(GenerateStatus::Complete) => Ok(()),
+            Ok(GenerateStatus::Stopped) => Err((
                 format!("campaign worker: injected failure on lease {id}"),
                 3,
             )),
+            Err(_) if orphaned.load(Ordering::Relaxed) => Err((
+                format!("campaign worker: coordinator gone; lease {id} stopped at its checkpoint"),
+                1,
+            )),
+            Err(e) => Err(e),
         }
     }
 

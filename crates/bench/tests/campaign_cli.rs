@@ -415,3 +415,128 @@ fn one_lease_campaign_merges_through_the_shard_codec() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A coordinator killed outright (SIGKILL, so it runs no cleanup) leaves its
+/// lease children re-parented. Each child notices at its next checkpoint and
+/// exits, so the lease shards stop advancing within two checkpoint intervals
+/// instead of running on until their leases are done; a `campaign resume`
+/// then finishes the campaign byte-identically to `dataset generate`.
+#[test]
+fn lease_children_stop_when_their_coordinator_is_killed() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    const CHECKPOINT: u64 = 20_000;
+    let dir = scratch("orphans");
+    let single = dir.join("single.ds");
+    let camp = dir.join("camp");
+    let merged = dir.join("merged.ds");
+    let shape = ["--keys", "4000000", "--workers", "2", "--seed", "17"];
+
+    let gen = repro(
+        &[
+            &[
+                "dataset",
+                "generate",
+                "--out",
+                &path_str(&single),
+                "--kind",
+                "single",
+                "--positions",
+                "16",
+            ][..],
+            &shape,
+        ]
+        .concat(),
+    );
+    assert!(gen.status.success(), "{}", stderr(&gen));
+    let plan = repro(
+        &[
+            &[
+                "campaign",
+                "plan",
+                "--dir",
+                &path_str(&camp),
+                "--kind",
+                "single",
+                "--shape",
+                "16",
+                "--leases",
+                "2",
+            ][..],
+            &shape,
+        ]
+        .concat(),
+    );
+    assert!(plan.status.success(), "{}", stderr(&plan));
+
+    let log = dir.join("coordinator.log");
+    let mut coordinator = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["campaign", "run", "--dir", &path_str(&camp)])
+        .args(["--out", &path_str(&merged), "--procs", "2"])
+        .args(["--checkpoint-keys", &CHECKPOINT.to_string()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(std::fs::File::create(&log).unwrap())
+        .spawn()
+        .expect("repro binary runs");
+
+    let shards = [camp.join("lease-0000.ds"), camp.join("lease-0001.ds")];
+    // Keys done per lease shard; `None` while a shard is missing or mid-rename.
+    let progress = || -> Option<Vec<(u64, u64)>> {
+        shards
+            .iter()
+            .map(|p| {
+                let (h, _) = rc4_store::peek_shard(p).ok()?;
+                Some((h.keys_done(), h.keys_total()))
+            })
+            .collect()
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let at_kill = loop {
+        if let Some(p) = progress().filter(|p| p.iter().all(|&(done, _)| done >= CHECKPOINT)) {
+            break p;
+        }
+        assert!(Instant::now() < deadline, "both leases never checkpointed");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    coordinator.kill().unwrap();
+    coordinator.wait().unwrap();
+
+    // Wait until no shard has changed for a second: far longer than one
+    // checkpoint interval, far shorter than what is left of either lease.
+    let mut last = at_kill.clone();
+    let mut quiet_since = Instant::now();
+    while quiet_since.elapsed() < Duration::from_secs(1) {
+        assert!(Instant::now() < deadline, "lease shards never settled");
+        std::thread::sleep(Duration::from_millis(20));
+        if let Some(now) = progress().filter(|now| *now != last) {
+            last = now;
+            quiet_since = Instant::now();
+        }
+    }
+    for ((before, total), (after, _)) in at_kill.iter().zip(&last) {
+        assert!(
+            after - before <= 2 * CHECKPOINT && after < total,
+            "a lease child ran on after its coordinator died: {before} -> {after} of {total} keys\n{}",
+            std::fs::read_to_string(&log).unwrap_or_default()
+        );
+    }
+
+    let resume = repro(&[
+        "campaign",
+        "resume",
+        "--dir",
+        &path_str(&camp),
+        "--out",
+        &path_str(&merged),
+    ]);
+    assert!(resume.status.success(), "{}", stderr(&resume));
+    assert_eq!(
+        std::fs::read(&single).unwrap(),
+        std::fs::read(&merged).unwrap(),
+        "the resumed campaign must equal the single-process table"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -56,28 +56,6 @@ pub fn absab_pair_likelihoods(
     PairLikelihoods::from_log_values(log)
 }
 
-/// Combines the likelihood contributions of many ABSAB relations (and
-/// optionally a Fluhrer–McGrew estimate) for the same unknown pair by summing
-/// their log-likelihoods — the paper's Eq. 25.
-///
-/// # Errors
-///
-/// Returns [`RecoveryError::InvalidInput`] if `parts` is empty.
-pub fn combine_pair_likelihoods(
-    parts: &[PairLikelihoods],
-) -> Result<PairLikelihoods, RecoveryError> {
-    let Some((first, rest)) = parts.split_first() else {
-        return Err(RecoveryError::InvalidInput(
-            "need at least one likelihood estimate to combine".into(),
-        ));
-    };
-    let mut combined = first.clone();
-    for part in rest {
-        combined.combine(part);
-    }
-    Ok(combined)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,19 +128,15 @@ mod tests {
         let alpha = 0.002;
         // A single noisy relation with few samples may or may not succeed; combining
         // several must score the true pair at least as well as any single one does.
-        let parts: Vec<PairLikelihoods> = (0..6)
-            .map(|g| {
-                let counts =
-                    synthetic_diff_counts(3, 3 + 2 + g, g as usize, true_diff, alpha, 400_000);
-                absab_pair_likelihoods(&counts, known, alpha).unwrap()
-            })
-            .collect();
-        let combined = combine_pair_likelihoods(&parts).unwrap();
+        // Summing the relations' log-likelihoods is the paper's Eq. 25.
+        let mut parts = (0..6).map(|g| {
+            let counts = synthetic_diff_counts(3, 3 + 2 + g, g as usize, true_diff, alpha, 400_000);
+            absab_pair_likelihoods(&counts, known, alpha).unwrap()
+        });
+        let mut combined = parts.next().unwrap();
+        for part in parts {
+            combined.combine(&part);
+        }
         assert_eq!(combined.best(), secret);
-    }
-
-    #[test]
-    fn combine_requires_input() {
-        assert!(combine_pair_likelihoods(&[]).is_err());
     }
 }

@@ -97,11 +97,6 @@ impl Charset {
         self.values.len()
     }
 
-    /// Whether the alphabet is the full byte range.
-    pub fn is_full(&self) -> bool {
-        self.values.len() == 256
-    }
-
     /// `true` only for the (invalid, unconstructible) empty set; present to
     /// satisfy the `len`/`is_empty` API convention.
     pub fn is_empty(&self) -> bool {
@@ -180,7 +175,6 @@ mod tests {
     fn full_charset() {
         let f = Charset::full();
         assert_eq!(f.len(), 256);
-        assert!(f.is_full());
         assert!(f.accepts(&[0, 128, 255]));
     }
 

@@ -325,21 +325,6 @@ impl PairLikelihoods {
         }
         Ok(())
     }
-
-    /// Marginalizes onto the first byte by taking, for each `mu1`, the maximum
-    /// log-likelihood over `mu2` (a max-marginal, adequate for ranking).
-    pub fn max_marginal_first(&self) -> SingleLikelihoods {
-        let mut log = vec![f64::NEG_INFINITY; 256];
-        for (mu1, slot) in log.iter_mut().enumerate() {
-            for mu2 in 0..256usize {
-                let v = self.log[(mu1 << 8) | mu2];
-                if v > *slot {
-                    *slot = v;
-                }
-            }
-        }
-        SingleLikelihoods { log }
-    }
 }
 
 #[cfg(test)]
@@ -495,15 +480,6 @@ mod tests {
         )
         .is_err());
         assert!(PairLikelihoods::from_log_values(vec![0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn max_marginal_projects_best_pair() {
-        let mut log = vec![0.0f64; 65536];
-        log[(0x41 << 8) | 0x42] = 10.0;
-        let pair = PairLikelihoods::from_log_values(log).unwrap();
-        let marg = pair.max_marginal_first();
-        assert_eq!(marg.best(), 0x41);
     }
 
     #[test]

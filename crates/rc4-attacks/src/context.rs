@@ -341,11 +341,6 @@ impl ExperimentContext {
         base ^ self.seed
     }
 
-    /// A clone of the run's cancellation handle.
-    pub fn cancel_handle(&self) -> CancelHandle {
-        self.cancel.clone()
-    }
-
     /// The raw cancellation flag, for [`rc4_exec::Executor::with_cancel`].
     pub fn cancel_flag(&self) -> &AtomicBool {
         self.cancel.as_atomic()

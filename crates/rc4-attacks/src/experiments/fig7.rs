@@ -278,17 +278,17 @@ experiment_carrier!(
     run
 );
 
-/// Extracts the success rates from a Fig. 7 report row for programmatic checks.
-pub fn parse_rates(report: &ExperimentReport, row: usize) -> (f64, f64, f64) {
-    let parse = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap_or(0.0) / 100.0;
-    let cells = &report.rows[row].cells;
-    (parse(&cells[1]), parse(&cells[2]), parse(&cells[3]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{config_to_value, Experiment};
+
+    /// The ABSAB, FM and combined success rates of a report row.
+    fn parse_rates(report: &ExperimentReport, row: usize) -> (f64, f64, f64) {
+        let parse = |s: &str| s.trim_end_matches('%').parse::<f64>().unwrap_or(0.0) / 100.0;
+        let cells = &report.rows[row].cells;
+        (parse(&cells[1]), parse(&cells[2]), parse(&cells[3]))
+    }
 
     #[test]
     fn validation() {

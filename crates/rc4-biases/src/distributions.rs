@@ -55,16 +55,6 @@ impl SingleDistribution {
         }
     }
 
-    /// A uniform distribution with one value's probability scaled by `1 + relative`.
-    ///
-    /// Handy for constructing single-bias models like Mantin–Shamir
-    /// (`biased_value = 0`, `relative = 1.0` at position 2).
-    pub fn with_relative_bias(biased_value: u8, relative: f64) -> Self {
-        let mut probs = vec![UNIFORM_SINGLE; 256];
-        probs[biased_value as usize] *= 1.0 + relative;
-        Self::from_probabilities(&probs)
-    }
-
     /// Probability of `value`.
     pub fn prob(&self, value: u8) -> f64 {
         self.probs[value as usize]
@@ -73,14 +63,6 @@ impl SingleDistribution {
     /// The full probability vector.
     pub fn as_slice(&self) -> &[f64] {
         &self.probs
-    }
-
-    /// Natural logarithms of the probabilities (used by the likelihood engines).
-    pub fn log_probs(&self) -> Vec<f64> {
-        self.probs
-            .iter()
-            .map(|&p| p.max(f64::MIN_POSITIVE).ln())
-            .collect()
     }
 }
 
@@ -209,21 +191,6 @@ mod tests {
         // All-zero counts fall back to uniform.
         let z = SingleDistribution::from_counts(&vec![0u64; 256]);
         assert_eq!(z, SingleDistribution::uniform());
-    }
-
-    #[test]
-    fn single_with_relative_bias() {
-        let d = SingleDistribution::with_relative_bias(0, 1.0);
-        // Pr[0] should be about twice Pr[1] after renormalization.
-        assert!((d.prob(0) / d.prob(1) - 2.0).abs() < 1e-9);
-        let sum: f64 = d.as_slice().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_probs_are_finite() {
-        let d = SingleDistribution::with_relative_bias(3, 0.5);
-        assert!(d.log_probs().iter().all(|p| p.is_finite()));
     }
 
     #[test]

@@ -4,16 +4,13 @@
 //! `ℓ`. For the 16-byte keys used by TLS and TKIP the paper highlights:
 //!
 //! * Sen Gupta et al.: `Z_ℓ` is biased towards `256 - ℓ` — for `ℓ = 16`,
-//!   `Z_16` towards 240.
+//!   `Z_16` towards 240 (the cluster of Table 2's non-consecutive rows).
 //! * The paper's Table 2 upper half: `Z_{16w - 1} = Z_{16w} = 256 - 16w` for
-//!   `1 <= w <= 7` (a *negative* pair bias relative to the single-byte model).
+//!   `1 <= w <= 7` (a *negative* pair bias relative to the single-byte model),
+//!   catalogued as [`crate::shortterm::table2_consecutive`].
 //! * The paper's Fig. 6 observation: `Z_{256 + 16k}` is biased towards `32k`
-//!   for `1 <= k <= 7` (single-byte biases beyond position 256).
-
-use crate::UNIFORM_SINGLE;
-
-/// The key length all paper datasets use (128-bit keys).
-pub const PAPER_KEY_LEN: usize = 16;
+//!   for `1 <= k <= 7` (single-byte biases beyond position 256), catalogued
+//!   here as [`beyond_256_biases`].
 
 /// A single-byte key-length bias: position and favoured value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,20 +19,6 @@ pub struct KeyLengthBias {
     pub position: u64,
     /// The value the byte is biased towards.
     pub value: u8,
-}
-
-/// Sen Gupta's key-length bias `Z_ℓ → 256 - ℓ` for key length `len`.
-///
-/// Returns `None` for key lengths where `256 - len` does not fit a byte
-/// (only `len = 0` would overflow; all legal RC4 key lengths work).
-pub fn sen_gupta_bias(len: usize) -> Option<KeyLengthBias> {
-    if len == 0 || len > 255 {
-        return None;
-    }
-    Some(KeyLengthBias {
-        position: len as u64,
-        value: (256 - len) as u8,
-    })
 }
 
 /// The beyond-256 single-byte biases of Fig. 6: `Z_{256 + 16k} → 32k` for `1 <= k <= 7`.
@@ -48,65 +31,9 @@ pub fn beyond_256_biases() -> Vec<KeyLengthBias> {
         .collect()
 }
 
-/// The positions of the paper's `Z_{16w-1} = Z_{16w} = 256 - 16w` pair biases.
-pub fn multiple_of_16_pairs() -> Vec<(u64, u64, u8)> {
-    (1u64..=7)
-        .map(|w| (16 * w - 1, 16 * w, (256 - 16 * w as i64) as u8))
-        .collect()
-}
-
-/// Measures the empirical probability `Pr[Z_pos = value]` over `keys` random
-/// 16-byte keys (deterministic in `seed`), for verifying key-length biases.
-pub fn measure_single(position: u64, value: u8, keys: u64, seed: u64) -> f64 {
-    let mut hits = 0u64;
-    for k in 0..keys {
-        let mut key = [0u8; PAPER_KEY_LEN];
-        let mut x = seed ^ k.wrapping_mul(0xD6E8_FEB8_6659_FD93).wrapping_add(3);
-        for chunk in key.chunks_mut(8) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            chunk.copy_from_slice(&x.to_le_bytes());
-        }
-        let ks = rc4::keystream(&key, position as usize).expect("valid key");
-        if ks[position as usize - 1] == value {
-            hits += 1;
-        }
-    }
-    hits as f64 / keys as f64
-}
-
-/// Expected order of magnitude of the `Z_16 → 240` bias for 16-byte keys.
-///
-/// The literature reports a relative bias of roughly `2^-4.8` at `Z_16`; this
-/// constant is only used by tests/benches as a sanity band, not by the attacks.
-pub fn z16_expected_probability() -> f64 {
-    UNIFORM_SINGLE * (1.0 + 2f64.powf(-4.8))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sen_gupta_for_common_lengths() {
-        assert_eq!(
-            sen_gupta_bias(16),
-            Some(KeyLengthBias {
-                position: 16,
-                value: 240
-            })
-        );
-        assert_eq!(
-            sen_gupta_bias(5),
-            Some(KeyLengthBias {
-                position: 5,
-                value: 251
-            })
-        );
-        assert!(sen_gupta_bias(0).is_none());
-        assert!(sen_gupta_bias(256).is_none());
-    }
 
     #[test]
     fn beyond_256_structure() {
@@ -116,34 +43,5 @@ mod tests {
         assert_eq!(biases[0].value, 32);
         assert_eq!(biases[6].position, 368);
         assert_eq!(biases[6].value, 224);
-    }
-
-    #[test]
-    fn pair_positions_structure() {
-        let pairs = multiple_of_16_pairs();
-        assert_eq!(pairs.len(), 7);
-        assert_eq!(pairs[0], (15, 16, 240));
-        assert_eq!(pairs[6], (111, 112, 144));
-    }
-
-    #[test]
-    fn z16_measurement_is_sane() {
-        // The Z_16 -> 240 relative bias is ~2^-4.8 (3.6%); detecting it reliably
-        // needs millions of keys, which the release-mode repro harness does
-        // (Fig. 6 / Table 2). The unit test only checks the estimator returns a
-        // probability in a plausible band around uniform.
-        let p = measure_single(16, 240, 10_000, 0x16);
-        assert!(
-            p > UNIFORM_SINGLE * 0.6 && p < UNIFORM_SINGLE * 1.6,
-            "Pr[Z16=240] = {p} outside sanity band"
-        );
-    }
-
-    #[test]
-    fn measure_is_deterministic() {
-        assert_eq!(
-            measure_single(2, 0, 2_000, 9),
-            measure_single(2, 0, 2_000, 9)
-        );
     }
 }

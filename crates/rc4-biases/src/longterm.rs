@@ -47,39 +47,6 @@ pub fn aligned_biases() -> [AlignedPairBias; 2] {
 /// The magnitude of the Eq. 9 equality dependencies, `2^-16` relative.
 pub const EQ9_RELATIVE_MAGNITUDE: f64 = 1.0 / 65536.0;
 
-/// Measures `Pr[(Z_{256w}, Z_{256w+2}) = (first, second)]` empirically.
-///
-/// Generates `keys` keystreams of `blocks * 256` bytes each (dropping nothing:
-/// the first aligned position used is 256 itself, far enough for the long-term
-/// regime given `w >= 1`), and counts the aligned pairs.
-pub fn measure_aligned_pair(first: u8, second: u8, keys: u64, blocks: usize, seed: u64) -> f64 {
-    assert!(blocks >= 2, "need at least two 256-byte blocks");
-    let len = blocks * 256 + 3;
-    let mut hits = 0u64;
-    let mut total = 0u64;
-    for k in 0..keys {
-        let mut key = [0u8; 16];
-        let mut x = seed ^ k.wrapping_mul(0xA076_1D64_78BD_642F).wrapping_add(11);
-        for chunk in key.chunks_mut(8) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            chunk.copy_from_slice(&x.to_le_bytes());
-        }
-        let ks = rc4::keystream(&key, len).expect("valid key");
-        for w in 1..=blocks as u64 {
-            let pos = (w * 256) as usize; // 1-based position 256w
-            let z_a = ks[pos - 1];
-            let z_b = ks[pos + 1];
-            total += 1;
-            if z_a == first && z_b == second {
-                hits += 1;
-            }
-        }
-    }
-    hits as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,21 +66,5 @@ mod tests {
     #[allow(clippy::assertions_on_constants)]
     fn eq9_magnitude_is_tiny() {
         assert!(EQ9_RELATIVE_MAGNITUDE < 1e-4);
-    }
-
-    #[test]
-    fn measurement_runs_and_is_in_range() {
-        // The aligned biases are ~2^-8 relative; verifying their presence needs
-        // more samples than a unit test should spend, so only check the estimate
-        // is a sane probability near 2^-16 and deterministic.
-        let p = measure_aligned_pair(0, 0, 64, 4, 42);
-        assert!((0.0..1e-3).contains(&p));
-        assert_eq!(p, measure_aligned_pair(0, 0, 64, 4, 42));
-    }
-
-    #[test]
-    #[should_panic(expected = "two 256-byte blocks")]
-    fn measurement_needs_blocks() {
-        let _ = measure_aligned_pair(0, 0, 1, 1, 0);
     }
 }

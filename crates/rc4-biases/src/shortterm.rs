@@ -140,29 +140,6 @@ pub fn equality_biases() -> [EqualityBias; 3] {
     ]
 }
 
-/// Measures `Pr[Z_a = Z_b]` over `keys` random 16-byte keys (deterministic in `seed`).
-///
-/// Used by the experiment harness to compare against [`equality_biases`].
-pub fn measure_equality(pos_a: u64, pos_b: u64, keys: u64, seed: u64) -> f64 {
-    let needed = pos_a.max(pos_b) as usize;
-    let mut hits = 0u64;
-    for k in 0..keys {
-        let mut key = [0u8; 16];
-        let mut x = seed ^ k.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(1);
-        for chunk in key.chunks_mut(8) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            chunk.copy_from_slice(&x.to_le_bytes());
-        }
-        let ks = rc4::keystream(&key, needed).expect("valid key");
-        if ks[pos_a as usize - 1] == ks[pos_b as usize - 1] {
-            hits += 1;
-        }
-    }
-    hits as f64 / keys as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,8 +195,8 @@ mod tests {
 
     #[test]
     fn mantin_shamir_measurable_at_small_scale() {
-        // Z2 = 0 with probability about 2/256: measure it via the equality helper's
-        // sibling path by direct keystream generation.
+        // Z2 = 0 with probability about 2/256: measure it by direct keystream
+        // generation.
         let keys = 40_000u64;
         let mut hits = 0u64;
         for k in 0..keys {
@@ -231,15 +208,5 @@ mod tests {
         }
         let p = hits as f64 / keys as f64;
         assert!(p > 1.5 / 256.0 && p < 2.5 / 256.0, "Pr[Z2=0] = {p}");
-    }
-
-    #[test]
-    fn measured_equalities_close_to_uniform_but_consistent() {
-        // Equality biases are tiny (2^-9-ish relative); at small sample sizes we
-        // only check the estimates are near 1/256 and the function is deterministic.
-        let a = measure_equality(1, 3, 5_000, 7);
-        let b = measure_equality(1, 3, 5_000, 7);
-        assert_eq!(a, b);
-        assert!((a - UNIFORM_SINGLE).abs() < 0.01);
     }
 }

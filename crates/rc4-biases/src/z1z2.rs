@@ -53,11 +53,6 @@ impl Z1Z2Family {
         }
     }
 
-    /// Whether the family conditions on `Z_1` (`true`) or `Z_2` (`false`).
-    pub fn conditions_on_z1(self) -> bool {
-        !matches!(self, Z1Z2Family::Z2ZeroAndZiZero | Z1Z2Family::Z2ZeroAndZiI)
-    }
-
     /// The typical sign of the relative bias reported in the paper.
     ///
     /// Families involving `Z_1` are generally positive except family 3;
@@ -172,8 +167,6 @@ mod tests {
         for (idx, f) in Z1Z2Family::ALL.iter().enumerate() {
             assert_eq!(f.number() as usize, idx + 1);
         }
-        assert!(Z1Z2Family::Z1Is257MinusIAndZiZero.conditions_on_z1());
-        assert!(!Z1Z2Family::Z2ZeroAndZiZero.conditions_on_z1());
     }
 
     #[test]

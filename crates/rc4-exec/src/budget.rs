@@ -52,8 +52,9 @@ struct BudgetState {
 ///
 /// ```
 /// use rc4_exec::Budget;
+/// use std::sync::Arc;
 ///
-/// let budget = Budget::new(4);
+/// let budget = Arc::new(Budget::new(4));
 /// let lease = budget.acquire(3);
 /// assert_eq!(lease.workers(), 3);
 /// assert_eq!(budget.stats().in_use, 3);
@@ -87,30 +88,13 @@ impl Budget {
     }
 
     /// Blocks until `workers` slots (clamped to `[1, total]`) are free, then
-    /// reserves them. Fairness is the platform condvar's: all waiters wake on
-    /// each release and the first to fit wins, so small jobs may overtake one
-    /// large waiting job; the server's queue orders *admission*, this only
-    /// orders *capacity*.
-    pub fn acquire(&self, workers: usize) -> BudgetLease<'_> {
-        let workers = self.reserve_blocking(workers);
-        BudgetLease {
-            budget: self,
-            workers,
-        }
-    }
-
-    /// [`Budget::acquire`] returning an [`OwnedBudgetLease`] that keeps the
-    /// budget alive via `Arc`, so the reservation can move into a spawned
-    /// (`'static`) job thread and be released from there.
-    pub fn acquire_owned(self: &Arc<Self>, workers: usize) -> OwnedBudgetLease {
-        let workers = self.reserve_blocking(workers);
-        OwnedBudgetLease {
-            budget: Arc::clone(self),
-            workers,
-        }
-    }
-
-    fn reserve_blocking(&self, workers: usize) -> usize {
+    /// reserves them. The lease keeps the budget alive via `Arc`, so the
+    /// reservation can move into a spawned (`'static`) job thread and be
+    /// released from there. Fairness is the platform condvar's: all waiters
+    /// wake on each release and the first to fit wins, so small jobs may
+    /// overtake one large waiting job; the server's queue orders *admission*,
+    /// this only orders *capacity*.
+    pub fn acquire(self: &Arc<Self>, workers: usize) -> BudgetLease {
         let want = workers.clamp(1, self.total);
         let mut state = self.state.lock().expect("budget lock poisoned");
         while self.total - state.in_use < want {
@@ -120,23 +104,10 @@ impl Budget {
         }
         state.in_use += want;
         state.granted += 1;
-        want
-    }
-
-    /// Reserves `workers` slots (clamped to `[1, total]`) only if they are
-    /// free right now; returns `None` instead of blocking.
-    pub fn try_acquire(&self, workers: usize) -> Option<BudgetLease<'_>> {
-        let want = workers.clamp(1, self.total);
-        let mut state = self.state.lock().expect("budget lock poisoned");
-        if self.total - state.in_use < want {
-            return None;
-        }
-        state.in_use += want;
-        state.granted += 1;
-        Some(BudgetLease {
-            budget: self,
+        BudgetLease {
+            budget: Arc::clone(self),
             workers: want,
-        })
+        }
     }
 
     /// Snapshots the current accounting.
@@ -159,14 +130,15 @@ impl Budget {
     }
 }
 
-/// A granted reservation of worker slots; returns them on drop.
+/// A granted reservation of worker slots; returns them on drop. Created by
+/// [`Budget::acquire`].
 #[derive(Debug)]
-pub struct BudgetLease<'a> {
-    budget: &'a Budget,
+pub struct BudgetLease {
+    budget: Arc<Budget>,
     workers: usize,
 }
 
-impl BudgetLease<'_> {
+impl BudgetLease {
     /// The number of slots this lease holds — the thread budget the job
     /// should hand its executor.
     pub fn workers(&self) -> usize {
@@ -174,28 +146,7 @@ impl BudgetLease<'_> {
     }
 }
 
-impl Drop for BudgetLease<'_> {
-    fn drop(&mut self) {
-        self.budget.release(self.workers);
-    }
-}
-
-/// An `Arc`-backed reservation that can outlive the acquiring scope; returns
-/// its slots on drop. Created by [`Budget::acquire_owned`].
-#[derive(Debug)]
-pub struct OwnedBudgetLease {
-    budget: Arc<Budget>,
-    workers: usize,
-}
-
-impl OwnedBudgetLease {
-    /// The number of slots this lease holds.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-}
-
-impl Drop for OwnedBudgetLease {
+impl Drop for BudgetLease {
     fn drop(&mut self) {
         self.budget.release(self.workers);
     }
@@ -205,12 +156,11 @@ impl Drop for OwnedBudgetLease {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
     fn acquire_and_release_round_trip() {
-        let budget = Budget::new(4);
+        let budget = Arc::new(Budget::new(4));
         let a = budget.acquire(2);
         let b = budget.acquire(2);
         assert_eq!(budget.stats().in_use, 4);
@@ -225,7 +175,7 @@ mod tests {
 
     #[test]
     fn oversized_request_is_clamped_to_total() {
-        let budget = Budget::new(3);
+        let budget = Arc::new(Budget::new(3));
         let lease = budget.acquire(64);
         assert_eq!(lease.workers(), 3);
         assert_eq!(budget.stats().free(), 0);
@@ -233,18 +183,9 @@ mod tests {
 
     #[test]
     fn zero_request_still_reserves_one_slot() {
-        let budget = Budget::new(3);
+        let budget = Arc::new(Budget::new(3));
         let lease = budget.acquire(0);
         assert_eq!(lease.workers(), 1);
-    }
-
-    #[test]
-    fn try_acquire_fails_without_capacity() {
-        let budget = Budget::new(2);
-        let _held = budget.acquire(2);
-        assert!(budget.try_acquire(1).is_none());
-        drop(_held);
-        assert!(budget.try_acquire(1).is_some());
     }
 
     #[test]
@@ -281,7 +222,7 @@ mod tests {
     #[test]
     fn owned_lease_moves_into_a_thread_and_releases() {
         let budget = Arc::new(Budget::new(2));
-        let lease = budget.acquire_owned(2);
+        let lease = budget.acquire(2);
         assert_eq!(lease.workers(), 2);
         let worker = std::thread::spawn(move || drop(lease));
         worker.join().expect("lease thread panicked");

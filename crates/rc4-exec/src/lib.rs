@@ -7,17 +7,18 @@
 //! plumbing. This crate centralizes that into one substrate:
 //!
 //! * [`Executor`] — a scoped work-stealing thread pool (built on
-//!   `std::thread::scope`) exposing [`Executor::map`] (parallel map with
-//!   results in item order), [`Executor::reduce`] (map plus a fold that runs
-//!   in item order, so the reduction is independent of scheduling) and
-//!   [`Executor::chunked`] (parallel fill of disjoint sub-slices).
+//!   `std::thread::scope`) exposing one operation, [`Executor::map`]
+//!   (parallel map with results in item order). Callers fold or fill from
+//!   the returned `Vec` themselves, in item order.
 //! * [`ExecError`] — cancellation and task failure, generic over the caller's
 //!   error type so every crate keeps its own error enum.
 //! * [`ProgressThrottle`] — an aggregated, rate-limited progress counter so a
 //!   hundred workers ticking per chunk collapse into a few events per second.
 //! * [`Budget`] — shared worker-slot accounting for multi-job schedulers: a
 //!   server reserves a per-job thread budget before running a job's executor
-//!   and releases it after, with [`BudgetStats`] for status endpoints.
+//!   and releases it after, with [`BudgetStats`] for status endpoints. Its
+//!   one acquisition path, [`Budget::acquire`], returns an `Arc`-backed
+//!   [`BudgetLease`] that can move into the job's thread.
 //!
 //! # Determinism contract
 //!
@@ -27,8 +28,6 @@
 //!
 //! * `map` returns results **in item order**, whatever order items finished
 //!   in, and runs every item exactly once.
-//! * `reduce` folds the mapped results **in item order** on the calling
-//!   thread; the fold never observes scheduling.
 //! * With one worker (or one item) the pool degrades to an inline loop in
 //!   item order on the calling thread — the serial and parallel paths execute
 //!   the same per-item code.
@@ -44,6 +43,6 @@ mod budget;
 mod pool;
 mod progress;
 
-pub use budget::{Budget, BudgetLease, BudgetStats, OwnedBudgetLease};
+pub use budget::{Budget, BudgetLease, BudgetStats};
 pub use pool::{ExecError, Executor};
 pub use progress::ProgressThrottle;

@@ -253,74 +253,6 @@ impl<'e> Executor<'e> {
             .map(|r| r.expect("every item ran exactly once"))
             .collect())
     }
-
-    /// Parallel map followed by a fold **in item order** on the calling
-    /// thread: `acc = merge(acc, result_i)` for `i = 0, 1, ...`. Because the
-    /// fold order is fixed, the reduction is deterministic for any worker
-    /// count even when `merge` is not commutative.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Executor::map`] returns; a `merge` failure is reported as
-    /// [`ExecError::Task`] with the index of the offending result.
-    pub fn reduce<T, R, A, E, F, M>(
-        &self,
-        items: Vec<T>,
-        f: F,
-        init: A,
-        mut merge: M,
-    ) -> Result<A, ExecError<E>>
-    where
-        T: Send,
-        R: Send,
-        E: Send,
-        F: Fn(usize, T) -> Result<R, E> + Sync,
-        M: FnMut(A, R) -> Result<A, E>,
-    {
-        let results = self.map(items, f)?;
-        let mut acc = init;
-        for (index, r) in results.into_iter().enumerate() {
-            acc = merge(acc, r).map_err(|error| ExecError::Task { index, error })?;
-        }
-        Ok(acc)
-    }
-
-    /// Fills disjoint chunks of `out` in parallel: `f(chunk_index, start,
-    /// chunk)` where `start` is the chunk's offset into `out`. Chunk
-    /// boundaries are a scheduling detail — callers must produce the same
-    /// cell values for any `chunk_len` (each output cell computed from inputs
-    /// alone).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Executor::map`] returns.
-    pub fn chunked<S, E, F>(
-        &self,
-        out: &mut [S],
-        chunk_len: usize,
-        f: F,
-    ) -> Result<(), ExecError<E>>
-    where
-        S: Send,
-        E: Send,
-        F: Fn(usize, usize, &mut [S]) -> Result<(), E> + Sync,
-    {
-        let chunk_len = chunk_len.max(1);
-        let items: Vec<(usize, &mut [S])> = out
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(i, c)| (i * chunk_len, c))
-            .collect();
-        self.map(items, |index, (start, chunk)| f(index, start, chunk))
-            .map(|_| ())
-    }
-
-    /// A chunk length that splits `len` items into roughly two chunks per
-    /// worker — enough slack for stealing to balance uneven chunks without
-    /// drowning in per-chunk overhead.
-    pub fn chunk_len_for(&self, len: usize) -> usize {
-        len.div_ceil(self.workers * 2).max(1)
-    }
 }
 
 /// Splits `0..n` into `parts` contiguous ranges, the first `n % parts` one
@@ -485,52 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_folds_in_item_order() {
-        // A non-commutative merge (string concatenation) must come out in
-        // item order for every worker count.
-        let items: Vec<usize> = (0..26).collect();
-        let expect: String = ('a'..='z').collect();
-        for workers in [1, 3, 7] {
-            let exec = Executor::new(workers);
-            let got = exec
-                .reduce(
-                    items.clone(),
-                    |_, i| Ok::<_, ()>(char::from(b'a' + i as u8)),
-                    String::new(),
-                    |mut acc, c| {
-                        acc.push(c);
-                        Ok(acc)
-                    },
-                )
-                .unwrap();
-            assert_eq!(got, expect, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn chunked_fills_disjoint_slices_identically_for_any_chunking() {
-        let fill = |exec: &Executor<'_>, chunk: usize| -> Vec<u64> {
-            let mut out = vec![0u64; 1000];
-            exec.chunked(&mut out, chunk, |_, start, slice| {
-                for (off, slot) in slice.iter_mut().enumerate() {
-                    *slot = ((start + off) as u64).wrapping_mul(0x9E37_79B9);
-                }
-                Ok::<_, ()>(())
-            })
-            .unwrap();
-            out
-        };
-        let reference = fill(&Executor::serial(), 1000);
-        for (workers, chunk) in [(1, 7), (4, 64), (4, 1000), (3, 1)] {
-            assert_eq!(
-                fill(&Executor::new(workers), chunk),
-                reference,
-                "workers {workers}, chunk {chunk}"
-            );
-        }
-    }
-
-    #[test]
     fn split_blocks_covers_everything_contiguously() {
         for (n, parts) in [(10, 3), (3, 8), (0, 2), (16, 4)] {
             let blocks = split_blocks(n, parts);
@@ -538,14 +424,6 @@ mod tests {
             let flat: Vec<usize> = blocks.into_iter().flatten().collect();
             assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n={n} parts={parts}");
         }
-    }
-
-    #[test]
-    fn chunk_len_for_gives_about_two_chunks_per_worker() {
-        let exec = Executor::new(4);
-        assert_eq!(exec.chunk_len_for(800), 100);
-        assert_eq!(exec.chunk_len_for(1), 1);
-        assert_eq!(Executor::serial().chunk_len_for(10), 5);
     }
 
     #[test]

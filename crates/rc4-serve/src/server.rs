@@ -86,23 +86,6 @@ pub struct ServerConfig {
     pub cache_dir: Option<PathBuf>,
 }
 
-impl ServerConfig {
-    /// A config serving `state_dir` on an ephemeral localhost port with the
-    /// machine's parallelism as the budget and a shared cache inside the
-    /// state directory.
-    pub fn for_state_dir(state_dir: impl Into<PathBuf>) -> Self {
-        let state_dir = state_dir.into();
-        let budget = std::thread::available_parallelism().map_or(4, usize::from);
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            cache_dir: Some(state_dir.join("cache")),
-            state_dir,
-            budget,
-            default_workers: 1,
-        }
-    }
-}
-
 /// The append-only, disk-backed event log of one job plus its terminal
 /// latch; `watch` handlers block on it. Events are persisted to the job's
 /// [`events_path`] file as they arrive (memory use stays flat for any run
@@ -442,7 +425,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
         // pool is full would lock in today's best job and let a higher
         // priority submitted meanwhile be overtaken. The scheduler is the
         // budget's only acquirer, so probe-then-release cannot race.
-        drop(shared.budget.acquire_owned(1));
+        drop(shared.budget.acquire(1));
         let Some(id) = shared.queue.pop_next() else {
             return;
         };
@@ -454,7 +437,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
             continue;
         }
         let budget_wait = Instant::now();
-        let lease = shared.budget.acquire_owned(record.workers as usize);
+        let lease = shared.budget.acquire(record.workers as usize);
         let budget_wait_us = budget_wait.elapsed().as_micros() as u64;
         rc4_obs::metrics::observe_us("serve.budget_wait_us", budget_wait_us);
         if shared.queue.is_draining() {

@@ -70,11 +70,6 @@ impl LongTermDataset {
         Self::new(Self::DEFAULT_DROP, block_len)
     }
 
-    /// Number of dropped initial bytes.
-    pub fn drop_len(&self) -> usize {
-        self.drop
-    }
-
     /// Number of keystream bytes consumed per key after the drop.
     pub fn block_len(&self) -> usize {
         self.block_len
@@ -99,11 +94,6 @@ impl LongTermDataset {
             return 0.0;
         }
         self.digraph_count(i, x, y) as f64 / n as f64
-    }
-
-    /// The joint count table (65536 entries) for PRGA counter `i`.
-    pub fn digraph_counts_at(&self, i: u8) -> &[u64] {
-        &self.digraph_counts[i as usize * NUM_PAIRS..(i as usize + 1) * NUM_PAIRS]
     }
 
     /// Raw count of the 256-aligned pair `(Z_{256w}, Z_{256w+2}) = (x, y)`.
@@ -275,7 +265,6 @@ mod tests {
         assert!(LongTermDataset::new(0, 1).is_err());
         assert!(LongTermDataset::new(0, 2).is_ok());
         let ds = LongTermDataset::paper_shape(512).unwrap();
-        assert_eq!(ds.drop_len(), 1023);
         assert_eq!(ds.block_len(), 512);
         assert_eq!(ds.required_keystream_len(), 1023 + 512);
     }

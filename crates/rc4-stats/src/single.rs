@@ -82,18 +82,6 @@ impl SingleByteDataset {
         self.counts_at(r).iter().map(|&c| c as f64 / n).collect()
     }
 
-    /// Adds an externally produced count (used by the model-sampled generation mode).
-    pub fn add_count(&mut self, r: usize, value: u8, count: u64) {
-        assert!(r >= 1 && r <= self.positions, "position {r} out of range");
-        self.counts[(r - 1) * NUM_VALUES + value as usize] += count;
-    }
-
-    /// Declares that `keystreams` additional keystreams contributed to the counts
-    /// added via [`SingleByteDataset::add_count`].
-    pub fn add_keystreams(&mut self, keystreams: u64) {
-        self.keystreams += keystreams;
-    }
-
     /// Serializes the dataset to JSON.
     ///
     /// # Errors
@@ -259,15 +247,6 @@ mod tests {
         let back = SingleByteDataset::from_json(&json).unwrap();
         assert_eq!(back.count(1, 7), 1);
         assert_eq!(back.recorded_keystreams(), 1);
-    }
-
-    #[test]
-    fn manual_counts_for_sampled_mode() {
-        let mut ds = SingleByteDataset::new(1);
-        ds.add_count(1, 0, 100);
-        ds.add_count(1, 1, 50);
-        ds.add_keystreams(150);
-        assert!((ds.probability(1, 0) - 100.0 / 150.0).abs() < 1e-12);
     }
 
     #[test]

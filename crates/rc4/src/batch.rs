@@ -365,49 +365,6 @@ impl<const N: usize> KeystreamBatch for InterleavedBatch<N> {
     }
 }
 
-/// Generates `len` keystream bytes for every key in a flat lane-major buffer,
-/// batching through [`DefaultBatch`] (any number of keys; full batches of
-/// [`DEFAULT_LANES`] plus one tail batch).
-///
-/// The result is lane-major like [`KeystreamBatch::fill`]'s output:
-/// `out[k * len..(k + 1) * len]` is the keystream of key `k`.
-///
-/// # Errors
-///
-/// Returns [`KeyError`] if `key_len` is outside `1..=256`.
-///
-/// # Panics
-///
-/// Panics if `keys` is empty or not a whole number of `key_len`-byte keys.
-///
-/// # Examples
-///
-/// ```
-/// let out = rc4::batch::keystreams_batch(b"KeyKez", 3, 3).unwrap();
-/// assert_eq!(out, [rc4::keystream(b"Key", 3).unwrap(), rc4::keystream(b"Kez", 3).unwrap()].concat());
-/// ```
-pub fn keystreams_batch(keys: &[u8], key_len: usize, len: usize) -> Result<Vec<u8>, KeyError> {
-    if !(MIN_KEY_LEN..=MAX_KEY_LEN).contains(&key_len) {
-        return Err(KeyError::new(key_len));
-    }
-    assert!(
-        !keys.is_empty() && keys.len() % key_len == 0,
-        "keystreams_batch needs a whole number of {key_len}-byte keys, got {} bytes",
-        keys.len()
-    );
-    let total = keys.len() / key_len;
-    let mut out = vec![0u8; total * len];
-    let mut engine = DefaultBatch::new();
-    let mut done = 0usize;
-    while done < total {
-        let n = (total - done).min(DEFAULT_LANES);
-        engine.schedule(&keys[done * key_len..(done + n) * key_len], key_len)?;
-        engine.fill(&mut out[done * len..(done + n) * len], len);
-        done += n;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,14 +501,6 @@ mod tests {
         engine.schedule(&test_keys(4, 16), 16).unwrap();
         let mut out = vec![0u8; 3 * 8];
         engine.fill(&mut out, 8);
-    }
-
-    #[test]
-    fn keystreams_batch_handles_tails() {
-        // 37 keys: four full 8-lane batches plus a 5-key tail.
-        let keys = test_keys(37, 16);
-        let out = keystreams_batch(&keys, 16, 21).unwrap();
-        assert_eq!(out, scalar_reference(&keys, 16, 21));
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl Rc4 {
         self.encrypt(ciphertext)
     }
 
-    /// Consumes the cipher and returns the underlying keystream generator.
-    pub fn into_prga(self) -> Prga {
-        self.prga
-    }
-
     /// Returns the current keystream position (bytes consumed so far).
     pub fn position(&self) -> u64 {
         self.prga.position()
@@ -80,9 +75,6 @@ pub struct Rc4Drop {
 }
 
 impl Rc4Drop {
-    /// Number of bytes dropped by [`Rc4Drop::new_mironov`], i.e. `12 * 256`.
-    pub const MIRONOV_DROP: usize = 12 * 256;
-
     /// Creates an RC4-drop\[n\] cipher.
     ///
     /// # Errors
@@ -95,16 +87,6 @@ impl Rc4Drop {
             inner,
             dropped: drop_n,
         })
-    }
-
-    /// Creates an RC4-drop cipher with the conservative 3072-byte drop
-    /// recommended by Mironov.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] if `key` is empty or longer than 256 bytes.
-    pub fn new_mironov(key: &[u8]) -> Result<Self, KeyError> {
-        Self::new(key, Self::MIRONOV_DROP)
     }
 
     /// Number of keystream bytes that were discarded at construction.
@@ -150,12 +132,6 @@ mod tests {
         dropped.apply_keystream(&mut data);
         assert_eq!(data, full[100..300]);
         assert_eq!(dropped.dropped(), 100);
-    }
-
-    #[test]
-    fn mironov_drop_constant() {
-        let c = Rc4Drop::new_mironov(b"mironov").unwrap();
-        assert_eq!(c.dropped(), 3072);
     }
 
     #[test]

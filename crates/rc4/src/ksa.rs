@@ -35,30 +35,6 @@ impl Ksa {
         state.j = 0;
         Ok(state)
     }
-
-    /// Runs the KSA and additionally records the trajectory of the `j` index.
-    ///
-    /// The trajectory (one `j` value per KSA round) is used by the bias-hunting
-    /// examples to visualise how key bytes steer the permutation; it is not
-    /// needed for encryption.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] if `key` is empty or longer than 256 bytes.
-    pub fn schedule_traced(key: &[u8]) -> Result<(State, Vec<u8>), KeyError> {
-        if key.len() < MIN_KEY_LEN || key.len() > MAX_KEY_LEN {
-            return Err(KeyError::new(key.len()));
-        }
-        let mut state = State::identity();
-        let mut trace = Vec::with_capacity(PERM_SIZE);
-        let mut j: u8 = 0;
-        for i in 0..PERM_SIZE {
-            j = j.wrapping_add(state.s[i]).wrapping_add(key[i % key.len()]);
-            state.s.swap(i, j as usize);
-            trace.push(j);
-        }
-        Ok((state, trace))
-    }
 }
 
 /// Convenience wrapper around [`Ksa::schedule`].
@@ -95,14 +71,6 @@ mod tests {
         assert_eq!(Ksa::schedule(&[0; 300]).unwrap_err(), KeyError::new(300));
         assert!(Ksa::schedule(&[7u8; 256]).is_ok());
         assert!(Ksa::schedule(&[7u8]).is_ok());
-    }
-
-    #[test]
-    fn traced_matches_plain() {
-        let (st, trace) = Ksa::schedule_traced(b"wiki").unwrap();
-        let plain = ksa(b"wiki").unwrap();
-        assert_eq!(st.permutation(), plain.permutation());
-        assert_eq!(trace.len(), PERM_SIZE);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use plaintext_recovery::{
 use crypto_prims::michael::MichaelKey;
 
 use crate::{
-    injection::Capture,
     model::TkipKeystreamModel,
     mpdu::{derive_mic_key, trailer_is_consistent, FrameAddressing, TRAILER_LEN},
     net::{internet_checksum, Ipv4Header},
@@ -137,22 +136,6 @@ impl TrailerStatistics {
         }
         counts.add_ciphertexts(1);
         self.captures += 1;
-        Ok(())
-    }
-
-    /// Accumulates a batch of [`Capture`]s using the model's TSC classing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`TrailerStatistics::add`].
-    pub fn add_captures(
-        &mut self,
-        captures: &[Capture],
-        model: &TkipKeystreamModel,
-    ) -> Result<(), TkipError> {
-        for cap in captures {
-            self.add(model.class_of(cap.tsc), &cap.ciphertext)?;
-        }
         Ok(())
     }
 

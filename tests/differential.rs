@@ -8,7 +8,9 @@
 //!   can run (avx512 / avx2 / portable) plus the lane-free
 //!   [`rc4::batch::ScalarBatch`] must emit byte-identical keystreams to the
 //!   single-key `rc4::keystream` cipher, across exhaustive small sweeps of
-//!   key lengths, stream lengths, partial batches, and chunked fills, and
+//!   key lengths, stream lengths, partial batches, and chunked fills, on
+//!   structured keys that drive the KSA into degenerate swaps (all-equal,
+//!   period-2/3, and a key that keeps the permutation the identity), and
 //!   across proptest-randomized keys.
 //! * **Recovery kernels** — the single / dense / sparse likelihood scorers
 //!   must be *bit-identical* (`f64::to_bits`) to a naive textbook
@@ -123,6 +125,77 @@ fn every_keystream_backend_streams_across_chunked_fills() {
         assert_eq!(filled, total);
         let want = reference_lane_major(&keys, key_len, lanes, total);
         assert_eq!(streamed, want, "engine {} broke streaming", backend.name());
+    }
+}
+
+/// The 256-byte key `K[0] = 0, K[i] = (1 - i) mod 256`: with the identity
+/// permutation it makes `j == i` at every KSA step, so every swap is a no-op
+/// and the scheduled state is still the identity.
+fn identity_forcing_key() -> Vec<u8> {
+    (0..256usize)
+        .map(|i| {
+            if i == 0 {
+                0
+            } else {
+                1usize.wrapping_sub(i) as u8
+            }
+        })
+        .collect()
+}
+
+/// Structured keys of `key_len` bytes: all-equal bytes, period-2 and
+/// period-3 patterns, and (at 256 bytes) the identity-forcing key.
+fn structured_keys(key_len: usize) -> Vec<Vec<u8>> {
+    let mut keys: Vec<Vec<u8>> = [0x00u8, 0x01, 0x80, 0xff]
+        .iter()
+        .map(|&b| vec![b; key_len])
+        .collect();
+    let periods: [&[u8]; 4] = [
+        &[0x00, 0x01],
+        &[0xff, 0x00],
+        &[0x00, 0x01, 0x02],
+        &[0xfe, 0xff, 0x7f],
+    ];
+    for period in periods {
+        keys.push(period.iter().copied().cycle().take(key_len).collect());
+    }
+    if key_len == 256 {
+        keys.push(identity_forcing_key());
+    }
+    keys
+}
+
+/// Adversarial differential: on keys whose structure drives the KSA into
+/// degenerate swaps, every backend stays bit-identical to the scalar `Prga`,
+/// in partial batches and in one full batch of every lane.
+#[test]
+fn every_keystream_backend_matches_scalar_prga_on_structured_keys() {
+    let identity: Vec<u8> = (0..=255u8).collect();
+    let scheduled = rc4::Ksa::schedule(&identity_forcing_key()).unwrap();
+    assert_eq!(&scheduled.permutation()[..], &identity[..]);
+
+    let len = 1031; // past four PRGA counter wraps, not a staging-chunk multiple
+    for backend in &mut all_backends() {
+        let lanes = backend.lanes();
+        for key_len in [1usize, 5, 16, 256] {
+            let keys = structured_keys(key_len);
+            let full: Vec<Vec<u8>> = keys.iter().cycle().take(lanes).cloned().collect();
+            for batch in keys.chunks(lanes).chain([&full[..]]) {
+                backend
+                    .schedule(&batch.concat(), key_len)
+                    .expect("valid schedule");
+                let mut got = vec![0u8; batch.len() * len];
+                backend.fill(&mut got, len);
+                for (lane, key) in batch.iter().enumerate() {
+                    let want = rc4::Prga::new(key).expect("valid key").take_vec(len);
+                    assert!(
+                        got[lane * len..][..len] == want[..],
+                        "engine {} diverged on structured key {key:02x?}",
+                        backend.name()
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -433,17 +433,20 @@ macro_rules! with_kind {
     };
 }
 
+/// Checks `shape` for dataset kind `kind` without allocating the table. An
+/// unknown kind or a shape the kind rejects is a usage error (exit 2).
+fn check_shape(kind: &str, shape: &[u64]) -> CliResult<()> {
+    use rc4_stats::StorableDataset;
+    with_kind!(kind, D => D::cell_count_for_shape(shape).map(|_| ())).map_err(|(msg, _)| (msg, 2))
+}
+
 /// The `repro dataset` subcommand family: drive the `rc4-store` persistence
 /// layer (generate / resume / merge / info) from the command line.
 mod dataset_cli {
     use std::path::{Path, PathBuf};
 
     use rc4_stats::{
-        longterm::LongTermDataset,
-        pairs::{PairDataset, PositionPair},
-        single::SingleByteDataset,
-        tsc::{PerTscDataset, TscConditioning},
-        GenerationConfig,
+        longterm::LongTermDataset, GenerationConfig, StorableDataset, MAX_CELLS, NUM_PAIRS,
     };
     use rc4_store::{
         generate_shard, merge_shards, peek_shard, read_shard, resume_shard, CellEncoding,
@@ -452,7 +455,7 @@ mod dataset_cli {
 
     use bench::{fail, parse_u64, runtime, CliResult, FlagTable, Flags};
 
-    use super::KINDS;
+    use super::{check_shape, KINDS};
 
     const USAGE: &str = "usage: repro dataset generate --out FILE --kind KIND [shape flags] \
          [--keys N] [--workers W] [--seed N] [--key-len L] [--worker-range LO..HI] \
@@ -509,26 +512,11 @@ mod dataset_cli {
         valued: &[],
     };
 
-    /// The dataset shape selected on the command line.
-    enum KindSpec {
-        Single {
-            positions: usize,
-        },
-        Pairs(Vec<PositionPair>),
-        LongTerm {
-            drop: usize,
-            block: usize,
-        },
-        PerTsc {
-            conditioning: TscConditioning,
-            positions: usize,
-        },
-    }
-
     /// Flags shared by `generate` (and partially by `resume`).
     struct GenerateArgs {
         out: PathBuf,
-        spec: KindSpec,
+        kind: String,
+        shape: Vec<u64>,
         config: GenerationConfig,
         worker_range: Option<(u64, u64)>,
         opts: GenerateOptions,
@@ -567,64 +555,74 @@ mod dataset_cli {
         let Some(kind) = flags.value("--kind") else {
             return flags.usage_error(format!("--kind is required ({KINDS})"));
         };
-        let positions = flags.usize("--positions")?;
-        let pairs = flags.value("--pairs").map(parse_pairs).transpose()?;
-        let consecutive = flags.usize("--consecutive")?;
-        let conditioning = match flags.value("--conditioning") {
-            None | Some("tsc1") => TscConditioning::Tsc1,
-            Some("tsc0tsc1") => TscConditioning::Tsc0Tsc1,
-            Some(other) => {
-                return fail(format!(
-                    "unknown conditioning '{other}' (expected tsc1 | tsc0tsc1)"
-                ))
-            }
-        };
+        let shape = shape_descriptor(&flags, kind)?;
+        check_shape(kind, &shape)?;
         let config = generation_config(&flags)?;
         let worker_range = flags.value("--worker-range").map(parse_range).transpose()?;
         let mut opts = resume_options(&flags)?;
         if flags.switch("--compress") {
             opts.encoding = CellEncoding::DeltaVarint;
         }
-        let spec = match kind {
-            "single" => KindSpec::Single {
-                positions: positions
-                    .ok_or_else(|| ("kind 'single' needs --positions".to_string(), 2))?,
-            },
-            "pairs" => match (pairs, consecutive) {
-                (Some(p), None) => KindSpec::Pairs(p),
-                (None, Some(r)) if r > 0 => {
-                    KindSpec::Pairs((1..=r).map(|a| PositionPair { a, b: a + 1 }).collect())
-                }
-                (None, Some(_)) => return fail("--consecutive must be at least 1"),
-                (Some(_), Some(_)) => {
-                    return fail("give either --pairs or --consecutive, not both")
-                }
-                (None, None) => {
-                    return fail("kind 'pairs' needs --pairs a:b,c:d or --consecutive R")
-                }
-            },
-            "longterm" => KindSpec::LongTerm {
-                drop: flags
-                    .usize("--drop")?
-                    .unwrap_or(LongTermDataset::DEFAULT_DROP),
-                block: flags
-                    .usize("--block")?
-                    .ok_or_else(|| ("kind 'longterm' needs --block".to_string(), 2))?,
-            },
-            "per-tsc" => KindSpec::PerTsc {
-                conditioning,
-                positions: positions
-                    .ok_or_else(|| ("kind 'per-tsc' needs --positions".to_string(), 2))?,
-            },
-            other => return fail(format!("unknown kind '{other}' (expected {KINDS})")),
-        };
         Ok(GenerateArgs {
             out,
-            spec,
+            kind: kind.to_string(),
+            shape,
             config,
             worker_range,
             opts,
         })
+    }
+
+    /// The shape descriptor (`StorableDataset::shape_params`) that `kind`'s
+    /// shape flags select. The flags are only parsed here; the dataset kind
+    /// checks the descriptor.
+    fn shape_descriptor(flags: &Flags, kind: &str) -> CliResult<Vec<u64>> {
+        let positions = flags.u64("--positions")?;
+        match kind {
+            "single" => {
+                let positions =
+                    positions.ok_or_else(|| ("kind 'single' needs --positions".to_string(), 2))?;
+                Ok(vec![positions])
+            }
+            "pairs" => match (flags.value("--pairs"), flags.u64("--consecutive")?) {
+                (Some(list), None) => parse_pairs(list),
+                (None, Some(0)) => fail("--consecutive must be at least 1"),
+                // Each pair adds NUM_PAIRS cells: a count past the cell
+                // bound is refused before its descriptor is built.
+                (None, Some(r)) if r > MAX_CELLS / NUM_PAIRS as u64 => fail(format!(
+                    "--consecutive {r} exceeds the dataset cell bound of {MAX_CELLS} cells"
+                )),
+                (None, Some(r)) => Ok((1..=r).flat_map(|a| [a, a + 1]).collect()),
+                (Some(_), Some(_)) => fail("give either --pairs or --consecutive, not both"),
+                (None, None) => fail("kind 'pairs' needs --pairs a:b,c:d or --consecutive R"),
+            },
+            "longterm" => {
+                let drop = flags.u64("--drop")?;
+                let block = flags
+                    .u64("--block")?
+                    .ok_or_else(|| ("kind 'longterm' needs --block".to_string(), 2))?;
+                Ok(vec![
+                    drop.unwrap_or(LongTermDataset::DEFAULT_DROP as u64),
+                    block,
+                ])
+            }
+            "per-tsc" => {
+                // Descriptor codes of `TscConditioning::{Tsc1, Tsc0Tsc1}`.
+                let conditioning = match flags.value("--conditioning") {
+                    None | Some("tsc1") => 0,
+                    Some("tsc0tsc1") => 1,
+                    Some(other) => {
+                        return fail(format!(
+                            "unknown conditioning '{other}' (expected tsc1 | tsc0tsc1)"
+                        ))
+                    }
+                };
+                let positions =
+                    positions.ok_or_else(|| ("kind 'per-tsc' needs --positions".to_string(), 2))?;
+                Ok(vec![conditioning, positions])
+            }
+            other => fail(format!("unknown kind '{other}' (expected {KINDS})")),
+        }
     }
 
     /// Warns when the requested checkpoint interval exceeds the shard's key
@@ -652,46 +650,11 @@ mod dataset_cli {
         warn_oversized_checkpoint(&parsed.opts, shard_keys);
         let label = parsed.out.display().to_string();
         let mut progress = progress_printer(label.clone());
-        let status = match parsed.spec {
-            KindSpec::Single { positions } => {
-                if positions == 0 {
-                    return fail("--positions must be at least 1");
-                }
-                generate_shard(
-                    &parsed.out,
-                    SingleByteDataset::new(positions),
-                    &spec,
-                    &parsed.opts,
-                    None,
-                    &mut progress,
-                )
-            }
-            KindSpec::Pairs(pairs) => match PairDataset::new(pairs) {
-                Ok(empty) => {
-                    generate_shard(&parsed.out, empty, &spec, &parsed.opts, None, &mut progress)
-                }
-                Err(e) => return fail(e.to_string()),
-            },
-            KindSpec::LongTerm { drop, block } => match LongTermDataset::new(drop, block) {
-                Ok(empty) => {
-                    generate_shard(&parsed.out, empty, &spec, &parsed.opts, None, &mut progress)
-                }
-                Err(e) => return fail(e.to_string()),
-            },
-            KindSpec::PerTsc {
-                conditioning,
-                positions,
-            } => match PerTscDataset::new(conditioning, positions) {
-                Ok(empty) => {
-                    generate_shard(&parsed.out, empty, &spec, &parsed.opts, None, &mut progress)
-                }
-                Err(e) => return fail(e.to_string()),
-            },
-        };
-        let status = match status {
-            Ok(status) => status,
-            Err(e) => return runtime(e),
-        };
+        let status = with_kind!(parsed.kind, D => {
+            D::empty_with_shape(&parsed.shape).and_then(|empty| {
+                generate_shard(&parsed.out, empty, &spec, &parsed.opts, None, &mut progress)
+            })
+        })?;
         report_status(&label, status)
     }
 
@@ -855,20 +818,17 @@ mod dataset_cli {
         Ok(())
     }
 
-    /// `--pairs a:b,c:d,...`
-    fn parse_pairs(s: &str) -> CliResult<Vec<PositionPair>> {
-        let mut pairs = Vec::new();
+    /// `--pairs a:b,c:d,...` as the flat descriptor `[a, b, c, d, ...]`.
+    fn parse_pairs(s: &str) -> CliResult<Vec<u64>> {
+        let mut shape = Vec::new();
         for part in s.split(',') {
             let Some((a, b)) = part.split_once(':') else {
                 return fail(format!("--pairs expects a:b,c:d,... (got '{part}')"));
             };
-            let int = |s: &str| parse_u64(s.trim()).map(|v| v as usize).or_else(fail);
-            pairs.push(PositionPair {
-                a: int(a)?,
-                b: int(b)?,
-            });
+            let int = |s: &str| parse_u64(s.trim()).or_else(fail);
+            shape.extend([int(a)?, int(b)?]);
         }
-        Ok(pairs)
+        Ok(shape)
     }
 
     /// `--worker-range LO..HI`
@@ -908,7 +868,7 @@ mod campaign_cli {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
 
-    use rc4_stats::{DatasetError, StorableDataset};
+    use rc4_stats::DatasetError;
     use rc4_store::{
         run_leases, CampaignManifest, CampaignSpec, CellEncoding, GenerateOptions, GenerateStatus,
         Launcher, Lease, MergeOptions, RunOptions,
@@ -916,7 +876,7 @@ mod campaign_cli {
 
     use bench::{fail, parse_u64, runtime, CliResult, FlagTable};
 
-    use super::dataset_cli::generation_config;
+    use super::{check_shape, dataset_cli::generation_config};
 
     /// The manifest's fixed file name inside a campaign directory.
     const MANIFEST_NAME: &str = "campaign.json";
@@ -1020,10 +980,8 @@ mod campaign_cli {
             .collect::<Result<Vec<u64>, _>>()
             .or_else(|msg| fail(format!("--shape: {msg}")))?;
         let config = generation_config(&flags)?;
-        // Instantiating the empty dataset front-loads shape validation, so a
-        // bad plan fails here rather than in the first worker.
-        with_kind!(kind, D => D::empty_with_shape(&shape).map(|_| ()))
-            .map_err(|(msg, _)| (msg, 2))?;
+        // A bad shape fails the plan, not the first worker.
+        check_shape(&kind, &shape)?;
         std::fs::create_dir_all(&dir).map_err(|e| (format!("{}: {e}", dir.display()), 1))?;
         let spec = CampaignSpec {
             kind,

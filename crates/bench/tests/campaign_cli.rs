@@ -325,6 +325,40 @@ fn plan_rejects_bad_inputs_up_front() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Shapes past the dataset cell bound are usage errors that name the bound
+/// and write no manifest: one whose cell count overflows `u64` (2^56
+/// per-TSC positions), and one that would need a 2 PiB table (2^40
+/// single-byte positions).
+#[test]
+fn plan_rejects_shapes_past_the_cell_bound() {
+    let dir = scratch("plan-bound");
+    for (kind, shape) in [
+        ("per-tsc", "0,72057594037927936"),
+        ("single", "1099511627776"),
+    ] {
+        let camp = dir.join(kind);
+        let plan = repro(&[
+            "campaign",
+            "plan",
+            "--dir",
+            &path_str(&camp),
+            "--kind",
+            kind,
+            "--shape",
+            shape,
+            "--workers",
+            "2",
+            "--leases",
+            "2",
+        ]);
+        let err = stderr(&plan);
+        assert_eq!(plan.status.code(), Some(2), "{kind}: {err}");
+        assert!(err.contains("cell bound of 2147483648"), "{kind}: {err}");
+        assert!(!camp.exists(), "{kind}: planning wrote {}", camp.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A one-lease campaign's merge goes through the shard reader and writer like
 /// any other: `--compress` writes a delta-varint table holding the
 /// single-process cells, and the raw merge is the single-process file.

@@ -267,6 +267,36 @@ fn dataset_subcommand_error_contract() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A shape past the dataset cell bound is a usage error that names the bound
+/// and writes no shard: 2^40 single-byte positions (a 2 PiB table), and 2^40
+/// consecutive pairs (refused before their 16 TiB descriptor is built).
+#[test]
+fn generate_rejects_shapes_past_the_cell_bound() {
+    let dir = scratch("bound");
+    let out = path_str(&dir.join("huge.ds"));
+    for shape in [
+        ["single", "--positions", "1099511627776"],
+        ["pairs", "--consecutive", "1099511627776"],
+    ] {
+        let gen = repro(
+            &[
+                &["dataset", "generate", "--out", &out, "--kind"][..],
+                &shape,
+            ]
+            .concat(),
+        );
+        let err = stderr(&gen);
+        assert_eq!(gen.status.code(), Some(2), "{shape:?}: {err}");
+        assert!(err.contains("cell bound of 2147483648"), "{shape:?}: {err}");
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "{shape:?} wrote a file"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--checkpoint-keys` larger than the shard's key range used to silently
 /// produce zero intermediate checkpoints; now it is clamped with a warning,
 /// and the run still completes (with correct data — pinned by the store's

@@ -1,11 +1,10 @@
 //! Ciphertext statistics collectors.
 //!
 //! The likelihood formulas never look at individual ciphertexts — only at
-//! counts: how often each byte value appeared at a position, how often each
-//! byte pair appeared at a position pair, and how often each ciphertext
-//! differential appeared for an ABSAB relation. These collectors perform that
-//! reduction once so the (expensive) likelihood evaluation can run over
-//! compact tables.
+//! counts, such as how often each byte value appeared at a position.
+//! [`SingleCounts`] performs that reduction once so the (expensive)
+//! likelihood evaluation can run over compact tables, and [`widen_counts`]
+//! prepares a count table for the scorers.
 
 use serde::{Deserialize, Serialize};
 
@@ -83,149 +82,6 @@ impl SingleCounts {
     }
 }
 
-/// Per-position-pair ciphertext counts (for double-byte likelihoods).
-///
-/// Tracks consecutive ciphertext byte pairs starting at each tracked position.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PairCounts {
-    start_positions: Vec<u64>,
-    counts: Vec<u64>,
-    ciphertexts: u64,
-}
-
-impl PairCounts {
-    /// Creates a collector for consecutive pairs starting at the given (1-based) positions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::InvalidConfig`] if `start_positions` is empty or contains zero.
-    pub fn new(start_positions: Vec<u64>) -> Result<Self, RecoveryError> {
-        if start_positions.is_empty() || start_positions.contains(&0) {
-            return Err(RecoveryError::InvalidConfig(
-                "start positions must be non-empty and 1-based".into(),
-            ));
-        }
-        let len = start_positions.len();
-        Ok(Self {
-            start_positions,
-            counts: vec![0u64; len * 65536],
-            ciphertexts: 0,
-        })
-    }
-
-    /// The tracked pair start positions.
-    pub fn start_positions(&self) -> &[u64] {
-        &self.start_positions
-    }
-
-    /// Records one ciphertext.
-    pub fn record(&mut self, ciphertext: &[u8]) {
-        for (idx, &pos) in self.start_positions.iter().enumerate() {
-            let a = ciphertext[pos as usize - 1] as usize;
-            let b = ciphertext[pos as usize] as usize;
-            self.counts[idx * 65536 + a * 256 + b] += 1;
-        }
-        self.ciphertexts += 1;
-    }
-
-    /// The 65536-entry pair count table for tracked pair index `idx`.
-    pub fn counts_at(&self, idx: usize) -> &[u64] {
-        &self.counts[idx * 65536..(idx + 1) * 65536]
-    }
-
-    /// Number of ciphertexts recorded.
-    pub fn ciphertexts(&self) -> u64 {
-        self.ciphertexts
-    }
-}
-
-/// Ciphertext-differential counts for one ABSAB relation.
-///
-/// For the relation with gap `g`, each recorded ciphertext contributes the
-/// differential `(C_r ⊕ C_{r+2+g}, C_{r+1} ⊕ C_{r+3+g})` where `r` is the
-/// position of the unknown pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DifferentialCounts {
-    /// Position (1-based) of the first unknown byte.
-    unknown_pos: u64,
-    /// Position (1-based) of the first byte of the known digraph.
-    known_pos: u64,
-    /// The ABSAB gap `g` this relation corresponds to.
-    gap: usize,
-    counts: Vec<u64>,
-    ciphertexts: u64,
-}
-
-impl DifferentialCounts {
-    /// Creates a differential collector for an unknown pair at `unknown_pos`
-    /// related to a known pair at `known_pos` with ABSAB gap `gap`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecoveryError::InvalidConfig`] if either position is zero or
-    /// the positions are inconsistent with the gap (they must be exactly
-    /// `gap + 2` apart in either direction).
-    pub fn new(unknown_pos: u64, known_pos: u64, gap: usize) -> Result<Self, RecoveryError> {
-        if unknown_pos == 0 || known_pos == 0 {
-            return Err(RecoveryError::InvalidConfig("positions are 1-based".into()));
-        }
-        let distance = unknown_pos.abs_diff(known_pos);
-        if distance != gap as u64 + 2 {
-            return Err(RecoveryError::InvalidConfig(format!(
-                "positions {unknown_pos} and {known_pos} are {distance} apart, expected {}",
-                gap + 2
-            )));
-        }
-        Ok(Self {
-            unknown_pos,
-            known_pos,
-            gap,
-            counts: vec![0u64; 65536],
-            ciphertexts: 0,
-        })
-    }
-
-    /// The ABSAB gap of this relation.
-    pub fn gap(&self) -> usize {
-        self.gap
-    }
-
-    /// Position of the unknown pair.
-    pub fn unknown_pos(&self) -> u64 {
-        self.unknown_pos
-    }
-
-    /// Position of the known pair.
-    pub fn known_pos(&self) -> u64 {
-        self.known_pos
-    }
-
-    /// Records one ciphertext.
-    pub fn record(&mut self, ciphertext: &[u8]) {
-        let u = self.unknown_pos as usize - 1;
-        let k = self.known_pos as usize - 1;
-        let d0 = ciphertext[u] ^ ciphertext[k];
-        let d1 = ciphertext[u + 1] ^ ciphertext[k + 1];
-        self.counts[d0 as usize * 256 + d1 as usize] += 1;
-        self.ciphertexts += 1;
-    }
-
-    /// Count of a specific differential value `(d0, d1)`.
-    pub fn count(&self, d0: u8, d1: u8) -> u64 {
-        self.counts[d0 as usize * 256 + d1 as usize]
-    }
-
-    /// The full 65536-entry differential count table.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Number of ciphertexts recorded.
-    pub fn ciphertexts(&self) -> u64 {
-        self.ciphertexts
-    }
-}
-
 /// Widens a count table to `f64` in one contiguous blocked pass.
 ///
 /// The likelihood builders score candidates with fused multiply-free
@@ -272,41 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn pair_counts_record() {
-        let mut c = PairCounts::new(vec![2]).unwrap();
-        c.record(&[1, 2, 3, 4]);
-        c.record(&[9, 2, 3, 4]);
-        assert_eq!(c.counts_at(0)[2 * 256 + 3], 2);
-        assert_eq!(c.ciphertexts(), 2);
-        assert!(PairCounts::new(vec![]).is_err());
-    }
-
-    #[test]
-    fn differential_counts_record() {
-        // Unknown pair at positions 3-4, known pair at 6-7 (gap 1).
-        let mut c = DifferentialCounts::new(3, 6, 1).unwrap();
-        let ct = [0u8, 0, 0x10, 0x20, 0, 0x13, 0x27];
-        c.record(&ct);
-        assert_eq!(c.count(0x03, 0x07), 1);
-        assert_eq!(c.ciphertexts(), 1);
-        assert_eq!(c.gap(), 1);
-    }
-
-    #[test]
     fn widen_counts_is_exact() {
         let counts = vec![0u64, 1, 977, 1 << 52];
         assert_eq!(
             widen_counts(&counts),
             vec![0.0, 1.0, 977.0, (1u64 << 52) as f64]
         );
-    }
-
-    #[test]
-    fn differential_validation() {
-        assert!(DifferentialCounts::new(0, 3, 1).is_err());
-        // Distance 3 but gap 2 would require distance 4.
-        assert!(DifferentialCounts::new(3, 6, 2).is_err());
-        // Known plaintext before the unknown pair also works (distance 3 = gap 1 + 2).
-        assert!(DifferentialCounts::new(6, 3, 1).is_ok());
     }
 }

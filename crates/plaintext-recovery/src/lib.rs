@@ -4,15 +4,12 @@
 //! the keystream biases leak the plaintext. This crate implements the full
 //! recovery pipeline:
 //!
-//! * [`counts`] — collectors that reduce a stream of ciphertexts to the count
-//!   vectors the likelihood formulas need (per-position byte counts, pair
-//!   counts, and ABSAB ciphertext-differential counts).
+//! * [`counts`] — the collector that reduces a stream of ciphertexts to the
+//!   per-position byte counts the single-byte likelihoods need.
 //! * [`likelihood`] — the Bayesian likelihood estimators: single-byte
 //!   (Eq. 11–12), double-byte (Eq. 13) and the optimized evaluation over a
 //!   small set of dependent keystream values (Eq. 15–16), plus combination of
 //!   multiple bias families by multiplying likelihoods (Eq. 25).
-//! * [`absab`] — likelihoods derived from Mantin's ABSAB bias via ciphertext
-//!   differentials against surrounding known plaintext (Eq. 17–24).
 //! * [`candidates`] — Algorithm 1: a ranked list of plaintext candidates from
 //!   single-byte likelihoods.
 //! * [`viterbi`] — Algorithm 2: a ranked candidate list from double-byte
@@ -30,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod absab;
 pub mod candidates;
 pub mod charset;
 pub mod counts;

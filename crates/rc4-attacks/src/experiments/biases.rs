@@ -555,7 +555,6 @@ pub fn fig5_z1z2(
     positions: &[u16],
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
-    let max_pos = positions.iter().copied().max().unwrap_or(16).max(3) as usize;
     // first16-style dataset restricted to the pairs (1, i) and (2, i).
     let mut pairs = Vec::new();
     for &i in positions {
@@ -568,7 +567,6 @@ pub fn fig5_z1z2(
             b: i as usize,
         });
     }
-    let _ = max_pos;
     let config = GenerationConfig {
         keys: scale.keys,
         workers: BIAS_STREAMS,

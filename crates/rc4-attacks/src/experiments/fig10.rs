@@ -23,10 +23,12 @@ use rc4_stats::{
     GenerationConfig,
 };
 
+use rc4_biases::fm::fm_joint_distribution;
+
 use crate::{
     context::ExperimentContext,
     experiments::{
-        trial::{fm_pair_table, CookieShape, CookieTrial},
+        trial::{CookieShape, CookieTrial},
         CountSource, Scale, DATASET_STREAMS,
     },
     report::{format_percent, ExperimentReport},
@@ -166,7 +168,7 @@ pub fn run(
     // a single pair dataset covering every transition (cache-served).
     let transition_probs: Vec<Vec<f64>> = match config.source {
         CountSource::Analytic => (0..=config.cookie_len)
-            .map(|t| fm_pair_table(config.cookie_position + t as u64))
+            .map(|t| fm_joint_distribution(config.cookie_position + t as u64))
             .collect(),
         CountSource::Empirical { keys } => {
             let pairs: Vec<PositionPair> = (0..=config.cookie_len)

@@ -19,10 +19,12 @@ use rc4_stats::{
     GenerationConfig,
 };
 
+use rc4_biases::fm::fm_joint_distribution;
+
 use crate::{
     context::ExperimentContext,
     experiments::{
-        trial::{fm_cells, fm_pair_table, PairTrial},
+        trial::{fm_cells, PairTrial},
         CountSource, Scale, DATASET_STREAMS,
     },
     report::{format_percent, ExperimentReport},
@@ -163,7 +165,7 @@ pub fn run(
     // Ground-truth keystream-pair distribution for the target position:
     // analytic FM model, or measured from real keystreams (cache-served).
     let key_pair_probs: Vec<f64> = match config.source {
-        CountSource::Analytic => fm_pair_table(config.position),
+        CountSource::Analytic => fm_joint_distribution(config.position),
         CountSource::Empirical { keys } => {
             let position = config.position as usize;
             // Fixed stream count (dataset identity), threads from the

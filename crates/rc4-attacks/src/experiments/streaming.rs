@@ -42,10 +42,12 @@ use tls_rc4::{
     traffic::{TrafficConfig, TrafficGenerator},
 };
 
+use rc4_biases::fm::fm_joint_distribution;
+
 use crate::{
     context::ExperimentContext,
     experiments::{
-        trial::{fm_cells, fm_pair_table, CookieShape, CookieTrial, PairTrial},
+        trial::{fm_cells, CookieShape, CookieTrial, PairTrial},
         Scale,
     },
     report::ExperimentReport,
@@ -281,7 +283,7 @@ pub fn run_fig7_stream(
     }
     config.stop.test()?;
 
-    let key_pair_probs = fm_pair_table(config.position);
+    let key_pair_probs = fm_joint_distribution(config.position);
     let fm_cells = fm_cells(config.position);
 
     // Every trial is an independent streaming session on its own RNG stream,
@@ -476,7 +478,7 @@ pub fn run_fig10_stream(
     config.stop.test()?;
 
     let transition_probs: Vec<Vec<f64>> = (0..=config.cookie_len)
-        .map(|t| fm_pair_table(config.cookie_position + t as u64))
+        .map(|t| fm_joint_distribution(config.cookie_position + t as u64))
         .collect();
 
     let base_seed = ctx.mix_seed(config.seed);

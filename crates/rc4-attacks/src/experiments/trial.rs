@@ -19,7 +19,7 @@ use plaintext_recovery::{
     likelihood::PairLikelihoods,
     viterbi::{list_viterbi, PairCandidate, ViterbiConfig},
 };
-use rc4_biases::{absab::alpha, distributions::PairDistribution, fm, UNIFORM_PAIR};
+use rc4_biases::{absab::alpha, fm, UNIFORM_PAIR};
 use rc4_stats::streaming::{StreamingCounts, StreamingVotes};
 
 use crate::{
@@ -29,19 +29,6 @@ use crate::{
 
 /// Cells of a keystream or plaintext byte-pair table.
 const PAIR_CELLS: usize = 65536;
-
-/// The analytic Fluhrer–McGrew keystream-pair distribution at `position`,
-/// flattened row-major (`[k1 << 8 | k2]`).
-pub(crate) fn fm_pair_table(position: u64) -> Vec<f64> {
-    let dist = PairDistribution::fluhrer_mcgrew(position);
-    let mut probs = vec![0.0f64; PAIR_CELLS];
-    for k1 in 0..256usize {
-        for k2 in 0..256usize {
-            probs[(k1 << 8) | k2] = dist.prob(k1 as u8, k2 as u8);
-        }
-    }
-    probs
-}
 
 /// The biased Fluhrer–McGrew cells at `position` in the sparse scorer's
 /// `(k1, k2, probability)` form.
@@ -167,10 +154,9 @@ impl<'a> PairTrial<'a> {
 
     /// Scores the accumulated tables: the sparse FM likelihood plus, per
     /// relation, `(|C| - N[µ̂]) ln u + N[µ̂] ln α` for every candidate
-    /// (Eq. 22, as `plaintext_recovery::absab::absab_pair_likelihoods`
-    /// computes it from a materialized differential collector). The log
-    /// likelihoods are linear in the counts, so this is exactly the score of
-    /// every ciphertext ingested so far.
+    /// (Eq. 22, over the relation's accumulated differential counts). The
+    /// log likelihoods are linear in the counts, so this is exactly the score
+    /// of every ciphertext ingested so far.
     pub(crate) fn score(&self) -> Result<PairLikelihoods, ExperimentError> {
         let mut log = match &self.fm {
             Some(fm) => PairLikelihoods::from_counts_sparse(

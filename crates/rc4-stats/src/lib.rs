@@ -17,8 +17,9 @@
 //! * [`tsc::PerTscDataset`] — keystream statistics conditioned on the public
 //!   TKIP sequence-counter bytes, the input to the Paterson-style per-TSC
 //!   plaintext likelihoods of Section 5.
-//! * [`storable`] — the [`StorableDataset`] trait every dataset implements
-//!   and its batched record loop, [`record_keys_batched`].
+//! * [`storable`] — the [`StorableDataset`] trait every dataset implements,
+//!   the [`MAX_CELLS`] bound every shape is checked against, and the batched
+//!   record loop, [`record_keys_batched`].
 //! * [`worker`] — [`record_streams`], the one key-space walker standing in
 //!   for the paper's distributed setup, and [`generate_storable_with_exec`],
 //!   which walks a whole configuration with it in memory (the on-disk store
@@ -35,9 +36,10 @@
 //!   and the attacks re-score the accumulated table online.
 //!
 //! Datasets expose their raw counts (for the hypothesis tests in
-//! `stat-tests`), empirical probability estimates (for the likelihood engines
-//! in `plaintext-recovery`), and serde-based persistence so expensive runs can
-//! be stored and re-analysed.
+//! `stat-tests`) and empirical probability estimates (for the likelihood
+//! engines in `plaintext-recovery`). Their one persisted form is the
+//! `rc4-store` shard, so expensive runs can be stored, merged and
+//! re-analysed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +56,7 @@ pub mod worker;
 
 pub use dataset::{DatasetError, GenerationConfig};
 pub use keygen::{splitmix64, KeyGenerator};
-pub use storable::{record_keys_batched, StorableDataset};
+pub use storable::{record_keys_batched, StorableDataset, MAX_CELLS};
 pub use worker::{generate_storable_with_exec, record_streams};
 
 /// Number of possible byte values; the alphabet size of every distribution here.

@@ -7,8 +7,6 @@
 //! `256`-aligned pairs `(Z_{256w}, Z_{256w+2})` where the Sen Gupta `(0,0)` and
 //! the paper's new `(128,0)` biases live.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{dataset::DatasetError, storable::StorableDataset, NUM_PAIRS, NUM_VALUES};
 
 /// Long-term digraph statistics.
@@ -17,7 +15,7 @@ use crate::{dataset::DatasetError, storable::StorableDataset, NUM_PAIRS, NUM_VAL
 /// `(Z_r, Z_{r+1}) = (x, y)` at positions where the PRGA counter before
 /// outputting `Z_r` satisfies `i = r mod 256`. `aligned_counts[x * 256 + y]`
 /// counts the pairs `(Z_{256w}, Z_{256w+2})`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LongTermDataset {
     /// Number of initial keystream bytes dropped per key (paper: 1023).
     drop: usize,
@@ -43,22 +41,37 @@ impl LongTermDataset {
     ///
     /// # Errors
     ///
-    /// Returns [`DatasetError::InvalidConfig`] if `block_len < 2`.
+    /// Returns [`DatasetError::InvalidConfig`] if `block_len < 2` or
+    /// `drop + block_len` overflows.
     pub fn new(drop: usize, block_len: usize) -> Result<Self, DatasetError> {
-        if block_len < 2 {
+        Self::empty_with_shape(&[drop as u64, block_len as u64])
+    }
+
+    /// Cells of every long-term dataset: the digraph table, the aligned
+    /// table and the two derived totals, far below
+    /// [`MAX_CELLS`](crate::storable::MAX_CELLS).
+    const CELLS: u64 = (NUM_VALUES * NUM_PAIRS + NUM_PAIRS + 2) as u64;
+
+    /// The shape check: parses `[drop, block_len]`.
+    fn check_shape(params: &[u64]) -> Result<(usize, usize), DatasetError> {
+        let [drop, block_len] = params else {
+            return Err(DatasetError::ShapeMismatch(format!(
+                "long-term shape needs 2 parameters, got {}",
+                params.len()
+            )));
+        };
+        if *block_len < 2 {
             return Err(DatasetError::InvalidConfig(
                 "block_len must be at least 2 to form a digraph".into(),
             ));
         }
-        Ok(Self {
-            drop,
-            block_len,
-            keystreams: 0,
-            digraphs: 0,
-            digraph_counts: vec![0u64; NUM_VALUES * NUM_PAIRS],
-            aligned_counts: vec![0u64; NUM_PAIRS],
-            aligned_samples: 0,
-        })
+        let (drop, block_len) = (*drop as usize, *block_len as usize);
+        if drop.checked_add(block_len).is_none() {
+            return Err(DatasetError::InvalidConfig(format!(
+                "drop {drop} + block_len {block_len} overflows the keystream length"
+            )));
+        }
+        Ok((drop, block_len))
     }
 
     /// Creates the paper-shaped dataset: drop 1023 bytes, then consume `block_len` bytes.
@@ -118,24 +131,6 @@ impl LongTermDataset {
     pub fn total_digraphs(&self) -> u64 {
         self.digraphs
     }
-
-    /// Serializes the dataset to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Serialization`] if encoding fails.
-    pub fn to_json(&self) -> Result<String, DatasetError> {
-        serde_json::to_string(self).map_err(|e| DatasetError::Serialization(e.to_string()))
-    }
-
-    /// Restores a dataset from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Serialization`] if decoding fails.
-    pub fn from_json(json: &str) -> Result<Self, DatasetError> {
-        serde_json::from_str(json).map_err(|e| DatasetError::Serialization(e.to_string()))
-    }
 }
 
 impl StorableDataset for LongTermDataset {
@@ -148,29 +143,20 @@ impl StorableDataset for LongTermDataset {
     }
 
     fn empty_with_shape(params: &[u64]) -> Result<Self, DatasetError> {
-        let [drop, block_len] = params else {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "long-term shape needs 2 parameters, got {}",
-                params.len()
-            )));
-        };
-        Self::new(*drop as usize, *block_len as usize)
+        let (drop, block_len) = Self::check_shape(params)?;
+        Ok(Self {
+            drop,
+            block_len,
+            keystreams: 0,
+            digraphs: 0,
+            digraph_counts: vec![0u64; NUM_VALUES * NUM_PAIRS],
+            aligned_counts: vec![0u64; NUM_PAIRS],
+            aligned_samples: 0,
+        })
     }
 
     fn cell_count_for_shape(params: &[u64]) -> Result<u64, DatasetError> {
-        let [_drop, block_len] = params else {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "long-term shape needs 2 parameters, got {}",
-                params.len()
-            )));
-        };
-        if *block_len < 2 {
-            return Err(DatasetError::InvalidConfig(
-                "block_len must be at least 2 to form a digraph".into(),
-            ));
-        }
-        // Digraph table + aligned table + the two derived totals.
-        Ok((NUM_VALUES * NUM_PAIRS + NUM_PAIRS + 2) as u64)
+        Self::check_shape(params).map(|_| Self::CELLS)
     }
 
     /// Cells are the digraph table, the aligned table, and the two derived
@@ -236,24 +222,6 @@ impl StorableDataset for LongTermDataset {
         }
         self.keystreams += 1;
     }
-
-    fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
-        if other.drop != self.drop || other.block_len != self.block_len {
-            return Err(DatasetError::ShapeMismatch(
-                "long-term datasets have different drop/block configuration".into(),
-            ));
-        }
-        for (a, b) in self.digraph_counts.iter_mut().zip(other.digraph_counts) {
-            *a += b;
-        }
-        for (a, b) in self.aligned_counts.iter_mut().zip(other.aligned_counts) {
-            *a += b;
-        }
-        self.keystreams += other.keystreams;
-        self.digraphs += other.digraphs;
-        self.aligned_samples += other.aligned_samples;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -315,18 +283,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_serialization() {
+    fn merge_accumulates() {
         let mut a = LongTermDataset::new(0, 4).unwrap();
         let mut b = LongTermDataset::new(0, 4).unwrap();
         a.record_stream(0, &[1, 2, 3, 4]);
         b.record_stream(0, &[1, 2, 9, 9]);
         a.merge_same_shape(b).unwrap();
         assert_eq!(a.digraph_count(1, 1, 2), 2);
+        assert_eq!(a.total_digraphs(), 6);
         assert_eq!(a.recorded_keystreams(), 2);
-
-        let json = a.to_json().unwrap();
-        let back = LongTermDataset::from_json(&json).unwrap();
-        assert_eq!(back.digraph_count(1, 1, 2), 2);
 
         let mismatched = LongTermDataset::new(0, 8).unwrap();
         assert!(a.merge_same_shape(mismatched).is_err());

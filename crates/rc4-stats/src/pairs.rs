@@ -10,12 +10,14 @@
 //! The reproduction keeps the shape configurable so laptop-scale runs can
 //! restrict the covered positions while exercising exactly the same code path.
 
-use serde::{Deserialize, Serialize};
-
-use crate::{dataset::DatasetError, storable::StorableDataset, NUM_PAIRS, NUM_VALUES};
+use crate::{
+    dataset::DatasetError,
+    storable::{bounded_cells, StorableDataset},
+    NUM_PAIRS, NUM_VALUES,
+};
 
 /// A pair of (1-based) keystream positions whose joint distribution is tracked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PositionPair {
     /// First position `a` (1-based).
     pub a: usize,
@@ -27,7 +29,7 @@ pub struct PositionPair {
 ///
 /// For pair index `p` and values `(x, y)`, the count lives at
 /// `counts[p * 65536 + x * 256 + y]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairDataset {
     pairs: Vec<PositionPair>,
     max_position: usize,
@@ -40,31 +42,50 @@ impl PairDataset {
     ///
     /// # Errors
     ///
-    /// Returns [`DatasetError::InvalidConfig`] if the list is empty or any
-    /// pair has `a == b` or a zero position.
+    /// Returns [`DatasetError::InvalidConfig`] if the list is empty, any
+    /// pair has `a == b` or a zero position, or the tables would exceed
+    /// [`MAX_CELLS`](crate::storable::MAX_CELLS).
     pub fn new(pairs: Vec<PositionPair>) -> Result<Self, DatasetError> {
-        if pairs.is_empty() {
+        Self::empty_with_shape(&Self::descriptor(&pairs))
+    }
+
+    /// The flat shape descriptor `[a1, b1, a2, b2, ...]` of a pair list.
+    fn descriptor(pairs: &[PositionPair]) -> Vec<u64> {
+        pairs
+            .iter()
+            .flat_map(|p| [p.a as u64, p.b as u64])
+            .collect()
+    }
+
+    /// The shape check: parses `[a1, b1, a2, b2, ...]` into the pair list,
+    /// its largest position and the number of cells.
+    fn check_shape(params: &[u64]) -> Result<(Vec<PositionPair>, usize, usize), DatasetError> {
+        if params.is_empty() {
             return Err(DatasetError::InvalidConfig(
                 "at least one position pair is required".into(),
             ));
         }
+        if params.len() % 2 != 0 {
+            return Err(DatasetError::ShapeMismatch(format!(
+                "pair shape needs an even parameter count, got {}",
+                params.len()
+            )));
+        }
+        let pair_count = params.len() as u64 / 2;
+        let cells = bounded_cells(Self::kind(), pair_count.checked_mul(NUM_PAIRS as u64))?;
         let mut max_position = 0usize;
-        for p in &pairs {
-            if p.a == 0 || p.b == 0 || p.a == p.b {
+        let mut pairs = Vec::with_capacity(pair_count as usize);
+        for c in params.chunks_exact(2) {
+            let (a, b) = (c[0] as usize, c[1] as usize);
+            if a == 0 || b == 0 || a == b {
                 return Err(DatasetError::InvalidConfig(format!(
-                    "invalid position pair ({}, {})",
-                    p.a, p.b
+                    "invalid position pair ({a}, {b})"
                 )));
             }
-            max_position = max_position.max(p.a).max(p.b);
+            max_position = max_position.max(a).max(b);
+            pairs.push(PositionPair { a, b });
         }
-        let counts = vec![0u64; pairs.len() * NUM_PAIRS];
-        Ok(Self {
-            pairs,
-            max_position,
-            keystreams: 0,
-            counts,
-        })
+        Ok((pairs, max_position, cells))
     }
 
     /// The `consec512`-style dataset: consecutive pairs `(r, r+1)` for `1 <= r <= max_r`.
@@ -196,24 +217,6 @@ impl PairDataset {
     pub fn max_position(&self) -> usize {
         self.max_position
     }
-
-    /// Serializes the dataset to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Serialization`] if encoding fails.
-    pub fn to_json(&self) -> Result<String, DatasetError> {
-        serde_json::to_string(self).map_err(|e| DatasetError::Serialization(e.to_string()))
-    }
-
-    /// Restores a dataset from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Serialization`] if decoding fails.
-    pub fn from_json(json: &str) -> Result<Self, DatasetError> {
-        serde_json::from_str(json).map_err(|e| DatasetError::Serialization(e.to_string()))
-    }
 }
 
 impl StorableDataset for PairDataset {
@@ -224,47 +227,21 @@ impl StorableDataset for PairDataset {
     /// Shape is the flattened pair list `[a1, b1, a2, b2, ...]`, which covers
     /// the explicit-list, `consecutive` and `first16` constructors uniformly.
     fn shape_params(&self) -> Vec<u64> {
-        let mut params = Vec::with_capacity(self.pairs.len() * 2);
-        for p in &self.pairs {
-            params.push(p.a as u64);
-            params.push(p.b as u64);
-        }
-        params
+        Self::descriptor(&self.pairs)
     }
 
     fn empty_with_shape(params: &[u64]) -> Result<Self, DatasetError> {
-        if params.is_empty() || params.len() % 2 != 0 {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "pair shape needs an even, non-zero parameter count, got {}",
-                params.len()
-            )));
-        }
-        let pairs = params
-            .chunks_exact(2)
-            .map(|c| PositionPair {
-                a: c[0] as usize,
-                b: c[1] as usize,
-            })
-            .collect();
-        Self::new(pairs)
+        let (pairs, max_position, cells) = Self::check_shape(params)?;
+        Ok(Self {
+            pairs,
+            max_position,
+            keystreams: 0,
+            counts: vec![0u64; cells],
+        })
     }
 
     fn cell_count_for_shape(params: &[u64]) -> Result<u64, DatasetError> {
-        if params.is_empty() || params.len() % 2 != 0 {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "pair shape needs an even, non-zero parameter count, got {}",
-                params.len()
-            )));
-        }
-        for c in params.chunks_exact(2) {
-            if c[0] == 0 || c[1] == 0 || c[0] == c[1] {
-                return Err(DatasetError::InvalidConfig(format!(
-                    "invalid position pair ({}, {})",
-                    c[0], c[1]
-                )));
-            }
-        }
-        Ok((params.len() as u64 / 2) * NUM_PAIRS as u64)
+        Self::check_shape(params).map(|(_, _, cells)| cells as u64)
     }
 
     fn cell_slices(&self) -> Vec<&[u64]> {
@@ -295,19 +272,6 @@ impl StorableDataset for PairDataset {
             self.counts[idx * NUM_PAIRS + x * NUM_VALUES + y] += 1;
         }
         self.keystreams += 1;
-    }
-
-    fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
-        if other.pairs != self.pairs {
-            return Err(DatasetError::ShapeMismatch(
-                "pair datasets cover different position pairs".into(),
-            ));
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
-        }
-        self.keystreams += other.keystreams;
-        Ok(())
     }
 }
 
@@ -397,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_json_roundtrip() {
+    fn merge_accumulates() {
         let mut a = PairDataset::consecutive(2).unwrap();
         let mut b = PairDataset::consecutive(2).unwrap();
         a.record_stream(0, &[1, 2, 3]);
@@ -405,10 +369,6 @@ mod tests {
         a.merge_same_shape(b).unwrap();
         assert_eq!(a.recorded_keystreams(), 2);
         assert_eq!(a.count(0, 1, 2), 2);
-
-        let json = a.to_json().unwrap();
-        let back = PairDataset::from_json(&json).unwrap();
-        assert_eq!(back.count(0, 1, 2), 2);
 
         let other = PairDataset::consecutive(3).unwrap();
         assert!(a.merge_same_shape(other).is_err());

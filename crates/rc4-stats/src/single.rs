@@ -4,9 +4,11 @@
 //! biases up to position 513) and the per-position distributions consumed by
 //! the single-byte likelihood estimator of Section 4.1.
 
-use serde::{Deserialize, Serialize};
-
-use crate::{dataset::DatasetError, storable::StorableDataset, NUM_VALUES};
+use crate::{
+    dataset::DatasetError,
+    storable::{bounded_cells, StorableDataset},
+    NUM_VALUES,
+};
 
 /// Counts of keystream byte values per position.
 ///
@@ -25,7 +27,7 @@ use crate::{dataset::DatasetError, storable::StorableDataset, NUM_VALUES};
 /// assert_eq!(ds.count(2, 0x00), 1);
 /// assert_eq!(ds.recorded_keystreams(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SingleByteDataset {
     positions: usize,
     keystreams: u64,
@@ -37,14 +39,28 @@ impl SingleByteDataset {
     ///
     /// # Panics
     ///
-    /// Panics if `positions` is zero.
+    /// Panics if `positions` is zero or the table would exceed
+    /// [`MAX_CELLS`](crate::storable::MAX_CELLS).
     pub fn new(positions: usize) -> Self {
-        assert!(positions > 0, "dataset must cover at least one position");
-        Self {
-            positions,
-            keystreams: 0,
-            counts: vec![0u64; positions * NUM_VALUES],
+        Self::empty_with_shape(&[positions as u64]).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The shape check: parses `[positions]` into the position count and
+    /// the number of cells.
+    fn check_shape(params: &[u64]) -> Result<(usize, usize), DatasetError> {
+        let [positions] = params else {
+            return Err(DatasetError::ShapeMismatch(format!(
+                "single-byte shape needs 1 parameter, got {}",
+                params.len()
+            )));
+        };
+        if *positions == 0 {
+            return Err(DatasetError::InvalidConfig(
+                "single-byte dataset needs at least one position".into(),
+            ));
         }
+        let cells = bounded_cells(Self::kind(), positions.checked_mul(NUM_VALUES as u64))?;
+        Ok((*positions as usize, cells))
     }
 
     /// Number of positions covered (positions `1..=positions()`).
@@ -81,24 +97,6 @@ impl SingleByteDataset {
         let n = self.keystreams.max(1) as f64;
         self.counts_at(r).iter().map(|&c| c as f64 / n).collect()
     }
-
-    /// Serializes the dataset to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Serialization`] if encoding fails.
-    pub fn to_json(&self) -> Result<String, DatasetError> {
-        serde_json::to_string(self).map_err(|e| DatasetError::Serialization(e.to_string()))
-    }
-
-    /// Restores a dataset from its JSON representation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Serialization`] if decoding fails.
-    pub fn from_json(json: &str) -> Result<Self, DatasetError> {
-        serde_json::from_str(json).map_err(|e| DatasetError::Serialization(e.to_string()))
-    }
 }
 
 impl StorableDataset for SingleByteDataset {
@@ -111,35 +109,16 @@ impl StorableDataset for SingleByteDataset {
     }
 
     fn empty_with_shape(params: &[u64]) -> Result<Self, DatasetError> {
-        let [positions] = params else {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "single-byte shape needs 1 parameter, got {}",
-                params.len()
-            )));
-        };
-        if *positions == 0 {
-            return Err(DatasetError::InvalidConfig(
-                "single-byte dataset needs at least one position".into(),
-            ));
-        }
-        Ok(Self::new(*positions as usize))
+        let (positions, cells) = Self::check_shape(params)?;
+        Ok(Self {
+            positions,
+            keystreams: 0,
+            counts: vec![0u64; cells],
+        })
     }
 
     fn cell_count_for_shape(params: &[u64]) -> Result<u64, DatasetError> {
-        let [positions] = params else {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "single-byte shape needs 1 parameter, got {}",
-                params.len()
-            )));
-        };
-        if *positions == 0 {
-            return Err(DatasetError::InvalidConfig(
-                "single-byte dataset needs at least one position".into(),
-            ));
-        }
-        positions.checked_mul(NUM_VALUES as u64).ok_or_else(|| {
-            DatasetError::InvalidConfig(format!("{positions} positions overflow the cell count"))
-        })
+        Self::check_shape(params).map(|(_, cells)| cells as u64)
     }
 
     fn cell_slices(&self) -> Vec<&[u64]> {
@@ -168,20 +147,6 @@ impl StorableDataset for SingleByteDataset {
             self.counts[idx * NUM_VALUES + z as usize] += 1;
         }
         self.keystreams += 1;
-    }
-
-    fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
-        if other.positions != self.positions {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "{} vs {} positions",
-                self.positions, other.positions
-            )));
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
-        }
-        self.keystreams += other.keystreams;
-        Ok(())
     }
 }
 
@@ -237,16 +202,6 @@ mod tests {
             a.merge_same_shape(b),
             Err(DatasetError::ShapeMismatch(_))
         ));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut ds = SingleByteDataset::new(2);
-        ds.record_stream(0, &[7, 8]);
-        let json = ds.to_json().unwrap();
-        let back = SingleByteDataset::from_json(&json).unwrap();
-        assert_eq!(back.count(1, 7), 1);
-        assert_eq!(back.recorded_keystreams(), 1);
     }
 
     #[test]

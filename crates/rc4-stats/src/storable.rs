@@ -3,7 +3,8 @@
 //!
 //! The store persists a dataset as a *kind* tag, a flat `Vec<u64>` shape
 //! descriptor, the recorded-keystream total, and an ordered sequence of `u64`
-//! counter cells. Each dataset type maps its internal state onto that model:
+//! counter cells. Each dataset type maps its internal state onto that model,
+//! keeping every piece of state except the keystream total in its cells:
 //!
 //! * [`crate::single::SingleByteDataset`] — kind `"single"`, shape
 //!   `[positions]`, cells = the per-position count table.
@@ -15,6 +16,13 @@
 //! * [`crate::tsc::PerTscDataset`] — kind `"per-tsc"`, shape
 //!   `[conditioning, positions]`, cells = per-class counts plus the per-class
 //!   keystream totals.
+//!
+//! Each kind checks a shape descriptor in one place, which its constructor,
+//! [`StorableDataset::empty_with_shape`] and
+//! [`StorableDataset::cell_count_for_shape`] all call; no shape may hold more
+//! than [`MAX_CELLS`] cells. Because the cells are all the state there is,
+//! merging is generic: [`StorableDataset::merge_same_shape`] compares the
+//! shape descriptors and sums the cells.
 //!
 //! The trait also owns the *key-space walk*, split into two halves so drivers
 //! can batch the RC4 work between them: [`StorableDataset::prepare_next`]
@@ -56,6 +64,23 @@ use crate::{
 /// atomic load is invisible next to the RC4 work per key.
 pub const CANCEL_POLL_INTERVAL: u64 = 512;
 
+/// The most counter cells a dataset of any kind may hold: 2^31, 16 GiB of
+/// `u64`. The largest paper shape, `first16`, has about 2^28 cells; the
+/// bound turns a mistyped or hostile shape into a typed error instead of an
+/// allocation the machine cannot satisfy.
+pub const MAX_CELLS: u64 = 1 << 31;
+
+/// Applies [`MAX_CELLS`] to a `kind`'s cell count, computed with checked
+/// arithmetic (`None` when it overflowed).
+pub(crate) fn bounded_cells(kind: &str, cells: Option<u64>) -> Result<usize, DatasetError> {
+    match cells {
+        Some(n) if n <= MAX_CELLS => Ok(n as usize),
+        _ => Err(DatasetError::InvalidConfig(format!(
+            "{kind} shape exceeds the dataset cell bound of {MAX_CELLS} cells"
+        ))),
+    }
+}
+
 /// A dataset that can be persisted by the `rc4-store` shard format and
 /// (re)generated deterministically from per-worker key streams.
 ///
@@ -64,6 +89,10 @@ pub const CANCEL_POLL_INTERVAL: u64 = 512;
 /// * `empty_with_shape(shape_params())` must reconstruct an empty dataset of
 ///   identical shape, and `cell_slices()` must return the same slice lengths
 ///   in the same order for any two datasets of equal shape.
+/// * The cells hold all state except the keystream total: two datasets with
+///   equal `shape_params()`, equal cells and equal totals are equal. This is
+///   what lets the store persist only the cells, and lets the provided
+///   [`StorableDataset::merge_same_shape`] merge by summing them.
 /// * `prepare_next` and `skip_next` must consume *exactly* the same amount
 ///   of RNG state from the generator, so that a skip-reconstructed stream
 ///   position is indistinguishable from a recorded one.
@@ -85,7 +114,8 @@ pub trait StorableDataset: Send + Sized {
     ///
     /// Returns [`DatasetError::Corrupt`]-free validation errors
     /// ([`DatasetError::InvalidConfig`] or [`DatasetError::ShapeMismatch`])
-    /// when the descriptor does not describe a valid shape.
+    /// when the descriptor does not describe a valid shape, including one of
+    /// more than [`MAX_CELLS`] cells.
     fn empty_with_shape(params: &[u64]) -> Result<Self, DatasetError>;
 
     /// The dataset's counter state as an ordered list of `u64` slices. The
@@ -143,12 +173,29 @@ pub trait StorableDataset: Send + Sized {
     }
 
     /// Merges a dataset of identical shape into `self`, summing all cells and
-    /// keystream totals.
+    /// keystream totals (provided; exact because the cells hold all other
+    /// state).
     ///
     /// # Errors
     ///
     /// Returns [`DatasetError::ShapeMismatch`] when shapes differ.
-    fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError>;
+    fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
+        let (mine, theirs) = (self.shape_params(), other.shape_params());
+        if mine != theirs {
+            return Err(DatasetError::ShapeMismatch(format!(
+                "{} shapes differ: {mine:?} vs {theirs:?}",
+                Self::kind()
+            )));
+        }
+        for (into, from) in self.cell_slices_mut().into_iter().zip(other.cell_slices()) {
+            for (a, b) in into.iter_mut().zip(from) {
+                *a += b;
+            }
+        }
+        let total = self.recorded_keystreams() + other.recorded_keystreams();
+        self.set_recorded_keystreams(total);
+        Ok(())
+    }
 
     /// Total number of cells (provided; the sum of the slice lengths).
     fn cell_count(&self) -> usize {
@@ -158,12 +205,11 @@ pub trait StorableDataset: Send + Sized {
     /// Number of cells a dataset of shape `params` holds, *without*
     /// materialising one.
     ///
-    /// The out-of-core shard merge validates inputs and sizes its streaming
-    /// windows against this before allocating anything; the default
-    /// constructs an empty dataset and counts its cells, which is correct
-    /// but allocates the full table — every kind in this crate overrides it
-    /// with the closed-form count so multi-GiB shapes (e.g. TSC-conditioned
-    /// tables) stay allocation-free.
+    /// Shard reads, the out-of-core shard merge and `repro`'s shape checks
+    /// validate a descriptor against this before allocating anything; the
+    /// default constructs an empty dataset and counts its cells, which is
+    /// correct but allocates the full table. Every kind in this crate
+    /// overrides it with the closed-form count of its shape check.
     ///
     /// # Errors
     ///
@@ -254,6 +300,10 @@ mod tests {
         let empty = D::empty_with_shape(&shape).expect("shape descriptor reconstructs");
         assert_eq!(empty.shape_params(), shape);
         assert_eq!(empty.cell_count(), ds.cell_count());
+        assert_eq!(
+            D::cell_count_for_shape(&shape).unwrap(),
+            ds.cell_count() as u64
+        );
         let lens_a: Vec<usize> = ds.cell_slices().iter().map(|s| s.len()).collect();
         let lens_b: Vec<usize> = empty.cell_slices().iter().map(|s| s.len()).collect();
         assert_eq!(lens_a, lens_b);
@@ -274,15 +324,59 @@ mod tests {
         roundtrip_shape(&PerTscDataset::new(TscConditioning::Tsc1, 5).unwrap());
     }
 
+    /// Both shape entry points reject every descriptor in `bad`.
+    fn rejects_all<D: StorableDataset>(bad: &[&[u64]]) {
+        for params in bad {
+            assert!(
+                D::empty_with_shape(params).is_err(),
+                "{} {params:?}",
+                D::kind()
+            );
+            assert!(
+                D::cell_count_for_shape(params).is_err(),
+                "{} {params:?}",
+                D::kind()
+            );
+        }
+    }
+
     #[test]
     fn invalid_shape_descriptors_are_rejected() {
-        assert!(SingleByteDataset::empty_with_shape(&[]).is_err());
-        assert!(SingleByteDataset::empty_with_shape(&[0]).is_err());
-        assert!(PairDataset::empty_with_shape(&[1]).is_err());
-        assert!(PairDataset::empty_with_shape(&[3, 3]).is_err());
-        assert!(LongTermDataset::empty_with_shape(&[0, 1]).is_err());
-        assert!(PerTscDataset::empty_with_shape(&[2, 8]).is_err());
-        assert!(PerTscDataset::empty_with_shape(&[0, 0]).is_err());
+        rejects_all::<SingleByteDataset>(&[
+            &[],
+            &[0],
+            &[4, 4],
+            // 2^40 positions: 2^48 cells, past the bound.
+            &[1 << 40],
+            // 2^56 positions: 2^64 cells, overflowing u64.
+            &[1 << 56],
+        ]);
+        rejects_all::<PairDataset>(&[&[], &[1], &[3, 3], &[0, 1], &[1, 2, 3]]);
+        rejects_all::<LongTermDataset>(&[&[], &[0, 1], &[1023], &[u64::MAX, 2]]);
+        rejects_all::<PerTscDataset>(&[
+            &[],
+            &[2, 8],
+            &[0, 0],
+            &[0],
+            // 256 classes of 2^56 positions: the product overflows u64.
+            &[0, 1 << 56],
+            &[1, 200_000],
+        ]);
+    }
+
+    #[test]
+    fn cell_bound_is_inclusive() {
+        // Tsc1: 256 classes; 2^15 positions make 2^31 count cells, which the
+        // 256 class totals push past the bound.
+        let positions = (MAX_CELLS >> 16) - 1;
+        assert!(PerTscDataset::cell_count_for_shape(&[0, positions]).is_ok());
+        assert!(PerTscDataset::cell_count_for_shape(&[0, positions + 1]).is_err());
+        assert_eq!(
+            SingleByteDataset::cell_count_for_shape(&[MAX_CELLS / 256]).unwrap(),
+            MAX_CELLS
+        );
+        let err = SingleByteDataset::cell_count_for_shape(&[MAX_CELLS / 256 + 1]).unwrap_err();
+        assert!(err.to_string().contains("cell bound"), "{err}");
     }
 
     /// `skip_next` must consume exactly the RNG state `record_next` does:

@@ -18,17 +18,15 @@
 //! conditioning on `TSC1` only (256 classes), which preserves the structure of
 //! the attack at laptop scale. Both modes use the same code path.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     dataset::{DatasetError, GenerationConfig},
     keygen::KeyGenerator,
-    storable::StorableDataset,
+    storable::{bounded_cells, StorableDataset},
     NUM_VALUES,
 };
 
 /// How captured packets / generated keys are grouped into TSC classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TscConditioning {
     /// Condition on `TSC1` only: 256 classes. Laptop-scale default.
     Tsc1,
@@ -42,6 +40,14 @@ impl TscConditioning {
         match self {
             TscConditioning::Tsc1 => 256,
             TscConditioning::Tsc0Tsc1 => 65536,
+        }
+    }
+
+    /// The conditioning's code in a shape descriptor.
+    fn code(self) -> u64 {
+        match self {
+            TscConditioning::Tsc1 => 0,
+            TscConditioning::Tsc0Tsc1 => 1,
         }
     }
 
@@ -64,7 +70,7 @@ pub fn tkip_key_prefix(tsc0: u8, tsc1: u8) -> [u8; 3] {
 ///
 /// `counts[class][pos][value]` (flattened) counts how often keystream byte
 /// `Z_{pos+1}` equalled `value` for keys whose TSC fell in `class`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerTscDataset {
     conditioning: TscConditioning,
     positions: usize,
@@ -80,25 +86,41 @@ impl PerTscDataset {
     /// # Errors
     ///
     /// Returns [`DatasetError::InvalidConfig`] if `positions == 0`, or if the
-    /// requested shape would exceed 2^31 counters (guarding against accidental
-    /// paper-scale allocations in tests).
+    /// requested shape would exceed
+    /// [`MAX_CELLS`](crate::storable::MAX_CELLS) counters (guarding against
+    /// accidental paper-scale allocations in tests).
     pub fn new(conditioning: TscConditioning, positions: usize) -> Result<Self, DatasetError> {
-        if positions == 0 {
+        Self::empty_with_shape(&[conditioning.code(), positions as u64])
+    }
+
+    /// The shape check: parses `[conditioning, positions]` and returns it
+    /// with the number of cells.
+    fn check_shape(params: &[u64]) -> Result<(TscConditioning, usize, usize), DatasetError> {
+        let [cond, positions] = params else {
+            return Err(DatasetError::ShapeMismatch(format!(
+                "per-TSC shape needs 2 parameters, got {}",
+                params.len()
+            )));
+        };
+        let conditioning = match cond {
+            0 => TscConditioning::Tsc1,
+            1 => TscConditioning::Tsc0Tsc1,
+            other => {
+                return Err(DatasetError::ShapeMismatch(format!(
+                    "unknown TSC conditioning code {other} (expected 0 or 1)"
+                )))
+            }
+        };
+        if *positions == 0 {
             return Err(DatasetError::InvalidConfig("positions must be > 0".into()));
         }
-        let cells = conditioning.classes() * positions * NUM_VALUES;
-        if cells > (1usize << 31) {
-            return Err(DatasetError::InvalidConfig(format!(
-                "per-TSC dataset with {cells} cells is too large; reduce positions or conditioning"
-            )));
-        }
-        Ok(Self {
-            conditioning,
-            positions,
-            keystreams: 0,
-            class_keystreams: vec![0u64; conditioning.classes()],
-            counts: vec![0u64; cells],
-        })
+        // Per-class count tables + per-class keystream totals.
+        let classes = conditioning.classes() as u64;
+        let cells = positions
+            .checked_mul(classes * NUM_VALUES as u64)
+            .and_then(|counts| counts.checked_add(classes));
+        let cells = bounded_cells(Self::kind(), cells)?;
+        Ok((conditioning, *positions as usize, cells))
     }
 
     /// The conditioning mode of this dataset.
@@ -150,24 +172,6 @@ impl PerTscDataset {
             .map(|&c| c as f64 / n as f64)
             .collect()
     }
-
-    /// Serializes to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Serialization`] if encoding fails.
-    pub fn to_json(&self) -> Result<String, DatasetError> {
-        serde_json::to_string(self).map_err(|e| DatasetError::Serialization(e.to_string()))
-    }
-
-    /// Restores from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::Serialization`] if decoding fails.
-    pub fn from_json(json: &str) -> Result<Self, DatasetError> {
-        serde_json::from_str(json).map_err(|e| DatasetError::Serialization(e.to_string()))
-    }
 }
 
 impl StorableDataset for PerTscDataset {
@@ -178,62 +182,23 @@ impl StorableDataset for PerTscDataset {
     /// Shape is `[conditioning, positions]` with `conditioning` encoded as
     /// `0 = Tsc1`, `1 = Tsc0Tsc1`.
     fn shape_params(&self) -> Vec<u64> {
-        let cond = match self.conditioning {
-            TscConditioning::Tsc1 => 0,
-            TscConditioning::Tsc0Tsc1 => 1,
-        };
-        vec![cond, self.positions as u64]
+        vec![self.conditioning.code(), self.positions as u64]
     }
 
     fn empty_with_shape(params: &[u64]) -> Result<Self, DatasetError> {
-        let [cond, positions] = params else {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "per-TSC shape needs 2 parameters, got {}",
-                params.len()
-            )));
-        };
-        let conditioning = match cond {
-            0 => TscConditioning::Tsc1,
-            1 => TscConditioning::Tsc0Tsc1,
-            other => {
-                return Err(DatasetError::ShapeMismatch(format!(
-                    "unknown TSC conditioning code {other} (expected 0 or 1)"
-                )))
-            }
-        };
-        Self::new(conditioning, *positions as usize)
+        let (conditioning, positions, cells) = Self::check_shape(params)?;
+        let classes = conditioning.classes();
+        Ok(Self {
+            conditioning,
+            positions,
+            keystreams: 0,
+            class_keystreams: vec![0u64; classes],
+            counts: vec![0u64; cells - classes],
+        })
     }
 
     fn cell_count_for_shape(params: &[u64]) -> Result<u64, DatasetError> {
-        let [cond, positions] = params else {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "per-TSC shape needs 2 parameters, got {}",
-                params.len()
-            )));
-        };
-        let conditioning = match cond {
-            0 => TscConditioning::Tsc1,
-            1 => TscConditioning::Tsc0Tsc1,
-            other => {
-                return Err(DatasetError::ShapeMismatch(format!(
-                    "unknown TSC conditioning code {other} (expected 0 or 1)"
-                )))
-            }
-        };
-        if *positions == 0 {
-            return Err(DatasetError::InvalidConfig("positions must be > 0".into()));
-        }
-        let classes = conditioning.classes() as u64;
-        let cells = positions
-            .checked_mul(classes * NUM_VALUES as u64)
-            .unwrap_or(u64::MAX);
-        if cells > (1u64 << 31) {
-            return Err(DatasetError::InvalidConfig(format!(
-                "per-TSC dataset with {cells} cells is too large; reduce positions or conditioning"
-            )));
-        }
-        // Per-class count tables + per-class keystream totals.
-        Ok(cells + classes)
+        Self::check_shape(params).map(|(_, _, cells)| cells as u64)
     }
 
     /// Cells are the per-class count tables followed by the per-class
@@ -296,22 +261,6 @@ impl StorableDataset for PerTscDataset {
                 "TKIP keys must be at least 3 bytes".into(),
             ));
         }
-        Ok(())
-    }
-
-    fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
-        if other.conditioning != self.conditioning || other.positions != self.positions {
-            return Err(DatasetError::ShapeMismatch(
-                "per-TSC datasets have different conditioning or positions".into(),
-            ));
-        }
-        for (a, b) in self.counts.iter_mut().zip(other.counts) {
-            *a += b;
-        }
-        for (a, b) in self.class_keystreams.iter_mut().zip(other.class_keystreams) {
-            *a += b;
-        }
-        self.keystreams += other.keystreams;
         Ok(())
     }
 }
@@ -386,18 +335,15 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_json() {
+    fn merge_accumulates() {
         let mut a = PerTscDataset::new(TscConditioning::Tsc1, 2).unwrap();
         let mut b = PerTscDataset::new(TscConditioning::Tsc1, 2).unwrap();
         a.record(0, 0, &[1, 1]);
         b.record(0, 0, &[1, 2]);
         a.merge_same_shape(b).unwrap();
         assert_eq!(a.count(0, 1, 1), 2);
+        assert_eq!(a.class_keystreams(0), 2);
         assert_eq!(a.recorded_keystreams(), 2);
-
-        let json = a.to_json().unwrap();
-        let back = PerTscDataset::from_json(&json).unwrap();
-        assert_eq!(back.count(0, 1, 1), 2);
 
         let mismatch = PerTscDataset::new(TscConditioning::Tsc1, 4).unwrap();
         assert!(a.merge_same_shape(mismatch).is_err());

@@ -457,9 +457,6 @@ mod tests {
         fn record_stream(&mut self, meta: u64, ks: &[u8]) {
             self.inner.record_stream(meta, ks);
         }
-        fn merge_same_shape(&mut self, other: Self) -> Result<(), DatasetError> {
-            self.inner.merge_same_shape(other.inner)
-        }
     }
 
     #[test]

@@ -32,20 +32,6 @@ proptest! {
         }
     }
 
-    /// JSON round-trips preserve pair-dataset counts exactly.
-    #[test]
-    fn pair_dataset_json_roundtrip(keystreams in prop::collection::vec(prop::collection::vec(any::<u8>(), 3), 1..32)) {
-        let mut ds = PairDataset::consecutive(2).unwrap();
-        for ks in &keystreams {
-            ds.record_stream(0, ks);
-        }
-        let back = PairDataset::from_json(&ds.to_json().unwrap()).unwrap();
-        prop_assert_eq!(back.recorded_keystreams(), ds.recorded_keystreams());
-        for idx in 0..2 {
-            prop_assert_eq!(back.joint_counts(idx), ds.joint_counts(idx));
-        }
-    }
-
     /// Pair marginals are consistent with the joint counts.
     #[test]
     fn pair_marginals_consistent(keystreams in prop::collection::vec(prop::collection::vec(any::<u8>(), 2), 1..64)) {

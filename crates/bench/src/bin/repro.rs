@@ -18,7 +18,7 @@
 //!              experiment (print a template with `Experiment::config_json`)
 //! --cache-dir  dataset cache directory: matching complete datasets are
 //!              loaded instead of regenerated, fresh ones are persisted
-//! --trace      write a span trace of the run as JSONL (also: REPRO_TRACE=FILE);
+//! --trace      write a span trace of the run as JSONL;
 //!              results are byte-identical with or without it
 //!
 //! # offline trace aggregation (see README "Observability"):
@@ -355,11 +355,8 @@ fn run_experiments(flags: &Flags) -> CliResult<()> {
             .unwrap_or_default()
     );
 
-    let trace_path = flags
-        .value("--trace")
-        .map(str::to_string)
-        .or_else(|| std::env::var("REPRO_TRACE").ok().filter(|p| !p.is_empty()));
-    if let Some(path) = &trace_path {
+    let trace_path = flags.value("--trace");
+    if let Some(path) = trace_path {
         rc4_obs::trace::init_file(std::path::Path::new(path))
             .or_else(|e| fail(format!("--trace {path}: {e}")))?;
     }
@@ -391,10 +388,7 @@ fn run_experiments(flags: &Flags) -> CliResult<()> {
             .or_else(|e| runtime(format!("--metrics-out {path}: {e}")))?;
     }
     if json {
-        outln!(
-            "{}",
-            serde_json::to_string_pretty(&reports).expect("reports serialize")
-        );
+        out!("{}", rc4_attacks::report::json_document(&reports));
     }
     Ok(())
 }
@@ -1989,7 +1983,7 @@ mod bench_cli {
 }
 
 /// The `repro trace` subcommand family: offline aggregation of span traces
-/// written by `repro run --trace FILE` (or `REPRO_TRACE=FILE`).
+/// written by `repro run --trace FILE`.
 mod trace_cli {
     use bench::{CliResult, FlagTable};
 

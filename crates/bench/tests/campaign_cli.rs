@@ -359,6 +359,31 @@ fn plan_rejects_shapes_past_the_cell_bound() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A pair position past the keystream bound is a usage error that names the
+/// bound and writes no manifest.
+#[test]
+fn plan_rejects_positions_past_the_keystream_bound() {
+    let dir = scratch("plan-keystream-bound");
+    let camp = dir.join("pairs");
+    let plan = repro(&[
+        "campaign",
+        "plan",
+        "--dir",
+        &path_str(&camp),
+        "--kind",
+        "pairs",
+        "--shape",
+        "1,1099511627776",
+        "--leases",
+        "2",
+    ]);
+    let err = stderr(&plan);
+    assert_eq!(plan.status.code(), Some(2), "{err}");
+    assert!(err.contains("keystream bound of 16777216 bytes"), "{err}");
+    assert!(!camp.exists(), "planning wrote {}", camp.display());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A one-lease campaign's merge goes through the shard reader and writer like
 /// any other: `--compress` writes a delta-varint table holding the
 /// single-process cells, and the raw merge is the single-process file.

@@ -297,6 +297,41 @@ fn generate_rejects_shapes_past_the_cell_bound() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A position past the keystream bound is a usage error that names the
+/// bound and writes no shard: a pair at position 2^40 would need a 16 TiB
+/// keystream buffer per engine batch.
+#[test]
+fn generate_rejects_positions_past_the_keystream_bound() {
+    let dir = scratch("keystream-bound");
+    let out = path_str(&dir.join("far.ds"));
+    for shape in [
+        ["pairs", "--pairs", "1:1099511627776"],
+        ["longterm", "--block", "1099511627776"],
+    ] {
+        let gen = repro(
+            &[
+                &[
+                    "dataset", "generate", "--out", &out, "--keys", "10", "--kind",
+                ][..],
+                &shape,
+            ]
+            .concat(),
+        );
+        let err = stderr(&gen);
+        assert_eq!(gen.status.code(), Some(2), "{shape:?}: {err}");
+        assert!(
+            err.contains("keystream bound of 16777216 bytes"),
+            "{shape:?}: {err}"
+        );
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "{shape:?} wrote a file"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--checkpoint-keys` larger than the shard's key range used to silently
 /// produce zero intermediate checkpoints; now it is clamped with a warning,
 /// and the run still completes (with correct data — pinned by the store's

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rc4_stats::{generate_storable_with_exec, GenerationConfig, StorableDataset};
-use rc4_store::{DatasetCache, SingleFlight};
+use rc4_store::DatasetCache;
 
 use crate::ExperimentError;
 
@@ -219,7 +219,6 @@ pub struct ExperimentContext {
     sink: Arc<dyn EventSink>,
     cancel: CancelHandle,
     cache: Option<Arc<DatasetCache>>,
-    flights: Option<Arc<SingleFlight>>,
 }
 
 impl Default for ExperimentContext {
@@ -230,7 +229,6 @@ impl Default for ExperimentContext {
             sink: Arc::new(NullSink),
             cancel: CancelHandle::new(),
             cache: None,
-            flights: None,
         }
     }
 }
@@ -299,28 +297,13 @@ impl ExperimentContext {
         Ok(self)
     }
 
-    /// Attaches an already-open dataset cache.
+    /// Attaches an already-open dataset cache. Contexts sharing one cache
+    /// share its single-flight table: concurrent misses on one dataset
+    /// generate it once.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<DatasetCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// Attaches a shared single-flight table coordinating concurrent
-    /// [`ExperimentContext::load_or_generate`] calls *across contexts* that
-    /// share the same dataset cache. With one attached, concurrent callers
-    /// missing on the same cache key serialize: the first generates and
-    /// stores, the rest wait and then load the stored entry — exactly one
-    /// generation per key however many clients ask for it.
-    #[must_use]
-    pub fn with_flights(mut self, flights: Arc<SingleFlight>) -> Self {
-        self.flights = Some(flights);
-        self
-    }
-
-    /// The attached dataset cache, if any.
-    pub fn cache(&self) -> Option<&DatasetCache> {
-        self.cache.as_deref()
     }
 
     /// The global seed mix.
@@ -400,23 +383,15 @@ impl ExperimentContext {
     ///
     /// With no cache attached this generates `config`'s key space into
     /// `empty` with [`rc4_stats::generate_storable_with_exec`] on
-    /// [`ExperimentContext::executor`]. With a cache attached, a complete
-    /// dataset matching `(kind, shape of empty, config)` is loaded and
-    /// returned *without any generation work*; on a miss, the dataset is
-    /// generated as above and persisted for the next run. The dataset comes
-    /// back shared: a hit may be the copy the cache's memory tier keeps
-    /// resident for every job of the process, and a fresh generation is
-    /// wrapped in a new [`Arc`].
-    /// Because cache entries are validated against the full configuration and
-    /// the store reproduces generation exactly (see `rc4-store`), cached and
-    /// fresh runs produce identical experiment output.
-    ///
-    /// When a [`SingleFlight`] table is attached (via
-    /// [`ExperimentContext::with_flights`]) alongside the cache, the whole
-    /// check-generate-store sequence runs inside a per-key critical section:
-    /// concurrent callers on the same `(kind, shape, config)` wait for the
-    /// first one to store, then load the cached entry — exactly one
-    /// generation per key across every context sharing the table.
+    /// [`ExperimentContext::executor`]. With a cache attached, it is
+    /// [`DatasetCache::load_or_generate`] with that generation as the miss
+    /// step: a hit does *no generation work* (and may be the copy the
+    /// cache's memory tier keeps resident for every job of the process), a
+    /// miss is generated and persisted, and concurrent misses on one key
+    /// through contexts sharing the cache generate once. Cache entries are
+    /// validated against the full configuration and the store reproduces
+    /// generation exactly (see `rc4-store`), so cached and fresh runs
+    /// produce identical experiment output.
     ///
     /// # Errors
     ///
@@ -436,36 +411,25 @@ impl ExperimentContext {
                 "keys" => config.keys,
             },
         );
+        let generate = |ds: &mut D| generate_storable_with_exec(ds, config, &self.executor());
         let Some(cache) = self.cache.as_deref() else {
-            generate_storable_with_exec(&mut empty, config, &self.executor())?;
+            generate(&mut empty)?;
             return Ok(Arc::new(empty));
         };
-        let shape = empty.shape_params();
-        // Hold the key's flight for the whole check-generate-store sequence
-        // so concurrent misses on the same key collapse into one generation.
-        // The guard's Drop releases the key even if generation fails.
-        let _flight = self
-            .flights
-            .as_deref()
-            .map(|flights| flights.begin(&DatasetCache::cache_key(D::kind(), &shape, config)));
-        if let Some(hit) = cache.load::<D>(&shape, config)? {
+        let cache_event = |outcome| {
             self.emit(ProgressEvent::DatasetCache {
                 kind: D::kind(),
-                outcome: "hit",
+                outcome,
             });
-            return Ok(hit);
-        }
-        self.emit(ProgressEvent::DatasetCache {
-            kind: D::kind(),
-            outcome: "miss",
-        });
-        generate_storable_with_exec(&mut empty, config, &self.executor())?;
-        cache.store(&empty, config)?;
-        self.emit(ProgressEvent::DatasetCache {
-            kind: D::kind(),
-            outcome: "stored",
-        });
-        Ok(Arc::new(empty))
+        };
+        let mut generated = false;
+        let dataset = cache.load_or_generate(empty, config, |ds| {
+            generated = true;
+            cache_event("miss");
+            generate(ds)
+        })?;
+        cache_event(if generated { "stored" } else { "hit" });
+        Ok(dataset)
     }
 }
 
@@ -555,6 +519,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Records events and holds each `miss` until a second `miss` arrives
+    /// or 300 ms pass, so callers that could both miss are made to overlap.
+    #[derive(Default)]
+    struct MissGate {
+        misses: Mutex<usize>,
+        arrived: std::sync::Condvar,
+        events: MemorySink,
+    }
+
+    impl EventSink for MissGate {
+        fn on_event(&self, event: &ProgressEvent<'_>) {
+            self.events.on_event(event);
+            if let ProgressEvent::DatasetCache {
+                outcome: "miss", ..
+            } = event
+            {
+                let mut misses = self.misses.lock().unwrap();
+                *misses += 1;
+                self.arrived.notify_all();
+                let patience = std::time::Duration::from_millis(300);
+                let _ = self
+                    .arrived
+                    .wait_timeout_while(misses, patience, |n| *n < 2)
+                    .unwrap();
+            }
+        }
+    }
+
     #[test]
     fn concurrent_load_or_generate_same_key_generates_exactly_once() {
         use rc4_stats::{single::SingleByteDataset, GenerationConfig};
@@ -565,23 +557,19 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Arc::new(DatasetCache::open(&dir).unwrap());
-        let flights = Arc::new(SingleFlight::new());
-        let sink = Arc::new(MemorySink::new());
+        let gate = Arc::new(MissGate::default());
         let config = GenerationConfig::with_keys(400).seed(11);
 
         // All threads race load_or_generate on the SAME (kind, shape, config)
-        // key through one shared cache + flight table, each from its own
-        // context (the server shape: one context per job).
+        // key, each from its own context sharing nothing but the cache (the
+        // server shape: one context per job). Without single-flight several
+        // would miss, and the gate holds each miss until another arrives.
         let handles: Vec<_> = (0..6)
             .map(|_| {
-                let cache = Arc::clone(&cache);
-                let flights = Arc::clone(&flights);
-                let sink = Arc::clone(&sink);
+                let ctx = ExperimentContext::new()
+                    .with_cache(Arc::clone(&cache))
+                    .with_sink(gate.clone());
                 std::thread::spawn(move || {
-                    let ctx = ExperimentContext::new()
-                        .with_cache(cache)
-                        .with_flights(flights)
-                        .with_sink(sink);
                     ctx.load_or_generate(SingleByteDataset::new(4), &config)
                         .unwrap()
                 })
@@ -592,13 +580,13 @@ mod tests {
             .map(|h| h.join().expect("racing thread panicked"))
             .collect();
 
-        let generations = sink
-            .events()
-            .iter()
-            .filter(|e| e.starts_with("dataset cache stored"))
-            .count();
+        let count = |outcome: &str| {
+            let event = format!("dataset cache {outcome} (single)");
+            gate.events.events().iter().filter(|e| **e == event).count()
+        };
         assert_eq!(
-            generations, 1,
+            (count("miss"), count("stored"), count("hit")),
+            (1, 1, 5),
             "single-flight must collapse concurrent misses into one generation"
         );
         // Every caller sees byte-identical counts.
@@ -610,7 +598,7 @@ mod tests {
         }
         // Exactly one flight led; the rest waited (or arrived after the
         // store, which also counts as a begun flight that then hit).
-        let stats = flights.stats();
+        let stats = cache.flight_stats();
         assert_eq!(stats.begun, 6);
         assert_eq!(stats.in_flight, 0);
         let _ = std::fs::remove_dir_all(&dir);

@@ -103,11 +103,15 @@ impl ExperimentReport {
         }
         out
     }
+}
 
-    /// Serializes the report to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialization cannot fail")
-    }
+/// The JSON result document of a run: the reports as one pretty-printed
+/// array plus a trailing newline. `repro run --json` prints it and the job
+/// server stores it, so a served result is byte for byte the one-shot output.
+pub fn json_document(reports: &[ExperimentReport]) -> String {
+    let array = ExperimentReport::slice_to_value(reports);
+    let json = serde_json::to_string_pretty(&array).expect("report serialization cannot fail");
+    format!("{json}\n")
 }
 
 /// Formats a probability as `2^x` with four decimals, the notation the paper uses.
@@ -138,10 +142,11 @@ mod tests {
         assert!(text.contains("note: sampled mode"));
         assert!(text.contains("2^27"));
         assert!(text.contains("100.0%"));
-        // JSON roundtrip.
-        let json = r.to_json();
-        let back: ExperimentReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
+        // JSON roundtrip through the result document.
+        let json = json_document(std::slice::from_ref(&r));
+        assert!(json.starts_with('[') && json.ends_with("]\n"));
+        let back: Vec<ExperimentReport> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, vec![r]);
     }
 
     #[test]

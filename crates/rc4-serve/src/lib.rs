@@ -12,9 +12,10 @@
 //! * [`server`] — the resident process: per-connection handler threads, a
 //!   scheduler thread placing jobs onto the shared `rc4-exec` pool under
 //!   per-job worker budgets ([`rc4_exec::Budget`]), per-job cooperative
-//!   cancellation, throttled progress events streamable through `watch`, a
-//!   server-owned single-flight dataset cache
-//!   ([`rc4_store::SingleFlight`]), and graceful drain on `shutdown`.
+//!   cancellation, throttled progress events streamable through `watch`,
+//!   one shared [`rc4_store::DatasetCache`] (which single-flights
+//!   concurrent generations of one dataset itself), and graceful drain on
+//!   `shutdown`.
 //! * [`ledger`] — the persistent JSON run ledger (job ID, spec, status,
 //!   result path), rewritten atomically on every transition so a restarted
 //!   server reports completed-job results from previous incarnations.

@@ -33,7 +33,7 @@ use rc4_attacks::{
     registry::Registry,
 };
 use rc4_exec::Budget;
-use rc4_store::{DatasetCache, SingleFlight};
+use rc4_store::DatasetCache;
 use serde::Value;
 
 use crate::ledger::{JobRecord, JobStatus, RunLedger};
@@ -211,7 +211,6 @@ struct Shared {
     addr: SocketAddr,
     queue: JobQueue,
     budget: Arc<Budget>,
-    flights: Arc<SingleFlight>,
     cache: Option<Arc<DatasetCache>>,
     ledger: Mutex<RunLedger>,
     jobs: Mutex<HashMap<u64, Arc<JobHandle>>>,
@@ -358,7 +357,6 @@ impl Server {
                 addr,
                 queue: JobQueue::new(),
                 budget,
-                flights: Arc::new(SingleFlight::new()),
                 cache,
                 ledger: Mutex::new(ledger),
                 jobs: Mutex::new(HashMap::new()),
@@ -539,8 +537,7 @@ fn execute_experiment(
         .with_cancel(handle.cancel.clone())
         .with_sink(Arc::new(JobSink {
             events: Arc::clone(&handle.events),
-        }))
-        .with_flights(Arc::clone(&shared.flights));
+        }));
     if let Some(cache) = &shared.cache {
         ctx = ctx.with_cache(Arc::clone(cache));
     }
@@ -552,12 +549,7 @@ fn execute_experiment(
             ServeError::Server(e.to_string())
         }
     })?;
-    // Byte-identity with the one-shot CLI: `repro run` prints
-    // `to_string_pretty` of the Vec of reports plus a trailing newline.
-    let document = format!(
-        "{}\n",
-        serde_json::to_string_pretty(&vec![report]).expect("report serializes")
-    );
+    let document = rc4_attacks::report::json_document(&[report]);
     let path = shared
         .config
         .state_dir
@@ -712,7 +704,11 @@ fn dispatch(shared: &Arc<Shared>, line: &str, writer: &mut TcpStream) -> bool {
         }
         Request::Status => {
             let budget = shared.budget.stats();
-            let flights = shared.flights.stats();
+            let flights = shared
+                .cache
+                .as_ref()
+                .map(|cache| cache.flight_stats())
+                .unwrap_or_default();
             let jobs = Value::Object(
                 shared
                     .status_counts()

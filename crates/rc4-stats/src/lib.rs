@@ -18,8 +18,8 @@
 //!   TKIP sequence-counter bytes, the input to the Paterson-style per-TSC
 //!   plaintext likelihoods of Section 5.
 //! * [`storable`] — the [`StorableDataset`] trait every dataset implements,
-//!   the [`MAX_CELLS`] bound every shape is checked against, and the batched
-//!   record loop, [`record_keys_batched`].
+//!   the [`MAX_CELLS`] and [`MAX_KEYSTREAM_LEN`] bounds every shape is
+//!   checked against, and the batched record loop, [`record_keys_batched`].
 //! * [`worker`] — [`record_streams`], the one key-space walker standing in
 //!   for the paper's distributed setup, and [`generate_storable_with_exec`],
 //!   which walks a whole configuration with it in memory (the on-disk store
@@ -56,7 +56,7 @@ pub mod worker;
 
 pub use dataset::{DatasetError, GenerationConfig};
 pub use keygen::{splitmix64, KeyGenerator};
-pub use storable::{record_keys_batched, StorableDataset, MAX_CELLS};
+pub use storable::{record_keys_batched, StorableDataset, MAX_CELLS, MAX_KEYSTREAM_LEN};
 pub use worker::{generate_storable_with_exec, record_streams};
 
 /// Number of possible byte values; the alphabet size of every distribution here.

@@ -7,7 +7,11 @@
 //! `256`-aligned pairs `(Z_{256w}, Z_{256w+2})` where the Sen Gupta `(0,0)` and
 //! the paper's new `(128,0)` biases live.
 
-use crate::{dataset::DatasetError, storable::StorableDataset, NUM_PAIRS, NUM_VALUES};
+use crate::{
+    dataset::DatasetError,
+    storable::{bounded_keystream_len, StorableDataset},
+    NUM_PAIRS, NUM_VALUES,
+};
 
 /// Long-term digraph statistics.
 ///
@@ -42,7 +46,8 @@ impl LongTermDataset {
     /// # Errors
     ///
     /// Returns [`DatasetError::InvalidConfig`] if `block_len < 2` or
-    /// `drop + block_len` overflows.
+    /// `drop + block_len` exceeds
+    /// [`MAX_KEYSTREAM_LEN`](crate::storable::MAX_KEYSTREAM_LEN).
     pub fn new(drop: usize, block_len: usize) -> Result<Self, DatasetError> {
         Self::empty_with_shape(&[drop as u64, block_len as u64])
     }
@@ -65,13 +70,8 @@ impl LongTermDataset {
                 "block_len must be at least 2 to form a digraph".into(),
             ));
         }
-        let (drop, block_len) = (*drop as usize, *block_len as usize);
-        if drop.checked_add(block_len).is_none() {
-            return Err(DatasetError::InvalidConfig(format!(
-                "drop {drop} + block_len {block_len} overflows the keystream length"
-            )));
-        }
-        Ok((drop, block_len))
+        bounded_keystream_len(Self::kind(), drop.checked_add(*block_len))?;
+        Ok((*drop as usize, *block_len as usize))
     }
 
     /// Creates the paper-shaped dataset: drop 1023 bytes, then consume `block_len` bytes.
@@ -235,6 +235,20 @@ mod tests {
         let ds = LongTermDataset::paper_shape(512).unwrap();
         assert_eq!(ds.block_len(), 512);
         assert_eq!(ds.required_keystream_len(), 1023 + 512);
+    }
+
+    #[test]
+    fn keystream_length_is_bounded() {
+        use crate::storable::MAX_KEYSTREAM_LEN;
+        let check = |drop: u64, block: u64| LongTermDataset::cell_count_for_shape(&[drop, block]);
+        // The extended preset reads 1023 + 2^22 bytes per key.
+        assert!(check(1023, 1 << 22).is_ok());
+        assert!(check(0, MAX_KEYSTREAM_LEN).is_ok());
+        for (drop, block) in [(1, MAX_KEYSTREAM_LEN), (1023, 1 << 40), (u64::MAX, 2)] {
+            let err = check(drop, block).unwrap_err();
+            assert!(matches!(err, DatasetError::InvalidConfig(_)));
+            assert!(err.to_string().contains("keystream bound"), "{err}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::{
     dataset::DatasetError,
-    storable::{bounded_cells, StorableDataset},
+    storable::{bounded_cells, bounded_keystream_len, StorableDataset},
     NUM_PAIRS, NUM_VALUES,
 };
 
@@ -43,8 +43,9 @@ impl PairDataset {
     /// # Errors
     ///
     /// Returns [`DatasetError::InvalidConfig`] if the list is empty, any
-    /// pair has `a == b` or a zero position, or the tables would exceed
-    /// [`MAX_CELLS`](crate::storable::MAX_CELLS).
+    /// pair has `a == b` or a zero position, the tables would exceed
+    /// [`MAX_CELLS`](crate::storable::MAX_CELLS), or a position exceeds
+    /// [`MAX_KEYSTREAM_LEN`](crate::storable::MAX_KEYSTREAM_LEN).
     pub fn new(pairs: Vec<PositionPair>) -> Result<Self, DatasetError> {
         Self::empty_with_shape(&Self::descriptor(&pairs))
     }
@@ -55,6 +56,15 @@ impl PairDataset {
             .iter()
             .flat_map(|p| [p.a as u64, p.b as u64])
             .collect()
+    }
+
+    /// The cells of `pair_count` pairs, bounded by
+    /// [`MAX_CELLS`](crate::storable::MAX_CELLS); `None` is an overflowed count.
+    fn pair_cells(pair_count: Option<u64>) -> Result<usize, DatasetError> {
+        bounded_cells(
+            Self::kind(),
+            pair_count.and_then(|n| n.checked_mul(NUM_PAIRS as u64)),
+        )
     }
 
     /// The shape check: parses `[a1, b1, a2, b2, ...]` into the pair list,
@@ -71,10 +81,10 @@ impl PairDataset {
                 params.len()
             )));
         }
-        let pair_count = params.len() as u64 / 2;
-        let cells = bounded_cells(Self::kind(), pair_count.checked_mul(NUM_PAIRS as u64))?;
-        let mut max_position = 0usize;
-        let mut pairs = Vec::with_capacity(pair_count as usize);
+        let cells = Self::pair_cells(Some(params.len() as u64 / 2))?;
+        // The largest position is the keystream length read per key.
+        let max_position = bounded_keystream_len(Self::kind(), params.iter().max().copied())?;
+        let mut pairs = Vec::with_capacity(params.len() / 2);
         for c in params.chunks_exact(2) {
             let (a, b) = (c[0] as usize, c[1] as usize);
             if a == 0 || b == 0 || a == b {
@@ -82,7 +92,6 @@ impl PairDataset {
                     "invalid position pair ({a}, {b})"
                 )));
             }
-            max_position = max_position.max(a).max(b);
             pairs.push(PositionPair { a, b });
         }
         Ok((pairs, max_position, cells))
@@ -94,11 +103,14 @@ impl PairDataset {
     ///
     /// # Errors
     ///
-    /// Returns [`DatasetError::InvalidConfig`] if `max_r == 0`.
+    /// Returns [`DatasetError::InvalidConfig`] if `max_r == 0` or the
+    /// tables would exceed [`MAX_CELLS`](crate::storable::MAX_CELLS); the
+    /// bound is checked before the pair list is built.
     pub fn consecutive(max_r: usize) -> Result<Self, DatasetError> {
         if max_r == 0 {
             return Err(DatasetError::InvalidConfig("max_r must be > 0".into()));
         }
+        Self::pair_cells(Some(max_r as u64))?;
         Self::new(
             (1..=max_r)
                 .map(|r| PositionPair { a: r, b: r + 1 })
@@ -112,13 +124,18 @@ impl PairDataset {
     ///
     /// # Errors
     ///
-    /// Returns [`DatasetError::InvalidConfig`] if the ranges are empty.
+    /// Returns [`DatasetError::InvalidConfig`] if the ranges are empty or the
+    /// tables would exceed [`MAX_CELLS`](crate::storable::MAX_CELLS); the
+    /// bound is checked before the pair list is built.
     pub fn first16(first: usize, max_b: usize) -> Result<Self, DatasetError> {
         if first == 0 || max_b <= 1 {
             return Err(DatasetError::InvalidConfig(
                 "first and max_b must allow at least one pair".into(),
             ));
         }
+        // Rows a = 1..=rows pair with the max_b - a positions after them.
+        let (rows, max_b64) = (first.min(max_b - 1) as u64, max_b as u64);
+        Self::pair_cells(rows.checked_mul(max_b64).map(|n| n - rows * (rows + 1) / 2))?;
         let mut pairs = Vec::new();
         for a in 1..=first {
             for b in (a + 1)..=max_b {
@@ -306,6 +323,37 @@ mod tests {
         assert!(PairDataset::new(vec![PositionPair { a: 0, b: 1 }]).is_err());
         assert!(PairDataset::consecutive(0).is_err());
         assert!(PairDataset::first16(0, 16).is_err());
+    }
+
+    #[test]
+    fn oversized_constructors_fail_before_building_the_pair_list() {
+        // 2^40 pairs would be a 16 TiB pair list before any table exists.
+        for result in [
+            PairDataset::consecutive(1 << 40),
+            PairDataset::first16(1 << 40, 1 << 40),
+            PairDataset::first16(1 << 20, usize::MAX),
+        ] {
+            let err = result.unwrap_err();
+            assert!(err.to_string().contains("cell bound"), "{err}");
+        }
+        // The closed form counts exactly the pairs the loops build.
+        for (first, max_b) in [(1, 2), (2, 5), (5, 3), (16, 256)] {
+            let ds = PairDataset::first16(first, max_b).unwrap();
+            let rows = first.min(max_b - 1);
+            assert_eq!(ds.pairs().len(), rows * max_b - rows * (rows + 1) / 2);
+        }
+    }
+
+    #[test]
+    fn positions_are_bounded_by_the_keystream_length() {
+        use crate::storable::MAX_KEYSTREAM_LEN;
+        let far = |b: u64| PairDataset::cell_count_for_shape(&[1, b]);
+        assert_eq!(far(MAX_KEYSTREAM_LEN).unwrap(), NUM_PAIRS as u64);
+        for b in [MAX_KEYSTREAM_LEN + 1, 1 << 40, u64::MAX] {
+            let err = far(b).unwrap_err();
+            assert!(matches!(err, DatasetError::InvalidConfig(_)));
+            assert!(err.to_string().contains("keystream bound"), "{err}");
+        }
     }
 
     #[test]

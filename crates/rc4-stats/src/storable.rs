@@ -20,7 +20,8 @@
 //! Each kind checks a shape descriptor in one place, which its constructor,
 //! [`StorableDataset::empty_with_shape`] and
 //! [`StorableDataset::cell_count_for_shape`] all call; no shape may hold more
-//! than [`MAX_CELLS`] cells. Because the cells are all the state there is,
+//! than [`MAX_CELLS`] cells or read more than [`MAX_KEYSTREAM_LEN`] keystream
+//! bytes per key. Because the cells are all the state there is,
 //! merging is generic: [`StorableDataset::merge_same_shape`] compares the
 //! shape descriptors and sums the cells.
 //!
@@ -70,6 +71,12 @@ pub const CANCEL_POLL_INTERVAL: u64 = 512;
 /// allocation the machine cannot satisfy.
 pub const MAX_CELLS: u64 = 1 << 31;
 
+/// The most keystream bytes a dataset of any kind may read per key: 2^24,
+/// above the longest preset (extended long-term, 1023 + 2^22). The record
+/// loop buffers one keystream per engine lane; the bound keeps that buffer
+/// within reach of the machine.
+pub const MAX_KEYSTREAM_LEN: u64 = 1 << 24;
+
 /// Applies [`MAX_CELLS`] to a `kind`'s cell count, computed with checked
 /// arithmetic (`None` when it overflowed).
 pub(crate) fn bounded_cells(kind: &str, cells: Option<u64>) -> Result<usize, DatasetError> {
@@ -77,6 +84,17 @@ pub(crate) fn bounded_cells(kind: &str, cells: Option<u64>) -> Result<usize, Dat
         Some(n) if n <= MAX_CELLS => Ok(n as usize),
         _ => Err(DatasetError::InvalidConfig(format!(
             "{kind} shape exceeds the dataset cell bound of {MAX_CELLS} cells"
+        ))),
+    }
+}
+
+/// Applies [`MAX_KEYSTREAM_LEN`] to the keystream bytes a `kind` reads per
+/// key, computed with checked arithmetic (`None` when it overflowed).
+pub(crate) fn bounded_keystream_len(kind: &str, len: Option<u64>) -> Result<usize, DatasetError> {
+    match len {
+        Some(n) if n <= MAX_KEYSTREAM_LEN => Ok(n as usize),
+        _ => Err(DatasetError::InvalidConfig(format!(
+            "{kind} shape exceeds the keystream bound of {MAX_KEYSTREAM_LEN} bytes per key"
         ))),
     }
 }

@@ -33,13 +33,14 @@
 //!   seed stream) and sums the shards into a master dataset. Merging every
 //!   shard of a configuration yields cell-for-cell the dataset an
 //!   uninterrupted in-memory generation would have produced.
-//! * [`cache`] — a load-or-generate dataset cache keyed by a SHA-256 hash of
-//!   `(kind, shape, config)`. Experiment drivers consult it before
-//!   generating; a hit skips generation entirely and is guaranteed to be the
-//!   dataset the generation would have produced.
-//! * [`singleflight`] — keyed mutual exclusion around the cache's
-//!   check-generate-store sequence, so N concurrent clients missing on the
-//!   same key trigger exactly one generation and the rest wait then hit.
+//! * [`cache`] — the load-or-generate dataset cache keyed by a SHA-256 hash
+//!   of `(kind, shape, config)`. [`DatasetCache::load_or_generate`] is its
+//!   one entry point: a hit skips generation entirely and is guaranteed to
+//!   be the dataset the generation would have produced; a miss runs the
+//!   caller's generation step and stores the result. The cache single-flights
+//!   that sequence per key itself (its clones share the flight table), so N
+//!   concurrent callers missing on one key cause exactly one generation and
+//!   the rest wait, then hit; no caller wires a flight table.
 //! * [`campaign`] — lease-based fleet campaigns: a versioned,
 //!   atomically-rewritten manifest splits a configuration's worker range
 //!   into seed-disjoint leases, and [`campaign::run_leases`] runs one child
@@ -62,7 +63,7 @@ pub mod format;
 pub mod generate;
 pub mod merge;
 pub mod shard;
-pub mod singleflight;
+mod singleflight;
 
 pub use cache::DatasetCache;
 pub use campaign::{
@@ -74,4 +75,4 @@ pub use format::{ShardHeader, FORMAT_VERSION, FORMAT_VERSION_COMPRESSED, MAGIC};
 pub use generate::{generate_shard, resume_shard, GenerateOptions, GenerateStatus, ShardSpec};
 pub use merge::{merge_shards, MergeOptions};
 pub use shard::{create_cells, open_cells, peek_shard, read_shard, write_shard_with};
-pub use singleflight::{FlightGuard, FlightStats, SingleFlight};
+pub use singleflight::FlightStats;

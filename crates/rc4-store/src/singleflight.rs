@@ -1,23 +1,13 @@
-//! Single-flight deduplication for concurrent dataset generation.
-//!
-//! When N clients of a shared [`crate::DatasetCache`] miss on the same cache
-//! key at the same time, each would generate the identical dataset — hours of
-//! duplicated work for the empirical configurations. [`SingleFlight`] closes
-//! that window: callers enter a keyed critical section around the whole
-//! *check-cache → generate → store* sequence, so the first caller in does the
-//! generation and every concurrent caller blocks until the key is released,
-//! re-checks the cache, and hits.
-//!
-//! This is a coordination layer, not a cache: it holds no data, only the set
-//! of keys currently "in flight" plus counters ([`FlightStats`]) that let
-//! tests and status endpoints observe how much duplicate work was avoided.
-//! Keys are opaque strings; cache users pass [`crate::DatasetCache::cache_key`]
-//! output.
+//! The single-flight table of a [`crate::DatasetCache`]: at most one holder
+//! per cache key, so concurrent misses on one key cause one generation
+//! while the other callers wait, then hit. It holds no data, only the keys
+//! in flight and the counters of [`FlightStats`].
 
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex};
 
-/// Point-in-time counters of a [`SingleFlight`]'s activity.
+/// Point-in-time counters of a cache's single-flight table, as
+/// [`crate::DatasetCache::flight_stats`] reports them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlightStats {
     /// Keys currently held in flight.
@@ -36,32 +26,17 @@ struct FlightState {
 }
 
 /// A keyed mutual-exclusion set: at most one holder per key, waiters block.
-///
-/// ```
-/// use rc4_store::SingleFlight;
-///
-/// let flights = SingleFlight::new();
-/// let guard = flights.begin("per-tsc-abc123");
-/// // ... expensive generation for that key ...
-/// drop(guard); // waiters on the same key wake up here
-/// assert_eq!(flights.stats().begun, 1);
-/// ```
 #[derive(Debug, Default)]
-pub struct SingleFlight {
+pub(crate) struct SingleFlight {
     state: Mutex<FlightState>,
     released: Condvar,
 }
 
 impl SingleFlight {
-    /// Creates an empty single-flight table.
-    pub fn new() -> Self {
-        SingleFlight::default()
-    }
-
     /// Enters the critical section for `key`, blocking while another holder
     /// has it. The returned guard releases the key on drop (including on
     /// panic/unwind, so a failed generation never wedges its waiters).
-    pub fn begin(&self, key: &str) -> FlightGuard<'_> {
+    pub(crate) fn begin(&self, key: &str) -> FlightGuard<'_> {
         rc4_obs::metrics::counter_add("store.singleflight.begun", 1);
         let mut state = self.state.lock().expect("single-flight lock poisoned");
         if state.in_flight.contains(key) {
@@ -92,7 +67,7 @@ impl SingleFlight {
     }
 
     /// Snapshots the activity counters.
-    pub fn stats(&self) -> FlightStats {
+    pub(crate) fn stats(&self) -> FlightStats {
         let state = self.state.lock().expect("single-flight lock poisoned");
         FlightStats {
             in_flight: state.in_flight.len(),
@@ -111,16 +86,9 @@ impl SingleFlight {
 
 /// Holds a key in flight; releases it (waking waiters) on drop.
 #[derive(Debug)]
-pub struct FlightGuard<'a> {
+pub(crate) struct FlightGuard<'a> {
     flights: &'a SingleFlight,
     key: String,
-}
-
-impl FlightGuard<'_> {
-    /// The key this guard holds.
-    pub fn key(&self) -> &str {
-        &self.key
-    }
 }
 
 impl Drop for FlightGuard<'_> {
@@ -138,7 +106,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_contend() {
-        let flights = SingleFlight::new();
+        let flights = SingleFlight::default();
         let a = flights.begin("a");
         let b = flights.begin("b");
         assert_eq!(flights.stats().in_flight, 2);
@@ -150,7 +118,7 @@ mod tests {
 
     #[test]
     fn same_key_blocks_until_released() {
-        let flights = Arc::new(SingleFlight::new());
+        let flights = Arc::new(SingleFlight::default());
         let guard = flights.begin("k");
         let entered = Arc::new(AtomicUsize::new(0));
 
@@ -181,7 +149,7 @@ mod tests {
 
     #[test]
     fn only_one_holder_runs_at_a_time() {
-        let flights = Arc::new(SingleFlight::new());
+        let flights = Arc::new(SingleFlight::default());
         let concurrent = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
 
@@ -208,7 +176,7 @@ mod tests {
 
     #[test]
     fn panicking_holder_releases_the_key() {
-        let flights = Arc::new(SingleFlight::new());
+        let flights = Arc::new(SingleFlight::default());
         let crasher = {
             let flights = Arc::clone(&flights);
             std::thread::spawn(move || {

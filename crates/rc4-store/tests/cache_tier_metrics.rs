@@ -14,15 +14,23 @@ fn memory_hits_are_counted_apart_and_read_no_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = DatasetCache::open(&dir).unwrap();
     let config = GenerationConfig::with_keys(300).seed(12);
-    let mut ds = SingleByteDataset::new(4);
-    generate_storable_with_exec(&mut ds, &config, &rc4_exec::Executor::serial()).unwrap();
-    let path = cache.store(&ds, &config).unwrap();
-    let file_len = std::fs::metadata(&path).unwrap().len();
+    let generate = |ds: &mut SingleByteDataset| {
+        generate_storable_with_exec(ds, &config, &rc4_exec::Executor::serial())
+    };
+    cache
+        .load_or_generate(SingleByteDataset::new(4), &config, generate)
+        .unwrap();
+    let stored: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert_eq!(stored.len(), 1, "one stored shard");
+    let file_len = stored[0].as_ref().unwrap().metadata().unwrap().len();
 
     let counter = |name: &str| rc4_obs::metrics::snapshot().counter(name).unwrap_or(0);
     for _ in 0..3 {
-        let hit = cache.load::<SingleByteDataset>(&[4], &config).unwrap();
-        assert!(hit.is_some());
+        cache
+            .load_or_generate(SingleByteDataset::new(4), &config, |_| {
+                panic!("a hit must not generate")
+            })
+            .unwrap();
     }
     assert_eq!(counter("store.cache.hit"), 3);
     assert_eq!(counter("store.cache.memory_hit"), 2);

@@ -765,6 +765,11 @@ mod dataset_cli {
         outln!("file:        {}", file.display());
         outln!("kind:        {}", header.kind);
         outln!("shape:       {:?}", header.shape);
+        if header.kind == LongTermDataset::kind() {
+            if let Ok(counters) = LongTermDataset::counters_for_shape(&header.shape) {
+                outln!("counters:    {}", describe_counters(&counters));
+            }
+        }
         outln!(
             "config:      keys={} workers={} seed={:#x} key_len={}",
             header.config.keys,
@@ -795,6 +800,18 @@ mod dataset_cli {
             encoding.format_version()
         );
         outln!("integrity:   CRC-32 verified");
+    }
+
+    /// The PRGA counters of a long-term shard that have a digraph slice.
+    fn describe_counters(counters: &[u8]) -> String {
+        match counters.len() {
+            256 => "all 256 (full digraph table)".to_string(),
+            0 => "none (aligned table only)".to_string(),
+            n => {
+                let list: Vec<String> = counters.iter().map(u8::to_string).collect();
+                format!("{} ({n} of 256 digraph slices)", list.join(","))
+            }
+        }
     }
 
     fn report_status(label: &str, status: GenerateStatus) -> CliResult<()> {
@@ -888,7 +905,8 @@ mod campaign_cli {
          plan splits the config's worker range into N contiguous seed-disjoint\n\
          leases and writes DIR/campaign.json; --shape is the dataset's raw shape\n\
          parameters (single: positions | pairs: a,b,... flattened pairs |\n\
-         longterm: drop,block | per-tsc: cond,positions — see `repro dataset`).\n\
+         longterm: drop,block[,m0,m1,m2,m3] counter mask | per-tsc: cond,positions —\n\
+         see `repro dataset` and docs/shard-format.md).\n\
          run keeps up to P `campaign worker` children alive (default 2), one per\n\
          lease grant; a child that dies, or whose shard shows no new checkpoint\n\
          for the heartbeat timeout, has its lease re-granted (at most\n\

@@ -415,6 +415,51 @@ fn dataset_info_json_is_parseable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `dataset info` names the PRGA counters a long-term shard holds digraph
+/// slices for: table1 caches its six representatives, longterm none.
+#[test]
+fn dataset_info_prints_the_long_term_counter_selection() {
+    let dir = scratch("infocounters");
+    let config_path = dir.join("small.json");
+    let small = r#"{"keys":8192,"longterm_keys":4,"longterm_block":4096,"seed":7,"positions":[]}"#;
+    std::fs::write(
+        &config_path,
+        format!(r#"{{"table1": {small}, "longterm": {small}}}"#),
+    )
+    .unwrap();
+    let cache = dir.join("cache");
+    let run = repro(&[
+        "run",
+        "table1",
+        "longterm",
+        "--config",
+        &path_str(&config_path),
+        "--cache-dir",
+        &path_str(&cache),
+    ]);
+    assert!(run.status.success(), "{}", stderr(&run));
+    let mut selections: Vec<String> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|entry| {
+            let info = repro(&["dataset", "info", &path_str(&entry.unwrap().path())]);
+            assert!(info.status.success(), "{}", stderr(&info));
+            let text = stdout(&info);
+            let line = text.lines().find(|l| l.starts_with("counters:"));
+            line.expect("a long-term shard names its counters")
+                .to_string()
+        })
+        .collect();
+    selections.sort();
+    assert_eq!(
+        selections,
+        [
+            "counters:    0,1,2,7,254,255 (6 of 256 digraph slices)",
+            "counters:    none (aligned table only)",
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `--compress` writes a v2 delta+varint shard that is smaller on disk yet
 /// holds the identical dataset, and the window/fan-in merge flags produce
 /// output byte-identical to the default merge.

@@ -391,7 +391,9 @@ impl ExperimentContext {
     /// through contexts sharing the cache generate once. Cache entries are
     /// validated against the full configuration and the store reproduces
     /// generation exactly (see `rc4-store`), so cached and fresh runs
-    /// produce identical experiment output.
+    /// produce identical experiment output. A generation, cached or not,
+    /// runs in a `stats.generate` trace span (kv `kind`, `keys` and `cells`)
+    /// inside the call's `store.load_or_generate` span.
     ///
     /// # Errors
     ///
@@ -411,7 +413,17 @@ impl ExperimentContext {
                 "keys" => config.keys,
             },
         );
-        let generate = |ds: &mut D| generate_storable_with_exec(ds, config, &self.executor());
+        let generate = |ds: &mut D| {
+            let _span = rc4_obs::Span::enter_with(
+                "stats.generate",
+                rc4_obs::kv! {
+                    "kind" => D::kind(),
+                    "keys" => config.keys,
+                    "cells" => ds.cell_count(),
+                },
+            );
+            generate_storable_with_exec(ds, config, &self.executor())
+        };
         let Some(cache) = self.cache.as_deref() else {
             generate(&mut empty)?;
             return Ok(Arc::new(empty));

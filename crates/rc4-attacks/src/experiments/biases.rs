@@ -16,8 +16,10 @@ use rc4_biases::{
     UNIFORM_PAIR, UNIFORM_SINGLE,
 };
 use rc4_stats::{
-    longterm::LongTermDataset, pairs::PairDataset, single::SingleByteDataset, GenerationConfig,
-    StorableDataset,
+    longterm::LongTermDataset,
+    pairs::{PairDataset, PositionPair},
+    single::SingleByteDataset,
+    GenerationConfig, StorableDataset,
 };
 use serde::{Deserialize, Serialize};
 use stat_tests::{
@@ -315,7 +317,31 @@ pub fn table1_fm_longterm(
         seed: scale.seed,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(LongTermDataset::paper_shape(scale.longterm_block)?, &config)?;
+    // Evaluate each digraph family at a representative PRGA counter value.
+    let representatives: &[(FmDigraph, u8, &str)] = &[
+        (FmDigraph::ZeroZeroAtOne, 1, "i = 1"),
+        (FmDigraph::ZeroZero, 7, "i != 1,255"),
+        (FmDigraph::ZeroOne, 7, "i != 0,1"),
+        (FmDigraph::ZeroIPlusOne, 7, "i != 0,255"),
+        (FmDigraph::IPlusOne255, 7, "i != 254"),
+        (FmDigraph::OneTwoNine, 2, "i = 2"),
+        (FmDigraph::TwoFiftyFiveIPlusOne, 7, "i != 1,254"),
+        (FmDigraph::TwoFiftyFiveIPlusTwo, 7, "i in [1,252]"),
+        (FmDigraph::TwoFiftyFiveZero, 254, "i = 254"),
+        (FmDigraph::TwoFiftyFiveOne, 255, "i = 255"),
+        (FmDigraph::TwoFiftyFiveTwo, 0, "i = 0,1"),
+        (FmDigraph::TwoFiftyFive255, 7, "i != 254"),
+    ];
+    // Only the representatives' counters get a digraph slice.
+    let counters: Vec<u8> = representatives.iter().map(|&(_, i, _)| i).collect();
+    let ds = ctx.load_or_generate(
+        LongTermDataset::with_counters(
+            LongTermDataset::DEFAULT_DROP,
+            scale.longterm_block,
+            &counters,
+        )?,
+        &config,
+    )?;
 
     let mut report = ExperimentReport::new(
         "table1",
@@ -333,21 +359,6 @@ pub fn table1_fm_longterm(
         scale.longterm_keys, scale.longterm_block
     ));
 
-    // Evaluate each digraph family at a representative PRGA counter value.
-    let representatives: &[(FmDigraph, u8, &str)] = &[
-        (FmDigraph::ZeroZeroAtOne, 1, "i = 1"),
-        (FmDigraph::ZeroZero, 7, "i != 1,255"),
-        (FmDigraph::ZeroOne, 7, "i != 0,1"),
-        (FmDigraph::ZeroIPlusOne, 7, "i != 0,255"),
-        (FmDigraph::IPlusOne255, 7, "i != 254"),
-        (FmDigraph::OneTwoNine, 2, "i = 2"),
-        (FmDigraph::TwoFiftyFiveIPlusOne, 7, "i != 1,254"),
-        (FmDigraph::TwoFiftyFiveIPlusTwo, 7, "i in [1,252]"),
-        (FmDigraph::TwoFiftyFiveZero, 254, "i = 254"),
-        (FmDigraph::TwoFiftyFiveOne, 255, "i = 255"),
-        (FmDigraph::TwoFiftyFiveTwo, 0, "i = 0,1"),
-        (FmDigraph::TwoFiftyFive255, 7, "i != 254"),
-    ];
     for &(digraph, i, condition) in representatives {
         let Some((x, y)) = digraph.pair_at(i) else {
             continue;
@@ -382,14 +393,24 @@ pub fn fig4_fm_shortterm(
     positions: &[usize],
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
-    let max_pos = positions.iter().copied().max().unwrap_or(1).max(2);
+    // One digraph (r, r + 1) per swept position (position 0 has none),
+    // sorted and deduplicated so a sweep in any order names one cache entry.
+    let mut pairs: Vec<PositionPair> = positions
+        .iter()
+        .filter(|&&r| r >= 1)
+        .map(|&r| PositionPair {
+            a: r,
+            b: r.saturating_add(1),
+        })
+        .collect();
+    pairs.sort_unstable_by_key(|p| p.a);
+    pairs.dedup();
     let config = GenerationConfig {
         keys: scale.keys,
         workers: BIAS_STREAMS,
         seed: scale.seed ^ 4,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(PairDataset::consecutive(max_pos)?, &config)?;
 
     let mut report = ExperimentReport::new(
         "fig4",
@@ -403,6 +424,11 @@ pub fn fig4_fm_shortterm(
         ],
     );
     report.note(format!("{} keys (paper: 2^45)", scale.keys));
+    if pairs.is_empty() {
+        // No pair to read: the report is its note alone.
+        return Ok(report);
+    }
+    let ds = ctx.load_or_generate(PairDataset::new(pairs)?, &config)?;
     for &r in positions {
         let Some(idx) = ds.pair_index(r, r + 1) else {
             continue;
@@ -443,7 +469,15 @@ pub fn table2_new_biases(
         seed: scale.seed ^ 2,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(PairDataset::consecutive(112)?, &config)?;
+    // Only the consecutive rows' pairs are measured.
+    let pairs = table2_consecutive()
+        .iter()
+        .map(|row| PositionPair {
+            a: row.pos_a as usize,
+            b: row.pos_b as usize,
+        })
+        .collect();
+    let ds = ctx.load_or_generate(PairDataset::new(pairs)?, &config)?;
 
     let mut report = ExperimentReport::new(
         "table2",
@@ -460,7 +494,7 @@ pub fn table2_new_biases(
     for row in table2_consecutive() {
         let idx = ds
             .pair_index(row.pos_a as usize, row.pos_b as usize)
-            .expect("consecutive dataset covers positions up to 112");
+            .expect("dataset covers every consecutive row's pair");
         let measured = ds.joint_probability(idx, row.val_a, row.val_b);
         let n = ds.recorded_keystreams();
         let count = ds.count(idx, row.val_a, row.val_b);
@@ -506,9 +540,9 @@ pub fn eq345_equalities(
     };
     let ds = ctx.load_or_generate(
         PairDataset::new(vec![
-            rc4_stats::pairs::PositionPair { a: 1, b: 3 },
-            rc4_stats::pairs::PositionPair { a: 1, b: 4 },
-            rc4_stats::pairs::PositionPair { a: 2, b: 4 },
+            PositionPair { a: 1, b: 3 },
+            PositionPair { a: 1, b: 4 },
+            PositionPair { a: 2, b: 4 },
         ])?,
         &config,
     )?;
@@ -558,11 +592,11 @@ pub fn fig5_z1z2(
     // first16-style dataset restricted to the pairs (1, i) and (2, i).
     let mut pairs = Vec::new();
     for &i in positions {
-        pairs.push(rc4_stats::pairs::PositionPair {
+        pairs.push(PositionPair {
             a: 1,
             b: i as usize,
         });
-        pairs.push(rc4_stats::pairs::PositionPair {
+        pairs.push(PositionPair {
             a: 2,
             b: i as usize,
         });
@@ -691,7 +725,11 @@ pub fn longterm_aligned(
         seed: scale.seed ^ 8,
         key_len: 16,
     };
-    let ds = ctx.load_or_generate(LongTermDataset::new(255, scale.longterm_block)?, &config)?;
+    // The aligned table is all this report reads: no digraph slices.
+    let ds = ctx.load_or_generate(
+        LongTermDataset::with_counters(255, scale.longterm_block, &[])?,
+        &config,
+    )?;
 
     let mut report = ExperimentReport::new(
         "longterm",
@@ -800,6 +838,16 @@ mod tests {
         let r = fig4_fm_shortterm(&tiny(), &[4, 17], &ExperimentContext::default()).unwrap();
         assert!(!r.rows.is_empty());
         assert!(r.columns.contains(&"|q| measured".to_string()));
+        // A sweep with no pair to read reports its note and no rows, and
+        // generates nothing: a cancelled context does not stop it.
+        let cancel = crate::context::CancelHandle::new();
+        cancel.cancel();
+        let ctx = ExperimentContext::default().with_cancel(cancel);
+        for positions in [&[][..], &[0]] {
+            let empty = fig4_fm_shortterm(&tiny(), positions, &ctx).unwrap();
+            assert!(empty.rows.is_empty());
+            assert_eq!(empty.notes, r.notes);
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   `first16` (byte 1–16 against later bytes).
 //! * [`longterm::LongTermDataset`] — digraph statistics keyed by the PRGA
 //!   counter `i` after discarding the initial keystream, used for the
-//!   Fluhrer–McGrew and `w·256`-aligned long-term biases.
+//!   Fluhrer–McGrew and `w·256`-aligned long-term biases. A dataset may
+//!   select the counters that get a digraph table, so a report that reads a
+//!   few of the 256 tables counts only those.
 //! * [`tsc::PerTscDataset`] — keystream statistics conditioned on the public
 //!   TKIP sequence-counter bytes, the input to the Paterson-style per-TSC
 //!   plaintext likelihoods of Section 5.

@@ -5,7 +5,9 @@
 //! then records, for each position modulo 256, the joint distribution of
 //! consecutive bytes — enough to re-detect all Fluhrer–McGrew biases — plus the
 //! `256`-aligned pairs `(Z_{256w}, Z_{256w+2})` where the Sen Gupta `(0,0)` and
-//! the paper's new `(128,0)` biases live.
+//! the paper's new `(128,0)` biases live. The per-counter digraph tables are
+//! 128 MiB in all; a dataset can select the counter values it keeps a table
+//! for, and counts only those.
 
 use crate::{
     dataset::DatasetError,
@@ -13,21 +15,38 @@ use crate::{
     NUM_PAIRS, NUM_VALUES,
 };
 
+/// A counter-selection mask with every PRGA counter value selected.
+const ALL_COUNTERS: [u64; 4] = [u64::MAX; 4];
+
 /// Long-term digraph statistics.
 ///
-/// `digraph_counts[i][x * 256 + y]` counts occurrences of the consecutive pair
-/// `(Z_r, Z_{r+1}) = (x, y)` at positions where the PRGA counter before
-/// outputting `Z_r` satisfies `i = r mod 256`. `aligned_counts[x * 256 + y]`
-/// counts the pairs `(Z_{256w}, Z_{256w+2})`.
+/// For each *selected* PRGA counter value `i`, a 65,536-cell digraph slice
+/// counts occurrences of the consecutive pair `(Z_r, Z_{r+1}) = (x, y)` at
+/// positions where the PRGA counter before outputting `Z_r` satisfies
+/// `i = r mod 256`. `aligned_counts[x * 256 + y]` counts the pairs
+/// `(Z_{256w}, Z_{256w+2})`. The selection defaults to all 256 counters (the
+/// paper's full 128 MiB table); a report that reads a few slices asks for
+/// just those with [`LongTermDataset::with_counters`], and every slice it
+/// holds, the aligned table and both totals equal the full table's.
+///
+/// The shape descriptor is `[drop, block_len]` for the full selection and
+/// `[drop, block_len, m0, m1, m2, m3]` otherwise, where bit `i % 64` of
+/// `m(i / 64)` selects counter `i`. A full mask is only ever written in the
+/// two-parameter form, so shards of the full table keep their historical
+/// bytes.
 #[derive(Debug, Clone)]
 pub struct LongTermDataset {
     /// Number of initial keystream bytes dropped per key (paper: 1023).
     drop: usize,
     /// Number of keystream bytes consumed per key after the drop.
     block_len: usize,
+    /// The PRGA counter values with a digraph slice, ascending.
+    counters: Vec<u8>,
     keystreams: u64,
-    /// Total number of digraphs recorded (all `i` values together).
+    /// Total number of digraphs recorded (all `i` values together, selected
+    /// or not).
     digraphs: u64,
+    /// One `NUM_PAIRS` slice per entry of `counters`, in the same order.
     digraph_counts: Vec<u64>,
     aligned_counts: Vec<u64>,
     aligned_samples: u64,
@@ -37,7 +56,8 @@ impl LongTermDataset {
     /// Default number of dropped initial bytes, matching the paper (`w >= 4` ⇒ 1023 bytes).
     pub const DEFAULT_DROP: usize = 1023;
 
-    /// Creates an empty long-term dataset.
+    /// Creates an empty long-term dataset with a digraph slice for every
+    /// PRGA counter value.
     ///
     /// Every recorded keystream must provide `drop + block_len` bytes; the
     /// first `drop` are discarded, the remaining `block_len` contribute
@@ -52,35 +72,80 @@ impl LongTermDataset {
         Self::empty_with_shape(&[drop as u64, block_len as u64])
     }
 
-    /// Cells of every long-term dataset: the digraph table, the aligned
-    /// table and the two derived totals, far below
-    /// [`MAX_CELLS`](crate::storable::MAX_CELLS).
-    const CELLS: u64 = (NUM_VALUES * NUM_PAIRS + NUM_PAIRS + 2) as u64;
+    /// Creates an empty long-term dataset that keeps digraph slices only for
+    /// the PRGA counter values in `counters` (order and repeats do not
+    /// matter; an empty list keeps only the aligned table and the totals).
+    ///
+    /// # Errors
+    ///
+    /// As [`LongTermDataset::new`].
+    pub fn with_counters(
+        drop: usize,
+        block_len: usize,
+        counters: &[u8],
+    ) -> Result<Self, DatasetError> {
+        Self::empty_with_shape(&Self::descriptor(drop, block_len, counters))
+    }
 
-    /// The shape check: parses `[drop, block_len]`.
-    fn check_shape(params: &[u64]) -> Result<(usize, usize), DatasetError> {
-        let [drop, block_len] = params else {
-            return Err(DatasetError::ShapeMismatch(format!(
-                "long-term shape needs 2 parameters, got {}",
-                params.len()
-            )));
+    /// The shape descriptor of a selection: the two-parameter form when
+    /// `counters` covers all 256 values, the mask form otherwise.
+    fn descriptor(drop: usize, block_len: usize, counters: &[u8]) -> Vec<u64> {
+        let mut mask = [0u64; 4];
+        for &i in counters {
+            mask[i as usize / 64] |= 1 << (i % 64);
+        }
+        let mut shape = vec![drop as u64, block_len as u64];
+        if mask != ALL_COUNTERS {
+            shape.extend(mask);
+        }
+        shape
+    }
+
+    /// The shape check: parses `[drop, block_len]` or
+    /// `[drop, block_len, m0, m1, m2, m3]` into the drop, the block length
+    /// and the counter mask.
+    fn check_shape(params: &[u64]) -> Result<(usize, usize, [u64; 4]), DatasetError> {
+        let (drop, block_len, mask) = match *params {
+            [drop, block_len] => (drop, block_len, ALL_COUNTERS),
+            [_, _, m0, m1, m2, m3] if [m0, m1, m2, m3] == ALL_COUNTERS => {
+                return Err(DatasetError::ShapeMismatch(
+                    "a long-term selection of all 256 counters must use the \
+                     2-parameter shape"
+                        .into(),
+                ))
+            }
+            [drop, block_len, m0, m1, m2, m3] => (drop, block_len, [m0, m1, m2, m3]),
+            _ => {
+                return Err(DatasetError::ShapeMismatch(format!(
+                    "long-term shape needs 2 or 6 parameters, got {}",
+                    params.len()
+                )))
+            }
         };
-        if *block_len < 2 {
+        if block_len < 2 {
             return Err(DatasetError::InvalidConfig(
                 "block_len must be at least 2 to form a digraph".into(),
             ));
         }
-        bounded_keystream_len(Self::kind(), drop.checked_add(*block_len))?;
-        Ok((*drop as usize, *block_len as usize))
+        bounded_keystream_len(Self::kind(), drop.checked_add(block_len))?;
+        Ok((drop as usize, block_len as usize, mask))
     }
 
-    /// Creates the paper-shaped dataset: drop 1023 bytes, then consume `block_len` bytes.
+    /// The PRGA counter values a mask selects, ascending.
+    fn mask_counters(mask: [u64; 4]) -> Vec<u8> {
+        (0..=255u8)
+            .filter(|&i| mask[i as usize / 64] >> (i % 64) & 1 == 1)
+            .collect()
+    }
+
+    /// The PRGA counter values with a digraph slice in a dataset of shape
+    /// `params`, ascending, without allocating the dataset.
     ///
     /// # Errors
     ///
-    /// Returns [`DatasetError::InvalidConfig`] if `block_len < 2`.
-    pub fn paper_shape(block_len: usize) -> Result<Self, DatasetError> {
-        Self::new(Self::DEFAULT_DROP, block_len)
+    /// The errors of [`StorableDataset::empty_with_shape`] for `params`.
+    pub fn counters_for_shape(params: &[u64]) -> Result<Vec<u8>, DatasetError> {
+        Self::check_shape(params).map(|(_, _, mask)| Self::mask_counters(mask))
     }
 
     /// Number of keystream bytes consumed per key after the drop.
@@ -88,19 +153,46 @@ impl LongTermDataset {
         self.block_len
     }
 
+    /// The PRGA counter values with a digraph slice, ascending.
+    pub fn counters(&self) -> &[u8] {
+        &self.counters
+    }
+
+    /// The digraph slice of PRGA counter `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not one of [`LongTermDataset::counters`].
+    fn digraph_slice(&self, i: u8) -> &[u64] {
+        let Ok(slot) = self.counters.binary_search(&i) else {
+            panic!("PRGA counter {i} has no digraph slice in this long-term dataset");
+        };
+        &self.digraph_counts[slot * NUM_PAIRS..(slot + 1) * NUM_PAIRS]
+    }
+
     /// Raw count of digraph `(x, y)` at PRGA counter `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not one of [`LongTermDataset::counters`].
     pub fn digraph_count(&self, i: u8, x: u8, y: u8) -> u64 {
-        self.digraph_counts[i as usize * NUM_PAIRS + x as usize * NUM_VALUES + y as usize]
+        self.digraph_slice(i)[x as usize * NUM_VALUES + y as usize]
     }
 
     /// Number of digraph samples recorded at PRGA counter `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not one of [`LongTermDataset::counters`].
     pub fn digraph_samples(&self, i: u8) -> u64 {
-        self.digraph_counts[i as usize * NUM_PAIRS..(i as usize + 1) * NUM_PAIRS]
-            .iter()
-            .sum()
+        self.digraph_slice(i).iter().sum()
     }
 
     /// Empirical probability of digraph `(x, y)` at PRGA counter `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not one of [`LongTermDataset::counters`].
     pub fn digraph_probability(&self, i: u8, x: u8, y: u8) -> f64 {
         let n = self.digraph_samples(i);
         if n == 0 {
@@ -139,29 +231,35 @@ impl StorableDataset for LongTermDataset {
     }
 
     fn shape_params(&self) -> Vec<u64> {
-        vec![self.drop as u64, self.block_len as u64]
+        Self::descriptor(self.drop, self.block_len, &self.counters)
     }
 
     fn empty_with_shape(params: &[u64]) -> Result<Self, DatasetError> {
-        let (drop, block_len) = Self::check_shape(params)?;
+        let (drop, block_len, mask) = Self::check_shape(params)?;
+        let counters = Self::mask_counters(mask);
         Ok(Self {
             drop,
             block_len,
             keystreams: 0,
             digraphs: 0,
-            digraph_counts: vec![0u64; NUM_VALUES * NUM_PAIRS],
+            digraph_counts: vec![0u64; counters.len() * NUM_PAIRS],
+            counters,
             aligned_counts: vec![0u64; NUM_PAIRS],
             aligned_samples: 0,
         })
     }
 
+    /// The selected slices, the aligned table and the two totals; at most
+    /// 2^24 + 2^16 + 2, far below [`MAX_CELLS`](crate::storable::MAX_CELLS).
     fn cell_count_for_shape(params: &[u64]) -> Result<u64, DatasetError> {
-        Self::check_shape(params).map(|_| Self::CELLS)
+        let (_, _, mask) = Self::check_shape(params)?;
+        let selected: u64 = mask.iter().map(|m| u64::from(m.count_ones())).sum();
+        Ok((selected + 1) * NUM_PAIRS as u64 + 2)
     }
 
-    /// Cells are the digraph table, the aligned table, and the two derived
-    /// totals (digraph and aligned sample counts) as single-cell slices, so
-    /// the whole state survives a store round-trip.
+    /// Cells are the selected digraph slices, the aligned table, and the two
+    /// derived totals (digraph and aligned sample counts) as single-cell
+    /// slices, so the whole state survives a store round-trip.
     fn cell_slices(&self) -> Vec<&[u64]> {
         vec![
             &self.digraph_counts,
@@ -202,23 +300,29 @@ impl StorableDataset for LongTermDataset {
     fn record_stream(&mut self, _meta: u64, ks: &[u8]) {
         debug_assert!(ks.len() >= self.required_keystream_len());
         let body = &ks[self.drop..self.drop + self.block_len];
-        // The PRGA counter i equals the 1-based keystream position modulo 256.
-        // After dropping `drop` bytes, body[idx] is keystream position drop + idx + 1.
-        for idx in 0..body.len() - 1 {
-            let position = self.drop + idx + 1;
-            let i = (position % 256) as u8;
-            let x = body[idx] as usize;
-            let y = body[idx + 1] as usize;
-            self.digraph_counts[i as usize * NUM_PAIRS + x * NUM_VALUES + y] += 1;
-            self.digraphs += 1;
-
-            // 256-aligned pair (Z_{256w}, Z_{256w+2}): position is a multiple of 256
-            // and we need the byte two positions later.
-            if position % 256 == 0 && idx + 2 < body.len() {
-                let y2 = body[idx + 2] as usize;
-                self.aligned_counts[x * NUM_VALUES + y2] += 1;
-                self.aligned_samples += 1;
+        // body[idx] is keystream position drop + idx + 1, and the PRGA
+        // counter equals that position modulo 256: the first body index of
+        // counter i, after which the counter repeats every 256 indices.
+        let offset = (self.drop + 1) % NUM_VALUES;
+        let first_index = |i: u8| (i as usize + NUM_VALUES - offset) % NUM_VALUES;
+        // The digraph at body index idx pairs body[idx] with body[idx + 1];
+        // each selected counter walks its own stride into its own slice.
+        let digraphs = body.len() - 1;
+        for (slot, &i) in self.counters.iter().enumerate() {
+            let first = first_index(i);
+            let table = &mut self.digraph_counts[slot * NUM_PAIRS..(slot + 1) * NUM_PAIRS];
+            for idx in (first..digraphs).step_by(NUM_VALUES) {
+                table[body[idx] as usize * NUM_VALUES + body[idx + 1] as usize] += 1;
             }
+        }
+        self.digraphs += digraphs as u64;
+
+        // 256-aligned pair (Z_{256w}, Z_{256w+2}): the position is a multiple
+        // of 256 (counter 0) and the byte two positions later is in the body.
+        for idx in (first_index(0)..body.len() - 2).step_by(NUM_VALUES) {
+            let (x, y) = (body[idx] as usize, body[idx + 2] as usize);
+            self.aligned_counts[x * NUM_VALUES + y] += 1;
+            self.aligned_samples += 1;
         }
         self.keystreams += 1;
     }
@@ -232,9 +336,97 @@ mod tests {
     fn shape_validation() {
         assert!(LongTermDataset::new(0, 1).is_err());
         assert!(LongTermDataset::new(0, 2).is_ok());
-        let ds = LongTermDataset::paper_shape(512).unwrap();
+        let ds = LongTermDataset::new(LongTermDataset::DEFAULT_DROP, 512).unwrap();
         assert_eq!(ds.block_len(), 512);
         assert_eq!(ds.required_keystream_len(), 1023 + 512);
+    }
+
+    #[test]
+    fn counter_selection_shapes() {
+        // The full selection, however it is asked for, is the 2-parameter
+        // shape; any other selection appends its 4-word mask.
+        let all: Vec<u8> = (0..=255).collect();
+        let full = LongTermDataset::with_counters(3, 16, &all).unwrap();
+        assert_eq!(full.shape_params(), vec![3, 16]);
+        assert_eq!(full.counters(), &all[..]);
+        assert_eq!(
+            LongTermDataset::new(3, 16).unwrap().shape_params(),
+            vec![3, 16]
+        );
+        let some = LongTermDataset::with_counters(3, 16, &[255, 0, 64, 0, 129]).unwrap();
+        let mask = vec![3, 16, 1, 1, 1 << 1, 1 << 63];
+        assert_eq!(some.shape_params(), mask);
+        assert_eq!(some.counters(), &[0, 64, 129, 255]);
+        assert_eq!(
+            LongTermDataset::counters_for_shape(&mask).unwrap(),
+            [0, 64, 129, 255]
+        );
+        let none = LongTermDataset::with_counters(3, 16, &[]).unwrap();
+        assert_eq!(none.shape_params(), vec![3, 16, 0, 0, 0, 0]);
+        assert!(none.counters().is_empty());
+
+        // Cells: one slice per selected counter, the aligned table, 2 totals.
+        for ds in [&full, &some, &none] {
+            let shape = ds.shape_params();
+            let expected = (ds.counters().len() + 1) * NUM_PAIRS + 2;
+            assert_eq!(ds.cell_count(), expected);
+            assert_eq!(
+                LongTermDataset::cell_count_for_shape(&shape).unwrap(),
+                expected as u64
+            );
+            let rebuilt = LongTermDataset::empty_with_shape(&shape).unwrap();
+            assert_eq!(rebuilt.shape_params(), shape);
+        }
+    }
+
+    #[test]
+    fn malformed_selections_are_typed_errors() {
+        let shape_mismatch = |params: &[u64]| {
+            matches!(
+                LongTermDataset::cell_count_for_shape(params),
+                Err(DatasetError::ShapeMismatch(_))
+            )
+        };
+        // Wrong parameter counts.
+        for params in [
+            &[3u64, 16, 1][..],
+            &[3, 16, 1, 1, 1],
+            &[3, 16, 1, 1, 1, 1, 1],
+        ] {
+            assert!(shape_mismatch(params), "{params:?}");
+        }
+        // A full mask must be written in the 2-parameter form.
+        let full_mask = [3, 16, u64::MAX, u64::MAX, u64::MAX, u64::MAX];
+        assert!(shape_mismatch(&full_mask));
+        assert!(LongTermDataset::empty_with_shape(&full_mask).is_err());
+        // The block and keystream checks apply to the mask form too.
+        assert!(matches!(
+            LongTermDataset::cell_count_for_shape(&[3, 1, 1, 0, 0, 0]),
+            Err(DatasetError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            LongTermDataset::cell_count_for_shape(&[u64::MAX, 2, 1, 0, 0, 0]),
+            Err(DatasetError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn selected_counters_record_their_digraphs_only() {
+        // drop = 0, block = 6: positions 1..=5 start digraphs with i = 1..=5.
+        let mut ds = LongTermDataset::with_counters(0, 6, &[2, 5]).unwrap();
+        ds.record_stream(0, &[10, 20, 30, 40, 50, 60]);
+        assert_eq!(ds.digraph_count(2, 20, 30), 1);
+        assert_eq!(ds.digraph_count(5, 50, 60), 1);
+        assert_eq!(ds.digraph_samples(2), 1);
+        assert_eq!(ds.total_digraphs(), 5, "the total counts every counter");
+    }
+
+    #[test]
+    #[should_panic(expected = "PRGA counter 1 has no digraph slice")]
+    fn unselected_counter_panics() {
+        LongTermDataset::with_counters(0, 6, &[2, 5])
+            .unwrap()
+            .digraph_samples(1);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * [`crate::pairs::PairDataset`] — kind `"pairs"`, shape
 //!   `[a1, b1, a2, b2, ...]`, cells = the per-pair joint count tables.
 //! * [`crate::longterm::LongTermDataset`] — kind `"longterm"`, shape
-//!   `[drop, block_len]`, cells = digraph counts, aligned counts and the two
-//!   derived totals.
+//!   `[drop, block_len]` or, for a selection of PRGA counters,
+//!   `[drop, block_len, m0, m1, m2, m3]`, cells = the selected digraph
+//!   counts, aligned counts and the two derived totals.
 //! * [`crate::tsc::PerTscDataset`] — kind `"per-tsc"`, shape
 //!   `[conditioning, positions]`, cells = per-class counts plus the per-class
 //!   keystream totals.
@@ -339,6 +340,8 @@ mod tests {
             .unwrap(),
         );
         roundtrip_shape(&LongTermDataset::new(3, 16).unwrap());
+        roundtrip_shape(&LongTermDataset::with_counters(3, 16, &[0, 7, 254]).unwrap());
+        roundtrip_shape(&LongTermDataset::with_counters(3, 16, &[]).unwrap());
         roundtrip_shape(&PerTscDataset::new(TscConditioning::Tsc1, 5).unwrap());
     }
 
@@ -370,7 +373,19 @@ mod tests {
             &[1 << 56],
         ]);
         rejects_all::<PairDataset>(&[&[], &[1], &[3, 3], &[0, 1], &[1, 2, 3]]);
-        rejects_all::<LongTermDataset>(&[&[], &[0, 1], &[1023], &[u64::MAX, 2]]);
+        rejects_all::<LongTermDataset>(&[
+            &[],
+            &[0, 1],
+            &[1023],
+            &[u64::MAX, 2],
+            // A counter mask has exactly 4 words.
+            &[1023, 16, 1],
+            &[1023, 16, 1, 0, 0],
+            &[1023, 16, 1, 0, 0, 0, 0],
+            // A full mask is only written as the 2-parameter shape.
+            &[1023, 16, u64::MAX, u64::MAX, u64::MAX, u64::MAX],
+            &[1023, 1, 1, 0, 0, 0],
+        ]);
         rejects_all::<PerTscDataset>(&[
             &[],
             &[2, 8],
@@ -464,6 +479,11 @@ mod tests {
         batched_matches_scalar(
             LongTermDataset::new(5, 8).unwrap(),
             LongTermDataset::new(5, 8).unwrap(),
+            130,
+        );
+        batched_matches_scalar(
+            LongTermDataset::with_counters(250, 600, &[0, 1, 255]).unwrap(),
+            LongTermDataset::with_counters(250, 600, &[0, 1, 255]).unwrap(),
             130,
         );
         batched_matches_scalar(

@@ -27,7 +27,9 @@ use crate::{
 /// Per-thread partials above this cell count are considered ruinous (a
 /// per-TSC `Tsc0Tsc1` table is gigabytes); such datasets are recorded
 /// sequentially into the accumulator even when the executor has threads to
-/// spare.
+/// spare. A full long-term table (2^24 + 2^16 + 2 cells) is just over the
+/// line; a long-term selection of fewer than 255 PRGA counters, like the
+/// ones table1 and longterm count, is under it and uses every thread.
 const PARALLEL_CLONE_MAX_CELLS: usize = 1 << 24;
 
 /// One contiguous slice of a logical stream's pending keys: skip the first

@@ -26,8 +26,10 @@
 //! is handed out only while one `stat` of its source file still shows the
 //! length and modification time it had when it was read; otherwise the
 //! entry is dropped and the file is read and validated again. A memory hit
-//! is therefore the validated decode of an unchanged file. A freshly
-//! generated dataset does not enter the tier.
+//! is therefore the validated decode of an unchanged file, or the very
+//! dataset a generation just wrote to it: a freshly generated dataset enters
+//! the tier under the stamp of the file it was stored in, so the callers
+//! that waited on its flight, and the next job, share it without a read.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -229,7 +231,25 @@ impl DatasetCache {
         }
         generate(&mut empty)?;
         self.store(&canonical, &empty, shape, config)?;
-        Ok(Arc::new(empty))
+        let dataset = Arc::new(empty);
+        if let Some(stamp) = FileStamp::of(&canonical) {
+            self.keep(key, &dataset, &canonical, stamp);
+        }
+        Ok(dataset)
+    }
+
+    /// Makes `dataset`, the contents of `source` as `stamp` shows it,
+    /// resident under `key` (subject to the memory tier's budget).
+    fn keep<D: StorableDataset + Sync + 'static>(
+        &self,
+        key: String,
+        dataset: &Arc<D>,
+        source: &Path,
+        stamp: FileStamp,
+    ) {
+        let bytes = dataset.cell_count() as u64 * 8;
+        self.memory()
+            .insert(key, dataset.clone(), source.to_path_buf(), stamp, bytes);
     }
 
     /// The cache key for a `(kind, shape, config)` triple: the first 16 hex
@@ -294,16 +314,9 @@ impl DatasetCache {
         }
         let read_start = rc4_obs::metrics::is_enabled().then(Instant::now);
         let mut hit = |path: &Path, stamp: Option<FileStamp>, dataset: D| {
-            let bytes = dataset.cell_count() as u64 * 8;
             let dataset = Arc::new(dataset);
             if let Some(stamp) = stamp {
-                self.memory().insert(
-                    key.to_string(),
-                    dataset.clone(),
-                    path.to_path_buf(),
-                    stamp,
-                    bytes,
-                );
+                self.keep(key.to_string(), &dataset, path, stamp);
             }
             span.record("tier", "file");
             if let Some(start) = read_start {
@@ -652,13 +665,18 @@ mod tests {
     fn second_load_is_a_memory_hit_that_reads_no_file() {
         let cache = temp_cache("memory-hit");
         let config = GenerationConfig::with_keys(300).seed(6);
-        fetch(&cache, &config).unwrap();
-        assert!(
-            cache.memory().entries.is_empty(),
-            "a fresh generation does not enter the tier"
+        let (generated_ds, _) = fetch(&cache, &config).unwrap();
+        assert_eq!(
+            cache.memory().entries.len(),
+            1,
+            "a fresh generation enters the tier"
         );
 
         let first = hit(&cache, &config);
+        assert!(
+            Arc::ptr_eq(&generated_ds, &first),
+            "the next load shares the generated copy"
+        );
         // Damage the file but keep its length and modification time: a load
         // that read the file would fail its CRC check.
         let path = canonical(&cache, &config);

@@ -340,12 +340,67 @@ fn every_kind_roundtrips_through_the_store() {
     );
     roundtrip(
         &dir,
+        "longterm-selection.ds",
+        LongTermDataset::with_counters(7, 600, &[0, 9, 255]).unwrap(),
+        LongTermDataset::with_counters(7, 600, &[0, 9, 255]).unwrap(),
+        &spec,
+        &opts,
+    );
+    roundtrip(
+        &dir,
         "pertsc.ds",
         PerTscDataset::new(TscConditioning::Tsc1, 3).unwrap(),
         PerTscDataset::new(TscConditioning::Tsc1, 3).unwrap(),
         &spec,
         &opts,
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A full long-term table keeps the 2-parameter shape, so its shard is the
+/// same file however the selection is asked for and reads as all 256
+/// counters; a partial selection carries its mask and reads back as itself.
+#[test]
+fn long_term_shards_keep_the_lowest_shape_form() {
+    let dir = scratch();
+    let spec = ShardSpec::full(GenerationConfig::with_keys(5).seed(21));
+    let opts = GenerateOptions {
+        encoding: CellEncoding::DeltaVarint,
+        ..GenerateOptions::default()
+    };
+    let write = |name: &str, empty: LongTermDataset| {
+        let path = dir.join(name);
+        generate_shard(&path, empty, &spec, &opts, None, &mut |_, _| {}).unwrap();
+        path
+    };
+    let all: Vec<u8> = (0..=255).collect();
+    let plain = write("plain.ds", LongTermDataset::new(7, 300).unwrap());
+    let selected_all = write(
+        "all.ds",
+        LongTermDataset::with_counters(7, 300, &all).unwrap(),
+    );
+    assert_eq!(
+        std::fs::read(&plain).unwrap(),
+        std::fs::read(&selected_all).unwrap()
+    );
+    assert_eq!(peek_shard(&plain).unwrap().0.shape, vec![7, 300]);
+    let full = read_shard::<LongTermDataset>(&plain).unwrap().dataset;
+    assert_eq!(full.counters(), &all[..]);
+
+    let some = write(
+        "some.ds",
+        LongTermDataset::with_counters(7, 300, &[200, 3]).unwrap(),
+    );
+    assert_eq!(
+        peek_shard(&some).unwrap().0.shape,
+        vec![7, 300, 1 << 3, 0, 0, 1 << 8]
+    );
+    let part = read_shard::<LongTermDataset>(&some).unwrap().dataset;
+    assert_eq!(part.counters(), &[3, 200]);
+    assert_eq!(part.total_digraphs(), full.total_digraphs());
+    for i in [3, 200] {
+        assert_eq!(part.digraph_samples(i), full.digraph_samples(i));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

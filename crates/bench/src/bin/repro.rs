@@ -1926,9 +1926,16 @@ mod bench_cli {
         let json = flags.switch("--json");
         let save_json = flags.value("--save-json");
         let mut compare_path = flags.value("--compare").map(str::to_string);
-        let tolerance_pct = flags
-            .parse("--tolerance", "a number")?
-            .unwrap_or(DEFAULT_TOLERANCE_PCT);
+        // `delta_pct > NaN` is always false, so NaN (or a negative value)
+        // would switch the gate off instead of tightening it.
+        let tolerance_pct = match flags.parse::<f64>("--tolerance", "a number")? {
+            Some(t) if !(t.is_finite() && t >= 0.0) => {
+                return flags.usage_error(format!(
+                    "--tolerance must be a finite, non-negative percentage, got {t}"
+                ))
+            }
+            t => t.unwrap_or(DEFAULT_TOLERANCE_PCT),
+        };
 
         // Validate an RC4_ACCEL_FORCE override up front, so a typo or an
         // engine this CPU lacks fails with a clean usage error listing the

@@ -20,6 +20,15 @@ fn stderr(output: &Output) -> String {
     String::from_utf8(output.stderr.clone()).expect("stderr is UTF-8")
 }
 
+/// The committed `repro run all --scale quick --json` document.
+fn quick_golden() -> Vec<u8> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/quick_all.json"
+    );
+    std::fs::read(path).expect("golden file is committed")
+}
+
 /// `repro list` prints every registered experiment with its summary.
 #[test]
 fn list_prints_the_registry() {
@@ -151,14 +160,13 @@ fn serve_family_dispatches_and_fails_cleanly_without_a_server() {
 }
 
 /// `repro run all --scale quick --json` emits a single parseable JSON array
-/// with exactly one report per registered experiment, and two runs with the
-/// same (default) seed are byte-identical.
+/// with exactly one report per registered experiment, byte-identical to the
+/// committed golden of the same (default) seed.
 #[test]
 fn run_all_json_is_parseable_complete_and_deterministic() {
-    let args = ["run", "all", "--scale", "quick", "--json"];
-    let first = repro(&args);
-    assert!(first.status.success(), "stderr: {}", stderr(&first));
-    let text = stdout(&first);
+    let output = repro(&["run", "all", "--scale", "quick", "--json"]);
+    assert!(output.status.success(), "stderr: {}", stderr(&output));
+    let text = stdout(&output);
 
     let reports: Vec<ExperimentReport> =
         serde_json::from_str(&text).expect("stdout is one JSON array of reports");
@@ -172,11 +180,8 @@ fn run_all_json_is_parseable_complete_and_deterministic() {
         assert!(!report.rows.is_empty(), "{} report is empty", report.id);
     }
 
-    let second = repro(&args);
-    assert!(second.status.success());
-    assert_eq!(
-        text,
-        stdout(&second),
+    assert!(
+        output.stdout == quick_golden(),
         "same-seed runs must produce byte-identical --json output"
     );
 }
@@ -389,31 +394,31 @@ fn bench_rejects_unknown_flags() {
     assert!(stderr(&output).contains("usage: repro bench"));
 }
 
-/// `repro run all --scale quick --json` is byte-identical between
-/// `--workers 1` and `--workers 4`: the worker count is a pure thread
-/// budget — logical RNG streams are pinned per trial / per dataset — so
-/// parallelism can never change a reported number. (Extends the same-seed
-/// determinism contract pinned above to worker-count invariance.)
+/// A tolerance that would switch the gate off (`delta_pct > NaN` is never
+/// true) is a usage error before anything is measured.
+#[test]
+fn bench_rejects_tolerances_that_disable_the_gate() {
+    for tolerance in ["nan", "-1", "inf"] {
+        let output = repro(&["bench", "--tolerance", tolerance]);
+        assert_eq!(output.status.code(), Some(2), "--tolerance {tolerance}");
+        let err = stderr(&output);
+        assert!(err.contains("--tolerance must be"), "{err}");
+        assert!(!err.contains("bench smoke run"), "measured anyway: {err}");
+    }
+}
+
+/// `repro run all --scale quick --json` at `--workers 4` is byte-identical
+/// to the committed golden (`golden_reports.rs` runs it at 1 and 2): the
+/// worker count is a pure thread budget — logical RNG streams are pinned
+/// per trial / per dataset — so parallelism can never change a reported
+/// number.
 #[test]
 fn run_all_json_is_byte_identical_across_worker_counts() {
-    let run = |workers: &str| {
-        let output = repro(&[
-            "run",
-            "all",
-            "--scale",
-            "quick",
-            "--json",
-            "--workers",
-            workers,
-        ]);
-        assert!(output.status.success(), "stderr: {}", stderr(&output));
-        stdout(&output)
-    };
-    let one = run("1");
-    let four = run("4");
-    assert_eq!(
-        one, four,
-        "--workers changed experiment output; parallelism must be result-neutral"
+    let output = repro(&["run", "all", "--scale", "quick", "--json", "--workers", "4"]);
+    assert!(output.status.success(), "stderr: {}", stderr(&output));
+    assert!(
+        output.stdout == quick_golden(),
+        "--workers 4 changed experiment output; parallelism must be result-neutral"
     );
 }
 
@@ -540,16 +545,15 @@ fn until_confident_maps_to_streaming_variants() {
     assert_eq!(listed.status.code(), Some(2));
 }
 
-/// `--trace` is observation, not perturbation: `repro run all --scale quick
-/// --json` is byte-identical with and without it, the trace file is
+/// `--trace` is observation, not perturbation: a traced `repro run all
+/// --scale quick --json` is byte-identical to the committed golden of the
+/// untraced run, the trace file is
 /// schema-versioned JSONL with nested spans, and `repro trace summarize`
 /// aggregates it in both human and `--json` form.
 #[test]
 fn trace_flag_is_result_neutral_and_summarizable() {
     let dir = std::env::temp_dir();
     let trace_path = dir.join(format!("repro-cli-trace-{}.jsonl", std::process::id()));
-    let plain = repro(&["run", "all", "--scale", "quick", "--json"]);
-    assert!(plain.status.success(), "stderr: {}", stderr(&plain));
     let traced = repro(&[
         "run",
         "all",
@@ -560,9 +564,8 @@ fn trace_flag_is_result_neutral_and_summarizable() {
         trace_path.to_str().unwrap(),
     ]);
     assert!(traced.status.success(), "stderr: {}", stderr(&traced));
-    assert_eq!(
-        stdout(&plain),
-        stdout(&traced),
+    assert!(
+        traced.stdout == quick_golden(),
         "--trace changed the result document; tracing must be observation-only"
     );
 

@@ -24,14 +24,6 @@ impl MichaelKey {
             r: u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
         }
     }
-
-    /// Serializes the key to its 8-byte wire representation.
-    pub fn to_bytes(self) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out[..4].copy_from_slice(&self.l.to_le_bytes());
-        out[4..].copy_from_slice(&self.r.to_le_bytes());
-        out
-    }
 }
 
 /// Swaps the two byte pairs within each 16-bit half of `v` (the `XSWAP` operation).
@@ -242,11 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn key_bytes_roundtrip() {
+    fn key_bytes_are_two_little_endian_words() {
         let key = MichaelKey {
             l: 0x01234567,
             r: 0x89abcdef,
         };
-        assert_eq!(MichaelKey::from_bytes(&key.to_bytes()), key);
+        let bytes = [0x67, 0x45, 0x23, 0x01, 0xef, 0xcd, 0xab, 0x89];
+        assert_eq!(MichaelKey::from_bytes(&bytes), key);
     }
 }

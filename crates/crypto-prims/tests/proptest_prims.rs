@@ -86,11 +86,4 @@ proptest! {
             prop_assert!(!verify(key, &tampered, &mic));
         }
     }
-
-    /// The MichaelKey byte representation round-trips.
-    #[test]
-    fn michael_key_bytes_roundtrip(bytes in prop::array::uniform8(any::<u8>())) {
-        let key = MichaelKey::from_bytes(&bytes);
-        prop_assert_eq!(key.to_bytes(), bytes);
-    }
 }

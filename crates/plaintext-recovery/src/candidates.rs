@@ -164,21 +164,6 @@ pub fn generate_candidates(
     Ok(out)
 }
 
-/// Convenience wrapper returning only the single most likely plaintext.
-///
-/// # Errors
-///
-/// Same conditions as [`generate_candidates`].
-pub fn most_likely(
-    likelihoods: &[SingleLikelihoods],
-    charset: &Charset,
-) -> Result<Candidate, RecoveryError> {
-    Ok(generate_candidates(likelihoods, 1, charset)?
-        .into_iter()
-        .next()
-        .expect("n = 1 always yields one candidate"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,13 +246,6 @@ mod tests {
         let cands = generate_candidates(&liks, 2, &Charset::new(b"ab").unwrap()).unwrap();
         assert_eq!(cands[0].plaintext, vec![b'a']);
         assert_eq!(cands[1].plaintext, vec![b'b']);
-    }
-
-    #[test]
-    fn most_likely_shortcut() {
-        let liks = vec![lik_from(&[(5, 2.0)]), lik_from(&[(6, 2.0)])];
-        let best = most_likely(&liks, &Charset::full()).unwrap();
-        assert_eq!(best.plaintext, vec![5, 6]);
     }
 
     #[test]

@@ -79,14 +79,6 @@ impl Charset {
         Self::new(&values).expect("base64 charset is non-empty")
     }
 
-    /// Lowercase hexadecimal digits (16 characters).
-    pub fn hex_lower() -> Self {
-        let mut values: Vec<u8> = Vec::new();
-        values.extend(b'0'..=b'9');
-        values.extend(b'a'..=b'f');
-        Self::new(&values).expect("hex charset is non-empty")
-    }
-
     /// The allowed byte values, in construction order.
     pub fn values(&self) -> &[u8] {
         &self.values
@@ -165,7 +157,7 @@ mod tests {
         assert_eq!(b.len(), 65);
         assert!(b.accepts(b"SGVsbG8h+/="));
         assert!(!b.accepts(b"space here"));
-        let h = Charset::hex_lower();
+        let h = Charset::new(b"0123456789abcdef").unwrap();
         assert_eq!(h.len(), 16);
         assert!(h.accepts(b"deadbeef0123"));
         assert!(!h.accepts(b"DEADBEEF"));

@@ -113,17 +113,6 @@ impl SingleLikelihoods {
             *a += b;
         }
     }
-
-    /// Plaintext values ranked from most to least likely.
-    pub fn ranked(&self) -> Vec<u8> {
-        let mut order: Vec<u8> = (0..=255).collect();
-        order.sort_by(|&a, &b| {
-            self.log[b as usize]
-                .partial_cmp(&self.log[a as usize])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        order
-    }
 }
 
 /// Log-likelihoods of each of the 65536 plaintext pairs for one pair position.
@@ -351,7 +340,6 @@ mod tests {
             .collect();
         let lik = SingleLikelihoods::from_counts(&counts, &ks).unwrap();
         assert_eq!(lik.best(), plaintext);
-        assert_eq!(lik.ranked()[0], plaintext);
     }
 
     #[test]

@@ -410,7 +410,7 @@ mod tests {
         // A 4-unknown-byte decode over a 16-letter alphabet with mixed
         // weights; the parallel beam expansion must reproduce the serial
         // candidate list exactly, scores and all.
-        let alphabet = Charset::hex_lower();
+        let alphabet = Charset::new(b"0123456789abcdef").unwrap();
         let mut liks = Vec::new();
         for r in 0..5u64 {
             let mut log = vec![0.0f64; 65536];

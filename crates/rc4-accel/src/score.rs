@@ -59,16 +59,6 @@ fn simd_enabled() -> bool {
     })
 }
 
-/// Name of the scoring kernel in use (`"avx2"` or `"portable"`), for bench
-/// labels and logs.
-pub fn kernel_name() -> &'static str {
-    if simd_enabled() {
-        "avx2"
-    } else {
-        "portable"
-    }
-}
-
 /// `acc[m] += table[xor ^ m] * delta` for all `m in 0..256`.
 ///
 /// The one likelihood-scoring primitive (see the module docs); bit-identical
@@ -177,10 +167,5 @@ mod tests {
                 assert_eq!(got_bits, want_bits, "xor {xor} delta {delta}");
             }
         }
-    }
-
-    #[test]
-    fn kernel_name_is_one_of_the_two_paths() {
-        assert!(["avx2", "portable"].contains(&kernel_name()));
     }
 }

@@ -338,7 +338,7 @@ mod tests {
             cookie_len: 3,
             candidates: 32,
             absab_relations: 4,
-            charset: Charset::hex_lower(),
+            charset: Charset::new(b"0123456789abcdef").unwrap(),
             ..Fig10Config::quick()
         };
         let mut exp = Fig10Experiment::new();
@@ -372,7 +372,7 @@ mod tests {
             cookie_len: 3,
             candidates: 32,
             absab_relations: 4,
-            charset: Charset::hex_lower(),
+            charset: Charset::new(b"0123456789abcdef").unwrap(),
             source: CountSource::Empirical { keys: 1 << 12 },
             ..Fig10Config::quick()
         };
@@ -400,7 +400,7 @@ mod tests {
             cookie_len: 5,
             candidates: 512,
             absab_relations: 48,
-            charset: Charset::hex_lower(),
+            charset: Charset::new(b"0123456789abcdef").unwrap(),
             ..Fig10Config::quick()
         };
         let (points, report) = run(&config, &ExperimentContext::default()).unwrap();

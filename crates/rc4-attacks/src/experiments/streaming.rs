@@ -878,7 +878,7 @@ mod tests {
             cookie_len: 2,
             candidates: 16,
             absab_relations: 2,
-            charset: Charset::hex_lower(),
+            charset: Charset::new(b"0123456789abcdef").unwrap(),
             ..Fig10StreamConfig::for_scale(Scale::Quick)
         };
         let transition_probs = vec![vec![1.0 / 65536.0; 65536]; fig10.cookie_len + 1];
@@ -922,7 +922,7 @@ mod tests {
             cookie_len: 3,
             candidates: 32,
             absab_relations: 4,
-            charset: Charset::hex_lower(),
+            charset: Charset::new(b"0123456789abcdef").unwrap(),
             stop: StopRule {
                 threshold: 1e15,
                 batch: 1 << 28,

@@ -125,22 +125,6 @@ impl PairDistribution {
         &self.probs
     }
 
-    /// The cells whose probability deviates from `baseline` by more than `tolerance`,
-    /// as `(x, y, probability)` triples.
-    ///
-    /// This is the paper's "set `I^c` of dependent keystream values" used in the
-    /// optimized likelihood computation (Eq. 15): everything outside the
-    /// returned set is treated as uniform/independent.
-    pub fn biased_cells(&self, baseline: f64, tolerance: f64) -> Vec<(u8, u8, f64)> {
-        let mut out = Vec::new();
-        for (idx, &p) in self.probs.iter().enumerate() {
-            if (p - baseline).abs() > tolerance {
-                out.push(((idx / 256) as u8, (idx % 256) as u8, p));
-            }
-        }
-        out
-    }
-
     /// Marginal distribution of the first byte.
     pub fn marginal_first(&self) -> SingleDistribution {
         let mut m = vec![0.0f64; 256];
@@ -202,20 +186,6 @@ mod tests {
         assert!(fm_dist.prob(0, 0) > UNIFORM_PAIR);
         let sum: f64 = fm_dist.as_slice().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn biased_cells_extraction() {
-        let fm_dist = PairDistribution::fluhrer_mcgrew(10);
-        let cells = fm_dist.biased_cells(UNIFORM_PAIR, UNIFORM_PAIR * 2f64.powi(-10));
-        // At most 8 biased digraphs at any position.
-        assert!(
-            !cells.is_empty() && cells.len() <= 8,
-            "{} cells",
-            cells.len()
-        );
-        // The (0,0) cell is among them at i = 10.
-        assert!(cells.iter().any(|&(x, y, _)| x == 0 && y == 0));
     }
 
     #[test]

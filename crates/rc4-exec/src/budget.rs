@@ -29,13 +29,6 @@ pub struct BudgetStats {
     pub granted: usize,
 }
 
-impl BudgetStats {
-    /// Slots available for immediate reservation.
-    pub fn free(&self) -> usize {
-        self.total - self.in_use
-    }
-}
-
 #[derive(Debug)]
 struct BudgetState {
     in_use: usize,
@@ -164,7 +157,6 @@ mod tests {
         let a = budget.acquire(2);
         let b = budget.acquire(2);
         assert_eq!(budget.stats().in_use, 4);
-        assert_eq!(budget.stats().free(), 0);
         drop(a);
         assert_eq!(budget.stats().in_use, 2);
         drop(b);
@@ -178,7 +170,7 @@ mod tests {
         let budget = Arc::new(Budget::new(3));
         let lease = budget.acquire(64);
         assert_eq!(lease.workers(), 3);
-        assert_eq!(budget.stats().free(), 0);
+        assert_eq!(budget.stats().in_use, 3);
     }
 
     #[test]

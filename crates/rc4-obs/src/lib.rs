@@ -4,7 +4,7 @@
 //! default**, both built only on `std` atomics plus the vendored serde
 //! subset (no tokio, no tracing crate):
 //!
-//! * [`metrics`] — a registry of named counters, gauges and fixed-bucket
+//! * [`metrics`] — a registry of named counters and fixed-bucket
 //!   histograms. Mutations are atomic adds; the name table is interned
 //!   lazily behind a mutex the first time a metric is touched. Until
 //!   [`metrics::enable`] is called every mutation returns after a single

@@ -1,6 +1,6 @@
 //! The process-global metrics registry.
 //!
-//! Counters, gauges and histograms are addressed by `&str` name. Until
+//! Counters and histograms are addressed by `&str` name. Until
 //! [`enable`] is called every mutation early-returns after one relaxed
 //! atomic load; afterwards a mutation locks the name table briefly to
 //! intern the metric, then performs plain atomic operations on its cells.
@@ -11,7 +11,7 @@
 //! atomic adds.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use serde::Value;
@@ -37,7 +37,6 @@ pub fn is_enabled() -> bool {
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicI64>>,
     histograms: BTreeMap<String, Arc<HistogramCore>>,
 }
 
@@ -112,23 +111,6 @@ pub fn counter_add(name: &str, delta: u64) {
     cell.fetch_add(delta, Ordering::Relaxed);
 }
 
-/// Sets the gauge `name` to `value`. No-op while the registry is disabled.
-pub fn gauge_set(name: &str, value: i64) {
-    if !is_enabled() {
-        return;
-    }
-    let cell = {
-        let mut inner = inner();
-        Arc::clone(
-            inner
-                .gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicI64::new(0))),
-        )
-    };
-    cell.store(value, Ordering::Relaxed);
-}
-
 /// Records one observation (in microseconds) into the histogram `name`.
 /// No-op while the registry is disabled.
 pub fn observe_us(name: &str, us: u64) {
@@ -165,8 +147,6 @@ pub struct HistogramSnapshot {
 pub struct Snapshot {
     /// `(name, value)` per counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` per gauge.
-    pub gauges: Vec<(String, i64)>,
     /// `(name, histogram)` per histogram.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -175,7 +155,7 @@ impl Snapshot {
     /// True when no metric has ever been touched (always the case while the
     /// registry is disabled).
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Looks up a counter by name.
@@ -187,18 +167,13 @@ impl Snapshot {
     }
 
     /// The JSON wire form served by the `metrics` protocol frame:
-    /// `{"counters": {..}, "gauges": {..}, "histograms": {..}}` with
+    /// `{"counters": {..}, "histograms": {..}}` with
     /// histograms as `{count, sum_us, max_us, buckets: [{le_us, count}]}`.
     pub fn to_value(&self) -> Value {
         let counters = self
             .counters
             .iter()
             .map(|(n, v)| (n.clone(), Value::UInt(*v)))
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(n, v)| (n.clone(), Value::Int(*v)))
             .collect();
         let histograms = self
             .histograms
@@ -227,14 +202,13 @@ impl Snapshot {
             .collect();
         Value::Object(vec![
             ("counters".into(), Value::Object(counters)),
-            ("gauges".into(), Value::Object(gauges)),
             ("histograms".into(), Value::Object(histograms)),
         ])
     }
 }
 
 /// Copies the current registry contents. Cheap and always safe to call; an
-/// empty snapshot simply renders as three empty JSON objects.
+/// empty snapshot simply renders as two empty JSON objects.
 pub fn snapshot() -> Snapshot {
     if !is_enabled() {
         return Snapshot::default();
@@ -243,11 +217,6 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         counters: inner
             .counters
-            .iter()
-            .map(|(n, v)| (n.clone(), v.load(Ordering::Relaxed)))
-            .collect(),
-        gauges: inner
-            .gauges
             .iter()
             .map(|(n, v)| (n.clone(), v.load(Ordering::Relaxed)))
             .collect(),
@@ -322,7 +291,6 @@ mod tests {
     fn snapshot_value_shape() {
         let snap = Snapshot {
             counters: vec![("exec.tasks".into(), 7)],
-            gauges: vec![("serve.queue_depth".into(), -1)],
             histograms: vec![(
                 "exec.map_us".into(),
                 HistogramSnapshot {
@@ -341,14 +309,6 @@ mod tests {
                 .field("exec.tasks")
                 .unwrap(),
             &Value::UInt(7)
-        );
-        assert_eq!(
-            value
-                .field("gauges")
-                .unwrap()
-                .field("serve.queue_depth")
-                .unwrap(),
-            &Value::Int(-1)
         );
         let hist = value.field("histograms").unwrap().field("exec.map_us");
         assert_eq!(hist.unwrap().field("count").unwrap(), &Value::UInt(2));

@@ -77,7 +77,6 @@ fn disabled_observability_is_empty_and_allocation_free() {
         let mut macro_kv = Span::enter_with("exec.worker", kv! { "index" => i });
         macro_kv.record("tier", "memory");
         metrics::counter_add("exec.tasks", i);
-        metrics::gauge_set("serve.queue_depth", 3);
         metrics::observe_us("exec.map_us", i);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);

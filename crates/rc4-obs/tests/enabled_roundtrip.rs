@@ -30,13 +30,10 @@ fn enabled_metrics_and_trace_round_trip() {
     assert!(metrics::is_enabled());
     metrics::counter_add("exec.tasks", 5);
     metrics::counter_add("exec.tasks", 2);
-    metrics::gauge_set("serve.queue_depth", 4);
-    metrics::gauge_set("serve.queue_depth", 1);
     metrics::observe_us("exec.map_us", 100);
     metrics::observe_us("exec.map_us", 3_000);
     let snap = metrics::snapshot();
     assert_eq!(snap.counter("exec.tasks"), Some(7));
-    assert_eq!(snap.gauges, vec![("serve.queue_depth".to_string(), 1)]);
     let (name, hist) = &snap.histograms[0];
     assert_eq!(name, "exec.map_us");
     assert_eq!(hist.count, 2);

@@ -229,7 +229,7 @@ impl Client {
     }
 
     /// Fetches a snapshot of the server's metrics registry (the `metrics`
-    /// frame): counters, gauges and histograms across the executor, store,
+    /// frame): counters and histograms across the executor, store,
     /// and serving layers.
     ///
     /// # Errors

@@ -134,9 +134,9 @@
 //!
 //! ## `metrics`
 //!
-//! A snapshot of the server's live metrics registry — counters, gauges and
+//! A snapshot of the server's live metrics registry — counters and
 //! histograms across the executor, store and serving layers (the
-//! `{"counters": ..., "gauges": ..., "histograms": ...}` document shown by
+//! `{"counters": ..., "histograms": ...}` document shown by
 //! `repro status --metrics`).
 //!
 //! ```
@@ -237,7 +237,7 @@ pub enum Request {
     },
     /// Server introspection: queue, budget and single-flight statistics.
     Status,
-    /// A snapshot of the server's metrics registry (counters, gauges,
+    /// A snapshot of the server's metrics registry (counters and
     /// histograms across the executor, store, and serving layers).
     Metrics,
     /// Cancel a queued or running job.

@@ -7,10 +7,10 @@
 //!
 //! * [`single::SingleByteDataset`] — `Pr[Z_r = x]` for the initial positions
 //!   (the paper's aggregated single-byte statistics, Fig. 6).
-//! * [`pairs::PairDataset`] — `Pr[Z_a = x ∧ Z_b = y]` over a configurable list
-//!   of position pairs. Constructors are provided for the paper's two main
-//!   datasets: `consec512` (consecutive pairs up to position 512) and
-//!   `first16` (byte 1–16 against later bytes).
+//! * [`pairs::PairDataset`] — `Pr[Z_a = x ∧ Z_b = y]` over an explicit list
+//!   of position pairs. The paper's two main datasets, `consec512`
+//!   (consecutive pairs up to position 512) and `first16` (byte 1–16 against
+//!   later bytes), are such lists; each report lists only the pairs it reads.
 //! * [`longterm::LongTermDataset`] — digraph statistics keyed by the PRGA
 //!   counter `i` after discarding the initial keystream, used for the
 //!   Fluhrer–McGrew and `w·256`-aligned long-term biases. A dataset may

@@ -218,11 +218,6 @@ impl LongTermDataset {
         }
         self.aligned_count(x, y) as f64 / self.aligned_samples as f64
     }
-
-    /// Total number of digraphs recorded across all counter values.
-    pub fn total_digraphs(&self) -> u64 {
-        self.digraphs
-    }
 }
 
 impl StorableDataset for LongTermDataset {
@@ -418,7 +413,7 @@ mod tests {
         assert_eq!(ds.digraph_count(2, 20, 30), 1);
         assert_eq!(ds.digraph_count(5, 50, 60), 1);
         assert_eq!(ds.digraph_samples(2), 1);
-        assert_eq!(ds.total_digraphs(), 5, "the total counts every counter");
+        assert_eq!(ds.digraphs, 5, "the total counts every counter");
     }
 
     #[test]
@@ -451,7 +446,7 @@ mod tests {
         assert_eq!(ds.digraph_count(1, 10, 20), 1);
         assert_eq!(ds.digraph_count(2, 20, 30), 1);
         assert_eq!(ds.digraph_count(3, 30, 40), 1);
-        assert_eq!(ds.total_digraphs(), 3);
+        assert_eq!(ds.digraphs, 3);
         assert_eq!(ds.recorded_keystreams(), 1);
     }
 
@@ -496,7 +491,7 @@ mod tests {
         b.record_stream(0, &[1, 2, 9, 9]);
         a.merge_same_shape(b).unwrap();
         assert_eq!(a.digraph_count(1, 1, 2), 2);
-        assert_eq!(a.total_digraphs(), 6);
+        assert_eq!(a.digraphs, 6);
         assert_eq!(a.recorded_keystreams(), 2);
 
         let mismatched = LongTermDataset::new(0, 8).unwrap();

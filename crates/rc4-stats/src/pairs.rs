@@ -1,14 +1,15 @@
 //! Double-byte keystream statistics: `Pr[Z_a = x ∧ Z_b = y]` over position pairs.
 //!
-//! One generic dataset covers both of the paper's main datasets:
+//! One dataset over an explicit list of position pairs covers both of the
+//! paper's main datasets:
 //!
 //! * `consec512` — consecutive pairs `(r, r+1)` for `1 <= r <= 512`
-//!   (paper: `2^45` keys, 16 CPU-years), built by [`PairDataset::consecutive`].
+//!   (paper: `2^45` keys, 16 CPU-years).
 //! * `first16` — pairs `(a, b)` with `1 <= a <= 16` and `a < b <= 256`
-//!   (paper: `2^44` keys, 9 CPU-years), built by [`PairDataset::first16`].
+//!   (paper: `2^44` keys, 9 CPU-years).
 //!
-//! The reproduction keeps the shape configurable so laptop-scale runs can
-//! restrict the covered positions while exercising exactly the same code path.
+//! The reproduction's reports list only the pairs they read, so a run
+//! counts a handful of these tables, not the whole of either dataset.
 
 use crate::{
     dataset::DatasetError,
@@ -95,54 +96,6 @@ impl PairDataset {
             pairs.push(PositionPair { a, b });
         }
         Ok((pairs, max_position, cells))
-    }
-
-    /// The `consec512`-style dataset: consecutive pairs `(r, r+1)` for `1 <= r <= max_r`.
-    ///
-    /// The paper uses `max_r = 512`; laptop-scale runs typically use 32–256.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::InvalidConfig`] if `max_r == 0` or the
-    /// tables would exceed [`MAX_CELLS`](crate::storable::MAX_CELLS); the
-    /// bound is checked before the pair list is built.
-    pub fn consecutive(max_r: usize) -> Result<Self, DatasetError> {
-        if max_r == 0 {
-            return Err(DatasetError::InvalidConfig("max_r must be > 0".into()));
-        }
-        Self::pair_cells(Some(max_r as u64))?;
-        Self::new(
-            (1..=max_r)
-                .map(|r| PositionPair { a: r, b: r + 1 })
-                .collect(),
-        )
-    }
-
-    /// The `first16`-style dataset: pairs `(a, b)` for `1 <= a <= first`, `a < b <= max_b`.
-    ///
-    /// The paper uses `first = 16`, `max_b = 256`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DatasetError::InvalidConfig`] if the ranges are empty or the
-    /// tables would exceed [`MAX_CELLS`](crate::storable::MAX_CELLS); the
-    /// bound is checked before the pair list is built.
-    pub fn first16(first: usize, max_b: usize) -> Result<Self, DatasetError> {
-        if first == 0 || max_b <= 1 {
-            return Err(DatasetError::InvalidConfig(
-                "first and max_b must allow at least one pair".into(),
-            ));
-        }
-        // Rows a = 1..=rows pair with the max_b - a positions after them.
-        let (rows, max_b64) = (first.min(max_b - 1) as u64, max_b as u64);
-        Self::pair_cells(rows.checked_mul(max_b64).map(|n| n - rows * (rows + 1) / 2))?;
-        let mut pairs = Vec::new();
-        for a in 1..=first {
-            for b in (a + 1)..=max_b {
-                pairs.push(PositionPair { a, b });
-            }
-        }
-        Self::new(pairs)
     }
 
     /// The position pairs covered, in index order.
@@ -241,8 +194,7 @@ impl StorableDataset for PairDataset {
         "pairs"
     }
 
-    /// Shape is the flattened pair list `[a1, b1, a2, b2, ...]`, which covers
-    /// the explicit-list, `consecutive` and `first16` constructors uniformly.
+    /// Shape is the flattened pair list `[a1, b1, a2, b2, ...]`.
     fn shape_params(&self) -> Vec<u64> {
         Self::descriptor(&self.pairs)
     }
@@ -297,8 +249,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn explicit_pair_list_shape() {
+        let ds = PairDataset::new(vec![
+            PositionPair { a: 1, b: 2 },
+            PositionPair { a: 8, b: 3 },
+        ])
+        .unwrap();
+        assert_eq!(ds.pairs().len(), 2);
+        assert_eq!(ds.pair_index(8, 3), Some(1));
+        assert_eq!(ds.pair_index(3, 8), None);
+        assert_eq!(ds.max_position(), 8);
+        assert_eq!(ds.required_keystream_len(), 8);
+        assert_eq!(ds.shape_params(), vec![1, 2, 8, 3]);
+    }
+
+    #[test]
     fn consecutive_constructor_shape() {
-        let ds = PairDataset::consecutive(8).unwrap();
+        // The consec512-style list (r, r+1) for r = 1..=8.
+        let ds = PairDataset::new((1..=8).map(|a| PositionPair { a, b: a + 1 }).collect()).unwrap();
         assert_eq!(ds.pairs().len(), 8);
         assert_eq!(ds.pairs()[0], PositionPair { a: 1, b: 2 });
         assert_eq!(ds.pairs()[7], PositionPair { a: 8, b: 9 });
@@ -308,7 +276,11 @@ mod tests {
 
     #[test]
     fn first16_constructor_shape() {
-        let ds = PairDataset::first16(2, 5).unwrap();
+        // The first16-style list (a, b) for a <= 2, a < b <= 5.
+        let pairs = (1..=2)
+            .flat_map(|a| (a + 1..=5).map(move |b| PositionPair { a, b }))
+            .collect();
+        let ds = PairDataset::new(pairs).unwrap();
         // (1,2) (1,3) (1,4) (1,5) (2,3) (2,4) (2,5)
         assert_eq!(ds.pairs().len(), 7);
         assert_eq!(ds.pair_index(1, 2), Some(0));
@@ -321,27 +293,6 @@ mod tests {
         assert!(PairDataset::new(vec![]).is_err());
         assert!(PairDataset::new(vec![PositionPair { a: 3, b: 3 }]).is_err());
         assert!(PairDataset::new(vec![PositionPair { a: 0, b: 1 }]).is_err());
-        assert!(PairDataset::consecutive(0).is_err());
-        assert!(PairDataset::first16(0, 16).is_err());
-    }
-
-    #[test]
-    fn oversized_constructors_fail_before_building_the_pair_list() {
-        // 2^40 pairs would be a 16 TiB pair list before any table exists.
-        for result in [
-            PairDataset::consecutive(1 << 40),
-            PairDataset::first16(1 << 40, 1 << 40),
-            PairDataset::first16(1 << 20, usize::MAX),
-        ] {
-            let err = result.unwrap_err();
-            assert!(err.to_string().contains("cell bound"), "{err}");
-        }
-        // The closed form counts exactly the pairs the loops build.
-        for (first, max_b) in [(1, 2), (2, 5), (5, 3), (16, 256)] {
-            let ds = PairDataset::first16(first, max_b).unwrap();
-            let rows = first.min(max_b - 1);
-            assert_eq!(ds.pairs().len(), rows * max_b - rows * (rows + 1) / 2);
-        }
     }
 
     #[test]
@@ -358,7 +309,11 @@ mod tests {
 
     #[test]
     fn recording_updates_joint_and_marginals() {
-        let mut ds = PairDataset::consecutive(2).unwrap();
+        let mut ds = PairDataset::new(vec![
+            PositionPair { a: 1, b: 2 },
+            PositionPair { a: 2, b: 3 },
+        ])
+        .unwrap();
         ds.record_stream(0, &[10, 20, 30]);
         ds.record_stream(0, &[10, 21, 30]);
         let idx = ds.pair_index(1, 2).unwrap();
@@ -371,7 +326,7 @@ mod tests {
 
     #[test]
     fn joint_distribution_sums_to_one() {
-        let mut ds = PairDataset::consecutive(1).unwrap();
+        let mut ds = PairDataset::new(vec![PositionPair { a: 1, b: 2 }]).unwrap();
         for i in 0u32..100 {
             let ks = rc4::keystream(&i.to_le_bytes(), 2).unwrap();
             ds.record_stream(0, &ks);
@@ -383,7 +338,7 @@ mod tests {
     #[test]
     fn relative_bias_zero_for_independent_values() {
         // Construct counts where the pair occurs exactly as the margins predict.
-        let mut ds = PairDataset::consecutive(1).unwrap();
+        let mut ds = PairDataset::new(vec![PositionPair { a: 1, b: 2 }]).unwrap();
         // Record keystreams so that Z1 in {0,1}, Z2 in {0,1}, independently.
         for x in 0..2u8 {
             for y in 0..2u8 {
@@ -398,7 +353,7 @@ mod tests {
 
     #[test]
     fn relative_bias_detects_dependence() {
-        let mut ds = PairDataset::consecutive(1).unwrap();
+        let mut ds = PairDataset::new(vec![PositionPair { a: 1, b: 2 }]).unwrap();
         // Z1 == Z2 always: strong positive dependence on the diagonal.
         for v in 0..=255u8 {
             ds.record_stream(0, &[v, v]);
@@ -410,15 +365,24 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let mut a = PairDataset::consecutive(2).unwrap();
-        let mut b = PairDataset::consecutive(2).unwrap();
+        let mut a = PairDataset::new(vec![
+            PositionPair { a: 1, b: 2 },
+            PositionPair { a: 2, b: 3 },
+        ])
+        .unwrap();
+        let mut b = PairDataset::new(vec![
+            PositionPair { a: 1, b: 2 },
+            PositionPair { a: 2, b: 3 },
+        ])
+        .unwrap();
         a.record_stream(0, &[1, 2, 3]);
         b.record_stream(0, &[1, 2, 4]);
         a.merge_same_shape(b).unwrap();
         assert_eq!(a.recorded_keystreams(), 2);
         assert_eq!(a.count(0, 1, 2), 2);
 
-        let other = PairDataset::consecutive(3).unwrap();
+        let other =
+            PairDataset::new((1..=3).map(|r| PositionPair { a: r, b: r + 1 }).collect()).unwrap();
         assert!(a.merge_same_shape(other).is_err());
     }
 }

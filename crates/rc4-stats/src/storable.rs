@@ -472,8 +472,8 @@ mod tests {
         // cancellation-poll boundary (512).
         batched_matches_scalar(SingleByteDataset::new(6), SingleByteDataset::new(6), 530);
         batched_matches_scalar(
-            PairDataset::consecutive(4).unwrap(),
-            PairDataset::consecutive(4).unwrap(),
+            PairDataset::new((1..=4).map(|r| PositionPair { a: r, b: r + 1 }).collect()).unwrap(),
+            PairDataset::new((1..=4).map(|r| PositionPair { a: r, b: r + 1 }).collect()).unwrap(),
             530,
         );
         batched_matches_scalar(
@@ -544,8 +544,16 @@ mod tests {
     fn skip_consumes_identical_rng_state_for_every_kind() {
         skip_matches_record(SingleByteDataset::new(4), SingleByteDataset::new(4), 16);
         skip_matches_record(
-            PairDataset::consecutive(2).unwrap(),
-            PairDataset::consecutive(2).unwrap(),
+            PairDataset::new(vec![
+                PositionPair { a: 1, b: 2 },
+                PositionPair { a: 2, b: 3 },
+            ])
+            .unwrap(),
+            PairDataset::new(vec![
+                PositionPair { a: 1, b: 2 },
+                PositionPair { a: 2, b: 3 },
+            ])
+            .unwrap(),
             16,
         );
         skip_matches_record(

@@ -209,7 +209,10 @@ pub fn generate_storable_with_exec<D: StorableDataset>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pairs::PairDataset, single::SingleByteDataset};
+    use crate::{
+        pairs::{PairDataset, PositionPair},
+        single::SingleByteDataset,
+    };
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// The walker on one thread per logical stream, optionally watching a
@@ -262,7 +265,8 @@ mod tests {
     fn worker_count_does_not_change_totals() {
         // Different logical stream counts generate different key sets, but the
         // number of samples and overall normalization must match.
-        let mut one = PairDataset::consecutive(3).unwrap();
+        let mut one =
+            PairDataset::new((1..=3).map(|r| PositionPair { a: r, b: r + 1 }).collect()).unwrap();
         let mut four = PairDataset::empty_with_shape(&one.shape_params()).unwrap();
         generate(&mut one, &GenerationConfig::with_keys(600).workers(1)).unwrap();
         generate(&mut four, &GenerationConfig::with_keys(600).workers(4)).unwrap();

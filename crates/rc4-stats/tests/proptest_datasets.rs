@@ -1,7 +1,11 @@
 //! Property-based tests for the statistics datasets.
 
 use proptest::prelude::*;
-use rc4_stats::{pairs::PairDataset, single::SingleByteDataset, StorableDataset};
+use rc4_stats::{
+    pairs::{PairDataset, PositionPair},
+    single::SingleByteDataset,
+    StorableDataset,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -35,7 +39,7 @@ proptest! {
     /// Pair marginals are consistent with the joint counts.
     #[test]
     fn pair_marginals_consistent(keystreams in prop::collection::vec(prop::collection::vec(any::<u8>(), 2), 1..64)) {
-        let mut ds = PairDataset::consecutive(1).unwrap();
+        let mut ds = PairDataset::new(vec![PositionPair { a: 1, b: 2 }]).unwrap();
         for ks in &keystreams {
             ds.record_stream(0, ks);
         }

@@ -361,11 +361,6 @@ impl ShardCellStream {
         self.encoding
     }
 
-    /// Cells not yet handed out.
-    pub fn remaining_cells(&self) -> u64 {
-        self.remaining
-    }
-
     /// Encoded cell-section bytes consumed so far (the merge's read-bytes
     /// telemetry).
     pub fn bytes_read(&self) -> u64 {
@@ -373,7 +368,7 @@ impl ShardCellStream {
     }
 
     /// Decodes the next `out.len()` cells (caller must not ask for more
-    /// than [`ShardCellStream::remaining_cells`]).
+    /// than the header's shape holds, less the cells already read).
     ///
     /// # Errors
     ///
@@ -706,7 +701,8 @@ mod tests {
                 stream.read_cells(chunk).unwrap();
             }
             assert_eq!(got, expected);
-            assert_eq!(stream.remaining_cells(), 0);
+            // Every cell was handed out: one more is an over-read.
+            assert!(stream.read_cells(&mut [0]).is_err());
             stream.finish().unwrap();
         }
         let _ = fs::remove_dir_all(&dir);

@@ -41,11 +41,6 @@ impl State {
         self.j
     }
 
-    /// Returns `S[idx]`.
-    pub fn lookup(&self, idx: u8) -> u8 {
-        self.s[idx as usize]
-    }
-
     /// Returns `true` if `S` is a permutation of `{0, ..., 255}`.
     ///
     /// This invariant holds for every state reachable through the KSA/PRGA; it
@@ -91,8 +86,8 @@ mod tests {
     fn identity_is_a_permutation() {
         let st = State::identity();
         assert!(st.is_permutation());
-        assert_eq!(st.lookup(0), 0);
-        assert_eq!(st.lookup(255), 255);
+        assert_eq!(st.permutation()[0], 0);
+        assert_eq!(st.permutation()[255], 255);
         assert_eq!(st.i(), 0);
         assert_eq!(st.j(), 0);
     }
@@ -102,8 +97,8 @@ mod tests {
         let mut st = State::identity();
         st.swap(3, 200);
         assert!(st.is_permutation());
-        assert_eq!(st.lookup(3), 200);
-        assert_eq!(st.lookup(200), 3);
+        assert_eq!(st.permutation()[3], 200);
+        assert_eq!(st.permutation()[200], 3);
     }
 
     #[test]

@@ -92,33 +92,6 @@ pub fn proportion_test(
     })
 }
 
-/// Proportion test for a *pair* cell against the independence expectation.
-///
-/// `pair_count` is the number of times the value pair occurred, `trials` the
-/// number of keystreams, and `p_first`/`p_second` the empirical single-byte
-/// probabilities. The expected probability under independence is their
-/// product; the reported relative bias is the paper's `|q|` from
-/// `s = p (1 + q)` (Sect. 3.1), i.e. the information gained over the
-/// single-byte model.
-///
-/// # Errors
-///
-/// Same as [`proportion_test`]; additionally rejects non-positive marginal
-/// probabilities.
-pub fn pair_proportion_test(
-    pair_count: u64,
-    trials: u64,
-    p_first: f64,
-    p_second: f64,
-) -> Result<ProportionResult, StatError> {
-    if !(p_first > 0.0 && p_first < 1.0 && p_second > 0.0 && p_second < 1.0) {
-        return Err(StatError::Domain(
-            "marginal probabilities must be in (0, 1)",
-        ));
-    }
-    proportion_test(pair_count, trials, p_first * p_second)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,24 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn pair_test_uses_product_of_margins() {
-        let trials = 1u64 << 24;
-        let p1 = 2.0 / 256.0; // a single-byte bias
-        let p2 = 1.0 / 256.0;
-        // Pair occurs exactly as often as independence predicts -> no rejection.
-        let count = (trials as f64 * p1 * p2).round() as u64;
-        let r = pair_proportion_test(count, trials, p1, p2).unwrap();
-        assert!(!r.test.rejects_at(0.05));
-        assert!((r.expected_p - p1 * p2).abs() < 1e-15);
-    }
-
-    #[test]
     fn validation() {
         assert!(proportion_test(1, 0, 0.5).is_err());
         assert!(proportion_test(10, 5, 0.5).is_err());
         assert!(proportion_test(1, 10, 0.0).is_err());
         assert!(proportion_test(1, 10, 1.0).is_err());
-        assert!(pair_proportion_test(1, 10, 0.0, 0.5).is_err());
     }
 
     #[test]

@@ -120,19 +120,9 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
     (-x + a * x.ln() - ln_ga).exp() * h
 }
 
-/// Error function `erf(x)`, computed from the incomplete gamma function:
-/// `erf(x) = sign(x) * P(1/2, x^2)`.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        0.0
-    } else if x > 0.0 {
-        gamma_p(0.5, x * x)
-    } else {
-        -gamma_p(0.5, x * x)
-    }
-}
-
-/// Complementary error function `erfc(x) = 1 - erf(x)`, accurate in the far tail.
+/// Complementary error function `erfc(x) = 1 - erf(x)`, computed from the
+/// incomplete gamma function (`erf(x) = sign(x) * P(1/2, x^2)`), accurate in
+/// the far tail.
 pub fn erfc(x: f64) -> f64 {
     if x >= 0.0 {
         gamma_q(0.5, x * x).max(0.0)
@@ -203,10 +193,10 @@ mod tests {
 
     #[test]
     fn erf_known_values() {
-        close(erf(0.0), 0.0, 1e-15);
-        close(erf(1.0), 0.842_700_792_949_715, 1e-10);
-        close(erf(-1.0), -0.842_700_792_949_715, 1e-10);
-        close(erf(2.0), 0.995_322_265_018_953, 1e-10);
+        close(erfc(0.0), 1.0, 1e-15);
+        close(erfc(1.0), 0.157_299_207_050_285, 1e-10);
+        close(erfc(-1.0), 1.842_700_792_949_715, 1e-10);
+        close(erfc(2.0), 0.004_677_734_981_047, 1e-10);
         close(erfc(3.0), 2.209_049_699_858_544e-5, 1e-12);
     }
 

@@ -38,8 +38,6 @@ pub enum TlsError {
     Malformed(String),
     /// Invalid configuration.
     InvalidConfig(String),
-    /// The attack exhausted its candidate budget without finding the cookie.
-    AttackFailed(String),
     /// A parallel attack stage was cancelled through its executor's
     /// cooperative cancellation flag before it completed.
     Cancelled,
@@ -51,7 +49,6 @@ impl core::fmt::Display for TlsError {
             TlsError::RecordRejected(what) => write!(f, "record rejected: {what}"),
             TlsError::Malformed(msg) => write!(f, "malformed input: {msg}"),
             TlsError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            TlsError::AttackFailed(msg) => write!(f, "attack failed: {msg}"),
             TlsError::Cancelled => write!(f, "attack cancelled"),
         }
     }
@@ -77,8 +74,8 @@ mod tests {
     #[test]
     fn error_display() {
         assert!(TlsError::RecordRejected("MAC").to_string().contains("MAC"));
-        assert!(TlsError::AttackFailed("budget".into())
+        assert!(TlsError::Malformed("short".into())
             .to_string()
-            .contains("budget"));
+            .contains("short"));
     }
 }

@@ -8,7 +8,8 @@
 //! ```
 
 use plaintext_recovery::{
-    candidates::most_likely, charset::Charset, counts::SingleCounts, likelihood::SingleLikelihoods,
+    candidates::generate_candidates, charset::Charset, counts::SingleCounts,
+    likelihood::SingleLikelihoods,
 };
 use rc4_attacks::{
     experiments::biases::{headline_detection, BiasScale},
@@ -67,7 +68,8 @@ fn main() {
     let likelihood =
         SingleLikelihoods::from_counts(counts.counts_at(0), dataset.distribution(2).as_slice())
             .expect("well-formed inputs");
-    let best = most_likely(&[likelihood], &Charset::full()).expect("candidates exist");
+    let best =
+        &generate_candidates(&[likelihood], 1, &Charset::full()).expect("candidates exist")[0];
     println!(
         "true byte = {:?}, recovered = {:?} ({} ciphertexts)",
         secret as char,

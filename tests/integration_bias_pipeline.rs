@@ -5,12 +5,14 @@
 use rc4_biases::{fm::fm_biases_at, UNIFORM_PAIR, UNIFORM_SINGLE};
 use rc4_exec::Executor;
 use rc4_stats::{
-    generate_storable_with_exec, longterm::LongTermDataset, pairs::PairDataset,
-    single::SingleByteDataset, GenerationConfig, StorableDataset,
+    generate_storable_with_exec,
+    longterm::LongTermDataset,
+    pairs::{PairDataset, PositionPair},
+    single::SingleByteDataset,
+    GenerationConfig, StorableDataset,
 };
 use stat_tests::{
-    chisq::chi_squared_uniform, holm::holm_rejections, mtest::m_test_independence,
-    proportion::proportion_test,
+    chisq::chi_squared_uniform, holm::holm, mtest::m_test_independence, proportion::proportion_test,
 };
 
 /// The Mantin–Shamir bias must be detected end-to-end: generate keys with the
@@ -63,7 +65,11 @@ fn holm_correction_flags_only_strong_values() {
                 .p_value
         })
         .collect();
-    let rejected = holm_rejections(&p_values, 1e-4);
+    let rejected: Vec<usize> = holm(&p_values, 1e-4)
+        .iter()
+        .filter(|o| o.rejected)
+        .map(|o| o.index)
+        .collect();
     assert!(
         rejected.contains(&0),
         "value 0 must be flagged: {rejected:?}"
@@ -75,7 +81,8 @@ fn holm_correction_flags_only_strong_values() {
 /// Fluhrer–McGrew bias, while the analytic catalogue predicts the right cells.
 #[test]
 fn fm_digraphs_consistent_between_catalogue_and_measurement() {
-    let mut ds = PairDataset::consecutive(4).unwrap();
+    let mut ds =
+        PairDataset::new((1..=4).map(|r| PositionPair { a: r, b: r + 1 }).collect()).unwrap();
     generate_storable_with_exec(
         &mut ds,
         &GenerationConfig::with_keys(1 << 16).seed(3),
@@ -109,7 +116,8 @@ fn longterm_dataset_counts_are_consistent() {
     )
     .unwrap();
     assert_eq!(ds.recorded_keystreams(), 64);
-    assert_eq!(ds.total_digraphs(), 64 * 2047);
+    let digraphs: u64 = (0..=255u8).map(|i| ds.digraph_samples(i)).sum();
+    assert_eq!(digraphs, 64 * 2047);
     assert!(ds.aligned_samples() > 0);
     // Every PRGA counter value received samples.
     for i in [0u8, 1, 77, 255] {

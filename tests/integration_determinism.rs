@@ -11,8 +11,10 @@
 use rc4_attacks::{experiments::Scale, ExperimentContext, Registry};
 use rc4_exec::Executor;
 use rc4_stats::{
-    generate_storable_with_exec, pairs::PairDataset, single::SingleByteDataset, GenerationConfig,
-    StorableDataset,
+    generate_storable_with_exec,
+    pairs::{PairDataset, PositionPair},
+    single::SingleByteDataset,
+    GenerationConfig, StorableDataset,
 };
 use wpa_tkip::injection::{InjectionConfig, InjectionSimulator};
 use wpa_tkip::mpdu::FrameAddressing;
@@ -40,8 +42,10 @@ fn dataset_generation_is_bit_identical_across_runs() {
 fn multi_worker_generation_is_scheduling_independent() {
     for workers in [2, 3, 8] {
         let config = GenerationConfig::with_keys(5_000).seed(42).workers(workers);
-        let mut a = PairDataset::consecutive(3).unwrap();
-        let mut b = PairDataset::consecutive(3).unwrap();
+        let mut a =
+            PairDataset::new((1..=3).map(|r| PositionPair { a: r, b: r + 1 }).collect()).unwrap();
+        let mut b =
+            PairDataset::new((1..=3).map(|r| PositionPair { a: r, b: r + 1 }).collect()).unwrap();
         generate_storable_with_exec(&mut a, &config, &Executor::new(config.workers)).unwrap();
         generate_storable_with_exec(&mut b, &config, &Executor::new(config.workers)).unwrap();
         assert_eq!(a.recorded_keystreams(), b.recorded_keystreams());

@@ -46,14 +46,9 @@ fn broadcast_recovery_of_initial_bytes_with_real_keystreams() {
     // Byte 2 must be recovered outright (it sits on the strong Z2 = 0 bias).
     assert_eq!(lik2.best(), plaintext[1]);
     // Byte 1's biases are far weaker; at this scale its ranking is essentially
-    // noise, so only require that the ranking is a permutation containing the
-    // true value at all.
-    let ranked1 = lik1.ranked();
-    assert_eq!(ranked1.len(), 256);
-    assert!(ranked1.contains(&plaintext[0]));
-
-    // The joint candidate list must contain the true plaintext within a budget
-    // that tolerates byte 1 being ranked anywhere (256 * top-16 of byte 2).
+    // noise, so the joint candidate list must contain the true plaintext
+    // within a budget that tolerates byte 1 being ranked anywhere
+    // (256 * top-16 of byte 2).
     let cands = generate_candidates(&[lik1, lik2], 4096, &Charset::full()).unwrap();
     assert!(
         cands.iter().any(|c| c.plaintext == plaintext),

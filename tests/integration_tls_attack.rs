@@ -72,7 +72,7 @@ fn fig10_driver_candidate_list_dominates() {
         request_counts: vec![1 << 33],
         trials: 2,
         cookie_len: 4,
-        charset: Charset::hex_lower(),
+        charset: Charset::new(b"0123456789abcdef").unwrap(),
         candidates: 256,
         absab_relations: 32,
         cookie_position: 321,

@@ -1259,10 +1259,7 @@ mod bench_cli {
     use rc4_attacks::{sampling::sample_counts_normal, ExperimentContext};
     use rc4_exec::Executor;
     use rc4_serve::{Client, JobSpec, JobStatus, Server, ServerConfig};
-    use rc4_stats::{
-        generate_storable_with_exec, single::SingleByteDataset, streaming::StreamingCounts,
-        GenerationConfig,
-    };
+    use rc4_stats::{generate_storable_with_exec, single::SingleByteDataset, GenerationConfig};
     use rc4_store::codec::{DeltaVarintDecoder, DeltaVarintEncoder};
     use tls_rc4::{
         attack::CookieStatistics,
@@ -1662,18 +1659,20 @@ mod bench_cli {
         // extract the stopping margin. This is the per-batch overhead the
         // streaming experiments add over the fixed-grid drivers.
         let batch: Vec<u64> = (0..65536u64).map(|i| (i * 2246822519) % 613).collect();
-        let mut acc = StreamingCounts::new(65536).expect("non-zero cells");
+        let mut counts = vec![0u64; 65536];
+        let mut total = 0u64;
         results.push(Measurement {
             name: "streaming_ingest/absorb_rescore_65536",
             ns_per_iter: time_min(|| {
-                acc.absorb(std::hint::black_box(&batch)).expect("shape ok");
-                let scored = PairLikelihoods::from_counts_sparse(
-                    acc.counts(),
-                    &cells,
-                    1.0 / 65536.0,
-                    acc.total(),
-                )
-                .expect("well-formed inputs");
+                let mut added = 0;
+                for (cell, &add) in counts.iter_mut().zip(std::hint::black_box(&batch)) {
+                    *cell += add;
+                    added += add;
+                }
+                total += added;
+                let scored =
+                    PairLikelihoods::from_counts_sparse(&counts, &cells, 1.0 / 65536.0, total)
+                        .expect("well-formed inputs");
                 std::hint::black_box(scored.margin());
             }),
             bytes_per_iter: Some(65536 * 8),

@@ -17,9 +17,11 @@
 //!   Markov model, with optional restriction to a plaintext alphabet.
 //! * [`charset`] — plaintext alphabets (e.g. the ≤ 90 characters RFC 6265
 //!   allows in a cookie value) used to prune the search.
-//! * [`streaming`] — the sequential early-stopping rule for streaming
-//!   ingestion: re-score online, stop once the top candidate's likelihood
-//!   margin over the runner-up clears a confidence threshold.
+//!
+//! The likelihoods are linear in the counts, so re-scoring a growing count
+//! table after every batch scores every ciphertext seen so far;
+//! [`likelihood::PairLikelihoods::margin`] is the top candidate's lead over the
+//! runner-up, the statistic the streaming attacks in `rc4-attacks` stop on.
 //!
 //! All likelihood math is done in log space for numerical stability, exactly
 //! as the paper recommends.
@@ -31,7 +33,6 @@ pub mod candidates;
 pub mod charset;
 pub mod counts;
 pub mod likelihood;
-pub mod streaming;
 pub mod viterbi;
 
 /// Errors returned by the recovery algorithms.

@@ -218,8 +218,8 @@ pub fn run(
             let mut rng =
                 StdRng::seed_from_u64(stream_seed(base_seed, &[point as u64, trial as u64]));
             ctx.checkpoint()?;
-            let mut sim = CookieTrial::new(&shape, &transition_probs, &mut rng)?;
-            sim.ingest(n, &mut rng)?;
+            let mut sim = CookieTrial::new(&shape, &transition_probs, &mut rng);
+            sim.ingest(n, &mut rng);
             let position = sim
                 .candidates()?
                 .iter()

@@ -244,8 +244,8 @@ pub fn run(
                 RecoveryStrategy::Combined => (fm, config.absab_relations),
             };
             let gaps = (0..relations).map(|rel| rel % 128);
-            let mut sim = PairTrial::new(fm, &fm_cells, gaps, &mut rng)?;
-            sim.ingest(config.ciphertext_counts[point], &mut rng)?;
+            let mut sim = PairTrial::new(fm, &fm_cells, gaps, &mut rng);
+            sim.ingest(config.ciphertext_counts[point], &mut rng);
             let success = sim.score()?.best() == sim.truth();
             reporter.tick(1);
             Ok::<_, ExperimentError>(success)

@@ -10,12 +10,14 @@
 //! * [`tkip_attack`] — the end-to-end WPA-TKIP attack of Section 5.
 //! * [`tls_cookie`] — the end-to-end HTTPS cookie attack of Section 6.
 //! * [`streaming`] — streaming-ingestion variants of `fig7`, `fig10` and
-//!   `tls-cookie` with sequential early stopping (`--until-confident`):
-//!   ciphertexts stream in batch by batch, count tables update in place and
-//!   the attack stops once the top candidate's likelihood margin clears a
-//!   confidence threshold. The fixed-grid and streaming drivers of an attack
-//!   share one trial model, so a fixed-grid trial at `n` ciphertexts is the
-//!   streaming trial after a single batch of `n`.
+//!   `tls-cookie` with early stopping (`--until-confident`): one loop,
+//!   `StopRule::run`, feeds ciphertexts in batch by batch, the attack adds
+//!   each batch into its count tables and re-scores, and the loop stops once
+//!   the top candidate's likelihood margin reaches a confidence threshold.
+//!   The fixed-grid and streaming drivers of an attack share one trial model
+//!   (`tls-cookie` and its stream one capture session), so a fixed-grid
+//!   trial at `n` ciphertexts is the streaming trial after a single batch of
+//!   `n`.
 //!
 //! All drivers are deterministic for a fixed configuration (seeds included in
 //! the configs) and return [`crate::report::ExperimentReport`]s. Each

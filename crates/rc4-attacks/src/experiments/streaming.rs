@@ -6,16 +6,15 @@
 //! converse: **how many ciphertexts did *this* session actually need?**
 //!
 //! The streaming variants in this module ingest ciphertext copies batch by
-//! batch from the same simulated generators the fixed-grid drivers use,
-//! accumulate the count tables in place
-//! ([`rc4_stats::streaming::StreamingCounts`] /
-//! [`rc4_stats::streaming::StreamingVotes`]), re-score the candidate ranking
-//! after every batch, and feed the top-candidate likelihood margin over the
-//! runner-up into a latching sequential test
-//! ([`plaintext_recovery::streaming::SequentialTest`]). The attack stops at
-//! the first batch whose margin clears the configured confidence threshold;
-//! a stream that never clears it runs to the configured cap and reports
-//! "no decision". The headline metric is ciphertexts consumed at stop.
+//! batch from the same simulated generators (and, for `tls-cookie-stream`,
+//! the same capture session) the fixed-grid drivers use, add each batch into
+//! the running count tables, and re-score the candidate ranking after every
+//! batch. `StopRule::run` is the one loop all three share: it sizes each
+//! batch, hands it to the attack's step, and stops at the first batch whose
+//! top-candidate likelihood margin over the runner-up reaches the configured
+//! confidence threshold; a stream that never reaches it runs to the
+//! configured cap and reports "no decision". The headline metric is
+//! ciphertexts consumed at stop.
 //!
 //! Re-scoring the *accumulated* table per batch is statistically faithful
 //! and cheap: the log-likelihoods are linear in the counts, sums of the
@@ -31,22 +30,15 @@
 use rand::{rngs::StdRng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use plaintext_recovery::{charset::Charset, streaming::SequentialTest};
-use tls_rc4::{
-    attack::{
-        brute_force_cookie, candidate_margin, cookie_candidates_with_exec, CookieAttackConfig,
-        CookieStatistics,
-    },
-    http::RequestTemplate,
-    record::MAC_LEN,
-    traffic::{TrafficConfig, TrafficGenerator},
-};
+use plaintext_recovery::charset::Charset;
+use tls_rc4::attack::candidate_margin;
 
 use rc4_biases::fm::fm_joint_distribution;
 
 use crate::{
     context::ExperimentContext,
     experiments::{
+        tls_cookie::CookieSession,
         trial::{fm_cells, CookieShape, CookieTrial, PairTrial},
         Scale,
     },
@@ -71,13 +63,15 @@ pub struct StopRule {
 }
 
 impl StopRule {
-    /// Validates the rule and builds its sequential test.
+    /// Validates the rule.
     ///
     /// # Errors
     ///
     /// Returns [`ExperimentError::InvalidConfig`] for a zero batch, a cap
-    /// smaller than one batch, or a non-positive/non-finite threshold.
-    pub fn test(&self) -> Result<SequentialTest, ExperimentError> {
+    /// smaller than one batch, or a non-positive/non-finite threshold (a
+    /// non-positive one would decide on the flat, all-tied ranking before
+    /// any evidence arrived).
+    pub fn test(&self) -> Result<(), ExperimentError> {
         if self.batch == 0 {
             return Err(ExperimentError::InvalidConfig(
                 "streaming batch size must be > 0".into(),
@@ -89,16 +83,51 @@ impl StopRule {
                 self.cap, self.batch
             )));
         }
-        Ok(SequentialTest::new(self.threshold)?)
+        if !self.threshold.is_finite() || self.threshold <= 0.0 {
+            return Err(ExperimentError::InvalidConfig(format!(
+                "confidence threshold must be finite and > 0, got {}",
+                self.threshold
+            )));
+        }
+        Ok(())
+    }
+
+    /// The streaming loop: hands `step` batches of `min(batch, cap −
+    /// consumed)` units until the margin `step` returns reaches the
+    /// threshold or the cap is consumed. `step(n)` ingests `n` more units,
+    /// re-scores and returns the top candidate's margin over the runner-up
+    /// and whether the top candidate is the truth. A NaN margin never
+    /// decides.
+    fn run(
+        &self,
+        ctx: &ExperimentContext,
+        mut step: impl FnMut(u64) -> Result<(f64, bool), ExperimentError>,
+    ) -> Result<StreamOutcome, ExperimentError> {
+        self.test()?;
+        let mut outcome = StreamOutcome::default();
+        while !outcome.decided && outcome.consumed < self.cap {
+            // A trial spans many batches; polling per batch lets a raised
+            // flag interrupt the stream promptly, not at the next trial.
+            ctx.checkpoint()?;
+            let batch = self.batch.min(self.cap - outcome.consumed);
+            let (margin, correct) = step(batch)?;
+            outcome = StreamOutcome {
+                consumed: outcome.consumed + batch,
+                decided: margin >= self.threshold,
+                margin,
+                correct,
+            };
+        }
+        Ok(outcome)
     }
 }
 
 /// Outcome of one streaming trial.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct StreamOutcome {
     /// Units consumed when the trial ended (at the decision, or the cap).
     consumed: u64,
-    /// Whether the sequential test decided before the cap.
+    /// Whether the margin reached the threshold before the cap.
     decided: bool,
     /// The margin at the decision (or at the cap, for undecided trials).
     margin: f64,
@@ -236,32 +265,11 @@ fn fig7_stream_trial(
 ) -> Result<StreamOutcome, ExperimentError> {
     // FM combined with the ABSAB relations, as in fig7's combined strategy.
     let gaps = (0..config.absab_relations).map(|rel| rel % 128);
-    let mut sim = PairTrial::new(Some(key_pair_probs), fm_cells, gaps, rng)?;
-    let mut test = config.stop.test()?;
-    let mut consumed = 0u64;
-    let mut margin = 0.0f64;
-    let mut correct = false;
-    while consumed < config.stop.cap {
-        // A trial spans many ingest batches; poll cancellation per batch so a
-        // raised flag interrupts the stream promptly, not at the next trial.
-        ctx.checkpoint()?;
-        let batch = (config.stop.cap - consumed).min(config.stop.batch);
-        sim.ingest(batch, rng)?;
-        consumed += batch;
+    let mut sim = PairTrial::new(Some(key_pair_probs), fm_cells, gaps, rng);
+    config.stop.run(ctx, |batch| {
+        sim.ingest(batch, rng);
         let combined = sim.score()?;
-        margin = combined.margin();
-        correct = combined.best() == sim.truth();
-        if test.observe(consumed, margin).is_decided() {
-            break;
-        }
-    }
-    let decided = test.is_decided();
-    let (consumed, margin) = test.decision().unwrap_or((consumed, margin));
-    Ok(StreamOutcome {
-        consumed,
-        decided,
-        margin,
-        correct,
+        Ok((combined.margin(), combined.best() == sim.truth()))
     })
 }
 
@@ -428,34 +436,15 @@ fn fig10_stream_trial(
         absab_relations: config.absab_relations,
         cookie_position: config.cookie_position,
     };
-    let mut sim = CookieTrial::new(&shape, transition_probs, rng)?;
-    let mut test = config.stop.test()?;
-    let mut consumed = 0u64;
-    let mut margin = 0.0f64;
-    let mut correct = false;
-    while consumed < config.stop.cap {
-        // Per-batch cancellation poll, as in fig7_stream_trial.
-        ctx.checkpoint()?;
-        let batch = (config.stop.cap - consumed).min(config.stop.batch);
-        sim.ingest(batch, rng)?;
-        consumed += batch;
+    let mut sim = CookieTrial::new(&shape, transition_probs, rng);
+    config.stop.run(ctx, |batch| {
+        sim.ingest(batch, rng);
         // Re-score: a fresh list-Viterbi decode of the accumulated tables.
         let candidates = sim.candidates()?;
-        margin = candidate_margin(&candidates).unwrap_or(0.0);
-        correct = candidates
+        let correct = candidates
             .first()
             .is_some_and(|c| c.plaintext == sim.cookie());
-        if test.observe(consumed, margin).is_decided() {
-            break;
-        }
-    }
-    let decided = test.is_decided();
-    let (consumed, margin) = test.decision().unwrap_or((consumed, margin));
-    Ok(StreamOutcome {
-        consumed,
-        decided,
-        margin,
-        correct,
+        Ok((candidate_margin(&candidates).unwrap_or(0.0), correct))
     })
 }
 
@@ -602,8 +591,9 @@ impl TlsCookieStreamConfig {
 }
 
 /// Runs the streaming end-to-end HTTPS cookie attack: real TLS RC4-SHA1
-/// captures stream into the incremental [`CookieStatistics`] table and the
-/// ranked candidate list is re-scored after every batch.
+/// captures stream into the incremental
+/// [`tls_rc4::attack::CookieStatistics`] table and the ranked candidate list
+/// is re-scored after every batch.
 ///
 /// # Errors
 ///
@@ -614,18 +604,14 @@ pub fn run_tls_cookie_stream(
     config: &TlsCookieStreamConfig,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
-    let cookie = config.cookie.as_bytes().to_vec();
-    if cookie.is_empty() || config.candidates == 0 {
-        return Err(ExperimentError::InvalidConfig(
-            "candidates and the cookie must be non-empty".into(),
-        ));
-    }
-    if !config.charset.accepts(&cookie) {
-        return Err(ExperimentError::InvalidConfig(
-            "the cookie contains bytes outside the configured charset".into(),
-        ));
-    }
-    config.stop.test()?;
+    let mut session = CookieSession::new(
+        &config.cookie,
+        &config.charset,
+        config.max_gap,
+        config.candidates,
+        config.seed,
+        ctx,
+    )?;
 
     let mut report = ExperimentReport::new(
         "tls-cookie-stream",
@@ -639,74 +625,31 @@ pub fn run_tls_cookie_stream(
         config.stop.threshold, config.stop.batch, config.stop.cap
     ));
 
-    let mut template = RequestTemplate::new("site.com", "auth", cookie.len());
-    template.align_cookie(0, 0, MAC_LEN);
-    let mut traffic = TrafficGenerator::new(
-        template.clone(),
-        cookie.clone(),
-        TrafficConfig {
-            seed: ctx.mix_seed(config.seed),
-            ..TrafficConfig::default()
-        },
-    )
-    .map_err(ExperimentError::from)?;
-    let mut stats =
-        CookieStatistics::new(&template, config.max_gap).map_err(ExperimentError::from)?;
-    let attack_config = CookieAttackConfig {
-        max_gap: config.max_gap,
-        candidates: config.candidates,
-        charset: config.charset.clone(),
-        use_fm: true,
-        use_absab: true,
-    };
-
     // A streaming capture loop has no predetermined length — the whole point
     // is to stop early — so the progress total is "unknown" (0) and every
     // tick goes through the plain rate limiter.
     let reporter = ctx.progress("tls-cookie-stream", 0, "capture");
-    let mut test = config.stop.test()?;
-    let mut consumed = 0u64;
-    let mut margin = 0.0f64;
     let mut candidates = Vec::new();
-    while consumed < config.stop.cap {
-        ctx.checkpoint()?;
-        // Ingest: capture one batch of encrypted requests and fold each into
-        // the incremental per-transition count tables.
-        let batch = (config.stop.cap - consumed).min(config.stop.batch) as usize;
-        let span = rc4_obs::Span::enter_with("tls.capture", rc4_obs::kv! { "requests" => batch });
-        for capture in traffic.capture(batch).map_err(ExperimentError::from)? {
-            stats.add(&capture).map_err(ExperimentError::from)?;
-        }
-        drop(span);
-        consumed += batch as u64;
-        reporter.tick(batch as u64);
-
-        // Re-score: fresh candidate ranking from the accumulated statistics
-        // (analysis fans out on the context executor — worker-invariant).
-        let span = rc4_obs::Span::enter("tls.score");
-        candidates = cookie_candidates_with_exec(&stats, &attack_config, &ctx.executor())
-            .map_err(ExperimentError::from)?;
-        drop(span);
-        margin = candidate_margin(&candidates).unwrap_or(0.0);
-        if test.observe(consumed, margin).is_decided() {
-            break;
-        }
-    }
-    let decided = test.is_decided();
-    let (consumed, margin) = test.decision().unwrap_or((consumed, margin));
+    let outcome = config.stop.run(ctx, |batch| {
+        session.capture(batch as usize)?;
+        reporter.tick(batch);
+        candidates = session.rank(ctx)?;
+        // The report reads recovery off the brute-force rows, not `correct`.
+        Ok((candidate_margin(&candidates).unwrap_or(0.0), false))
+    })?;
 
     report.push_row(&[
         "streaming".to_string(),
         "captures consumed at stop".to_string(),
-        consumed.to_string(),
+        outcome.consumed.to_string(),
     ]);
     report.push_row(&[
         "streaming".to_string(),
         format!("stop decision (threshold {} nats)", config.stop.threshold),
-        if decided {
-            format!("confident (margin {margin:.1})")
+        if outcome.decided {
+            format!("confident (margin {:.1})", outcome.margin)
         } else {
-            format!("no decision — cap reached (margin {margin:.1})")
+            format!("no decision — cap reached (margin {:.1})", outcome.margin)
         },
     ]);
     report.push_row(&[
@@ -714,29 +657,7 @@ pub fn run_tls_cookie_stream(
         "ranked cookie candidates generated".to_string(),
         candidates.len().to_string(),
     ]);
-    let outcome = brute_force_cookie(&candidates, |guess| guess == cookie.as_slice());
-    report.push_row(&[
-        "brute force".to_string(),
-        "cookie recovered".to_string(),
-        if outcome.cookie.is_some() {
-            "yes"
-        } else {
-            "no"
-        }
-        .to_string(),
-    ]);
-    report.push_row(&[
-        "brute force".to_string(),
-        "attempts / candidate rank".to_string(),
-        format!(
-            "{} / {}",
-            outcome.attempts,
-            outcome
-                .candidate_index
-                .map(|i| i.to_string())
-                .unwrap_or_else(|| "-".to_string())
-        ),
-    ]);
+    session.push_brute_force_rows(&mut report, &candidates, "no");
     Ok(report)
 }
 
@@ -784,6 +705,84 @@ mod tests {
         assert!(rule.test().is_err());
         rule.threshold = f64::INFINITY;
         assert!(rule.test().is_err());
+        rule.threshold = f64::NAN;
+        assert!(rule.test().is_err());
+    }
+
+    #[test]
+    fn stop_rule_run_ends_on_a_partial_batch_at_the_cap() {
+        // A cap of 2.5 batches: two whole batches, then the half-batch rest.
+        let rule = StopRule {
+            threshold: 5.0,
+            batch: 4,
+            cap: 10,
+        };
+        let mut steps = Vec::new();
+        let outcome = rule
+            .run(&ExperimentContext::default(), |batch| {
+                steps.push(batch);
+                Ok((1.0, true))
+            })
+            .unwrap();
+        assert_eq!(steps, [4, 4, 2]);
+        assert_eq!(
+            outcome,
+            StreamOutcome {
+                consumed: 10,
+                decided: false,
+                margin: 1.0,
+                correct: true,
+            }
+        );
+    }
+
+    #[test]
+    fn stop_rule_run_decides_at_the_first_margin_reaching_the_threshold() {
+        // The second margin equals the threshold exactly: the loop decides
+        // there and never calls `step` for the third batch.
+        let rule = StopRule {
+            threshold: 5.0,
+            batch: 4,
+            cap: 100,
+        };
+        let margins = [1.0, 5.0, 9.0];
+        let mut calls = 0;
+        let outcome = rule
+            .run(&ExperimentContext::default(), |_| {
+                calls += 1;
+                Ok((margins[calls - 1], calls == 2))
+            })
+            .unwrap();
+        assert_eq!(calls, 2);
+        assert_eq!(
+            outcome,
+            StreamOutcome {
+                consumed: 8,
+                decided: true,
+                margin: 5.0,
+                correct: true,
+            }
+        );
+    }
+
+    #[test]
+    fn stop_rule_run_never_decides_on_a_nan_margin() {
+        let rule = StopRule {
+            threshold: 1e-9,
+            batch: 4,
+            cap: 12,
+        };
+        let mut calls = 0;
+        let outcome = rule
+            .run(&ExperimentContext::default(), |_| {
+                calls += 1;
+                Ok((f64::NAN, false))
+            })
+            .unwrap();
+        assert_eq!(calls, 3);
+        assert_eq!(outcome.consumed, 12);
+        assert!(!outcome.decided);
+        assert!(outcome.margin.is_nan());
     }
 
     #[test]

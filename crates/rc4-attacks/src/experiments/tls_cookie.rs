@@ -22,7 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use plaintext_recovery::charset::Charset;
+use plaintext_recovery::{charset::Charset, viterbi::PairCandidate};
 use tls_rc4::{
     attack::{
         brute_force_cookie, brute_force_rate_seconds, cookie_candidates_with_exec,
@@ -89,6 +89,125 @@ impl TlsCookieConfig {
     }
 }
 
+/// One capture session of the HTTPS cookie attack, shared by `tls-cookie`
+/// and `tls-cookie-stream`: the manipulated request with the cookie
+/// aligned, victim traffic over real TLS RC4-SHA1 connections, and the FM +
+/// ABSAB statistics the captured requests fold into. Each driver decides how
+/// many requests to capture between rankings.
+pub(crate) struct CookieSession {
+    cookie: Vec<u8>,
+    template: RequestTemplate,
+    traffic: TrafficGenerator,
+    stats: CookieStatistics,
+    attack: CookieAttackConfig,
+}
+
+impl CookieSession {
+    /// Validates the cookie, the alphabet and the candidate budget, and sets
+    /// up the template, the traffic (seeded with `ctx.mix_seed(seed)`) and
+    /// empty statistics.
+    pub(crate) fn new(
+        cookie: &str,
+        charset: &Charset,
+        max_gap: usize,
+        candidates: usize,
+        seed: u64,
+        ctx: &ExperimentContext,
+    ) -> Result<Self, ExperimentError> {
+        let cookie = cookie.as_bytes().to_vec();
+        if cookie.is_empty() || candidates == 0 {
+            return Err(ExperimentError::InvalidConfig(
+                "candidates and the cookie must be non-empty".into(),
+            ));
+        }
+        if !charset.accepts(&cookie) {
+            return Err(ExperimentError::InvalidConfig(
+                "the cookie contains bytes outside the configured charset".into(),
+            ));
+        }
+        let mut template = RequestTemplate::new("site.com", "auth", cookie.len());
+        template.align_cookie(0, 0, MAC_LEN);
+        let traffic = TrafficGenerator::new(
+            template.clone(),
+            cookie.clone(),
+            TrafficConfig {
+                seed: ctx.mix_seed(seed),
+                ..TrafficConfig::default()
+            },
+        )?;
+        let stats = CookieStatistics::new(&template, max_gap)?;
+        Ok(Self {
+            cookie,
+            template,
+            traffic,
+            stats,
+            attack: CookieAttackConfig {
+                max_gap,
+                candidates,
+                charset: charset.clone(),
+                use_fm: true,
+                use_absab: true,
+            },
+        })
+    }
+
+    /// Captures `n` more encrypted requests and folds each into the
+    /// statistics.
+    pub(crate) fn capture(&mut self, n: usize) -> Result<(), ExperimentError> {
+        let _span = rc4_obs::Span::enter_with("tls.capture", rc4_obs::kv! { "requests" => n });
+        for capture in self.traffic.capture(n)? {
+            self.stats.add(&capture)?;
+        }
+        Ok(())
+    }
+
+    /// Ranks cookie candidates from the statistics so far: likelihood tables
+    /// and the list-Viterbi decode fan out across the context's executor
+    /// (identical output for any worker count).
+    pub(crate) fn rank(
+        &self,
+        ctx: &ExperimentContext,
+    ) -> Result<Vec<PairCandidate>, ExperimentError> {
+        let _span = rc4_obs::Span::enter("tls.score");
+        let candidates = cookie_candidates_with_exec(&self.stats, &self.attack, &ctx.executor())?;
+        Ok(candidates)
+    }
+
+    /// Brute-forces `candidates` against an oracle standing in for the web
+    /// server and appends the two brute-force rows; `miss` is the
+    /// "cookie recovered" value when no candidate matches.
+    pub(crate) fn push_brute_force_rows(
+        &self,
+        report: &mut ExperimentReport,
+        candidates: &[PairCandidate],
+        miss: &str,
+    ) {
+        let outcome = brute_force_cookie(candidates, |guess| guess == self.cookie.as_slice());
+        report.push_row(&[
+            "brute force".to_string(),
+            "cookie recovered".to_string(),
+            if outcome.cookie.is_some() {
+                "yes"
+            } else {
+                miss
+            }
+            .to_string(),
+        ]);
+        report.push_row(&[
+            "brute force".to_string(),
+            "attempts / candidate rank".to_string(),
+            format!(
+                "{} / {}",
+                outcome.attempts,
+                outcome
+                    .candidate_index
+                    .map(|i| i.to_string())
+                    .unwrap_or_else(|| "-".to_string())
+            ),
+        ]);
+    }
+}
+
 /// Runs the end-to-end attack and returns the report.
 ///
 /// # Errors
@@ -101,17 +220,19 @@ pub fn run(
     config: &TlsCookieConfig,
     ctx: &ExperimentContext,
 ) -> Result<ExperimentReport, ExperimentError> {
-    let cookie = config.cookie.as_bytes().to_vec();
-    if cookie.is_empty() || config.captures == 0 || config.candidates == 0 {
+    if config.captures == 0 {
         return Err(ExperimentError::InvalidConfig(
-            "captures, candidates and the cookie must all be non-empty".into(),
+            "captures must be non-zero".into(),
         ));
     }
-    if !config.charset.accepts(&cookie) {
-        return Err(ExperimentError::InvalidConfig(
-            "the cookie contains bytes outside the configured charset".into(),
-        ));
-    }
+    let mut session = CookieSession::new(
+        &config.cookie,
+        &config.charset,
+        config.max_gap,
+        config.candidates,
+        config.seed,
+        ctx,
+    )?;
 
     let mut report = ExperimentReport::new(
         "tls-cookie",
@@ -122,7 +243,7 @@ pub fn run(
         "{} captures, {}-byte cookie over a {}-character alphabet, {} candidates, max ABSAB gap {} \
          (paper: 9 x 2^27 captures, 2^23 candidates, gap 128)",
         config.captures,
-        cookie.len(),
+        session.cookie.len(),
         config.charset.len(),
         config.candidates,
         config.max_gap
@@ -130,8 +251,7 @@ pub fn run(
 
     // Stage 1: the manipulated request with the cookie aligned.
     ctx.checkpoint()?;
-    let mut template = RequestTemplate::new("site.com", "auth", cookie.len());
-    template.align_cookie(0, 0, MAC_LEN);
+    let template = &session.template;
     report.push_row(&[
         "request".to_string(),
         "bytes (known prefix / secret / known suffix)".to_string(),
@@ -139,68 +259,40 @@ pub fn run(
             "{} ({} / {} / {})",
             template.request_len(),
             template.cookie_offset(),
-            cookie.len(),
+            session.cookie.len(),
             template.known_suffix().len()
         ),
     ]);
 
-    // Stage 2: victim traffic over real TLS RC4-SHA1 connections, captured in
-    // batches so cancellation lands between batches.
-    let mut traffic = TrafficGenerator::new(
-        template.clone(),
-        cookie.clone(),
-        TrafficConfig {
-            seed: ctx.mix_seed(config.seed),
-            ..TrafficConfig::default()
-        },
-    )
-    .map_err(ExperimentError::from)?;
-    let mut stats =
-        CookieStatistics::new(&template, config.max_gap).map_err(ExperimentError::from)?;
-    // The traffic generator is stateful (persistent connections), so capture
-    // stays sequential; per-batch progress goes through the throttled
-    // reporter so a multi-million-capture run cannot flood the sink.
+    // Stage 2: victim traffic, captured in batches so cancellation lands
+    // between batches. The traffic generator is stateful (persistent
+    // connections), so capture stays sequential; per-batch progress goes
+    // through the throttled reporter so a multi-million-capture run cannot
+    // flood the sink.
     let reporter = ctx.progress("tls-cookie", config.captures, "capture");
     let mut captured = 0u64;
     while captured < config.captures {
         ctx.checkpoint()?;
-        let batch = (config.captures - captured).min(1024) as usize;
-        let span = rc4_obs::Span::enter_with("tls.capture", rc4_obs::kv! { "requests" => batch });
-        for capture in traffic.capture(batch).map_err(ExperimentError::from)? {
-            stats.add(&capture).map_err(ExperimentError::from)?;
-        }
-        drop(span);
-        captured += batch as u64;
-        reporter.tick(batch as u64);
+        let batch = (config.captures - captured).min(1024);
+        session.capture(batch as usize)?;
+        captured += batch;
+        reporter.tick(batch);
     }
     report.push_row(&[
         "traffic".to_string(),
         "encrypted requests captured".to_string(),
-        stats.requests().to_string(),
+        session.stats.requests().to_string(),
     ]);
     report.push_row(&[
         "traffic".to_string(),
         "hours for 9 x 2^27 requests at 4450 req/s".to_string(),
-        format!("{:.0}", traffic.hours_for(9 * (1u64 << 27))),
+        format!("{:.0}", session.traffic.hours_for(9 * (1u64 << 27))),
     ]);
 
     // Stage 3 + 4: FM + ABSAB statistics -> Algorithm 2 candidate list ->
-    // brute force against the oracle (a stand-in for the real web server).
+    // brute force against the oracle.
     ctx.checkpoint()?;
-    let attack_config = CookieAttackConfig {
-        max_gap: config.max_gap,
-        candidates: config.candidates,
-        charset: config.charset.clone(),
-        use_fm: true,
-        use_absab: true,
-    };
-    // Analysis side — likelihood tables and the list-Viterbi decode — fans
-    // out across the context's executor (identical output for any worker
-    // count).
-    let span = rc4_obs::Span::enter("tls.score");
-    let candidates = cookie_candidates_with_exec(&stats, &attack_config, &ctx.executor())
-        .map_err(ExperimentError::from)?;
-    drop(span);
+    let candidates = session.rank(ctx)?;
     report.push_row(&[
         "candidates".to_string(),
         "ranked cookie candidates generated".to_string(),
@@ -211,30 +303,11 @@ pub fn run(
         "minutes to brute-force 2^23 at 20000 req/s".to_string(),
         format!("{:.1}", brute_force_rate_seconds(1 << 23, 20_000) / 60.0),
     ]);
-
-    let outcome = brute_force_cookie(&candidates, |guess| guess == cookie.as_slice());
-    report.push_row(&[
-        "brute force".to_string(),
-        "cookie recovered".to_string(),
-        if outcome.cookie.is_some() {
-            "yes"
-        } else {
-            "no (expected below ~2^30 captures; see fig10 for the success curve)"
-        }
-        .to_string(),
-    ]);
-    report.push_row(&[
-        "brute force".to_string(),
-        "attempts / candidate rank".to_string(),
-        format!(
-            "{} / {}",
-            outcome.attempts,
-            outcome
-                .candidate_index
-                .map(|i| i.to_string())
-                .unwrap_or_else(|| "-".to_string())
-        ),
-    ]);
+    session.push_brute_force_rows(
+        &mut report,
+        &candidates,
+        "no (expected below ~2^30 captures; see fig10 for the success curve)",
+    );
     Ok(report)
 }
 

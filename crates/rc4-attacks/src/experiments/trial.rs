@@ -20,7 +20,6 @@ use plaintext_recovery::{
     viterbi::{list_viterbi, PairCandidate, ViterbiConfig},
 };
 use rc4_biases::{absab::alpha, fm, UNIFORM_PAIR};
-use rc4_stats::streaming::{StreamingCounts, StreamingVotes};
 
 use crate::{
     sampling::{sample_counts_normal, sample_standard_normal},
@@ -53,16 +52,25 @@ fn ciphertext_pair_table(key_pair_probs: &[f64], truth: (u8, u8)) -> Vec<f64> {
     ct_probs
 }
 
-fn counts_table() -> Result<StreamingCounts, ExperimentError> {
-    StreamingCounts::new(PAIR_CELLS).map_err(ExperimentError::from)
+/// Adds a batch of counts into a running table, cell by cell, and returns
+/// the batch's total.
+fn absorb(table: &mut [u64], batch: &[u64]) -> u64 {
+    let mut total = 0;
+    for (cell, &add) in table.iter_mut().zip(batch) {
+        *cell += add;
+        total += add;
+    }
+    total
 }
 
 /// The FM part of a trial: the ciphertext-pair distribution to draw from,
-/// the biased cells to score with, and the accumulated counts.
+/// the biased cells to score with, and the accumulated counts with their
+/// total.
 struct FmStream<'a> {
     ct_probs: Vec<f64>,
     cells: &'a [(u8, u8, f64)],
-    acc: StreamingCounts,
+    counts: Vec<u64>,
+    total: u64,
 }
 
 /// One ABSAB relation of a [`PairTrial`]: the keystream differential is zero
@@ -74,7 +82,8 @@ struct Relation {
     hot: usize,
     ln_alpha: f64,
     ln_rest: f64,
-    acc: StreamingCounts,
+    counts: Vec<u64>,
+    total: u64,
 }
 
 /// One simulated recovery of a plaintext pair from FM pair counts and/or
@@ -95,16 +104,14 @@ impl<'a> PairTrial<'a> {
         fm_cells: &'a [(u8, u8, f64)],
         gaps: impl IntoIterator<Item = usize>,
         rng: &mut StdRng,
-    ) -> Result<Self, ExperimentError> {
+    ) -> Self {
         let truth: (u8, u8) = (rng.gen(), rng.gen());
-        let fm = match key_pair_probs {
-            Some(key_pair_probs) => Some(FmStream {
-                ct_probs: ciphertext_pair_table(key_pair_probs, truth),
-                cells: fm_cells,
-                acc: counts_table()?,
-            }),
-            None => None,
-        };
+        let fm = key_pair_probs.map(|key_pair_probs| FmStream {
+            ct_probs: ciphertext_pair_table(key_pair_probs, truth),
+            cells: fm_cells,
+            counts: vec![0; PAIR_CELLS],
+            total: 0,
+        });
         let mut relations = Vec::new();
         for gap in gaps {
             // Known plaintext pair for this relation (arbitrary but known).
@@ -116,15 +123,16 @@ impl<'a> PairTrial<'a> {
                 hot: ((truth.0 ^ known.0) as usize) << 8 | (truth.1 ^ known.1) as usize,
                 ln_alpha: a.ln(),
                 ln_rest: ((1.0 - a) / 65535.0).ln(),
-                acc: counts_table()?,
+                counts: vec![0; PAIR_CELLS],
+                total: 0,
             });
         }
-        Ok(Self {
+        Self {
             truth,
             fm,
             relations,
             probs: vec![0.0; PAIR_CELLS],
-        })
+        }
     }
 
     /// The plaintext pair the trial tries to recover.
@@ -134,22 +142,17 @@ impl<'a> PairTrial<'a> {
 
     /// Draws the counts of `n` more ciphertexts into every table: the FM
     /// pair counts first, then each relation's differential counts.
-    pub(crate) fn ingest(&mut self, n: u64, rng: &mut StdRng) -> Result<(), ExperimentError> {
+    pub(crate) fn ingest(&mut self, n: u64, rng: &mut StdRng) {
         if let Some(fm) = &mut self.fm {
-            fm.acc
-                .absorb(&sample_counts_normal(&fm.ct_probs, n, rng))
-                .map_err(ExperimentError::from)?;
+            fm.total += absorb(&mut fm.counts, &sample_counts_normal(&fm.ct_probs, n, rng));
         }
         for rel in &mut self.relations {
             // Differential distribution: the true differential with
             // probability alpha, everything else uniform.
             self.probs.fill((1.0 - rel.alpha) / 65535.0);
             self.probs[rel.hot] = rel.alpha;
-            rel.acc
-                .absorb(&sample_counts_normal(&self.probs, n, rng))
-                .map_err(ExperimentError::from)?;
+            rel.total += absorb(&mut rel.counts, &sample_counts_normal(&self.probs, n, rng));
         }
-        Ok(())
     }
 
     /// Scores the accumulated tables: the sparse FM likelihood plus, per
@@ -159,22 +162,18 @@ impl<'a> PairTrial<'a> {
     /// of every ciphertext ingested so far.
     pub(crate) fn score(&self) -> Result<PairLikelihoods, ExperimentError> {
         let mut log = match &self.fm {
-            Some(fm) => PairLikelihoods::from_counts_sparse(
-                fm.acc.counts(),
-                fm.cells,
-                UNIFORM_PAIR,
-                fm.acc.total(),
-            )?
-            .as_slice()
-            .to_vec(),
+            Some(fm) => {
+                PairLikelihoods::from_counts_sparse(&fm.counts, fm.cells, UNIFORM_PAIR, fm.total)?
+                    .as_slice()
+                    .to_vec()
+            }
             None => vec![0.0; PAIR_CELLS],
         };
         for rel in &self.relations {
-            let total = rel.acc.total() as f64;
-            let counts = rel.acc.counts();
+            let total = rel.total as f64;
             for (mu1, row) in log.chunks_mut(256).enumerate() {
                 let d0 = mu1 ^ rel.known.0;
-                let counts_row = &counts[(d0 << 8)..(d0 << 8) + 256];
+                let counts_row = &rel.counts[(d0 << 8)..(d0 << 8) + 256];
                 for (mu2, slot) in row.iter_mut().enumerate() {
                     let hits = counts_row[mu2 ^ rel.known.1] as f64;
                     *slot += (total - hits) * rel.ln_rest + hits * rel.ln_alpha;
@@ -194,13 +193,15 @@ struct VoteRelation {
     alpha: f64,
 }
 
-/// One cookie transition: the ciphertext-pair distribution, its FM cells
-/// and counts, the accumulated ABSAB votes and the relations casting them.
+/// One cookie transition: the ciphertext-pair distribution, its FM cells,
+/// counts and their total, the accumulated ABSAB votes and the relations
+/// casting them.
 struct Transition {
     ct_probs: Vec<f64>,
     cells: Vec<(u8, u8, f64)>,
-    acc: StreamingCounts,
-    votes: StreamingVotes,
+    counts: Vec<u64>,
+    total: u64,
+    votes: Vec<f64>,
     relations: Vec<VoteRelation>,
 }
 
@@ -235,7 +236,7 @@ impl CookieTrial {
         shape: &CookieShape<'_>,
         transition_probs: &[Vec<f64>],
         rng: &mut StdRng,
-    ) -> Result<Self, ExperimentError> {
+    ) -> Self {
         let alphabet = shape.charset.values();
         let cookie: Vec<u8> = (0..shape.cookie_len)
             .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
@@ -264,12 +265,13 @@ impl CookieTrial {
             transitions.push(Transition {
                 ct_probs: ciphertext_pair_table(&transition_probs[t], truth),
                 cells: fm_cells(shape.cookie_position + t as u64),
-                acc: counts_table()?,
-                votes: StreamingVotes::new(PAIR_CELLS).map_err(ExperimentError::from)?,
+                counts: vec![0; PAIR_CELLS],
+                total: 0,
+                votes: vec![0.0; PAIR_CELLS],
                 relations,
             });
         }
-        Ok(Self {
+        Self {
             cookie,
             transitions,
             viterbi: ViterbiConfig {
@@ -279,7 +281,7 @@ impl CookieTrial {
                 charset: shape.charset.clone(),
             },
             batch_votes: vec![0.0; PAIR_CELLS],
-        })
+        }
     }
 
     /// The cookie the trial tries to recover.
@@ -289,12 +291,10 @@ impl CookieTrial {
 
     /// Draws `n` more requests into every transition: its FM pair counts,
     /// then its relations' weighted differential votes.
-    pub(crate) fn ingest(&mut self, n: u64, rng: &mut StdRng) -> Result<(), ExperimentError> {
+    pub(crate) fn ingest(&mut self, n: u64, rng: &mut StdRng) {
         let n_f = n as f64;
         for tr in &mut self.transitions {
-            tr.acc
-                .absorb(&sample_counts_normal(&tr.ct_probs, n, rng))
-                .map_err(ExperimentError::from)?;
+            tr.total += absorb(&mut tr.counts, &sample_counts_normal(&tr.ct_probs, n, rng));
             // Every differential count is approximately normal and only the
             // true differential has an elevated mean; each relation's
             // weighted counts land on the candidate pair the differential
@@ -321,11 +321,10 @@ impl CookieTrial {
                     }
                 }
             }
-            tr.votes
-                .absorb(&self.batch_votes)
-                .map_err(ExperimentError::from)?;
+            for (vote, &add) in tr.votes.iter_mut().zip(&self.batch_votes) {
+                *vote += add;
+            }
         }
-        Ok(())
     }
 
     /// Ranks cookie candidates from the accumulated tables: the combined FM
@@ -333,13 +332,9 @@ impl CookieTrial {
     pub(crate) fn candidates(&self) -> Result<Vec<PairCandidate>, ExperimentError> {
         let mut likelihoods = Vec::with_capacity(self.transitions.len());
         for tr in &self.transitions {
-            let mut combined = PairLikelihoods::from_counts_sparse(
-                tr.acc.counts(),
-                &tr.cells,
-                UNIFORM_PAIR,
-                tr.acc.total(),
-            )?;
-            combined.add_log_values(tr.votes.votes())?;
+            let mut combined =
+                PairLikelihoods::from_counts_sparse(&tr.counts, &tr.cells, UNIFORM_PAIR, tr.total)?;
+            combined.add_log_values(&tr.votes)?;
             likelihoods.push(combined);
         }
         Ok(list_viterbi(&likelihoods, &self.viterbi)?)

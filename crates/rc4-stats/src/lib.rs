@@ -33,9 +33,9 @@
 //!   AVX-512 gather/scatter where the CPU has it), stepping 8–16 keystreams
 //!   per loop iteration while keeping every dataset byte-identical to the
 //!   scalar path.
-//! * [`streaming`] — in-place accumulating count and vote tables for the
-//!   streaming ingestion mode, where ciphertext batches arrive continuously
-//!   and the attacks re-score the accumulated table online.
+//!
+//! Every table here counts keystream bytes. The ciphertext counts an attack
+//! collects live with the attack (`rc4-attacks`' trial models), not here.
 //!
 //! Datasets expose their raw counts (for the hypothesis tests in
 //! `stat-tests`) and empirical probability estimates (for the likelihood
@@ -52,7 +52,6 @@ pub mod longterm;
 pub mod pairs;
 pub mod single;
 pub mod storable;
-pub mod streaming;
 pub mod tsc;
 pub mod worker;
 
